@@ -4,7 +4,6 @@ optimization, with annealing-family solvers and landscape analysis."""
 from .core import (
     BOOLEAN,
     ISING,
-    Assignment,
     InputError,
     IsingProblem,
     PolynomialObjective,

@@ -229,7 +229,7 @@ def cmd_solve(args) -> int:
             measure_sweeps=args.measure_sweeps,
             seed=seed,
         )
-        result = parallel_tempering(problem, cfg, jobs=args.jobs)
+        result = parallel_tempering(problem, cfg)
         samples = result.sample_set
         samples.meta["problem_fingerprint"] = result.problem_fingerprint
     elif args.solver == "brute":
@@ -558,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--solver", required=True, choices=("sa", "pt", "brute"))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for SA restart blocks (sa only)")
     p.add_argument("--restarts", type=int, default=432)
     p.add_argument("--sweeps", type=int, default=400)
     p.add_argument("--cooling-rate", type=float, default=0.9999)

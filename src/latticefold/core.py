@@ -285,29 +285,6 @@ def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
     return j_max, j_min, j_max / j_min
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A variable assignment plus the space its values live in."""
-
-    values: np.ndarray
-    space: str = BOOLEAN
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values))
-        if self.space not in (BOOLEAN, ISING):
-            raise InputError(f"unknown space {self.space!r}")
-
-    def to_bits(self) -> np.ndarray:
-        if self.space == BOOLEAN:
-            return self.values.astype(np.int8)
-        return ((self.values + 1) // 2).astype(np.int8)
-
-    def to_spins(self) -> np.ndarray:
-        if self.space == ISING:
-            return self.values.astype(np.int8)
-        return (2 * self.values - 1).astype(np.int8)
-
-
 # ---------------------------------------------------------------------------
 # JSON problem files: the interchange format for every CLI stage.
 # ---------------------------------------------------------------------------

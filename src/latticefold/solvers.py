@@ -1,11 +1,13 @@
 """Heuristic and exact minimization: simulated annealing with multi-flip
 coloring parallelism, parallel tempering, and exhaustive brute force.
 
-All randomness is counter-based: every uniform is a pure function of
-(master seed, role, restart/replica, sweep, variable), so results are
-bit-identical no matter how work is distributed over workers.  Restarts
-are vectorized as rows of numpy arrays; `jobs` spreads fixed-size restart
-blocks across processes.
+SA and PT share one Metropolis kernel over a block of rows (restarts or
+replicas).  Every uniform is a pure function of (master seed, role,
+restart/replica, sweep, variable), every reduction over the n variables is
+an `einsum` with a fixed per-row order, and the per-class field update sums
+at most |class| exact products of a flip in {-1, 0, +1} with a row of Q.  So
+no row depends on the rows sharing its block: SA results are bit-identical
+however restarts are split into blocks or spread over `jobs` processes.
 """
 
 from __future__ import annotations
@@ -263,13 +265,21 @@ class _Compiled:
                 self.Q[j, i] += coeff
         self.colors = color_graph(qubo).classes
         self.qubo = qubo
+        # float64 rounding bound of the incremental energy, per proposed flip:
+        # a sweep proposes n flips and adds once per colour class to an energy
+        # no larger than |offset| + sum |coefficient|
+        self.flip_rounding = (
+            0.5 * np.finfo(np.float64).eps * len(self.colors) / max(n, 1)
+            * (abs(self.offset) + sum(abs(v) for v in qubo.terms.values()))
+        )
 
+    # einsum, not BLAS @: a fixed reduction order whatever the block's row count
     def energies(self, bits: np.ndarray) -> np.ndarray:
         b = bits.astype(np.float64)
-        return self.offset + b @ self.c + 0.5 * np.einsum("ri,ij,rj->r", b, self.Q, b)
+        return self.offset + np.einsum("ri,i->r", b, self.c) + 0.5 * np.einsum("ri,ij,rj->r", b, self.Q, b)
 
     def local_fields(self, bits: np.ndarray) -> np.ndarray:
-        return self.c + bits.astype(np.float64) @ self.Q
+        return self.c + np.einsum("rn,nm->rm", bits.astype(np.float64), self.Q)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +315,53 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, probe_n: int, key_state: in
     return t0
 
 
+def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.ndarray, cooling: float):
+    """Colour-class Metropolis sweeps over a block of rows (restarts or replicas).
+
+    Yields `(sweep, bits, fields, energies)` for the random initial state (as
+    sweep 0), then after each sweep; the arrays are updated in place, so the
+    caller may exchange rows between sweeps.  A class is proposed at once at
+    its entry temperature; temperatures advance by `cooling` per proposed
+    variable (1.0 keeps a fixed ladder).
+    """
+    key_init, key_prop = keys
+    n = comp.n
+    bits = (counter_uniforms(key_init, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
+    fields = comp.local_fields(bits)
+    energies = comp.energies(bits)
+    yield 0, bits, fields, energies
+
+    q_classes = [comp.Q[cls, :] for cls in comp.colors]
+    flips_since_reeval = 0
+    for sweep in range(sweeps):
+        for cls, q_cls in zip(comp.colors, q_classes):
+            sub = bits[:, cls].astype(np.float64)
+            delta_e = (1.0 - 2.0 * sub) * fields[:, cls]
+            u = counter_uniforms(key_prop, rows[:, None], np.full((len(rows), len(cls)), sweep), cls[None, :])
+            with np.errstate(over="ignore"):
+                prob = np.where(delta_e <= 0.0, 1.0, np.exp(-np.maximum(delta_e, 0.0) / temps[:, None]))
+            accepted = u < prob
+            # each product is exact (flips in {-1, 0, +1}) and each sum has at
+            # most |class| terms, so @ gives the same bits at any row count
+            flips = np.where(accepted, 1.0 - 2.0 * sub, 0.0)
+            bits[:, cls] = np.where(accepted, 1 - bits[:, cls], bits[:, cls])
+            fields += flips @ q_cls
+            energies += np.sum(np.where(accepted, delta_e, 0.0), axis=1)
+            temps = temps * cooling ** len(cls)
+            flips_since_reeval += len(cls)
+        if flips_since_reeval >= FULL_REEVAL_FLIPS:
+            exact = comp.energies(bits)
+            drift = np.abs(exact - energies).max()
+            tol = DRIFT_TOL + flips_since_reeval * comp.flip_rounding
+            if drift > tol:
+                raise AssertionError(f"incremental energy drift {drift} exceeds {tol}")
+            energies[:] = exact
+            flips_since_reeval = 0
+        yield sweep, bits, fields, energies
+
+
 def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
     n = comp.n
-    key_init = stable_seed(cfg.seed, "sa-init")
-    key_probe_var = stable_seed(cfg.seed, "sa-probe")
-    key_prop = stable_seed(cfg.seed, "sa-accept")
-
     if n == 0:
         zero = np.zeros((len(rows), 0), dtype=np.uint8)
         return zero, np.full(len(rows), comp.offset), np.zeros(len(rows), dtype=np.int64)
@@ -319,47 +370,18 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
         temps = np.full(len(rows), float(cfg.t0))
     else:
         probe_n = cfg.probe_flips or max(100, n)
-        temps = _atiqullah_t0(comp, rows, probe_n, stable_seed(cfg.seed, "sa-probe-state"), key_probe_var)
+        temps = _atiqullah_t0(comp, rows, probe_n, stable_seed(cfg.seed, "sa-probe-state"),
+                              stable_seed(cfg.seed, "sa-probe"))
 
-    # einsum (not BLAS @) everywhere state flows: its fixed C-loop reduction
-    # order makes every row's arithmetic independent of the block shape, so
-    # results cannot depend on restart chunking or worker count
-    bits = (counter_uniforms(key_init, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
-    fields = comp.c + np.einsum("rn,nm->rm", bits.astype(np.float64), comp.Q)
-    energies = comp.energies(bits)
-    best_e = energies.copy()
-    best_bits = bits.copy()
+    keys = (stable_seed(cfg.seed, "sa-init"), stable_seed(cfg.seed, "sa-accept"))
+    best_e = np.full(len(rows), np.inf)
+    best_bits = np.zeros((len(rows), n), dtype=np.int8)
     best_sweep = np.zeros(len(rows), dtype=np.int64)
-
-    flips_since_reeval = 0
-    zeta = cfg.cooling_rate
-    for sweep in range(cfg.sweeps):
-        for cls in comp.colors:
-            sub = bits[:, cls].astype(np.float64)
-            delta_e = (1.0 - 2.0 * sub) * fields[:, cls]
-            u = counter_uniforms(key_prop, rows[:, None], np.full((len(rows), len(cls)), sweep), cls[None, :])
-            with np.errstate(over="ignore"):
-                prob = np.where(delta_e <= 0.0, 1.0, np.exp(-np.maximum(delta_e, 0.0) / temps[:, None]))
-            accepted = u < prob
-            flips = np.where(accepted, 1.0 - 2.0 * sub, 0.0)
-            bits[:, cls] = np.where(accepted, 1 - bits[:, cls], bits[:, cls])
-            fields += np.einsum("rc,cn->rn", flips, comp.Q[cls, :])
-            energies += np.sum(np.where(accepted, delta_e, 0.0), axis=1)
-            # cooling is per variable proposal; a whole class advances |C| steps
-            temps = temps * zeta ** len(cls)
-            flips_since_reeval += len(cls)
-        if flips_since_reeval >= FULL_REEVAL_FLIPS:
-            exact = comp.energies(bits)
-            drift = np.abs(exact - energies).max()
-            if drift > DRIFT_TOL:
-                raise AssertionError(f"incremental energy drift {drift} exceeds {DRIFT_TOL}")
-            energies = exact
-            flips_since_reeval = 0
+    for sweep, bits, _, energies in _metropolis(comp, keys, rows, cfg.sweeps, temps, cfg.cooling_rate):
         improved = energies < best_e
-        if improved.any():
-            best_e = np.where(improved, energies, best_e)
-            best_bits[improved] = bits[improved]
-            best_sweep[improved] = sweep
+        best_e = np.where(improved, energies, best_e)
+        best_bits[improved] = bits[improved]
+        best_sweep[improved] = sweep
     # report exact energies, free of incremental accumulation error
     return best_bits.astype(np.uint8), comp.energies(best_bits), best_sweep
 
@@ -431,7 +453,7 @@ def _problem_fingerprint(comp: _Compiled) -> str:
     return h.hexdigest()[:16]
 
 
-def parallel_tempering(problem, cfg: PtConfig, jobs: int = 1) -> PtResult:
+def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     """Replica-exchange Monte Carlo on a fixed geometric temperature ladder.
 
     Every sweep performs coloring-parallel Metropolis in all replicas, then
@@ -442,8 +464,6 @@ def parallel_tempering(problem, cfg: PtConfig, jobs: int = 1) -> PtResult:
     ladder = temperature_ladder(cfg)
     m = cfg.num_temps
     n = comp.n
-    key_init = stable_seed(cfg.seed, "pt-init")
-    key_prop = stable_seed(cfg.seed, "pt-accept")
     key_swap = stable_seed(cfg.seed, "pt-swap")
     start = time.perf_counter()
     rows = np.arange(m, dtype=np.int64)
@@ -460,38 +480,15 @@ def parallel_tempering(problem, cfg: PtConfig, jobs: int = 1) -> PtResult:
         return PtResult(ss, ladder, np.zeros((cfg.sweeps, m), dtype=np.float32),
                         bits, _problem_fingerprint(comp))
 
-    bits = (counter_uniforms(key_init, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
-    fields = comp.local_fields(bits)
-    energies = comp.energies(bits)
     best_e = np.inf
-    best_bits = bits[0].copy()
     trajectory = np.zeros((cfg.sweeps, m), dtype=np.float32)
     measure_from = cfg.sweeps - cfg.measure_sweeps
     measure_states = np.zeros((cfg.measure_sweeps, n), dtype=np.uint8)
-    measure_energies = np.zeros(cfg.measure_sweeps)
-    flips_since_reeval = 0
 
-    for sweep in range(cfg.sweeps):
-        for cls in comp.colors:
-            sub = bits[:, cls].astype(np.float64)
-            delta_e = (1.0 - 2.0 * sub) * fields[:, cls]
-            u = counter_uniforms(key_prop, rows[:, None], np.full((m, len(cls)), sweep), cls[None, :])
-            with np.errstate(over="ignore"):
-                prob = np.where(delta_e <= 0.0, 1.0, np.exp(-np.maximum(delta_e, 0.0) / ladder[:, None]))
-            accepted = u < prob
-            flips = np.where(accepted, 1.0 - 2.0 * sub, 0.0)
-            bits[:, cls] = np.where(accepted, 1 - bits[:, cls], bits[:, cls])
-            fields += flips @ comp.Q[cls, :]
-            energies += np.sum(np.where(accepted, delta_e, 0.0), axis=1)
-            flips_since_reeval += len(cls)
-        if flips_since_reeval >= FULL_REEVAL_FLIPS:
-            exact = comp.energies(bits)
-            drift = np.abs(exact - energies).max()
-            if drift > DRIFT_TOL:
-                raise AssertionError(f"incremental energy drift {drift} exceeds {DRIFT_TOL}")
-            energies = exact
-            flips_since_reeval = 0
-
+    keys = (stable_seed(cfg.seed, "pt-init"), stable_seed(cfg.seed, "pt-accept"))
+    kernel = _metropolis(comp, keys, rows, cfg.sweeps, ladder, 1.0)
+    next(kernel)  # the initial state is not a record
+    for sweep, bits, fields, energies in kernel:
         if m > 1:
             lows = np.arange(sweep % 2, m - 1, 2)
             highs = lows + 1
@@ -501,10 +498,8 @@ def parallel_tempering(problem, cfg: PtConfig, jobs: int = 1) -> PtResult:
             u = counter_uniforms(key_swap, np.full(len(lows), sweep), lows)
             do = u < p_swap
             swap_lo, swap_hi = lows[do], highs[do]
-            if len(swap_lo):
-                bits[swap_lo], bits[swap_hi] = bits[swap_hi].copy(), bits[swap_lo].copy()
-                fields[swap_lo], fields[swap_hi] = fields[swap_hi].copy(), fields[swap_lo].copy()
-                energies[swap_lo], energies[swap_hi] = energies[swap_hi].copy(), energies[swap_lo].copy()
+            for arr in (bits, fields, energies):
+                arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
 
         trajectory[sweep] = energies
         sweep_best = int(np.argmin(energies))
@@ -513,7 +508,6 @@ def parallel_tempering(problem, cfg: PtConfig, jobs: int = 1) -> PtResult:
             best_bits = bits[sweep_best].copy()
         if sweep >= measure_from:
             measure_states[sweep - measure_from] = bits[0]
-            measure_energies[sweep - measure_from] = energies[0]
 
     wall = time.perf_counter() - start
     measure_energies = comp.energies(measure_states)

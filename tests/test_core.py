@@ -5,8 +5,6 @@ import pytest
 
 from latticefold.core import (
     BOOLEAN,
-    ISING,
-    Assignment,
     InputError,
     IsingProblem,
     PolynomialObjective,
@@ -178,18 +176,6 @@ class TestCoefficientStats:
         )
         assert coefficient_stats(q) == coefficient_stats(relabeled)
         assert q.density == relabeled.density
-
-
-class TestAssignment:
-    def test_spaces(self):
-        a = Assignment(np.array([0, 1, 1]), BOOLEAN)
-        assert a.to_spins().tolist() == [-1, 1, 1]
-        b = Assignment(np.array([-1, 1]), ISING)
-        assert b.to_bits().tolist() == [0, 1]
-
-    def test_unknown_space(self):
-        with pytest.raises(InputError):
-            Assignment(np.array([0]), "qutrit")
 
 
 class TestProblemFiles:

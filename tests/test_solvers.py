@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from latticefold.core import InputError, IsingProblem, TermAccumulator, qubo_to_ising
-from latticefold.encoders import encode_coord_tetrahedral, hp_model, mj_model, optimal_fold_energy
+from latticefold.encoders import encode, encode_coord_tetrahedral, hp_model, mj_model, optimal_fold_energy
+from latticefold.reduction import quadratize
 from latticefold.solvers import (
+    SA_BLOCK,
     ColorClasses,
     PtConfig,
     ResourceRefusal,
     SaConfig,
+    _Compiled,
+    _sa_rows,
     brute_force,
     color_graph,
     counter_uniforms,
@@ -108,14 +112,29 @@ class TestSimulatedAnnealing:
 
     def test_bit_identical_across_jobs(self, rng):
         obj = random_qubo(rng, 20, n_quad=50)
-        runs = [
-            simulated_annealing(obj, SaConfig(0.995, 40, 12, seed=99), jobs=j)
-            for j in (1, 4, 8)
-        ]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].bits, other.bits)
-            assert np.array_equal(runs[0].energies, other.energies)
-            assert np.array_equal(runs[0].sweeps, other.sweeps)
+        # 130 restarts span three SA_BLOCK blocks, so jobs > 1 starts the pool
+        for restarts in (12, 130):
+            runs = [
+                simulated_annealing(obj, SaConfig(0.995, 40, restarts, seed=99), jobs=j)
+                for j in (1, 4, 8)
+            ]
+            for other in runs[1:]:
+                assert np.array_equal(runs[0].bits, other.bits)
+                assert np.array_equal(runs[0].energies, other.energies)
+                assert np.array_equal(runs[0].sweeps, other.sweeps)
+
+    @pytest.mark.parametrize("t0", [None, 2.0])
+    def test_sa_rows_independent_of_partition(self, t0):
+        # every row's arithmetic must not depend on the rows sharing its block
+        m = encode_coord_tetrahedral("LKDFSAW", mj_model(), L=3)
+        comp = _Compiled(m.objective)
+        cfg = SaConfig(0.999, 10, 70, seed=13, t0=t0)
+        rows = np.arange(cfg.restarts, dtype=np.int64)
+        whole = _sa_rows(comp, cfg, rows)
+        for size in (1, 7, 13, SA_BLOCK):
+            parts = [_sa_rows(comp, cfg, rows[lo : lo + size]) for lo in range(0, len(rows), size)]
+            for got, want in zip((np.concatenate(p) for p in zip(*parts)), whole):
+                assert np.array_equal(got, want), size
 
     def test_reaches_ground_on_coordinate_model(self):
         hp = hp_model()
@@ -134,6 +153,18 @@ class TestSimulatedAnnealing:
         ss = simulated_annealing(obj, SaConfig(0.99, 30, 8, seed=2))
         for bits, energy in zip(ss.bits, ss.energies):
             assert obj.evaluate(bits) == pytest.approx(energy, abs=1e-9)
+
+
+class TestLargeScaleProblems:
+    def test_reduced_turn_tet_solves_without_drift_error(self):
+        # worst-case alpha gives sum |coefficient| ~ 4e10, so float64 rounding
+        # of the incremental energy alone exceeds the unit-scale DRIFT_TOL
+        hubo = encode("turn-tet", "LKKKKLKKKKL", mj_model()).objective
+        qubo = quadratize(hubo, "worst_case").qubo
+        ss = simulated_annealing(qubo, SaConfig(0.9998, 100, 8, seed=7))
+        assert np.all(np.isfinite(ss.energies))
+        res = parallel_tempering(qubo, PtConfig(num_temps=8, sweeps=100, measure_sweeps=10, seed=7))
+        assert np.all(np.isfinite(res.sample_set.energies))
 
 
 class TestParallelTempering:
