@@ -297,24 +297,52 @@ def problem_to_json(obj, extra: dict | None = None) -> dict:
     return doc
 
 
+def _problem_terms(raw_terms, num_vars: int) -> list[tuple[list[int], float]]:
+    """(variables, coefficient) of each document term; InputError names a bad one."""
+    if not isinstance(raw_terms, list):
+        raise InputError("problem terms must be a list")
+    terms = []
+    for i, t in enumerate(raw_terms):
+        try:
+            vars_ = [int(v) for v in t["vars"]]
+            coeff = float(t["coeff"])
+        except KeyError as exc:
+            raise InputError(f"problem term {i} has no {exc} key") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed problem term {i}: {exc}") from exc
+        if not all(0 <= v < num_vars for v in vars_):
+            raise InputError(f"problem term {i}: variables {vars_} out of range for {num_vars} vars")
+        if not np.isfinite(coeff):
+            raise InputError(f"problem term {i}: coefficient {coeff} is not finite")
+        terms.append((vars_, coeff))
+    return terms
+
+
 def problem_from_dict(doc: dict):
-    """Load a problem from its JSON dict; returns the matching problem type."""
+    """Load a problem from its JSON dict; returns the matching problem type.
+
+    Any malformed document raises InputError.
+    """
     try:
         num_vars = int(doc["num_vars"])
         offset = float(doc.get("offset", 0.0))
         space = doc.get("space", BOOLEAN)
         raw_terms = doc.get("terms", [])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
+    if num_vars < 0 or not np.isfinite(offset) or space not in (BOOLEAN, ISING):
+        raise InputError(
+            f"malformed problem document: num_vars={num_vars}, offset={offset}, space={space!r}"
+        )
+    terms = _problem_terms(raw_terms, num_vars)
 
-    acc = TermAccumulator()
-    acc.offset = offset
+    # the constructors' own checks catch what is left: a repeated Ising
+    # variable, or coefficient sums that overflow
     if space == ISING:
         couplings: dict[tuple[int, int], float] = {}
         fields: dict[int, float] = {}
-        for t in raw_terms:
-            key = tuple(sorted(int(v) for v in t["vars"]))
-            c = float(t["coeff"])
+        for vars_, c in terms:
+            key = tuple(sorted(vars_))
             if len(key) == 1:
                 fields[key[0]] = fields.get(key[0], 0.0) + c
             elif len(key) == 2:
@@ -323,12 +351,20 @@ def problem_from_dict(doc: dict):
                 raise InputError("ising documents support degree <= 2 only")
         fields = {i: v for i, v in fields.items() if v != 0.0}
         couplings = {k: v for k, v in couplings.items() if v != 0.0}
-        return IsingProblem(num_vars=num_vars, couplings=couplings, fields=fields, offset=offset)
+        try:
+            return IsingProblem(num_vars=num_vars, couplings=couplings, fields=fields, offset=offset)
+        except ValueError as exc:
+            raise InputError(f"malformed problem document: {exc}") from exc
 
-    for t in raw_terms:
-        acc.add(t["vars"], float(t["coeff"]))
+    acc = TermAccumulator()
+    acc.offset = offset
+    for vars_, c in terms:
+        acc.add(vars_, c)
     degree = max((len(k) for k in acc.terms), default=0)
-    return acc.build(num_vars, quadratic=degree <= 2)
+    try:
+        return acc.build(num_vars, quadratic=degree <= 2)
+    except ValueError as exc:
+        raise InputError(f"malformed problem document: {exc}") from exc
 
 
 def save_problem(path, obj, extra: dict | None = None) -> None:
@@ -340,5 +376,8 @@ def save_problem(path, obj, extra: dict | None = None) -> None:
 def load_problem(path) -> tuple[object, dict]:
     """Returns (problem, full document) so callers can read layout/aux data."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"{path} is not a JSON document: {exc}") from exc
     return problem_from_dict(doc), doc

@@ -52,15 +52,31 @@ def stable_seed(seed: int, role: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def counter_uniforms(key: int, *counters) -> np.ndarray:
-    """Uniforms in [0,1) indexed by broadcastable integer counters."""
+def _counter_state(key, *counters) -> np.ndarray:
+    """uint64 mixer state after absorbing `counters`, in order, into `key`.
+
+    `key` is an int seed or a state returned by an earlier call, so a shared
+    counter prefix is mixed once: `_counter_state(_counter_state(k, a), b)`
+    equals `_counter_state(k, a, b)` element for element.
+    """
     with np.errstate(over="ignore"):
-        x = np.uint64(key & 0xFFFFFFFFFFFFFFFF) + _M0
-        x = _mix(np.asarray(x, dtype=np.uint64))
+        if isinstance(key, np.ndarray):
+            x = key
+        else:
+            x = _mix(np.asarray(np.uint64(key & 0xFFFFFFFFFFFFFFFF) + _M0, dtype=np.uint64))
         for c in counters:
             arr = (np.asarray(c, dtype=np.int64).astype(np.uint64) + np.uint64(1)) * _M0
             x = _mix(np.bitwise_xor(x, arr))
-        return (x >> np.uint64(11)).astype(np.float64) * _INV53
+        return x
+
+
+def counter_uniforms(key, *counters) -> np.ndarray:
+    """Uniforms in [0,1) indexed by broadcastable integer counters.
+
+    `key` is an int seed or a `_counter_state` that already holds a prefix of
+    the counters.
+    """
+    return (_counter_state(key, *counters) >> np.uint64(11)).astype(np.float64) * _INV53
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +173,33 @@ class SampleSet:
 
 
 def sample_set_from_csv(path) -> SampleSet:
+    """Read a `to_csv` file; InputError names the first malformed line."""
     bits, energies, replicas, sweeps = [], [], [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("assignment"):
                 continue
-            bs, e, rep, sw = line.split(",")
-            bits.append([int(ch) for ch in bs])
-            energies.append(float(e))
-            replicas.append(int(rep))
-            sweeps.append(int(sw))
+            where = f"{path} line {lineno}"
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise InputError(f"{where}: expected 4 fields assignment,energy,replica,sweep, "
+                                 f"got {len(fields)}")
+            bs, e, rep, sw = fields
+            if bs.strip("01"):
+                raise InputError(f"{where}: assignment {bs!r} is not a string of 0s and 1s")
+            if bits and len(bs) != len(bits[0]):
+                raise InputError(f"{where}: assignment has {len(bs)} bits, earlier rows have {len(bits[0])}")
+            try:
+                energies.append(float(e))
+                replicas.append(int(rep))
+                sweeps.append(int(sw))
+            except ValueError as exc:
+                raise InputError(f"{where}: {exc}") from exc
+            bits.append(bs)
     if not bits:
         raise InputError(f"no samples in {path}")
-    arr = np.array(bits, dtype=np.uint8)
+    arr = (np.frombuffer("".join(bits).encode(), dtype=np.uint8) - ord("0")).reshape(len(bits), len(bits[0]))
     return SampleSet(
         num_vars=arr.shape[1],
         space=BOOLEAN,
@@ -293,8 +322,9 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, probe_n: int, key_state: in
     fields = comp.local_fields(bits)
     samples = np.empty((len(rows), probe_n))
     accepted = np.zeros(len(rows))
+    row_state = _counter_state(key_var, rows)
     for step in range(probe_n):
-        u = counter_uniforms(key_var, rows, np.full(len(rows), step))
+        u = counter_uniforms(row_state, step)
         vars_ = np.minimum((u * n).astype(np.int64), n - 1)
         picked = bits[np.arange(len(rows)), vars_].astype(np.float64)
         delta_e = (1.0 - 2.0 * picked) * fields[np.arange(len(rows)), vars_]
@@ -332,19 +362,24 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     yield 0, bits, fields, energies
 
     q_classes = [comp.Q[cls, :] for cls in comp.colors]
+    # the (key, row) and (key, row, sweep) prefixes of the proposal counters
+    # are mixed once, not once per class
+    row_state = _counter_state(key_prop, rows[:, None])
     flips_since_reeval = 0
     for sweep in range(sweeps):
+        sweep_state = _counter_state(row_state, sweep)
         for cls, q_cls in zip(comp.colors, q_classes):
-            sub = bits[:, cls].astype(np.float64)
-            delta_e = (1.0 - 2.0 * sub) * fields[:, cls]
-            u = counter_uniforms(key_prop, rows[:, None], np.full((len(rows), len(cls)), sweep), cls[None, :])
+            sub_bits = bits[:, cls]
+            sign = 1.0 - 2.0 * sub_bits
+            delta_e = sign * fields[:, cls]
+            u = counter_uniforms(sweep_state, cls[None, :])
             with np.errstate(over="ignore"):
                 prob = np.where(delta_e <= 0.0, 1.0, np.exp(-np.maximum(delta_e, 0.0) / temps[:, None]))
             accepted = u < prob
             # each product is exact (flips in {-1, 0, +1}) and each sum has at
             # most |class| terms, so @ gives the same bits at any row count
-            flips = np.where(accepted, 1.0 - 2.0 * sub, 0.0)
-            bits[:, cls] = np.where(accepted, 1 - bits[:, cls], bits[:, cls])
+            flips = np.where(accepted, sign, 0.0)
+            bits[:, cls] = sub_bits ^ accepted
             fields += flips @ q_cls
             energies += np.sum(np.where(accepted, delta_e, 0.0), axis=1)
             temps = temps * cooling ** len(cls)
@@ -386,7 +421,15 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
     return best_bits.astype(np.uint8), comp.energies(best_bits), best_sweep
 
 
-SA_BLOCK = 64
+# a block's `fields` array holds at most this many float64 cells (8 MB)
+SA_BLOCK_CELLS = 1 << 20
+
+
+def _sa_blocks(restarts: int, n: int, workers: int) -> list[np.ndarray]:
+    """Restart indices split evenly into one block per worker, or into more
+    blocks where one block would exceed SA_BLOCK_CELLS cells."""
+    blocks = max(workers, -(-restarts * n // SA_BLOCK_CELLS))
+    return np.array_split(np.arange(restarts, dtype=np.int64), min(blocks, restarts))
 
 
 def _sa_block_task(payload):
@@ -399,20 +442,20 @@ def simulated_annealing(problem, cfg: SaConfig, jobs: int = 1) -> SampleSet:
 
     Proposals sweep the color classes in a fixed order, proposing every
     variable of the active class simultaneously at the class-entry
-    temperature.  Restarts are processed in fixed-size blocks whose
-    randomness is keyed by absolute restart index, so results are
-    bit-identical however the blocks are distributed over workers; `jobs`
-    spreads blocks across processes.
+    temperature.  Restarts are split evenly into one block per worker
+    (`jobs`, capped at the CPU count), and into more blocks only where a
+    block would exceed SA_BLOCK_CELLS cells.  Randomness is keyed by absolute
+    restart index and no row's arithmetic depends on its block, so results
+    are bit-identical however restarts are split or spread over processes.
     """
     comp = _Compiled(problem)
     start = time.perf_counter()
-    all_rows = np.arange(cfg.restarts, dtype=np.int64)
-    chunks = [all_rows[lo : lo + SA_BLOCK] for lo in range(0, cfg.restarts, SA_BLOCK)]
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    if workers <= 1:
+    workers = max(1, min(jobs, os.cpu_count() or 1))
+    chunks = _sa_blocks(cfg.restarts, comp.n, workers)
+    if workers == 1 or len(chunks) == 1:
         parts = [_sa_rows(comp, cfg, rows) for rows in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             parts = list(pool.map(_sa_block_task, [(comp, cfg, rows) for rows in chunks]))
     bits = np.concatenate([p[0] for p in parts])
     energies = np.concatenate([p[1] for p in parts])
@@ -423,7 +466,7 @@ def simulated_annealing(problem, cfg: SaConfig, jobs: int = 1) -> SampleSet:
         space=comp.space,
         bits=bits,
         energies=energies,
-        replicas=all_rows,
+        replicas=np.arange(cfg.restarts, dtype=np.int64),
         sweeps=sweeps,
         run_seconds=wall,
         tau_seconds=wall / cfg.restarts,

@@ -113,6 +113,41 @@ class TestSolve:
         assert "problem_fingerprint" in summary
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("space", ["boolean", "ising"])
+    @pytest.mark.parametrize("term, message", [
+        ({"vars": [0, 5], "coeff": 1.0}, "out of range"),
+        ({"vars": [0, -1], "coeff": 1.0}, "out of range"),
+        ({"vars": [0, 1], "coeff": float("nan")}, "not finite"),
+        ({"vars": [0, 1]}, "no 'coeff' key"),
+        ({"coeff": 1.0}, "no 'vars' key"),
+    ])
+    def test_bad_problem_term_exits_2(self, workdir, capsys, space, term, message):
+        (workdir / "bad.json").write_text(json.dumps({
+            "num_vars": 3, "offset": 0.0, "space": space, "terms": [term],
+        }))
+        assert run(["solve", "bad.json", "--solver", "sa", "--seed", "1", "--out", "s.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_non_json_problem_exits_2(self, workdir, capsys):
+        (workdir / "bad.json").write_text('{"num_vars": 3, "terms": [')
+        assert run(["solve", "bad.json", "--solver", "brute", "--out", "b.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad.json is not a JSON document")
+
+    def test_ragged_samples_csv_exits_2(self, workdir, capsys):
+        assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
+                    "--out", "p.json"]) == 0
+        capsys.readouterr()
+        (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
+                                       "010,1.0,0,3\n01,2.0,1,4\n")
+        assert run(["decode", "p.json", "s.csv", "--out", "folds.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 4" in err
+        assert err.count("\n") == 1
+
+
 class TestDecodePipeline:
     def test_folds_carry_flags_and_geometry(self, workdir):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",

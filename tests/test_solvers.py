@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticefold.core import InputError, IsingProblem, TermAccumulator, qubo_to_ising
 from latticefold.encoders import encode, encode_coord_tetrahedral, hp_model, mj_model, optimal_fold_energy
 from latticefold.reduction import quadratize
 from latticefold.solvers import (
-    SA_BLOCK,
+    SA_BLOCK_CELLS,
     ColorClasses,
     PtConfig,
     ResourceRefusal,
     SaConfig,
     _Compiled,
+    _counter_state,
+    _sa_blocks,
     _sa_rows,
     brute_force,
     color_graph,
@@ -35,6 +39,61 @@ class TestCounterRng:
         u = counter_uniforms(7, np.arange(20000))
         assert 0.48 < u.mean() < 0.52
         assert u.min() >= 0.0 and u.max() < 1.0
+
+    def test_pinned_values(self):
+        # every SA/PT sample is drawn from this stream, so it must not move
+        u = counter_uniforms(42, np.arange(3)[:, None], 7, np.array([[0, 5]]))
+        assert u.tolist() == [[0.22759740179752463, 0.1558284460118351],
+                              [0.4544897710529917, 0.8437367083009601],
+                              [0.9337913894358153, 0.0262155808325355]]
+        assert counter_uniforms(-1, 2**40) == 0.7134044326688244
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.integers(-(2**63), 2**64 - 1),
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        scalar_middle=st.booleans(),
+        steps=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_state_prefix_gives_same_uniforms(self, key, rows, cols, scalar_middle, steps, data):
+        # absorbing a prefix of the counters into a state, one counter at a
+        # time, then drawing with the rest must give the one-call uniforms
+        def counter(shape):
+            values = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1),
+                                        min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+            return np.array(values, dtype=np.int64).reshape(shape)
+
+        middle = data.draw(st.integers(0, 2**40)) if scalar_middle else counter((rows, cols))
+        counters = (counter((rows, 1)), middle, counter((1, cols)))
+        want = counter_uniforms(key, *counters)
+        state = key
+        for c in counters[:steps]:
+            state = _counter_state(state, c)
+        got = counter_uniforms(state, *counters[steps:])
+        assert got.shape == want.shape == (rows, cols)
+        assert np.array_equal(got, want)
+
+
+class TestBlockPlan:
+    def test_anneal_workload_sizes(self):
+        # 432 restarts x 189 variables fit one block; two workers get two
+        assert [len(b) for b in _sa_blocks(432, 189, 1)] == [432]
+        assert [len(b) for b in _sa_blocks(432, 189, 2)] == [216, 216]
+
+    @settings(max_examples=60, deadline=None)
+    @given(restarts=st.integers(1, 3000), n=st.integers(0, 1 << 16), workers=st.integers(1, 8))
+    def test_even_split_bounded_by_workers_and_cells(self, restarts, n, workers):
+        blocks = _sa_blocks(restarts, n, workers)
+        assert np.array_equal(np.concatenate(blocks), np.arange(restarts))
+        sizes = [len(b) for b in blocks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        cells = restarts * n
+        if cells <= SA_BLOCK_CELLS and workers == 1:
+            assert len(blocks) == 1
+        assert len(blocks) >= min(restarts, -(-cells // SA_BLOCK_CELLS))
+        assert len(blocks) >= min(restarts, workers)
 
 
 class TestColoring:
@@ -112,7 +171,8 @@ class TestSimulatedAnnealing:
 
     def test_bit_identical_across_jobs(self, rng):
         obj = random_qubo(rng, 20, n_quad=50)
-        # 130 restarts span three SA_BLOCK blocks, so jobs > 1 starts the pool
+        # with 130 restarts and jobs 4 or 8 on two or more CPUs the restarts
+        # are split into at least two blocks, so the process pool starts
         for restarts in (12, 130):
             runs = [
                 simulated_annealing(obj, SaConfig(0.995, 40, restarts, seed=99), jobs=j)
@@ -131,7 +191,7 @@ class TestSimulatedAnnealing:
         cfg = SaConfig(0.999, 10, 70, seed=13, t0=t0)
         rows = np.arange(cfg.restarts, dtype=np.int64)
         whole = _sa_rows(comp, cfg, rows)
-        for size in (1, 7, 13, SA_BLOCK):
+        for size in (1, 7, 13, 64):
             parts = [_sa_rows(comp, cfg, rows[lo : lo + size]) for lo in range(0, len(rows), size)]
             for got, want in zip((np.concatenate(p) for p in zip(*parts)), whole):
                 assert np.array_equal(got, want), size
@@ -248,3 +308,19 @@ class TestSampleSetCsv:
         assert np.array_equal(again.bits, ss.bits)
         assert np.array_equal(again.energies, ss.energies)
         assert np.array_equal(again.replicas, ss.replicas)
+
+    @pytest.mark.parametrize("row, message", [
+        ("01,1.0,1,0", "2 bits, earlier rows have 3"),  # ragged bitstrings
+        ("0a1,1.0,1,0", "not a string of 0s and 1s"),
+        ("011,1.0,1", "expected 4 fields"),
+        ("011,1.0,1,0,7", "expected 4 fields"),
+        ("011,low,1,0", "could not convert"),
+        ("011,1.0,one,0", "invalid literal"),
+        ("011,1.0,1,0.5", "invalid literal"),
+    ])
+    def test_malformed_line_is_input_error(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# manifest=-\nassignment,energy,replica,sweep\n010,0.5,0,3\n{row}\n")
+        with pytest.raises(InputError, match=message) as info:
+            sample_set_from_csv(path)
+        assert "line 4" in str(info.value)
