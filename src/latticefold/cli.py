@@ -358,12 +358,20 @@ def _analyze_tts(args) -> int:
     summary = {}
     if args.summary:
         inputs.append(args.summary)
-        summary = json.load(open(args.summary))
+        with open(args.summary) as fh:
+            try:
+                summary = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise InputError(f"{args.summary} is not a JSON document: {exc}") from exc
+        if not isinstance(summary, dict):
+            raise InputError(f"{args.summary} is not a JSON object")
     manifest = Manifest("analyze-tts", args, inputs)
     ss = sample_set_from_csv(args.samples)
     tau = args.tau if args.tau is not None else summary.get("tau_seconds")
     if tau is None:
         raise InputError("provide --tau or a solve summary with tau_seconds")
+    if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+        raise InputError(f"{args.summary}: tau_seconds {tau!r} is not a number")
     p, interval = estimate_p_ground(ss, args.reference_energy, tol=args.tol)
     result = tts(tau, p, interval)
     name = manifest.write(args.out)

@@ -70,6 +70,29 @@ def poly_product(polys, scale: float = 1.0) -> dict[tuple[int, ...], float]:
     return out
 
 
+def rounding_gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = eps / 2: a float64 sum of k + 1 terms,
+    added in any order, is within gamma_k times the sum of their magnitudes
+    of the exact sum."""
+    ku = k * 0.5 * float(np.finfo(np.float64).eps)
+    return ku / (1.0 - ku)
+
+
+def code_bits(codes, num_vars: int) -> np.ndarray:
+    """Bit rows of integer codes: row r holds bits 0..num_vars-1 of codes[r],
+    least significant first, as a (len(codes), num_vars) uint8 array.
+
+    The array is the transpose of a C-ordered (num_vars, len(codes)) table,
+    so each variable's column is contiguous, which is how `evaluate_batch`
+    reads it.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    cols = np.empty((num_vars, len(codes)), dtype=np.uint8)
+    for i in range(num_vars):
+        np.bitwise_and(codes >> i, 1, out=cols[i], casting="unsafe")
+    return cols.T
+
+
 @dataclass(frozen=True)
 class PolynomialObjective:
     """Arbitrary-degree pseudo-Boolean objective as a sparse term table.
@@ -121,17 +144,46 @@ class PolynomialObjective:
         return float(energy)
 
     def evaluate_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Vectorised energies for a (m, num_vars) 0/1 array."""
-        bits = np.asarray(bits, dtype=np.float64)
+        """Vectorised energies for a (m, num_vars) 0/1 array.
+
+        Each row's energy is offset plus c_T * prod_T added in term order,
+        whatever the other rows are.  The input is transposed once so that
+        every variable is one contiguous row; Boolean and integer inputs keep
+        their dtype (products of 0/1 values are exact in any dtype), others
+        are read as float64.
+        """
+        bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.num_vars:
             raise InputError(f"expected (m, {self.num_vars}) array, got {bits.shape}")
+        if bits.dtype.kind not in "biu":
+            bits = bits.astype(np.float64)
+        cols = np.ascontiguousarray(bits.T)
         energies = np.full(bits.shape[0], self.offset, dtype=np.float64)
+        scaled = np.empty_like(energies)
         for key, coeff in self.terms.items():
-            prod = bits[:, key[0]].copy()
-            for i in key[1:]:
-                prod *= bits[:, i]
-            energies += coeff * prod
+            prod = cols[key[0]]
+            if len(key) > 1:
+                prod = prod * cols[key[1]]
+                for i in key[2:]:
+                    prod *= cols[i]
+            np.multiply(prod, coeff, out=scaled)
+            energies += scaled
         return energies
+
+    @property
+    def rounding_bound(self) -> float:
+        """Bound on the float64 rounding error of `evaluate_batch` at any 0/1
+        assignment.
+
+        The energy adds len(terms) exact products c_T * {0, 1} to offset; no
+        partial sum exceeds S = |offset| + sum |c_T|, so the error is at most
+        gamma_k * S with k = len(terms) and gamma_k = k u / (1 - k u), u =
+        eps / 2 (Higham, "Accuracy and Stability of Numerical Algorithms",
+        section 4.2).
+        """
+        return rounding_gamma(len(self.terms)) * (
+            abs(self.offset) + sum(abs(c) for c in self.terms.values())
+        )
 
     def scaled(self, factor: float) -> "PolynomialObjective":
         return type(self)(

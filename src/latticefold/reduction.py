@@ -8,18 +8,24 @@ is zero exactly when b_aux = b_i*b_j and at least alpha otherwise, so any
 alpha above the total coefficient mass preserves the minimum and the set of
 original-variable minimizers.  Pairs are chosen greedily by how many
 high-order terms they appear in (ties to the lexicographically smallest
-pair); a recurring pair reuses its auxiliary.
+pair).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .core import InputError, PolynomialObjective, QuadraticObjective, TermAccumulator
+from .core import (
+    InputError,
+    PolynomialObjective,
+    QuadraticObjective,
+    TermAccumulator,
+    code_bits,
+)
 
 WORST_CASE = "worst_case"
 
@@ -73,7 +79,16 @@ def scaled_alpha(lambda_global: float, factor: float = 1.1) -> float:
 
 
 def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> QuadratizationResult:
-    """Reduce to degree <= 2; degree <= 2 input passes through unchanged."""
+    """Reduce to degree <= 2; degree <= 2 input passes through unchanged.
+
+    Each round substitutes the pair held by the most terms of degree > 2
+    (ties to the smallest pair).  A pair -> terms index with counts and a
+    lazy heap on (-count, pair) find it; a substitution updates only the
+    terms holding the pair.  The new auxiliary is a fresh variable, so a
+    substituted term never coincides with another term and no pair is
+    chosen twice: every term keeps its coefficient and its position, and the
+    QUBO terms come out in the order of the input terms.
+    """
     alpha = resolve_alpha(hubo, alpha_policy)
     if hubo.degree <= 2:
         qubo = QuadraticObjective(
@@ -81,38 +96,54 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
         )
         return QuadratizationResult(qubo=qubo, aux_map=[], alpha=alpha)
 
-    terms = {frozenset(k): c for k, c in hubo.terms.items()}
-    next_var = hubo.num_vars
-    aux_of_pair: dict[tuple[int, int], int] = {}
-    aux_map: list = []
+    keys = [set(k) for k in hubo.terms]
+    holders: dict[tuple[int, int], set[int]] = {}  # pair -> high terms holding it
+    heap: list = []
 
-    while True:
-        high = [k for k in terms if len(k) > 2]
-        if not high:
-            break
-        counts: Counter = Counter()
-        for key in high:
-            for pair in combinations(sorted(key), 2):
-                counts[pair] += 1
-        best_pair = min(counts, key=lambda p: (-counts[p], p))
-        i, j = best_pair
-        if best_pair in aux_of_pair:
-            aux = aux_of_pair[best_pair]
-        else:
-            aux = next_var
-            next_var += 1
-            aux_of_pair[best_pair] = aux
-            aux_map.append((aux, best_pair))
-        new_terms: dict[frozenset, float] = {}
-        for key, coeff in terms.items():
-            if len(key) > 2 and i in key and j in key:
-                key = (key - {i, j}) | {aux}
-            new_terms[key] = new_terms.get(key, 0.0) + coeff
-        terms = {k: c for k, c in new_terms.items() if c != 0.0}
+    def tally(t: int, sign: int, touched: set) -> None:
+        for pair in combinations(sorted(keys[t]), 2):
+            held = holders.setdefault(pair, set())
+            if sign > 0:
+                held.add(t)
+            else:
+                held.discard(t)
+            touched.add(pair)
+
+    def publish(touched: set) -> None:
+        for pair in touched:
+            if holders[pair]:
+                heapq.heappush(heap, (-len(holders[pair]), pair))
+            else:
+                del holders[pair]
+
+    touched: set = set()
+    for t, key in enumerate(keys):
+        if len(key) > 2:
+            tally(t, +1, touched)
+    publish(touched)
+
+    next_var = hubo.num_vars
+    aux_map: list = []
+    while heap:
+        neg_count, pair = heapq.heappop(heap)
+        if len(holders.get(pair, ())) != -neg_count:
+            continue  # stale entry
+        i, j = pair
+        aux = next_var
+        next_var += 1
+        aux_map.append((aux, pair))
+        touched = set()
+        for t in list(holders[pair]):
+            tally(t, -1, touched)
+            keys[t] -= {i, j}
+            keys[t].add(aux)
+            if len(keys[t]) > 2:
+                tally(t, +1, touched)
+        publish(touched)
 
     acc = TermAccumulator()
     acc.offset = hubo.offset
-    for key, coeff in terms.items():
+    for key, coeff in zip(keys, hubo.terms.values()):
         acc.add(tuple(sorted(key)), coeff)
     for aux, (i, j) in aux_map:
         acc.add((i, j), alpha)
@@ -129,10 +160,21 @@ class VerificationReport:
     checked: int
     max_discrepancy: float
     min_inconsistency_gap: float
+    tolerance: float  # bound on max_discrepancy of a sound reduction
 
     @property
     def ok(self) -> bool:
-        return self.max_discrepancy <= 1e-9 and self.min_inconsistency_gap > 0.0
+        return self.max_discrepancy <= self.tolerance and self.min_inconsistency_gap > 0.0
+
+
+def _lifted(bits: np.ndarray, aux_map, num_vars: int) -> np.ndarray:
+    """(m, num_vars) uint8 rows: `bits` followed by each auxiliary's consistent
+    value, with contiguous columns (see `code_bits`)."""
+    cols = np.empty((num_vars, len(bits)), dtype=np.uint8)
+    cols[: bits.shape[1]] = bits.T
+    for aux, (i, j) in aux_map:
+        np.bitwise_and(cols[i], cols[j], out=cols[aux])
+    return cols.T
 
 
 def verify_quadratization(
@@ -147,23 +189,23 @@ def verify_quadratization(
 
     Exhaustive over the original variables when their count fits the budget
     (the inconsistency scan is exhaustive over joint assignments when
-    originals + auxiliaries fit); otherwise randomized sampling.
+    originals + auxiliaries fit); otherwise randomized sampling.  Energies on
+    both sides are float64 sums, so the discrepancy of a sound reduction is
+    only rounding: the report passes it up to 1e-9 plus the rounding bounds
+    of both sums (`PolynomialObjective.rounding_bound`), which grow with the
+    penalty strength alpha.
     """
     n = hubo.num_vars
     n_aux = len(result.aux_map)
     exhaustive = n <= budget
 
     if exhaustive:
-        codes = np.arange(1 << n, dtype=np.uint64)
-        bits = ((codes[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.uint8)
+        bits = code_bits(np.arange(1 << n), n)
     else:
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, size=(samples, n), dtype=np.uint8)
 
-    lifted = np.empty((bits.shape[0], n + n_aux), dtype=np.uint8)
-    lifted[:, :n] = bits
-    for aux, (i, j) in result.aux_map:
-        lifted[:, aux] = lifted[:, i] & lifted[:, j]
+    lifted = _lifted(bits, result.aux_map, n + n_aux)
     hubo_e = hubo.evaluate_batch(bits)
     qubo_e = result.qubo.evaluate_batch(lifted)
     max_disc = float(np.abs(hubo_e - qubo_e).max()) if len(bits) else 0.0
@@ -173,53 +215,38 @@ def verify_quadratization(
     checked = len(bits)
     if n_aux:
         if exhaustive and n + n_aux <= 30:
-            all_codes = np.arange(1 << n, dtype=np.uint64)
-            all_bits = (
-                (all_codes[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
-            ).astype(np.uint8)
-            all_lifted = np.empty((len(all_codes), n + n_aux), dtype=np.uint8)
-            all_lifted[:, :n] = all_bits
-            for aux, (i, j) in result.aux_map:
-                all_lifted[:, aux] = all_lifted[:, i] & all_lifted[:, j]
-            consistent = result.qubo.evaluate_batch(all_lifted)
-
+            # qubo_e holds the consistent lift of every original code
             total = 1 << (n + n_aux)
-            shifts = np.arange(n + n_aux, dtype=np.uint64)
-            mask = np.uint64((1 << n) - 1)
+            mask = (1 << n) - 1
             for lo in range(0, total, 1 << 20):
-                codes = np.arange(lo, min(lo + (1 << 20), total), dtype=np.uint64)
-                joint = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+                codes = np.arange(lo, min(lo + (1 << 20), total))
+                joint = code_bits(codes, n + n_aux)
                 aux_ok = np.ones(len(codes), dtype=bool)
                 for aux, (i, j) in result.aux_map:
                     aux_ok &= joint[:, aux] == (joint[:, i] & joint[:, j])
                 bad = ~aux_ok
                 if bad.any():
                     e = result.qubo.evaluate_batch(joint[bad])
-                    refs = consistent[(codes[bad] & mask).astype(np.int64)]
+                    refs = qubo_e[codes[bad] & mask]
                     gap = min(gap, float((e - refs).min()))
             checked = total
         else:
             rng = np.random.default_rng(seed + 1)
             m = max(samples, 100_000)
             sample_bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-            joint = np.empty((m, n + n_aux), dtype=np.uint8)
-            joint[:, :n] = sample_bits
-            for aux, (i, j) in result.aux_map:
-                joint[:, aux] = joint[:, i] & joint[:, j]
+            joint = _lifted(sample_bits, result.aux_map, n + n_aux)
             base = result.qubo.evaluate_batch(joint)
+            # each row flips one auxiliary, drawn uniformly
             flip_at = rng.integers(0, n_aux, size=m)
-            for aux_idx in range(n_aux):
-                rows = np.flatnonzero(flip_at == aux_idx)
-                if not len(rows):
-                    continue
-                aux = result.aux_map[aux_idx][0]
-                broken = joint[rows].copy()
-                broken[:, aux] ^= 1
-                gap = min(gap, float((result.qubo.evaluate_batch(broken) - base[rows]).min()))
+            broken = joint.T.copy()
+            aux_vars = np.array([aux for aux, _ in result.aux_map])
+            broken[aux_vars[flip_at], np.arange(m)] ^= 1
+            gap = float((result.qubo.evaluate_batch(broken.T) - base).min())
             checked = m
     return VerificationReport(
         exhaustive=exhaustive,
         checked=int(checked),
         max_discrepancy=max_disc,
         min_inconsistency_gap=float(gap),
+        tolerance=1e-9 + hubo.rounding_bound + result.qubo.rounding_bound,
     )

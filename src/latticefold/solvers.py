@@ -20,7 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BOOLEAN, ISING, InputError, IsingProblem, PolynomialObjective, ising_to_qubo
+from .core import (
+    BOOLEAN,
+    ISING,
+    InputError,
+    IsingProblem,
+    PolynomialObjective,
+    code_bits,
+    ising_to_qubo,
+    rounding_gamma,
+)
 
 FULL_REEVAL_FLIPS = 10_000
 DRIFT_TOL = 1e-6
@@ -575,11 +584,48 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
 # brute force
 # ---------------------------------------------------------------------------
 
-def brute_force(obj, free_var_limit: int = 30, tie_tol: float = 1e-9, chunk: int = 1 << 18):
+BRUTE_BLOCK_CELLS = 1 << 20
+
+
+def _monomials(codes: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """0/1 table of each monomial (a variable bit mask) on each half-state code."""
+    return ((codes[:, None] & masks[None, :]) == masks[None, :]).astype(np.float64)
+
+
+def brute_force(obj, free_var_limit: int = 30, tie_tol: float = 1e-9):
     """Exhaustive minimum and the complete set of degenerate minimizers.
 
-    Ties are collected with an absolute tolerance: the same real coefficient
-    sums arrive in different float association orders across assignments.
+    Returns the least `evaluate_batch` energy over all 2^n assignments and
+    every assignment within `tie_tol` of it, as uint8 rows in ascending code
+    order (bit i of a code is variable i).  Ties are collected with an
+    absolute tolerance: the same real coefficient sums arrive in different
+    float association orders across assignments.
+
+    Enumeration is blocked (after Bouillaguet et al., CHES 2010): variables
+    0..nl-1, nl = ceil(n/2), are the low half and the rest the high half.
+    A term T splits into a low monomial T_l and a high monomial T_h, so its
+    coefficient is one entry C[h, l] of a (high monomials x low monomials)
+    matrix, and for every degree
+
+        E = offset + M_h C M_l^T
+
+    where M_h and M_l are the 0/1 monomial tables over the 2^(n-nl) high and
+    2^nl low half-states; E[h, l] is the state with code h * 2^nl + l.  E is
+    formed in blocks of low and high codes, W = C M_l^T once per low block
+    and one BLAS product M_h W per high block, so no table exceeds
+    BRUTE_BLOCK_CELLS entries.
+
+    Blocked energies round differently from `evaluate_batch`.  Both add exact
+    products c_T * {0, 1}, so each is within gamma_k * S of the real energy,
+    S = |offset| + sum |c_T|: k = len(terms) for `evaluate_batch`, and k = H +
+    L + 1 for the blocked form (a length-L dot product, a length-H one, the
+    offset) with H x L the shape of C.  delta = gamma_K * S, K = len(terms) +
+    H + L + 2 (one more for the threshold's own addition), bounds their
+    difference.  So a state within tie_tol of the least exact energy is
+    within tie_tol + 2 delta of the least blocked energy, and of the running
+    minimum, which only falls.  Those candidates are rescored with
+    `evaluate_batch`, whose energy of a row does not depend on the other rows;
+    the result is the one scoring all 2^n states with it would give.
     """
     if isinstance(obj, IsingProblem):
         boolean = ising_to_qubo(obj)
@@ -592,30 +638,46 @@ def brute_force(obj, free_var_limit: int = 30, tie_tol: float = 1e-9, chunk: int
         )
     if n == 0:
         return boolean.offset, [np.zeros(0, dtype=np.uint8)]
-    best = np.inf
-    keep_codes: list[int] = []
-    keep_energies: list[float] = []
-    shifts = np.arange(n, dtype=np.uint64)
-    for lo in range(0, 1 << n, chunk):
-        hi = min(lo + chunk, 1 << n)
-        codes = np.arange(lo, hi, dtype=np.uint64)
-        bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
-        energies = boolean.evaluate_batch(bits)
-        chunk_min = float(energies.min())
-        if chunk_min < best - tie_tol:
-            best = chunk_min
-            near = np.flatnonzero(energies <= best + tie_tol)
-            keep_codes = [int(codes[i]) for i in near]
-            keep_energies = [float(energies[i]) for i in near]
-        else:
-            best = min(best, chunk_min)
-            near = np.flatnonzero(energies <= best + tie_tol)
-            keep_codes.extend(int(codes[i]) for i in near)
-            keep_energies.extend(float(energies[i]) for i in near)
-    final = [
-        c for c, e in zip(keep_codes, keep_energies) if e <= best + tie_tol
-    ]
-    assignments = [
-        ((np.uint64(c) >> shifts) & np.uint64(1)).astype(np.uint8) for c in sorted(final)
-    ]
-    return best, assignments
+
+    nl = (n + 1) // 2
+    low_of: dict[int, int] = {0: 0}  # monomial mask -> column of C
+    high_of: dict[int, int] = {0: 0}  # monomial mask -> row of C
+    entries = []
+    for key, coeff in boolean.terms.items():
+        mask = sum(1 << i for i in key)
+        low = low_of.setdefault(mask & ((1 << nl) - 1), len(low_of))
+        high = high_of.setdefault(mask >> nl, len(high_of))
+        entries.append((high, low, coeff))
+    C = np.zeros((len(high_of), len(low_of)))
+    for high, low, coeff in entries:
+        C[high, low] = coeff
+    low_masks = np.fromiter(low_of, dtype=np.int64)
+    high_masks = np.fromiter(high_of, dtype=np.int64)
+
+    s_bound = abs(boolean.offset) + sum(abs(c) for c in boolean.terms.values())
+    delta = rounding_gamma(len(boolean.terms) + C.shape[0] + C.shape[1] + 2) * s_bound
+    window = tie_tol + 2.0 * delta
+
+    lows, highs = 1 << nl, 1 << (n - nl)
+    width = min(lows, max(1, BRUTE_BLOCK_CELLS // max(C.shape)))
+    rows = max(1, min(BRUTE_BLOCK_CELLS // width, BRUTE_BLOCK_CELLS // C.shape[0]))
+    running = np.inf
+    found_codes, found_energies = [], []
+    for l0 in range(0, lows, width):
+        low_codes = np.arange(l0, min(l0 + width, lows))
+        W = C @ _monomials(low_codes, low_masks).T
+        for h0 in range(0, highs, rows):
+            high_codes = np.arange(h0, min(h0 + rows, highs))
+            energies = _monomials(high_codes, high_masks) @ W
+            energies += boolean.offset
+            running = min(running, float(energies.min()))
+            h, l = np.nonzero(energies <= running + window)
+            found_codes.append((high_codes[h] << nl) | low_codes[l])
+            found_energies.append(energies[h, l])
+    codes = np.concatenate(found_codes)
+    codes = np.sort(codes[np.concatenate(found_energies) <= running + window])
+
+    exact = boolean.evaluate_batch(code_bits(codes, n))
+    best = float(exact.min())
+    minimizers = np.ascontiguousarray(code_bits(codes[exact <= best + tie_tol], n))
+    return best, list(minimizers)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latticefold.core import TermAccumulator
+from latticefold.core import TermAccumulator, code_bits
 
 
 def build_poly(terms, num_vars, offset=0.0, quadratic=False):
@@ -24,8 +24,7 @@ def random_qubo(rng, n, n_quad=None):
 
 
 def all_assignments(n):
-    codes = np.arange(1 << n, dtype=np.uint64)
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.uint8)
+    return code_bits(np.arange(1 << n), n)
 
 
 @pytest.fixture

@@ -1,0 +1,108 @@
+"""Reference copies of the term-by-term exact solvers, for differential tests.
+
+`quadratize` recounts every pair of every high-degree term after each
+substitution, and `brute_force` scores every state with a float64 term loop
+(`evaluate_batch`).  The package's versions use an incremental pair index and
+a blocked matrix product; they must return the same outputs bit for bit.
+"""
+
+from collections import Counter
+from itertools import combinations
+
+import numpy as np
+
+from latticefold.core import IsingProblem, QuadraticObjective, TermAccumulator, ising_to_qubo
+from latticefold.reduction import QuadratizationResult, resolve_alpha
+
+
+def evaluate_batch(obj, bits):
+    bits = np.asarray(bits, dtype=np.float64)
+    energies = np.full(bits.shape[0], obj.offset, dtype=np.float64)
+    for key, coeff in obj.terms.items():
+        prod = bits[:, key[0]].copy()
+        for i in key[1:]:
+            prod *= bits[:, i]
+        energies += coeff * prod
+    return energies
+
+
+def quadratize(hubo, alpha_policy="worst_case"):
+    alpha = resolve_alpha(hubo, alpha_policy)
+    if hubo.degree <= 2:
+        qubo = QuadraticObjective(
+            num_vars=hubo.num_vars, terms=dict(hubo.terms), offset=hubo.offset
+        )
+        return QuadratizationResult(qubo=qubo, aux_map=[], alpha=alpha)
+
+    terms = {frozenset(k): c for k, c in hubo.terms.items()}
+    next_var = hubo.num_vars
+    aux_of_pair = {}
+    aux_map = []
+
+    while True:
+        high = [k for k in terms if len(k) > 2]
+        if not high:
+            break
+        counts = Counter()
+        for key in high:
+            for pair in combinations(sorted(key), 2):
+                counts[pair] += 1
+        best_pair = min(counts, key=lambda p: (-counts[p], p))
+        i, j = best_pair
+        if best_pair in aux_of_pair:
+            aux = aux_of_pair[best_pair]
+        else:
+            aux = next_var
+            next_var += 1
+            aux_of_pair[best_pair] = aux
+            aux_map.append((aux, best_pair))
+        new_terms = {}
+        for key, coeff in terms.items():
+            if len(key) > 2 and i in key and j in key:
+                key = (key - {i, j}) | {aux}
+            new_terms[key] = new_terms.get(key, 0.0) + coeff
+        terms = {k: c for k, c in new_terms.items() if c != 0.0}
+
+    acc = TermAccumulator()
+    acc.offset = hubo.offset
+    for key, coeff in terms.items():
+        acc.add(tuple(sorted(key)), coeff)
+    for aux, (i, j) in aux_map:
+        acc.add((i, j), alpha)
+        acc.add((i, aux), -2.0 * alpha)
+        acc.add((j, aux), -2.0 * alpha)
+        acc.add((aux,), 3.0 * alpha)
+    qubo = acc.build(next_var, quadratic=True)
+    return QuadratizationResult(qubo=qubo, aux_map=aux_map, alpha=alpha)
+
+
+def brute_force(obj, tie_tol=1e-9, chunk=1 << 18):
+    boolean = ising_to_qubo(obj) if isinstance(obj, IsingProblem) else obj
+    n = boolean.num_vars
+    if n == 0:
+        return boolean.offset, [np.zeros(0, dtype=np.uint8)]
+    best = np.inf
+    keep_codes = []
+    keep_energies = []
+    shifts = np.arange(n, dtype=np.uint64)
+    for lo in range(0, 1 << n, chunk):
+        hi = min(lo + chunk, 1 << n)
+        codes = np.arange(lo, hi, dtype=np.uint64)
+        bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
+        energies = evaluate_batch(boolean, bits)
+        chunk_min = float(energies.min())
+        if chunk_min < best - tie_tol:
+            best = chunk_min
+            near = np.flatnonzero(energies <= best + tie_tol)
+            keep_codes = [int(codes[i]) for i in near]
+            keep_energies = [float(energies[i]) for i in near]
+        else:
+            best = min(best, chunk_min)
+            near = np.flatnonzero(energies <= best + tie_tol)
+            keep_codes.extend(int(codes[i]) for i in near)
+            keep_energies.extend(float(energies[i]) for i in near)
+    final = [c for c, e in zip(keep_codes, keep_energies) if e <= best + tie_tol]
+    assignments = [
+        ((np.uint64(c) >> shifts) & np.uint64(1)).astype(np.uint8) for c in sorted(final)
+    ]
+    return best, assignments

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from latticefold.cli import main
+from latticefold.core import QuadraticObjective
+from latticefold.reduction import QuadratizationResult, quadratize
 
 
 def run(argv):
@@ -73,6 +75,38 @@ class TestReduce:
         assert run(["reduce", "h.json", "--alpha", "fixed:0.001", "--out", "bad.json"]) == 3
 
 
+    def test_worst_case_alpha_passes_with_rounding(self, workdir, capsys):
+        """alpha = 4.78e7: the discrepancy is float64 rounding (~7e-6), within
+        the derived tolerance, so the reduction verifies."""
+        assert run(["encode", "turn-tet", "--seq", "LKKKKLKKKKL", "--interaction", "mj",
+                    "--out", "tt.json"]) == 0
+        assert run(["reduce", "tt.json", "--alpha", "worst_case", "--out", "ttq.json"]) == 0
+        assert "verification FAILED" not in capsys.readouterr().err
+        assert json.loads((workdir / "ttq.json").read_text())["verification"]["max_discrepancy"] > 1e-9
+
+    def test_dropped_qubo_term_still_fails(self, workdir, monkeypatch):
+        import latticefold.cli as cli
+
+        def drop_smallest(problem, policy):
+            result = quadratize(problem, policy)
+            terms = dict(result.qubo.terms)
+            del terms[min(terms, key=lambda k: abs(terms[k]))]
+            qubo = QuadraticObjective(result.qubo.num_vars, terms, result.qubo.offset)
+            return QuadratizationResult(qubo, result.aux_map, result.alpha)
+
+        monkeypatch.setattr(cli, "quadratize", drop_smallest)
+        assert run(["encode", "turn-tet", "--seq", "LKKKKLKKKKL", "--interaction", "mj",
+                    "--out", "tt.json"]) == 0
+        assert run(["reduce", "tt.json", "--alpha", "worst_case", "--out", "ttq.json"]) == 3
+
+    def test_non_positive_gap_still_fails(self, workdir):
+        assert run(["encode", "turn-tet", "--seq", "LKKKKLKKKKL", "--interaction", "mj",
+                    "--out", "tt.json"]) == 0
+        assert run(["reduce", "tt.json", "--alpha", "fixed:1", "--out", "ttq.json"]) == 3
+        gap = json.loads((workdir / "ttq.json").read_text())["verification"]["min_inconsistency_gap"]
+        assert gap <= 0.0
+
+
 class TestSolve:
     def _encode_small(self, workdir):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
@@ -135,6 +169,21 @@ class TestMalformedInput:
         (workdir / "bad.json").write_text('{"num_vars": 3, "terms": [')
         assert run(["solve", "bad.json", "--solver", "brute", "--out", "b.csv"]) == 2
         assert capsys.readouterr().err.startswith("error: bad.json is not a JSON document")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "sum.json is not a JSON document"),
+        ("[1, 2]", "sum.json is not a JSON object"),
+        ('{"tau_seconds": "abc"}', "sum.json: tau_seconds 'abc' is not a number"),
+    ])
+    def test_malformed_tts_summary_exits_2(self, workdir, capsys, text, message):
+        (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
+                                       "01,1.0,0,3\n")
+        (workdir / "sum.json").write_text(text)
+        assert run(["analyze", "tts", "--samples", "s.csv", "--summary", "sum.json",
+                    "--reference-energy", "1.0", "--out", "t.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
 
     def test_ragged_samples_csv_exits_2(self, workdir, capsys):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
