@@ -36,13 +36,6 @@ class SodHistogram:
     def occupied_bins(self) -> set:
         return set(np.flatnonzero(self.counts).tolist())
 
-    def mass_below(self, threshold: float) -> float:
-        """Fraction of samples with |q| <= threshold."""
-        if self.sample_count == 0:
-            return 0.0
-        centers = np.abs(self.bin_centers)
-        return float(self.counts[centers <= threshold].sum() / self.sample_count)
-
     def to_rows(self):
         return [
             (float(c), int(n)) for c, n in zip(self.bin_centers, self.counts)
@@ -242,9 +235,8 @@ def scaling_report(
                 L = None
                 model = encode(tag, seq, interaction)
                 qubo = quadratize(model.objective, alpha_policy).qubo
-            n_quad = sum(1 for k in qubo.terms if len(k) == 2)
+            n_quad = len(qubo.quadratic)
             nv = qubo.num_vars
-            density = n_quad / (nv * (nv - 1) / 2) if nv > 1 else 0.0
             _, _, resolution = coefficient_stats(qubo)
             rows.append(
                 ScalingRow(
@@ -252,7 +244,7 @@ def scaling_report(
                     n=n,
                     L=L,
                     qubits=nv,
-                    density=density,
+                    density=qubo.density,
                     couplers_per_qubit=2.0 * n_quad / nv if nv else 0.0,
                     resolution=resolution,
                 )

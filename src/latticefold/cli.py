@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +29,15 @@ from .analysis import (
     spin_overlap_values,
     tts,
 )
-from .core import InputError, IsingProblem, load_problem, problem_from_dict, save_problem
+from .core import (
+    InputError,
+    IsingProblem,
+    ising_to_qubo,
+    load_doc,
+    load_problem,
+    qubo_to_ising,
+    save_problem,
+)
 from .embedding import (
     EmbeddingMap,
     HardwareGraph,
@@ -47,7 +56,6 @@ from .encoders import (
     get_model,
     validate_fold,
 )
-from .encoders.interactions import InteractionModel
 from .reduction import quadratize, scaled_alpha, verify_quadratization
 from .solvers import (
     PtConfig,
@@ -103,16 +111,31 @@ class Manifest:
         return manifest_path.name
 
 
+def _write_json(path, doc: dict, manifest: Manifest) -> None:
+    """Write the manifest, then doc with its name as the last key."""
+    doc["manifest"] = manifest.write(path)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+@contextmanager
+def _csv_out(path, manifest: Manifest, header: str):
+    """Write the manifest, then open path for rows under the manifest comment
+    and the header line."""
+    name = manifest.write(path)
+    with open(path, "w") as fh:
+        fh.write(f"# manifest={name}\n")
+        fh.write(header + "\n")
+        yield fh
+
+
 def _read_fasta(path) -> str:
     lines = [ln.strip() for ln in open(path) if ln.strip()]
     body = [ln for ln in lines if not ln.startswith(">")]
     if not body:
         raise InputError(f"no sequence record in {path}")
     return "".join(body).upper()
-
-
-def _interaction_from_args(args) -> InteractionModel:
-    return get_model(args.interaction)
 
 
 def _parse_penalties(pairs) -> dict:
@@ -135,7 +158,7 @@ def cmd_encode(args) -> int:
     sequence = args.seq.upper() if args.seq else _read_fasta(args.fasta)
     inputs = [args.fasta] if args.fasta else []
     manifest = Manifest("encode", args, inputs)
-    interaction = _interaction_from_args(args)
+    interaction = get_model(args.interaction)
     kwargs = {}
     if args.model.startswith("coord"):
         kwargs["efficient_h3"] = args.efficient_h3
@@ -149,11 +172,7 @@ def cmd_encode(args) -> int:
         penalties=_parse_penalties(args.penalty),
         **kwargs,
     )
-    doc = model.to_doc()
-    doc["manifest"] = manifest.write(args.out)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(args.out, model.to_doc(), manifest)
     obj = model.objective
     pair_keys = {k for k in obj.terms if len(k) == 2}
     for k in obj.terms:
@@ -192,10 +211,7 @@ def cmd_reduce(args) -> int:
         "max_discrepancy": report.max_discrepancy,
         "min_inconsistency_gap": report.min_inconsistency_gap,
     }
-    out_doc["manifest"] = manifest.write(args.out)
-    with open(args.out, "w") as fh:
-        json.dump(out_doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(args.out, out_doc, manifest)
     print(f"aux={len(result.aux_map)} alpha={result.alpha} "
           f"discrepancy={report.max_discrepancy:.3g} gap={report.min_inconsistency_gap:.6g}")
     if not report.ok:
@@ -268,32 +284,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _decode_context(doc: dict) -> EncodedModel:
-    if "layout" not in doc:
-        raise InputError("problem document carries no layout; encode produced files do")
-    num_vars = doc.get("original_num_vars", doc["num_vars"])
-    from .core import PolynomialObjective
-
-    return EncodedModel(
-        model=doc["model"],
-        objective=PolynomialObjective(num_vars=num_vars),
-        sequence=doc["sequence"],
-        interaction=InteractionModel.from_dict(doc["interaction"]),
-        penalties=dict(doc.get("penalties", {})),
-        layout=doc["layout"],
-    )
-
-
 def cmd_decode(args) -> int:
     manifest = Manifest("decode", args, [args.problem, args.samples])
-    _, doc = load_problem(args.problem)
-    model = _decode_context(doc)
+    # a reduced problem's auxiliary variables follow the original ones, which
+    # are all the layout reads
+    model = EncodedModel.from_doc(load_doc(args.problem))
     samples = sample_set_from_csv(args.samples)
-    n_orig = model.num_vars
     records = []
     for row, energy, rep, sweep in zip(samples.bits, samples.energies, samples.replicas, samples.sweeps):
-        bits = row[:n_orig]
-        fold = decode_assignment(model, bits)
+        fold = decode_assignment(model, row[:model.num_vars])
         report = validate_fold(fold)
         rec = fold.to_dict()
         rec["sample_energy"] = float(energy)
@@ -309,11 +308,8 @@ def cmd_decode(args) -> int:
         "count": len(records),
         "physical": physical,
         "folds": records,
-        "manifest": manifest.write(args.out),
     }
-    with open(args.out, "w") as fh:
-        json.dump(out_doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(args.out, out_doc, manifest)
     print(f"decoded={len(records)} physical={physical}")
     return 0
 
@@ -343,10 +339,7 @@ def _analyze_sod(args) -> int:
     q = spin_overlap_values(t1, t2)
     hist = overlap_histogram(q, bins=args.bins)
     label = classify_barriers(hist, threshold=args.threshold)
-    name = manifest.write(args.out)
-    with open(args.out, "w") as fh:
-        fh.write(f"# manifest={name}\n")
-        fh.write("q_bin_center,count\n")
+    with _csv_out(args.out, manifest, "q_bin_center,count") as fh:
         for center, count in hist.to_rows():
             fh.write(f"{center!r},{count}\n")
     print(f"samples={hist.sample_count} classification={label}")
@@ -354,17 +347,13 @@ def _analyze_sod(args) -> int:
 
 
 def _analyze_tts(args) -> int:
+    if args.reference_energy is None:
+        raise InputError("analyze tts needs --reference-energy")
     inputs = [args.samples]
     summary = {}
     if args.summary:
         inputs.append(args.summary)
-        with open(args.summary) as fh:
-            try:
-                summary = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise InputError(f"{args.summary} is not a JSON document: {exc}") from exc
-        if not isinstance(summary, dict):
-            raise InputError(f"{args.summary} is not a JSON object")
+        summary = load_doc(args.summary)
     manifest = Manifest("analyze-tts", args, inputs)
     ss = sample_set_from_csv(args.samples)
     tau = args.tau if args.tau is not None else summary.get("tau_seconds")
@@ -374,13 +363,10 @@ def _analyze_tts(args) -> int:
         raise InputError(f"{args.summary}: tau_seconds {tau!r} is not a number")
     p, interval = estimate_p_ground(ss, args.reference_energy, tol=args.tol)
     result = tts(tau, p, interval)
-    name = manifest.write(args.out)
     model = args.model or summary.get("model", "-")
     n = args.n if args.n is not None else summary.get("N", -1)
     seed = summary.get("seed", -1)
-    with open(args.out, "w") as fh:
-        fh.write(f"# manifest={name}\n")
-        fh.write("model,N,seed,tau_s,p_ground,tts_s\n")
+    with _csv_out(args.out, manifest, "model,N,seed,tau_s,p_ground,tts_s") as fh:
         fh.write(f"{model},{n},{seed},{tau!r},{p!r},{result.tts_seconds!r}\n")
     print(f"p_ground={p:.4f} interval=({interval[0]:.4f},{interval[1]:.4f}) "
           f"tts={result.tts_seconds!r}")
@@ -399,11 +385,8 @@ def _analyze_scaling(args) -> int:
         range(args.n_min, args.n_max + 1),
         interaction=interaction,
     )
-    name = manifest.write(args.out)
     header, rows = report.to_csv_rows()
-    with open(args.out, "w") as fh:
-        fh.write(f"# manifest={name}\n")
-        fh.write(",".join(header) + "\n")
+    with _csv_out(args.out, manifest, ",".join(header)) as fh:
         for row in rows:
             fh.write(",".join(str(x) for x in row) + "\n")
     print(f"rows={len(rows)}")
@@ -415,8 +398,6 @@ def cmd_embed(args) -> int:
     problem, doc = load_problem(args.problem)
     emb = EmbeddingMap.load(args.embedding)
     hw = HardwareGraph.load(args.hardware)
-    from .core import PolynomialObjective, qubo_to_ising
-
     if isinstance(problem, IsingProblem):
         ising = problem
         boolean = None
@@ -427,8 +408,6 @@ def cmd_embed(args) -> int:
         ising = qubo_to_ising(problem)
     if args.chain_strength == "auto":
         if boolean is None:
-            from .core import ising_to_qubo
-
             boolean = ising_to_qubo(ising)
         strength = default_chain_strength(boolean)
     else:
@@ -445,18 +424,14 @@ def cmd_embed(args) -> int:
         "source_problem": str(args.problem),
     }
     manifest.doc["chain_strength"] = embedded.chain_strength
-    out_doc["manifest"] = manifest.write(args.out)
-    with open(args.out, "w") as fh:
-        json.dump(out_doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(args.out, out_doc, manifest)
     print(f"physical_qubits={report.physical_qubits} chain_strength={embedded.chain_strength!r}")
     return 0
 
 
 def cmd_unembed(args) -> int:
     manifest = Manifest("unembed", args, [args.samples, args.embedded, args.problem])
-    with open(args.embedded) as fh:
-        emb_doc = json.load(fh)
+    emb_doc = load_doc(args.embedded)
     if "embedding" not in emb_doc:
         raise InputError(f"{args.embedded} is not an embed output")
     node_order = emb_doc["embedding"]["node_order"]
@@ -465,20 +440,18 @@ def cmd_unembed(args) -> int:
     )
     problem, _ = load_problem(args.problem)
     samples = sample_set_from_csv(args.samples)
-    name = manifest.write(args.out)
-    breaks = []
-    with open(args.out, "w") as fh:
-        fh.write(f"# manifest={name}\n")
-        fh.write("assignment,energy,replica,sweep,chain_break_fraction\n")
-        for idx, (row, rep, sweep) in enumerate(zip(samples.bits, samples.replicas, samples.sweeps)):
-            logical, cbf = unembed(row, emb, node_order, seed=args.seed, sample_index=idx)
-            if isinstance(problem, IsingProblem):
-                energy = problem.evaluate(2 * logical.astype(np.int64) - 1)
-            else:
-                energy = problem.evaluate(logical)
-            bitstring = "".join("1" if b else "0" for b in logical)
+    with _csv_out(args.out, manifest, "assignment,energy,replica,sweep,chain_break_fraction") as fh:
+        logical, breaks = zip(*(
+            unembed(row, emb, node_order, seed=args.seed, sample_index=idx)
+            for idx, row in enumerate(samples.bits)
+        ))
+        if isinstance(problem, IsingProblem):
+            energies = [problem.evaluate(2 * bits.astype(np.int64) - 1) for bits in logical]
+        else:
+            energies = problem.evaluate_batch(np.array(logical)).tolist()
+        for bits, energy, rep, sweep, cbf in zip(logical, energies, samples.replicas, samples.sweeps, breaks):
+            bitstring = "".join("1" if b else "0" for b in bits)
             fh.write(f"{bitstring},{energy!r},{int(rep)},{int(sweep)},{cbf!r}\n")
-            breaks.append(cbf)
     print(f"samples={len(breaks)} mean_chain_break_fraction={float(np.mean(breaks)):.4f}")
     return 0
 
@@ -504,11 +477,8 @@ def cmd_gen_dataset(args) -> int:
         "length": args.len,
         "alphabet": AMINO_ACIDS,
         "sequences": records,
-        "manifest": manifest.write(args.out),
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(args.out, doc, manifest)
     print(f"sequences={args.count} length={args.len}")
     return 0
 

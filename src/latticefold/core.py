@@ -57,6 +57,12 @@ class TermAccumulator:
         return cls(num_vars=num_vars, terms=terms, offset=self.offset)
 
 
+def poly_add(dst: dict[tuple[int, ...], float], src: dict[tuple[int, ...], float], scale: float = 1.0) -> None:
+    """dst += scale * src, in place; keys () are constants."""
+    for key, coeff in src.items():
+        dst[key] = dst.get(key, 0.0) + coeff * scale
+
+
 def poly_product(polys, scale: float = 1.0) -> dict[tuple[int, ...], float]:
     """Product of linear-combination dicts {index-tuple: coeff}, idempotent."""
     out: dict[tuple[int, ...], float] = {(): scale}
@@ -127,21 +133,13 @@ class PolynomialObjective:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def evaluate(self, assignment) -> float:
-        """Energy of a Boolean assignment: offset + sum_T c_T * prod b_i."""
+        """Energy of a Boolean assignment: one row of `evaluate_batch`."""
         bits = np.asarray(assignment)
         if bits.shape != (self.num_vars,):
             raise InputError(
                 f"assignment length {bits.shape} does not match num_vars={self.num_vars}"
             )
-        energy = self.offset
-        for key, coeff in self.terms.items():
-            prod = 1.0
-            for i in key:
-                prod *= bits[i]
-                if prod == 0.0:
-                    break
-            energy += coeff * prod
-        return float(energy)
+        return float(self.evaluate_batch(bits[None, :])[0])
 
     def evaluate_batch(self, bits: np.ndarray) -> np.ndarray:
         """Vectorised energies for a (m, num_vars) 0/1 array.
@@ -425,11 +423,19 @@ def save_problem(path, obj, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_problem(path) -> tuple[object, dict]:
-    """Returns (problem, full document) so callers can read layout/aux data."""
+def load_doc(path) -> dict:
+    """The JSON object in a file; InputError if the file holds anything else."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise InputError(f"{path} is not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} is not a JSON object")
+    return doc
+
+
+def load_problem(path) -> tuple[object, dict]:
+    """Returns (problem, full document) so callers can read layout/aux data."""
+    doc = load_doc(path)
     return problem_from_dict(doc), doc

@@ -139,9 +139,6 @@ class EmbeddedProblem:
     chain_strength: float
     chain_edge_count: int
 
-    def node_index(self) -> dict:
-        return {p: i for i, p in enumerate(self.node_order)}
-
 
 def default_chain_strength(qubo) -> float:
     """Half the largest absolute coefficient of the Boolean-space problem."""

@@ -22,6 +22,8 @@ from .model import (
     TURN_CARTESIAN,
     EncodedModel,
     interaction_pair_range,
+    parse_pair_key,
+    turn_var,
 )
 from .turn_tetrahedral import chain_neighbors
 
@@ -33,71 +35,29 @@ CART_DIR_STEPS = tuple(CART_PATTERN_TO_STEP[p] for p in CART_DIR_PATTERNS)
 CART_OPPOSITE = (1, 0, 3, 2, 5, 4)
 
 
-def _pair_key(i: int, j: int) -> str:
-    return f"{i},{j}"
-
-
-def _tet_signed_counts(dirs: np.ndarray, n: int) -> np.ndarray:
-    """(configs, 4, n) cumulative signed direction counts per bead."""
-    m = dirs.shape[0]
-    counts = np.zeros((m, 4, n), dtype=np.int16)
-    for bead in range(1, n):
-        t = bead  # turn t moves bead t-1 -> bead t
-        sign = 1 if t % 2 == 1 else -1
-        counts[:, :, bead] = counts[:, :, bead - 1]
-        for a in range(4):
-            counts[:, a, bead] += sign * (dirs[:, t - 1] == a)
-    return counts
-
-
-def _tet_sq_distance(counts: np.ndarray, i: int, j: int) -> np.ndarray:
-    diff = counts[:, :, j].astype(np.int32) - counts[:, :, i].astype(np.int32)
-    return np.sum(diff * diff, axis=1)
-
-
-def turn_tet_energies(dirs: np.ndarray, model: EncodedModel):
-    """Energies of one-hot turn words plus the per-pair gate values."""
-    n = len(model.sequence)
-    pens = model.penalties
-    lam1, lam2, lam_gc = pens["lambda_1"], pens["lambda_2"], pens["lambda_gc"]
-    counts = _tet_signed_counts(dirs, n)
-    energies = np.zeros(dirs.shape[0])
-    if n >= 3:
-        same = dirs[:, :-1] == dirs[:, 1:]
-        energies += lam_gc * same.sum(axis=1)
-    gate_values = {}
-    dcache: dict[tuple[int, int], np.ndarray] = {}
-
-    def dist(a: int, b: int) -> np.ndarray:
-        key = (min(a, b), max(a, b))
-        if key not in dcache:
-            dcache[key] = _tet_sq_distance(counts, *key)
-        return dcache[key]
-
-    for i, j in interaction_pair_range(model.model, n):
-        eps = model.interaction.energy(model.sequence[i], model.sequence[j])
-        inner = eps + lam1 * (dist(i, j).astype(np.float64) - 1.0)
-        for r in chain_neighbors(j, n):
-            inner += lam2 * (2.0 - dist(i, r))
-        for mm in chain_neighbors(i, n):
-            inner += lam2 * (2.0 - dist(mm, j))
-        gate_values[(i, j)] = inner
-        energies += np.minimum(inner, 0.0)
-    return energies, gate_values
-
-
 def turn_tet_block_energies(blocks: np.ndarray, model: EncodedModel) -> np.ndarray:
     """Exact objective minima over gate settings for arbitrary 4-bit turn
     blocks, one-hot or not: the soundness probe for penalty margins.
 
     blocks: (configs, n_turns, 4) 0/1 array including the fixed turns.
     """
+    return _tet_block_scores(blocks, model)[0]
+
+
+def _tet_block_scores(blocks: np.ndarray, model: EncodedModel):
+    """(energies minimized over the gates, {pair: gate value}) of turn blocks.
+
+    On one-hot blocks the lambda_turn term adds an exact 0.0, so the energies
+    are those of the turn words alone.
+    """
     n = len(model.sequence)
     pens = model.penalties
     lam1, lam2 = pens["lambda_1"], pens["lambda_2"]
     lam_turn, lam_gc = pens["lambda_turn"], pens["lambda_gc"]
     m = blocks.shape[0]
-    counts = np.zeros((m, 4, n), dtype=np.int32)
+    # signed direction counts per bead fit int16 (|count| < n); their
+    # differences are squared in int32
+    counts = np.zeros((m, 4, n), dtype=np.int16)
     for bead in range(1, n):
         sign = 1 if bead % 2 == 1 else -1
         counts[:, :, bead] = counts[:, :, bead - 1] + sign * blocks[:, bead - 1, :]
@@ -111,10 +71,11 @@ def turn_tet_block_energies(blocks: np.ndarray, model: EncodedModel) -> np.ndarr
     def dist(a: int, b: int) -> np.ndarray:
         key = (min(a, b), max(a, b))
         if key not in dcache:
-            diff = counts[:, :, key[1]] - counts[:, :, key[0]]
+            diff = counts[:, :, key[1]].astype(np.int32) - counts[:, :, key[0]]
             dcache[key] = np.sum(diff * diff, axis=1)
         return dcache[key]
 
+    gate_values = {}
     for i, j in interaction_pair_range(model.model, n):
         eps = model.interaction.energy(model.sequence[i], model.sequence[j])
         inner = eps + lam1 * (dist(i, j).astype(np.float64) - 1.0)
@@ -122,8 +83,9 @@ def turn_tet_block_energies(blocks: np.ndarray, model: EncodedModel) -> np.ndarr
             inner += lam2 * (2.0 - dist(i, r))
         for mm in chain_neighbors(i, n):
             inner += lam2 * (2.0 - dist(mm, j))
+        gate_values[(i, j)] = inner
         energies += np.minimum(inner, 0.0)
-    return energies
+    return energies, gate_values
 
 
 def _unravel_base(codes: np.ndarray, base: int, digits: int) -> np.ndarray:
@@ -161,7 +123,7 @@ def _turn_choices(model: EncodedModel) -> list:
     whose one-hot slot is a free variable."""
     choices = []
     for block in model.layout["turns"]:
-        dirs = [a for a, bit in enumerate(block) if isinstance(bit, str)]
+        dirs = [a for a, bit in enumerate(block) if turn_var(bit) is not None]
         if not dirs:
             dirs = [a for a, bit in enumerate(block) if bit == 1]
         choices.append(dirs)
@@ -179,8 +141,9 @@ def _tet_ground_states(model: EncodedModel, tie_tol: float):
         raise InputError(f"{total} turn words exceed the enumeration budget")
 
     best = np.inf
-    best_rows: list[tuple[np.ndarray, dict]] = []
+    kept: list[tuple[float, np.ndarray, dict]] = []
     gates = interaction_pair_range(model.model, n)
+    one_hot = np.eye(4, dtype=np.int8)
     chunk = 1 << 18
     for lo in range(0, total, chunk):
         codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
@@ -192,28 +155,27 @@ def _tet_ground_states(model: EncodedModel, tie_tol: float):
             else:
                 dirs[:, t] = np.array(opts, dtype=np.int8)[rest % len(opts)]
                 rest = rest // len(opts)
-        energies, gate_values = turn_tet_energies(dirs, model)
+        energies, gate_values = _tet_block_scores(one_hot[dirs], model)
         cmin = float(energies.min())
         if cmin < best - tie_tol:
             best = cmin
-            best_rows = []
+            kept = []
         best = min(best, cmin)
         for idx in np.flatnonzero(energies <= best + tie_tol):
-            best_rows.append(
-                (dirs[idx].copy(), {p: float(gate_values[p][idx]) for p in gates})
+            kept.append(
+                (float(energies[idx]), dirs[idx].copy(),
+                 {p: float(gate_values[p][idx]) for p in gates})
             )
 
     assignments = []
-    qubits = {tuple(map(int, k.split(","))): v for k, v in model.layout["interaction_qubits"].items()}
-    for dirs_row, inner in best_rows:
+    qubits = {parse_pair_key(k): v for k, v in model.layout["interaction_qubits"].items()}
+    for energy, dirs_row, inner in kept:
         # re-filter: rows kept before later chunks lowered the minimum
-        energy = _row_energy_tet(dirs_row, inner, model)
         if energy > best + tie_tol:
             continue
         a = np.zeros(model.num_vars, dtype=np.uint8)
         for t in range(3, n):
-            block = model.layout["turns"][t - 1]
-            a[int(block[dirs_row[t - 1]][1:])] = 1
+            a[turn_var(model.layout["turns"][t - 1][dirs_row[t - 1]])] = 1
         free_gates = []
         for pair, q in qubits.items():
             v = inner[pair]
@@ -224,12 +186,6 @@ def _tet_ground_states(model: EncodedModel, tie_tol: float):
         assignments.extend(_expand_gates(a, free_gates))
     _cross_check(model, assignments, best, tie_tol)
     return best, assignments
-
-
-def _row_energy_tet(dirs_row: np.ndarray, inner: dict, model: EncodedModel) -> float:
-    pens = model.penalties
-    gc = sum(1 for a, b in zip(dirs_row[:-1], dirs_row[1:]) if a == b)
-    return pens["lambda_gc"] * gc + sum(min(0.0, v) for v in inner.values())
 
 
 def _cart_ground_states(model: EncodedModel, tie_tol: float):
@@ -251,8 +207,8 @@ def _cart_ground_states(model: EncodedModel, tie_tol: float):
     overlap_pairs = [
         (j, k) for j in range(n) for k in range(j + 4, n) if (k - j) % 2 == 0
     ]
-    qubit_of = {tuple(map(int, k.split(","))): v for k, v in model.layout["interaction_qubits"].items()}
-    slack_of = {tuple(map(int, k.split(","))): v for k, v in model.layout["slack_blocks"].items()}
+    qubit_of = {parse_pair_key(k): v for k, v in model.layout["interaction_qubits"].items()}
+    slack_of = {parse_pair_key(k): v for k, v in model.layout["slack_blocks"].items()}
 
     steps = np.array(CART_DIR_STEPS, dtype=np.int16)
     best = np.inf
@@ -306,7 +262,7 @@ def _cart_ground_states(model: EncodedModel, tie_tol: float):
                 pattern = CART_DIR_PATTERNS[row[t - 1]]
                 block = model.layout["turns"][t - 1]
                 for bit, val in zip(block, pattern):
-                    a[int(bit[1:])] = val
+                    a[turn_var(bit)] = val
             for j, k in gated:
                 if dists[(j, k)][idx] == 1:
                     a[qubit_of[(j, k)]] = 1
@@ -333,9 +289,8 @@ def _cart_ground_states(model: EncodedModel, tie_tol: float):
 
 def _cross_check(model: EncodedModel, assignments, best: float, tie_tol: float) -> None:
     scale = max(1.0, abs(best))
-    for a in assignments[: min(len(assignments), 64)]:
-        e = model.objective.evaluate(a)
+    for e in model.objective.evaluate_batch(np.array(assignments[:64])):
         if abs(e - best) > 1e-7 * scale + tie_tol:
             raise AssertionError(
-                f"enumerated minimizer evaluates to {e}, expected {best}"
+                f"enumerated minimizer evaluates to {float(e)}, expected {best}"
             )

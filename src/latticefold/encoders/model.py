@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import InputError, PolynomialObjective, problem_from_dict, problem_to_json
+from ..core import InputError, PolynomialObjective, poly_add, poly_product, problem_from_dict, problem_to_json
 from ..lattice import CARTESIAN, TETRAHEDRAL, LatticeSpec, Site, cartesian_site, neighbor_sites, site_classes
 from .folds import Fold
 from .interactions import InteractionModel
@@ -52,6 +52,59 @@ TET_SECOND_TURN_DIR = 2
 # 1; direction 1 is pinned off at the third turn to break that symmetry
 TET_MIRROR_FIXED_DIR = 1
 
+Poly = dict[tuple[int, ...], float]
+
+
+# ---------------------------------------------------------------------------
+# turn layouts: "turns" lists one block of bits per turn, each bit either a
+# free variable "v<i>" or a fixed 0/1; pair tables are keyed "j,k"
+# ---------------------------------------------------------------------------
+
+def turn_var(bit) -> int | None:
+    """Variable index of a turn-layout bit "v<i>"; None for a fixed 0/1."""
+    return int(bit[1:]) if isinstance(bit, str) else None
+
+
+def turn_literal(bit) -> Poly:
+    """Polynomial of one turn-layout bit: a single variable or a constant."""
+    var = turn_var(bit)
+    if var is not None:
+        return {(var,): 1.0}
+    return {(): float(bit)} if bit else {}
+
+
+def pair_key(j: int, k: int) -> str:
+    return f"{j},{k}"
+
+
+def parse_pair_key(key: str) -> tuple[int, int]:
+    j, k = key.split(",")
+    return int(j), int(k)
+
+
+def squared_distances(steps: dict[int, list[Poly]]):
+    """D(j, k): the squared distance of beads j < k (0-based) as a polynomial.
+
+    steps[t][a] is the step of turn t (bead t-1 -> t) along axis a; D(j, k)
+    sums the squares, over the axes, of the steps of turns j+1..k.  Results
+    are memoised per builder and must not be mutated.
+    """
+    memo: dict[tuple[int, int], Poly] = {}
+
+    def D(j: int, k: int) -> Poly:
+        out = memo.get((j, k))
+        if out is None:
+            out = {}
+            for a in range(len(steps[k])):
+                diff: Poly = {}
+                for t in range(j + 1, k + 1):
+                    poly_add(diff, steps[t][a])
+                poly_add(out, poly_product([diff, diff]))
+            memo[(j, k)] = out
+        return out
+
+    return D
+
 
 @dataclass(frozen=True)
 class EncodedModel:
@@ -90,23 +143,25 @@ class EncodedModel:
 
     @staticmethod
     def from_doc(doc: dict) -> "EncodedModel":
-        if "layout" not in doc or "model" not in doc:
-            raise InputError("problem document carries no model layout")
-        objective = problem_from_dict(doc)
+        """The model of a problem document written by `to_doc` (or by `reduce`,
+        whose auxiliary variables follow the original ones)."""
+        missing = [k for k in ("model", "sequence", "interaction", "layout") if k not in doc]
+        if missing:
+            raise InputError(f"problem document carries no model {', '.join(missing)}")
+        if doc["model"] not in MODEL_LATTICE:
+            raise InputError(f"unknown model {doc['model']!r} in problem document")
+        for key, kind, what in (("sequence", str, "a string"), ("interaction", dict, "an object"),
+                                ("layout", dict, "an object")):
+            if not isinstance(doc[key], kind):
+                raise InputError(f"problem document {key} must be {what}")
         return EncodedModel(
             model=doc["model"],
-            objective=objective,
+            objective=problem_from_dict(doc),
             sequence=doc["sequence"],
             interaction=InteractionModel.from_dict(doc["interaction"]),
             penalties=dict(doc.get("penalties", {})),
             layout=doc["layout"],
         )
-
-
-def _literal_value(layout_bit, bits: np.ndarray) -> int:
-    if isinstance(layout_bit, str):
-        return int(bits[int(layout_bit[1:])])
-    return int(layout_bit)
 
 
 def decode(model: EncodedModel, assignment) -> Fold:
@@ -154,7 +209,7 @@ def _decode_turns(model: EncodedModel, bits: np.ndarray) -> Fold:
     positions = [cartesian_site(0, 0, 0) if kind == CARTESIAN else Site(0, 0, 0, 0)]
     violations: list[str] = []
     for t, block in enumerate(model.layout["turns"], start=1):
-        pattern = tuple(_literal_value(b, bits) for b in block)
+        pattern = tuple(int(b) if (v := turn_var(b)) is None else int(bits[v]) for b in block)
         cur = positions[-1]
         if kind == CARTESIAN:
             step = CART_PATTERN_TO_STEP.get(pattern)

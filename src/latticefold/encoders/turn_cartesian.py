@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import InputError, TermAccumulator, poly_product
+from ..core import InputError, TermAccumulator, poly_add, poly_product
 from .interactions import InteractionModel
 from .model import (
     CART_FIRST_TURN,
@@ -27,14 +27,14 @@ from .model import (
     CART_PATTERN_TO_STEP,
     TURN_CARTESIAN,
     EncodedModel,
+    Poly,
     interaction_pair_range,
+    pair_key,
+    squared_distances,
+    turn_literal,
 )
 
 DEFAULT_TURN_CART_PENALTIES = {"lambda_back": 20.0, "lambda_turn": 20.0, "lambda_olap": 20.0}
-
-Poly = dict[tuple[int, ...], float]
-
-_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def slack_bit_count(separation: int) -> int:
@@ -45,31 +45,18 @@ def slack_bit_count(separation: int) -> int:
     return math.ceil(math.log2(separation * separation))
 
 
-def _literal(layout_bit) -> Poly:
-    """Polynomial for one layout bit: constant or a single variable."""
-    if isinstance(layout_bit, str):
-        return {(int(layout_bit[1:]),): 1.0}
-    return {(): float(layout_bit)} if layout_bit else {}
-
-
 def _pattern_indicator(block, pattern) -> Poly:
     """Product over the 3 bits of (b or 1-b) matching the pattern."""
     factors = []
     for bit, want in zip(block, pattern):
-        lit = _literal(bit)
+        lit = turn_literal(bit)
         if want:
             factors.append(lit)
         else:
             inv = {(): 1.0}
-            for k, c in lit.items():
-                inv[k] = inv.get(k, 0.0) - c
+            poly_add(inv, lit, -1.0)
             factors.append(inv)
     return poly_product(factors)
-
-
-def _poly_add(dst: Poly, src: Poly, scale: float = 1.0) -> None:
-    for k, c in src.items():
-        dst[k] = dst.get(k, 0.0) + c * scale
 
 
 def encode_turn_cartesian(
@@ -137,18 +124,9 @@ def encode_turn_cartesian(
         for pattern, step in CART_PATTERN_TO_STEP.items():
             for a in range(3):
                 if step[a]:
-                    _poly_add(per_axis[a], indicators[t][pattern], float(step[a]))
+                    poly_add(per_axis[a], indicators[t][pattern], float(step[a]))
         axis_step[t] = per_axis
-
-    def squared_distance(j: int, k: int) -> Poly:
-        """D(j,k) over turns j+1..k (0-based beads)."""
-        out: Poly = {}
-        for a in range(3):
-            diff: Poly = {}
-            for t in range(j + 1, k + 1):
-                _poly_add(diff, axis_step[t][a])
-            _poly_add(out, poly_product([diff, diff]))
-        return out
+    squared_distance = squared_distances(axis_step)
 
     acc = TermAccumulator()
 
@@ -167,7 +145,7 @@ def encode_turn_cartesian(
     for (j, k), bits in slack_blocks.items():
         mu = len(bits)
         expr: Poly = {(): float(2**mu)}
-        _poly_add(expr, squared_distance(j, k), -1.0)
+        poly_add(expr, squared_distance(j, k), -1.0)
         for pos, bit in enumerate(bits):
             expr[(bit,)] = expr.get((bit,), 0.0) - float(2 ** (mu - 1 - pos))
         acc.add_poly(poly_product([expr, expr]), lam_olap)
@@ -176,7 +154,7 @@ def encode_turn_cartesian(
     for (j, k), q in interaction_qubits.items():
         eps = interaction.energy(sequence[j], sequence[k])
         contact: Poly = {(): 2.0}
-        _poly_add(contact, squared_distance(j, k), -1.0)
+        poly_add(contact, squared_distance(j, k), -1.0)
         acc.add_product({(q,): 1.0}, contact, eps)
 
     objective = acc.build(num_vars, quadratic=False)
@@ -185,8 +163,8 @@ def encode_turn_cartesian(
         "L": None,
         "energy_shift": 0.0,
         "turns": turns,
-        "interaction_qubits": {f"{j},{k}": q for (j, k), q in interaction_qubits.items()},
-        "slack_blocks": {f"{j},{k}": bits for (j, k), bits in slack_blocks.items()},
+        "interaction_qubits": {pair_key(j, k): q for (j, k), q in interaction_qubits.items()},
+        "slack_blocks": {pair_key(j, k): bits for (j, k), bits in slack_blocks.items()},
     }
     return EncodedModel(
         model=TURN_CARTESIAN,

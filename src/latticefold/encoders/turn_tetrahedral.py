@@ -19,7 +19,7 @@ suffices downstream.
 
 from __future__ import annotations
 
-from ..core import InputError, TermAccumulator, poly_product
+from ..core import InputError, TermAccumulator, poly_add, poly_product
 from .interactions import InteractionModel
 from .model import (
     TET_FIRST_TURN_DIR,
@@ -27,10 +27,12 @@ from .model import (
     TET_SECOND_TURN_DIR,
     TURN_TETRAHEDRAL,
     EncodedModel,
+    Poly,
     interaction_pair_range,
+    pair_key,
+    squared_distances,
+    turn_literal,
 )
-
-Poly = dict[tuple[int, ...], float]
 
 STRICT = "strict"
 TTS_TUNED = "tts"
@@ -116,61 +118,40 @@ def encode_turn_tetrahedral(
         next_var += 1
     num_vars = next_var
 
-    def literal(t: int, a: int) -> Poly:
-        bit = turns[t - 1][a]
-        if isinstance(bit, str):
-            return {(int(bit[1:]),): 1.0}
-        return {(): float(bit)} if bit else {}
-
-    def signed_counts(i: int, j: int) -> list[Poly]:
-        """Per-direction signed turn counts between beads i < j (0-based)."""
-        counts: list[Poly] = [dict() for _ in range(4)]
-        for t in range(i + 1, j + 1):
-            sign = 1.0 if t % 2 == 1 else -1.0
-            for a in range(4):
-                for key, c in literal(t, a).items():
-                    counts[a][key] = counts[a].get(key, 0.0) + sign * c
-        return counts
-
-    def squared_distance(i: int, j: int) -> Poly:
-        out: Poly = {}
-        for diff in signed_counts(i, j):
-            for key, c in poly_product([diff, diff]).items():
-                out[key] = out.get(key, 0.0) + c
-        return out
+    # literals[t - 1][a]: direction a of turn t; a turn's step along direction
+    # a is +literal on odd turns (A->B moves) and -literal on even ones
+    literals = [[turn_literal(bit) for bit in block] for block in turns]
+    steps = {}
+    for t in range(1, n):
+        sign = 1.0 if t % 2 == 1 else -1.0
+        steps[t] = [{key: sign * c for key, c in lit.items()} for lit in literals[t - 1]]
+    squared_distance = squared_distances(steps)
 
     acc = TermAccumulator()
 
     # one-hot penalty on free turns
     for t in range(3, n):
-        block = [literal(t, a) for a in range(4)]
         expr: Poly = {(): -1.0}
-        for lit in block:
-            for key, c in lit.items():
-                expr[key] = expr.get(key, 0.0) + c
+        for lit in literals[t - 1]:
+            poly_add(expr, lit)
         acc.add_poly(poly_product([expr, expr]), lam_turn)
 
     # growth constraint: consecutive turns may not repeat a direction
     for t in range(1, n - 1):
         for a in range(4):
-            acc.add_product(literal(t, a), literal(t + 1, a), lam_gc)
+            acc.add_product(literals[t - 1][a], literals[t][a], lam_gc)
 
     # gated contact terms with neighborhood overlap penalties
     for (i, j), q in interaction_qubits.items():
         eps = interaction.energy(sequence[i], sequence[j])
         inner: Poly = {(): eps - lam1}
-        for key, c in squared_distance(i, j).items():
-            inner[key] = inner.get(key, 0.0) + lam1 * c
+        poly_add(inner, squared_distance(i, j), lam1)
         for r in chain_neighbors(j, n):
-            lo, hi = min(i, r), max(i, r)
-            inner[()] = inner.get((), 0.0) + 2.0 * lam2
-            for key, c in squared_distance(lo, hi).items():
-                inner[key] = inner.get(key, 0.0) - lam2 * c
+            inner[()] += 2.0 * lam2
+            poly_add(inner, squared_distance(min(i, r), max(i, r)), -lam2)
         for m in chain_neighbors(i, n):
-            lo, hi = min(m, j), max(m, j)
-            inner[()] = inner.get((), 0.0) + 2.0 * lam2
-            for key, c in squared_distance(lo, hi).items():
-                inner[key] = inner.get(key, 0.0) - lam2 * c
+            inner[()] += 2.0 * lam2
+            poly_add(inner, squared_distance(min(m, j), max(m, j)), -lam2)
         acc.add_product({(q,): 1.0}, inner)
 
     objective = acc.build(num_vars, quadratic=False)
@@ -179,7 +160,7 @@ def encode_turn_tetrahedral(
         "L": None,
         "energy_shift": 0.0,
         "turns": turns,
-        "interaction_qubits": {f"{i},{j}": q for (i, j), q in interaction_qubits.items()},
+        "interaction_qubits": {pair_key(i, j): q for (i, j), q in interaction_qubits.items()},
     }
     return EncodedModel(
         model=TURN_TETRAHEDRAL,

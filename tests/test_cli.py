@@ -185,6 +185,33 @@ class TestMalformedInput:
         assert err.startswith("error: " + message)
         assert err.count("\n") == 1
 
+    def test_tts_without_reference_energy_exits_2(self, workdir, capsys):
+        (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
+                                       "01,1.0,0,3\n")
+        assert run(["analyze", "tts", "--samples", "s.csv", "--tau", "0.5", "--out", "t.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--reference-energy" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("sequence"), "no model sequence"),
+        (lambda doc: doc.update(interaction="bogus"), "interaction must be an object"),
+        (lambda doc: doc.update(model="turn-hex"), "unknown model 'turn-hex'"),
+    ], ids=["no-sequence", "bogus-interaction", "unknown-model"])
+    def test_malformed_model_document_decode_exits_2(self, workdir, capsys, edit, message):
+        assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
+                    "--out", "p.json"]) == 0
+        doc = json.loads((workdir / "p.json").read_text())
+        edit(doc)
+        (workdir / "p.json").write_text(json.dumps(doc))
+        (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
+                                       + "0" * doc["num_vars"] + ",1.0,0,3\n")
+        capsys.readouterr()
+        assert run(["decode", "p.json", "s.csv", "--out", "folds.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
     def test_ragged_samples_csv_exits_2(self, workdir, capsys):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
                     "--out", "p.json"]) == 0
@@ -221,6 +248,8 @@ class TestDecodePipeline:
         doc = json.loads((workdir / "f.json").read_text())
         assert doc["count"] >= 1
         assert all(rec["decode_feasible"] for rec in doc["folds"])
+        assert run(["decode", "h.json", "b.csv", "--out", "g.json"]) == 0
+        assert json.loads((workdir / "g.json").read_text())["folds"] == doc["folds"]
 
 
 class TestAnalyze:
