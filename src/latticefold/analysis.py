@@ -6,7 +6,7 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class SodHistogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     sample_count: int
-    provenance: dict = field(default_factory=dict)
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -60,28 +59,23 @@ def spin_overlap_values(states1: np.ndarray, states2: np.ndarray) -> np.ndarray:
     return (s1 * s2).mean(axis=1)
 
 
-def spin_overlap(run1, run2, bins: int = 101, provenance: dict | None = None):
+def spin_overlap(run1, run2, bins: int = 101):
     """Overlap series + histogram from two PtResult-like objects."""
     fp1 = getattr(run1, "problem_fingerprint", None)
     fp2 = getattr(run2, "problem_fingerprint", None)
     if fp1 is not None and fp2 is not None and fp1 != fp2:
         raise InputError("spin overlap requires two runs of the identical problem")
     q = spin_overlap_values(run1.measure_states, run2.measure_states)
-    return q, overlap_histogram(q, bins=bins, provenance=provenance)
+    return q, overlap_histogram(q, bins=bins)
 
 
-def overlap_histogram(q_values: np.ndarray, bins: int = 101, provenance: dict | None = None) -> SodHistogram:
+def overlap_histogram(q_values: np.ndarray, bins: int = 101) -> SodHistogram:
     q = np.asarray(q_values, dtype=np.float64)
     if np.any(np.abs(q) > 1.0 + 1e-12):
         raise InputError("overlap values must lie in [-1, 1]")
     q = np.clip(q, -1.0, 1.0)
     counts, edges = np.histogram(q, bins=bins, range=(-1.0, 1.0))
-    return SodHistogram(
-        bin_edges=edges,
-        counts=counts,
-        sample_count=len(q),
-        provenance=provenance or {},
-    )
+    return SodHistogram(bin_edges=edges, counts=counts, sample_count=len(q))
 
 
 THIN = "thin"

@@ -30,6 +30,8 @@ from .analysis import (
     tts,
 )
 from .core import (
+    BOOLEAN,
+    ISING,
     InputError,
     IsingProblem,
     ising_to_qubo,
@@ -43,6 +45,7 @@ from .embedding import (
     HardwareGraph,
     apply_embedding,
     default_chain_strength,
+    load_embedded,
     unembed,
     validate_embedding,
 )
@@ -131,7 +134,8 @@ def _csv_out(path, manifest: Manifest, header: str):
 
 
 def _read_fasta(path) -> str:
-    lines = [ln.strip() for ln in open(path) if ln.strip()]
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
     body = [ln for ln in lines if not ln.startswith(">")]
     if not body:
         raise InputError(f"no sequence record in {path}")
@@ -174,14 +178,8 @@ def cmd_encode(args) -> int:
     )
     _write_json(args.out, model.to_doc(), manifest)
     obj = model.objective
-    pair_keys = {k for k in obj.terms if len(k) == 2}
-    for k in obj.terms:
-        if len(k) > 2:
-            pair_keys.update((a, b) for ai, a in enumerate(k) for b in k[ai + 1:])
-    possible = obj.num_vars * (obj.num_vars - 1) / 2
-    density = len(pair_keys) / possible if possible else 0.0
     print(f"model={args.model} N={len(sequence)} qubits={obj.num_vars} "
-          f"degree={obj.degree} density={density:.4f}")
+          f"degree={obj.degree} density={obj.density:.4f}")
     return 0
 
 
@@ -248,19 +246,13 @@ def cmd_solve(args) -> int:
         result = parallel_tempering(problem, cfg)
         samples = result.sample_set
         samples.meta["problem_fingerprint"] = result.problem_fingerprint
-    elif args.solver == "brute":
+    else:  # brute
         start = time.perf_counter()
         energy, minimizers = brute_force(problem, free_var_limit=args.brute_limit)
         wall = time.perf_counter() - start
-        arr = np.array(minimizers, dtype=np.uint8)
-        if isinstance(problem, IsingProblem):
-            space = "ising"
-        else:
-            space = "boolean"
         samples = SampleSet(
-            num_vars=arr.shape[1] if arr.size else 0,
-            space=space,
-            bits=arr,
+            space=ISING if isinstance(problem, IsingProblem) else BOOLEAN,
+            bits=np.array(minimizers, dtype=np.uint8),
             energies=np.full(len(minimizers), energy),
             replicas=np.arange(len(minimizers)),
             sweeps=np.zeros(len(minimizers), dtype=np.int64),
@@ -268,8 +260,6 @@ def cmd_solve(args) -> int:
             tau_seconds=wall,
             meta={"solver": "brute", "minimizers": len(minimizers)},
         )
-    else:
-        raise InputError(f"unknown solver {args.solver!r}")
 
     name = manifest.write(args.out)
     samples.to_csv(args.out, manifest_name=name)
@@ -315,13 +305,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.what == "sod":
-        return _analyze_sod(args)
-    if args.what == "tts":
-        return _analyze_tts(args)
-    if args.what == "scaling":
-        return _analyze_scaling(args)
-    raise InputError(f"unknown analysis {args.what!r}")
+    return {"sod": _analyze_sod, "tts": _analyze_tts, "scaling": _analyze_scaling}[args.what](args)
 
 
 def _trajectory(path) -> np.ndarray:
@@ -400,16 +384,12 @@ def cmd_embed(args) -> int:
     hw = HardwareGraph.load(args.hardware)
     if isinstance(problem, IsingProblem):
         ising = problem
-        boolean = None
+    elif problem.degree > 2:
+        raise InputError("embed expects a quadratic problem; reduce first")
     else:
-        if problem.degree > 2:
-            raise InputError("embed expects a quadratic problem; reduce first")
-        boolean = problem
         ising = qubo_to_ising(problem)
     if args.chain_strength == "auto":
-        if boolean is None:
-            boolean = ising_to_qubo(ising)
-        strength = default_chain_strength(boolean)
+        strength = default_chain_strength(ising_to_qubo(ising) if ising is problem else problem)
     else:
         strength = float(args.chain_strength)
     embedded = apply_embedding(ising, emb, hw, strength)
@@ -431,13 +411,7 @@ def cmd_embed(args) -> int:
 
 def cmd_unembed(args) -> int:
     manifest = Manifest("unembed", args, [args.samples, args.embedded, args.problem])
-    emb_doc = load_doc(args.embedded)
-    if "embedding" not in emb_doc:
-        raise InputError(f"{args.embedded} is not an embed output")
-    node_order = emb_doc["embedding"]["node_order"]
-    emb = EmbeddingMap(
-        chains={int(k): tuple(v) for k, v in emb_doc["embedding"]["chains"].items()}
-    )
+    emb, node_order = load_embedded(args.embedded)
     problem, _ = load_problem(args.problem)
     samples = sample_set_from_csv(args.samples)
     with _csv_out(args.out, manifest, "assignment,energy,replica,sweep,chain_break_fraction") as fh:
@@ -493,14 +467,15 @@ def _load_config_defaults(argv):
     known, _ = pre.parse_known_args(argv)
     defaults = {}
     if known.config:
-        for line in open(known.config):
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"config lines look like key = value, got {line!r}")
-            k, v = (s.strip() for s in line.split("=", 1))
-            defaults[k.replace("-", "_")] = v
+        with open(known.config) as fh:
+            for line in fh:
+                line = line.split("#")[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise InputError(f"config lines look like key = value, got {line!r}")
+                k, v = (s.strip() for s in line.split("=", 1))
+                defaults[k.replace("-", "_")] = v
     return defaults
 
 

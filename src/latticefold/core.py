@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -183,21 +184,22 @@ class PolynomialObjective:
             abs(self.offset) + sum(abs(c) for c in self.terms.values())
         )
 
+    @property
+    def density(self) -> float:
+        """Share of the n(n-1)/2 variable pairs that appear together in at
+        least one term; on a QUBO, the share of couplings that are nonzero."""
+        n = self.num_vars
+        if n < 2:
+            return 0.0
+        pairs = {pair for key in self.terms for pair in combinations(key, 2)}
+        return len(pairs) / (n * (n - 1) / 2)
+
     def scaled(self, factor: float) -> "PolynomialObjective":
         return type(self)(
             num_vars=self.num_vars,
             terms={k: c * factor for k, c in self.terms.items()} if factor != 0.0 else {},
             offset=self.offset * factor,
         )
-
-    def __add__(self, other: "PolynomialObjective") -> "PolynomialObjective":
-        if other.num_vars != self.num_vars:
-            raise InputError("cannot add objectives with different num_vars")
-        acc = TermAccumulator()
-        acc.offset = self.offset + other.offset
-        acc.add_poly(self.terms)
-        acc.add_poly(other.terms)
-        return acc.build(self.num_vars, quadratic=False)
 
     def to_dict(self, space: str = BOOLEAN) -> dict:
         return {
@@ -220,20 +222,8 @@ class QuadraticObjective(PolynomialObjective):
             raise ValueError(f"QuadraticObjective requires degree <= 2, got {self.degree}")
 
     @property
-    def linear(self) -> dict[int, float]:
-        return {k[0]: c for k, c in self.terms.items() if len(k) == 1}
-
-    @property
     def quadratic(self) -> dict[tuple[int, int], float]:
         return {(k[0], k[1]): c for k, c in self.terms.items() if len(k) == 2}
-
-    @property
-    def density(self) -> float:
-        """Fraction of possible off-diagonal couplings that are nonzero."""
-        n = self.num_vars
-        if n < 2:
-            return 0.0
-        return len(self.quadratic) / (n * (n - 1) / 2)
 
 
 @dataclass(frozen=True)

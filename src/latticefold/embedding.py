@@ -12,11 +12,11 @@ assignment has exactly the logical energy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, IsingProblem
+from .core import InputError, IsingProblem, load_doc
 from .solvers import counter_uniforms, stable_seed
 
 
@@ -29,8 +29,11 @@ class HardwareGraph:
     def from_edges(edges, extra_nodes=()) -> "HardwareGraph":
         norm = set()
         nodes = set(extra_nodes)
-        for u, v in edges:
-            u, v = int(u), int(v)
+        for edge in edges:
+            try:
+                u, v = (int(x) for x in edge)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"hardware edge {edge!r} is not two integers") from exc
             if u == v:
                 raise InputError(f"self-loop on node {u}")
             norm.add((min(u, v), max(u, v)))
@@ -43,18 +46,17 @@ class HardwareGraph:
 
     @staticmethod
     def load(path) -> "HardwareGraph":
-        text = open(path).read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            doc = json.loads(text)
-            return HardwareGraph.from_edges(doc["edges"], doc.get("nodes", ()))
-        edges = []
-        for line in text.splitlines():
-            line = line.split("#")[0].strip()
-            if line:
-                u, v = line.split()
-                edges.append((int(u), int(v)))
-        return HardwareGraph.from_edges(edges)
+        """A JSON object {"edges": [[u, v], ...], "nodes": [...]} or lines of
+        "u v" ("#" starts a comment); InputError names a malformed edge."""
+        with open(path) as fh:
+            text = fh.read()
+        if not text.lstrip().startswith("{"):
+            lines = (line.split("#")[0].split() for line in text.splitlines())
+            return HardwareGraph.from_edges(edge for edge in lines if edge)
+        doc = load_doc(path)
+        if not isinstance(doc.get("edges"), list) or not isinstance(doc.get("nodes", []), list):
+            raise InputError(f"{path}: edges and nodes must be lists")
+        return HardwareGraph.from_edges(doc["edges"], doc.get("nodes", ()))
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,24 @@ class EmbeddingMap:
     chains: dict  # logical index -> tuple of physical nodes
 
     @staticmethod
+    def from_doc(doc, where) -> "EmbeddingMap":
+        """The chains of a {logical: [physical nodes]} object; InputError
+        names a malformed chain."""
+        if not isinstance(doc, dict) or not doc:
+            raise InputError(f"{where}: chains must be a non-empty object of logical: [nodes]")
+        chains = {}
+        for k, v in doc.items():
+            if not isinstance(v, list):
+                raise InputError(f"{where}: chain {k!r} is {v!r}, not a list of nodes")
+            try:
+                chains[int(k)] = tuple(int(x) for x in v)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{where}: malformed chain {k!r}: {exc}") from exc
+        return EmbeddingMap(chains=chains)
+
+    @staticmethod
     def load(path) -> "EmbeddingMap":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return EmbeddingMap(
-            chains={int(k): tuple(int(x) for x in v) for k, v in doc.items()}
-        )
+        return EmbeddingMap.from_doc(load_doc(path), path)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -206,6 +220,22 @@ def apply_embedding(
         chain_strength=abs(chain_strength),
         chain_edge_count=chain_edges,
     )
+
+
+def load_embedded(path) -> tuple[EmbeddingMap, list]:
+    """(chains, node order) of an embed output file; InputError if either is
+    missing or malformed."""
+    info = load_doc(path).get("embedding")
+    if not isinstance(info, dict):
+        raise InputError(f"{path} is not an embed output")
+    node_order = info.get("node_order")
+    if not isinstance(node_order, list) or not all(isinstance(p, int) for p in node_order):
+        raise InputError(f"{path}: embedding node_order must be a list of node ids")
+    emb = EmbeddingMap.from_doc(info.get("chains"), f"{path} embedding")
+    unplaced = set(emb.physical_nodes()) - set(node_order)
+    if unplaced:
+        raise InputError(f"{path}: chain nodes {sorted(unplaced)} are missing from node_order")
+    return emb, node_order
 
 
 def chain_lift(logical_bits, emb: EmbeddingMap, node_order) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Model encoders: peptide sequence -> objective + decodable layout."""
 
+from ..core import InputError
 from .coordinate import (
     DEFAULT_COORD_PENALTIES,
     encode_coord_cartesian,
@@ -49,6 +50,4 @@ def encode(model: str, sequence: str, interaction, L=None, penalties=None, **kwa
         return encode_coord_cartesian(sequence, interaction, L, penalties, **kwargs)
     if model == COORD_TETRAHEDRAL:
         return encode_coord_tetrahedral(sequence, interaction, L, penalties, **kwargs)
-    from ..core import InputError
-
     raise InputError(f"unknown model {model!r}; choose one of {MODEL_TAGS}")

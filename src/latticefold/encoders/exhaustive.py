@@ -30,9 +30,11 @@ from .turn_tetrahedral import chain_neighbors
 MAX_CONFIGS = 1 << 24
 _TIE_TOL = 1e-9
 
-CART_DIR_PATTERNS = ((1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-CART_DIR_STEPS = tuple(CART_PATTERN_TO_STEP[p] for p in CART_DIR_PATTERNS)
-CART_OPPOSITE = (1, 0, 3, 2, 5, 4)
+# the Cartesian turn alphabet of `model`, indexed: direction d has pattern
+# CART_DIR_PATTERNS[d], step CART_DIR_STEPS[d] and reverse CART_OPPOSITE[d]
+CART_DIR_PATTERNS = tuple(CART_PATTERN_TO_STEP)
+CART_DIR_STEPS = tuple(CART_PATTERN_TO_STEP.values())
+CART_OPPOSITE = tuple(CART_DIR_STEPS.index(tuple(-x for x in step)) for step in CART_DIR_STEPS)
 
 
 def turn_tet_block_energies(blocks: np.ndarray, model: EncodedModel) -> np.ndarray:

@@ -107,11 +107,8 @@ def geometric_energy(fold: Fold, interaction: InteractionModel, sequence: str) -
     if len(sequence) != len(fold.positions):
         raise InputError("sequence length does not match fold length")
     total = 0.0
-    n = len(fold.positions)
-    for i in range(n):
-        for j in range(i + 2, n):
-            if adjacent(fold.lattice_kind, fold.positions[i], fold.positions[j]):
-                total += interaction.energy(sequence[i], sequence[j])
+    for i, j in contact_pairs(fold):
+        total += interaction.energy(sequence[i], sequence[j])
     return total
 
 

@@ -52,6 +52,9 @@ class InteractionModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "InteractionModel":
+        """The one pair-table reader: keys of two residue codes, "HP" or
+        ("H", "P"), in either order; the alphabet defaults to the residues
+        the table names."""
         pairs = {}
         for key, v in doc.get("pair_energies", {}).items():
             if len(key) != 2:
@@ -76,22 +79,16 @@ def hp_model(contact_energy: float = -1.0) -> InteractionModel:
 def mj_model() -> InteractionModel:
     """Miyazawa-Jernigan contact energies from the shipped data file."""
     text = resources.files("latticefold.data").joinpath("mj_contact_energies.json").read_text()
-    doc = json.loads(text)
-    pairs = {}
-    for key, v in doc["pair_energies"].items():
-        a, b = sorted(key)
-        pairs[(a, b)] = float(v)
-    return InteractionModel(kind=MIYAZAWA_JERNIGAN, pair_energies=pairs, alphabet=AMINO_ACIDS)
+    pairs = json.loads(text)["pair_energies"]
+    return InteractionModel.from_dict(
+        {"kind": MIYAZAWA_JERNIGAN, "alphabet": AMINO_ACIDS, "pair_energies": pairs})
 
 
 def custom_model(pair_energies: dict, alphabet: str | None = None) -> InteractionModel:
-    pairs = {}
-    for key, v in pair_energies.items():
-        a, b = sorted(key) if isinstance(key, tuple) else sorted(key)
-        pairs[(a, b)] = float(v)
-    if alphabet is None:
-        alphabet = "".join(sorted({c for k in pairs for c in k}))
-    return InteractionModel(kind=CUSTOM, pair_energies=pairs, alphabet=alphabet)
+    doc = {"pair_energies": pair_energies}
+    if alphabet is not None:
+        doc["alphabet"] = alphabet
+    return InteractionModel.from_dict(doc)
 
 
 def get_model(name: str) -> InteractionModel:

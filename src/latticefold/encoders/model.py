@@ -44,7 +44,6 @@ CART_INVALID_PATTERNS = ((0, 0, 0), (1, 1, 0))
 
 # Fixed symmetry-breaking prefix: first turn +x, second turn in {+x, +z}.
 CART_FIRST_TURN = (1, 0, 1)
-CART_SECOND_TURN_TEMPLATE = (None, 0, 1)  # slot 0 stays free
 
 TET_FIRST_TURN_DIR = 3
 TET_SECOND_TURN_DIR = 2
@@ -154,14 +153,47 @@ class EncodedModel:
                                 ("layout", dict, "an object")):
             if not isinstance(doc[key], kind):
                 raise InputError(f"problem document {key} must be {what}")
+        objective = problem_from_dict(doc)
+        _check_layout(doc["model"], doc["layout"], objective.num_vars)
         return EncodedModel(
             model=doc["model"],
-            objective=problem_from_dict(doc),
+            objective=objective,
             sequence=doc["sequence"],
             interaction=InteractionModel.from_dict(doc["interaction"]),
             penalties=dict(doc.get("penalties", {})),
             layout=doc["layout"],
         )
+
+
+def _check_layout(model: str, layout: dict, num_vars: int) -> None:
+    """InputError unless `layout` holds what `decode` reads for `model`: the
+    grid side and bead blocks of a coordinate model, or the turn blocks of a
+    turn model, each bit 0, 1 or "v<i>" with i < num_vars."""
+    kind = MODEL_LATTICE[model]
+    if model in (COORD_CARTESIAN, COORD_TETRAHEDRAL):
+        L, blocks = layout.get("L"), layout.get("bead_blocks")
+        if not isinstance(L, int) or L < 2 or not isinstance(blocks, list):
+            raise InputError("coordinate layout needs an integer L >= 2 and a bead_blocks list")
+        sizes = [len(c) for c in site_classes(LatticeSpec(kind, L))]
+        for i, b in enumerate(blocks):
+            bead, cls, start, count = (b.get(k) if isinstance(b, dict) else None
+                                       for k in ("bead", "class", "start", "count"))
+            if not (all(isinstance(v, int) for v in (bead, cls, start, count)) and cls in (0, 1)
+                    and 0 <= count <= sizes[cls] and 0 <= start <= num_vars - count):
+                raise InputError(f"layout bead_blocks[{i}] is not a block of integer bead, class, start "
+                                 f"and count within the lattice and {num_vars} variables")
+        return
+    width = 3 if kind == CARTESIAN else 4
+    turns = layout.get("turns")
+    if not isinstance(turns, list):
+        raise InputError("turn layout needs a turns list")
+    for t, block in enumerate(turns):
+        if not (isinstance(block, list) and len(block) == width and all(
+                bit in (0, 1) if not isinstance(bit, str)
+                else bit[:1] == "v" and bit[1:].isdecimal() and int(bit[1:]) < num_vars
+                for bit in block)):
+            raise InputError(f"layout turns[{t}] {block!r} is not {width} bits of 0, 1 or "
+                             f"\"v<i>\" with i < {num_vars}")
 
 
 def decode(model: EncodedModel, assignment) -> Fold:
@@ -176,7 +208,7 @@ def decode(model: EncodedModel, assignment) -> Fold:
         raise InputError(
             f"assignment length {bits.shape} does not match {model.num_vars} free variables"
         )
-    if model.layout["type"] == "coordinate":
+    if model.model in (COORD_CARTESIAN, COORD_TETRAHEDRAL):
         return _decode_coordinate(model, bits)
     return _decode_turns(model, bits)
 

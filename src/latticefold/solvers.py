@@ -140,7 +140,6 @@ def temperature_ladder(cfg: PtConfig) -> np.ndarray:
 class SampleSet:
     """Solver output: one record per restart (SA) or measured sweep (PT)."""
 
-    num_vars: int
     space: str
     bits: np.ndarray  # (records, num_vars) uint8
     energies: np.ndarray
@@ -149,6 +148,10 @@ class SampleSet:
     run_seconds: float
     tau_seconds: float
     meta: dict = field(default_factory=dict)
+
+    @property
+    def num_vars(self) -> int:
+        return self.bits.shape[1]
 
     @property
     def best_energy(self) -> float:
@@ -210,7 +213,6 @@ def sample_set_from_csv(path) -> SampleSet:
         raise InputError(f"no samples in {path}")
     arr = (np.frombuffer("".join(bits).encode(), dtype=np.uint8) - ord("0")).reshape(len(bits), len(bits[0]))
     return SampleSet(
-        num_vars=arr.shape[1],
         space=BOOLEAN,
         bits=arr,
         energies=np.array(energies),
@@ -325,8 +327,14 @@ class _Compiled:
 # ---------------------------------------------------------------------------
 
 def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, probe_n: int, key_state: int, key_var: int):
-    """Per-restart start temperature from greedy probe flips on random states."""
+    """Per-restart start temperature from greedy probe flips on random states.
+
+    With no variable there is nothing to flip; such a run never reads its
+    temperature, and every restart gets 1.
+    """
     n = comp.n
+    if not n:
+        return np.ones(len(rows))
     bits = (counter_uniforms(key_state, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
     fields = comp.local_fields(bits)
     samples = np.empty((len(rows), probe_n))
@@ -406,10 +414,6 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
 
 def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
     n = comp.n
-    if n == 0:
-        zero = np.zeros((len(rows), 0), dtype=np.uint8)
-        return zero, np.full(len(rows), comp.offset), np.zeros(len(rows), dtype=np.int64)
-
     if cfg.t0 is not None:
         temps = np.full(len(rows), float(cfg.t0))
     else:
@@ -441,11 +445,6 @@ def _sa_blocks(restarts: int, n: int, workers: int) -> list[np.ndarray]:
     return np.array_split(np.arange(restarts, dtype=np.int64), min(blocks, restarts))
 
 
-def _sa_block_task(payload):
-    comp, cfg, rows = payload
-    return _sa_rows(comp, cfg, rows)
-
-
 def simulated_annealing(problem, cfg: SaConfig, jobs: int = 1) -> SampleSet:
     """Best-seen assignment per restart; restarts run as vectorized rows.
 
@@ -465,13 +464,10 @@ def simulated_annealing(problem, cfg: SaConfig, jobs: int = 1) -> SampleSet:
         parts = [_sa_rows(comp, cfg, rows) for rows in chunks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(_sa_block_task, [(comp, cfg, rows) for rows in chunks]))
-    bits = np.concatenate([p[0] for p in parts])
-    energies = np.concatenate([p[1] for p in parts])
-    sweeps = np.concatenate([p[2] for p in parts])
+            parts = list(pool.map(_sa_rows, [comp] * len(chunks), [cfg] * len(chunks), chunks))
+    bits, energies, sweeps = (np.concatenate(column) for column in zip(*parts))
     wall = time.perf_counter() - start
     return SampleSet(
-        num_vars=comp.n,
         space=comp.space,
         bits=bits,
         energies=energies,
@@ -520,18 +516,6 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     start = time.perf_counter()
     rows = np.arange(m, dtype=np.int64)
 
-    if n == 0:
-        bits = np.zeros((cfg.measure_sweeps, 0), dtype=np.uint8)
-        energies = np.full(cfg.measure_sweeps, comp.offset)
-        wall = time.perf_counter() - start
-        ss = SampleSet(num_vars=0, space=comp.space, bits=bits, energies=energies,
-                       replicas=np.zeros(cfg.measure_sweeps, dtype=np.int64),
-                       sweeps=np.arange(cfg.sweeps - cfg.measure_sweeps, cfg.sweeps),
-                       run_seconds=wall, tau_seconds=wall,
-                       meta={"solver": "pt", "seed": cfg.seed})
-        return PtResult(ss, ladder, np.zeros((cfg.sweeps, m), dtype=np.float32),
-                        bits, _problem_fingerprint(comp))
-
     best_e = np.inf
     trajectory = np.zeros((cfg.sweeps, m), dtype=np.float32)
     measure_from = cfg.sweeps - cfg.measure_sweeps
@@ -565,7 +549,6 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     measure_energies = comp.energies(measure_states)
     best_e = float(comp.energies(best_bits[None, :])[0])
     ss = SampleSet(
-        num_vars=n,
         space=comp.space,
         bits=np.vstack([measure_states, best_bits[None, :]]).astype(np.uint8),
         energies=np.concatenate([measure_energies, [best_e]]),
@@ -636,8 +619,6 @@ def brute_force(obj, free_var_limit: int = 30, tie_tol: float = 1e-9):
         raise ResourceRefusal(
             f"{n} free variables exceed the brute-force limit of {free_var_limit}"
         )
-    if n == 0:
-        return boolean.offset, [np.zeros(0, dtype=np.uint8)]
 
     nl = (n + 1) // 2
     low_of: dict[int, int] = {0: 0}  # monomial mask -> column of C

@@ -1,6 +1,8 @@
 """End-to-end CLI pipeline: file interchange, exit codes, reproducibility."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,16 @@ from latticefold.reduction import QuadratizationResult, quadratize
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def input_error(argv, capsys):
+    """Run argv, expect exit 2 with a single `error:` line and no traceback,
+    and return the message."""
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    return err[len("error: "):-1]
 
 
 @pytest.fixture
@@ -146,6 +158,34 @@ class TestSolve:
         assert summary["solver"] == "pt"
         assert "problem_fingerprint" in summary
 
+    @pytest.mark.parametrize("solver, options, rows", [
+        ("sa", ["--seed", "3", "--restarts", "4", "--sweeps", "10"],
+         [",0.0,0,0", ",0.0,1,0", ",0.0,2,0", ",0.0,3,0"]),
+        ("brute", [], [",0.0,0,0"]),
+        ("pt", ["--seed", "3", "--num-temps", "4", "--sweeps", "10", "--measure-sweeps", "3"],
+         [",0.0,0,7", ",0.0,0,8", ",0.0,0,9", ",0.0,-1,10"]),
+    ])
+    def test_zero_variable_problem(self, workdir, solver, options, rows):
+        # turn-cart HH fixes its only turn, so the problem has no variables
+        assert run(["encode", "turn-cart", "--seq", "HH", "--out", "hh.json"]) == 0
+        assert json.loads((workdir / "hh.json").read_text())["num_vars"] == 0
+        assert run(["solve", "hh.json", "--solver", solver, *options, "--out", "s.csv"]) == 0
+        lines = (workdir / "s.csv").read_text().splitlines()
+        assert lines[1:] == ["assignment,energy,replica,sweep", *rows]
+        summary = json.loads((workdir / "s.summary.json").read_text())
+        assert summary["num_vars"] == 0 and summary["records"] == len(rows)
+        if solver == "pt":
+            assert summary["num_temps"] == 4 and summary["measure_sweeps"] == 3
+
+    def test_zero_variable_offset_is_every_energy(self, workdir):
+        (workdir / "c.json").write_text('{"num_vars": 0, "offset": -2.5, "terms": []}')
+        for solver in ("sa", "pt", "brute"):
+            assert run(["solve", "c.json", "--solver", solver, "--seed", "1", "--restarts", "2",
+                        "--num-temps", "2", "--sweeps", "4", "--measure-sweeps", "2",
+                        "--out", "s.csv"]) == 0
+            rows = (workdir / "s.csv").read_text().splitlines()[2:]
+            assert rows and all(row.split(",")[:2] == ["", "-2.5"] for row in rows)
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("space", ["boolean", "ising"])
@@ -160,15 +200,13 @@ class TestMalformedInput:
         (workdir / "bad.json").write_text(json.dumps({
             "num_vars": 3, "offset": 0.0, "space": space, "terms": [term],
         }))
-        assert run(["solve", "bad.json", "--solver", "sa", "--seed", "1", "--out", "s.csv"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in input_error(["solve", "bad.json", "--solver", "sa", "--seed", "1",
+                                       "--out", "s.csv"], capsys)
 
     def test_non_json_problem_exits_2(self, workdir, capsys):
         (workdir / "bad.json").write_text('{"num_vars": 3, "terms": [')
-        assert run(["solve", "bad.json", "--solver", "brute", "--out", "b.csv"]) == 2
-        assert capsys.readouterr().err.startswith("error: bad.json is not a JSON document")
+        message = input_error(["solve", "bad.json", "--solver", "brute", "--out", "b.csv"], capsys)
+        assert message.startswith("bad.json is not a JSON document")
 
     @pytest.mark.parametrize("text, message", [
         ("{bad", "sum.json is not a JSON document"),
@@ -179,49 +217,49 @@ class TestMalformedInput:
         (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
                                        "01,1.0,0,3\n")
         (workdir / "sum.json").write_text(text)
-        assert run(["analyze", "tts", "--samples", "s.csv", "--summary", "sum.json",
-                    "--reference-energy", "1.0", "--out", "t.csv"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: " + message)
-        assert err.count("\n") == 1
+        assert input_error(["analyze", "tts", "--samples", "s.csv", "--summary", "sum.json",
+                            "--reference-energy", "1.0", "--out", "t.csv"], capsys).startswith(message)
 
     def test_tts_without_reference_energy_exits_2(self, workdir, capsys):
         (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
                                        "01,1.0,0,3\n")
-        assert run(["analyze", "tts", "--samples", "s.csv", "--tau", "0.5", "--out", "t.csv"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "--reference-energy" in err
-        assert err.count("\n") == 1
+        assert "--reference-energy" in input_error(
+            ["analyze", "tts", "--samples", "s.csv", "--tau", "0.5", "--out", "t.csv"], capsys)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.pop("sequence"), "no model sequence"),
-        (lambda doc: doc.update(interaction="bogus"), "interaction must be an object"),
-        (lambda doc: doc.update(model="turn-hex"), "unknown model 'turn-hex'"),
-    ], ids=["no-sequence", "bogus-interaction", "unknown-model"])
-    def test_malformed_model_document_decode_exits_2(self, workdir, capsys, edit, message):
-        assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
-                    "--out", "p.json"]) == 0
+    @pytest.mark.parametrize("model, edit, message", [
+        ("coord-tet", lambda doc: doc.pop("sequence"), "no model sequence"),
+        ("coord-tet", lambda doc: doc.update(interaction="bogus"), "interaction must be an object"),
+        ("coord-tet", lambda doc: doc.update(model="turn-hex"), "unknown model 'turn-hex'"),
+        ("turn-tet", lambda doc: doc["layout"].pop("turns"), "turn layout needs a turns list"),
+        ("turn-tet", lambda doc: doc["layout"]["turns"][2].__setitem__(0, "v99"), "layout turns[2]"),
+        ("turn-cart", lambda doc: doc["layout"]["turns"][1].__setitem__(0, "x"), "layout turns[1]"),
+        ("turn-cart", lambda doc: doc["layout"]["turns"][0].append(0), "is not 3 bits"),
+        ("coord-tet", lambda doc: doc["layout"].pop("bead_blocks"), "bead_blocks list"),
+        ("coord-tet", lambda doc: doc["layout"].update(L="2"), "integer L >= 2"),
+        ("coord-tet", lambda doc: doc["layout"]["bead_blocks"][1].pop("start"),
+         "layout bead_blocks[1] is not a block of integer bead, class, start and count"),
+        ("coord-tet", lambda doc: doc["layout"]["bead_blocks"][3].update(start=10**6),
+         "layout bead_blocks[3] is not a block"),
+        ("coord-tet", lambda doc: doc["layout"]["bead_blocks"][0].update({"class": 2}),
+         "layout bead_blocks[0] is not a block"),
+    ], ids=["no-sequence", "bogus-interaction", "unknown-model", "no-turns", "turn-var-out-of-range",
+            "turn-bit-not-a-variable", "turn-block-width", "no-bead-blocks", "grid-side-not-int",
+            "bead-block-no-start", "bead-block-out-of-range", "bead-block-bad-class"])
+    def test_malformed_model_document_decode_exits_2(self, workdir, capsys, model, edit, message):
+        assert run(["encode", model, "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
         doc = json.loads((workdir / "p.json").read_text())
         edit(doc)
         (workdir / "p.json").write_text(json.dumps(doc))
         (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
                                        + "0" * doc["num_vars"] + ",1.0,0,3\n")
-        capsys.readouterr()
-        assert run(["decode", "p.json", "s.csv", "--out", "folds.json"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert err.count("\n") == 1
+        assert message in input_error(["decode", "p.json", "s.csv", "--out", "folds.json"], capsys)
 
     def test_ragged_samples_csv_exits_2(self, workdir, capsys):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
                     "--out", "p.json"]) == 0
-        capsys.readouterr()
         (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
                                        "010,1.0,0,3\n01,2.0,1,4\n")
-        assert run(["decode", "p.json", "s.csv", "--out", "folds.json"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "line 4" in err
-        assert err.count("\n") == 1
+        assert "line 4" in input_error(["decode", "p.json", "s.csv", "--out", "folds.json"], capsys)
 
 
 class TestDecodePipeline:
@@ -333,6 +371,59 @@ class TestEmbedCli:
         assert run(["embed", "p.json", "--embedding", "emb.json",
                     "--hardware", "hw.txt", "--out", "e.json"]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"0": "x", "1": [2], "2": [3]}', "emb.json: chain '0' is 'x', not a list of nodes"),
+        ('{"0": [0, "a"], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
+        ('{"0": [0, 1], "one": [2], "2": [3]}', "emb.json: malformed chain 'one'"),
+        ('{"0": [0, 1], ', "emb.json is not a JSON document"),
+    ], ids=["chain-x", "node-not-int", "logical-not-int", "not-json"])
+    def test_malformed_embedding_exits_2(self, workdir, capsys, text, message):
+        self._fixture(workdir)
+        (workdir / "emb.json").write_text(text)
+        assert input_error(["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt",
+                            "--out", "e.json"], capsys).startswith(message)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("hw.txt", "0 1\n1 2 # ok\n0 x\n", "hardware edge ['0', 'x'] is not two integers"),
+        ("hw.txt", "0 1\n1 2 3\n", "hardware edge ['1', '2', '3'] is not two integers"),
+        ("hw.json", '{"edges": 5}', "hw.json: edges and nodes must be lists"),
+        ("hw.json", '{"edges": [[0, 1], [2]]}', "hardware edge [2] is not two integers"),
+        ("hw.json", '{"edges": [[0, 1]', "hw.json is not a JSON document"),
+    ], ids=["edge-not-int", "edge-three-nodes", "edges-not-list", "edge-one-node", "not-json"])
+    def test_malformed_hardware_exits_2(self, workdir, capsys, name, text, message):
+        self._fixture(workdir)
+        (workdir / name).write_text(text)
+        assert input_error(["embed", "p.json", "--embedding", "emb.json", "--hardware", name,
+                            "--out", "e.json"], capsys).startswith(message)
+
+    def test_hardware_file_is_closed(self, workdir):
+        self._fixture(workdir)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["embed", "p.json", "--embedding", "emb.json",
+                        "--hardware", "hw.txt", "--out", "e.json"]) == 0
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda emb: emb.pop("node_order"), "e.json: embedding node_order must be a list of node ids"),
+        (lambda emb: emb.update(node_order=[0, "a", 2, 3]), "e.json: embedding node_order must be"),
+        (lambda emb: emb.pop("chains"), "e.json embedding: chains must be a non-empty object"),
+        (lambda emb: emb["chains"].update({"1": "x"}), "e.json embedding: chain '1' is 'x'"),
+        (lambda emb: emb["chains"].update({"1": [9]}), "e.json: chain nodes [9] are missing from node_order"),
+        (lambda emb: emb.update(chains={}), "e.json embedding: chains must be a non-empty object"),
+    ], ids=["no-node-order", "node-not-int", "no-chains", "chain-x", "unplaced-node", "empty-chains"])
+    def test_malformed_embedded_document_unembed_exits_2(self, workdir, capsys, edit, message):
+        self._fixture(workdir)
+        assert run(["embed", "p.json", "--embedding", "emb.json",
+                    "--hardware", "hw.txt", "--out", "e.json"]) == 0
+        assert run(["solve", "e.json", "--solver", "brute", "--out", "phys.csv"]) == 0
+        doc = json.loads((workdir / "e.json").read_text())
+        edit(doc["embedding"])
+        (workdir / "e.json").write_text(json.dumps(doc))
+        assert input_error(["unembed", "phys.csv", "--embedded", "e.json", "--problem", "p.json",
+                            "--out", "log.csv"], capsys).startswith(message)
+
 
 class TestDatasetAndConfig:
     def test_gen_dataset_deterministic(self, workdir):
@@ -346,6 +437,16 @@ class TestDatasetAndConfig:
         seq = a["sequences"][0]["sequence"]
         assert len(seq) == 8
         assert a["sequences"][0]["prefixes"]["4"] == seq[:4]
+
+    def test_input_files_are_closed(self, workdir):
+        (workdir / "seq.fa").write_text(">rec\nHPPH\n")
+        (workdir / "conf.txt").write_text("interaction = hp\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["--config", "conf.txt", "encode", "turn-cart", "--fasta", "seq.fa",
+                        "--out", "f.json"]) == 0
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_config_file_defaults(self, workdir):
         (workdir / "conf.txt").write_text("restarts = 6\ncooling-rate = 0.99\n")

@@ -58,7 +58,11 @@ class TestEvaluate:
     def test_linear_in_coefficients(self, rng):
         a = random_qubo(rng, 6)
         b = random_qubo(rng, 6)
-        combo = a.scaled(2.5) + b.scaled(-1.25)
+        acc = TermAccumulator()
+        acc.offset = 2.5 * a.offset - 1.25 * b.offset
+        acc.add_poly(a.terms, 2.5)
+        acc.add_poly(b.terms, -1.25)
+        combo = acc.build(6)
         for bits in all_assignments(6)[::7]:
             expected = 2.5 * a.evaluate(bits) - 1.25 * b.evaluate(bits)
             assert combo.evaluate(bits) == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -176,6 +180,21 @@ class TestCoefficientStats:
         )
         assert coefficient_stats(q) == coefficient_stats(relabeled)
         assert q.density == relabeled.density
+
+
+class TestDensity:
+    def test_higher_degree_term_counts_its_pairs(self):
+        obj = build_poly({(0, 1, 2): 1.0, (2, 3): 1.0, (3,): 1.0}, 5)
+        assert obj.density == 4 / 10
+
+    def test_qubo_share_of_nonzero_couplings(self, rng):
+        for n in (2, 7, 12):
+            q = random_qubo(rng, n)
+            assert q.density == len(q.quadratic) / (n * (n - 1) / 2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_variables(self, n):
+        assert build_poly({(0,): 1.0} if n else {}, n).density == 0.0
 
 
 class TestProblemFiles:
