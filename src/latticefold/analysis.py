@@ -149,9 +149,11 @@ def tts(tau_seconds: float, p_ground: float, p_interval=(0.0, 1.0)) -> TtsResult
     )
 
 
-def wilson_interval(hits: int, n: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """Wilson 95% score interval of the proportion hits / n."""
     if n == 0:
         return (0.0, 1.0)
+    z = Z95
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -199,27 +201,19 @@ class ScalingReport:
         return header, data
 
 
-def scaling_report(
-    model_tags,
-    n_values,
-    sequence_for=None,
-    interaction=None,
-    alpha_policy="worst_case",
-) -> ScalingReport:
-    """Post-reduction QUBO metrics per (model, N).
+def scaling_report(model_tags, n_values, interaction=None) -> ScalingReport:
+    """Post-reduction QUBO metrics per (model, N) of the poly-H chain of
+    length N, which keeps the coefficient alphabet constant across N
+    (default interaction: HP).
 
     Turn models are quadratized at worst-case alpha; coordinate models are
     built at the minimal grid, so qubit counts step whenever the grid grows.
-    sequence_for maps N to a sequence (default: poly-H under the HP model,
-    which keeps the coefficient alphabet constant across N).
     """
     interaction = interaction or get_model("hp")
-    if sequence_for is None:
-        sequence_for = lambda n: "H" * n
     rows = []
     for tag in model_tags:
         for n in n_values:
-            seq = sequence_for(n)
+            seq = "H" * n
             kind = "cartesian" if tag.endswith("cart") else "tetrahedral"
             if tag.startswith("coord"):
                 L = min_grid(kind, n)
@@ -228,7 +222,7 @@ def scaling_report(
             else:
                 L = None
                 model = encode(tag, seq, interaction)
-                qubo = quadratize(model.objective, alpha_policy).qubo
+                qubo = quadratize(model.objective).qubo
             n_quad = len(qubo.quadratic)
             nv = qubo.num_vars
             _, _, resolution = coefficient_stats(qubo)

@@ -391,7 +391,7 @@ def cmd_embed(args) -> int:
     if args.chain_strength == "auto":
         strength = default_chain_strength(ising_to_qubo(ising) if ising is problem else problem)
     else:
-        strength = float(args.chain_strength)
+        strength = args.chain_strength
     embedded = apply_embedding(ising, emb, hw, strength)
     report = validate_embedding(emb, ising, hw)
     out_doc = embedded.ising.to_dict()
@@ -479,6 +479,34 @@ def _load_config_defaults(argv):
     return defaults
 
 
+def _apply_config_defaults(parser, defaults: dict) -> None:
+    """Make the config values the subcommands' defaults.  They stay strings:
+    argparse parses a string default with its option's type, and exits 2 on
+    a bad one.  A flag takes true or false; the repeatable --penalty cannot
+    come from a config file."""
+    for action in parser._subparsers._group_actions:
+        for sp in action.choices.values():
+            for a in sp._actions:
+                raw = defaults.get(a.dest)
+                if raw is None:
+                    continue
+                if isinstance(a, argparse._AppendAction):
+                    raise InputError(f"config key {a.dest} is repeatable; give it on the command line")
+                if a.nargs == 0 and raw not in ("true", "false"):
+                    raise InputError(f"config flag {a.dest} takes true or false, got {raw!r}")
+                sp.set_defaults(**{a.dest: raw == "true" if a.nargs == 0 else raw})
+
+
+def _chain_strength(text: str):
+    """--chain-strength: auto or a number."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is neither auto nor a number") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticefold",
@@ -556,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--embedding", required=True, help="JSON {logical: [nodes...]}")
     p.add_argument("--hardware", required=True, help="edge list or JSON graph")
-    p.add_argument("--chain-strength", default="auto")
+    p.add_argument("--chain-strength", type=_chain_strength, default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
 
@@ -582,16 +610,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        defaults = _load_config_defaults(argv)
-        if defaults:
-            for action in parser._subparsers._group_actions:
-                for sp in action.choices.values():
-                    converted = {}
-                    for a in sp._actions:
-                        if a.dest in defaults:
-                            raw = defaults[a.dest]
-                            converted[a.dest] = a.type(raw) if a.type else raw
-                    sp.set_defaults(**converted)
+        _apply_config_defaults(parser, _load_config_defaults(argv))
         args = parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:

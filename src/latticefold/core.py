@@ -16,6 +16,9 @@ import numpy as np
 
 BOOLEAN = "boolean"
 ISING = "ising"
+# absolute tolerance under which the exact searches count two energies as a
+# tie: the same real sums arrive in different float association orders
+TIE_TOL = 1e-9
 
 
 class InputError(ValueError):
@@ -64,9 +67,9 @@ def poly_add(dst: dict[tuple[int, ...], float], src: dict[tuple[int, ...], float
         dst[key] = dst.get(key, 0.0) + coeff * scale
 
 
-def poly_product(polys, scale: float = 1.0) -> dict[tuple[int, ...], float]:
+def poly_product(polys) -> dict[tuple[int, ...], float]:
     """Product of linear-combination dicts {index-tuple: coeff}, idempotent."""
-    out: dict[tuple[int, ...], float] = {(): scale}
+    out: dict[tuple[int, ...], float] = {(): 1.0}
     for poly in polys:
         nxt: dict[tuple[int, ...], float] = {}
         for k1, c1 in out.items():
@@ -193,13 +196,6 @@ class PolynomialObjective:
             return 0.0
         pairs = {pair for key in self.terms for pair in combinations(key, 2)}
         return len(pairs) / (n * (n - 1) / 2)
-
-    def scaled(self, factor: float) -> "PolynomialObjective":
-        return type(self)(
-            num_vars=self.num_vars,
-            terms={k: c * factor for k, c in self.terms.items()} if factor != 0.0 else {},
-            offset=self.offset * factor,
-        )
 
     def to_dict(self, space: str = BOOLEAN) -> dict:
         return {
@@ -331,7 +327,7 @@ def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
 
 def problem_to_json(obj, extra: dict | None = None) -> dict:
     """Serialize a PolynomialObjective/QuadraticObjective/IsingProblem."""
-    doc = obj.to_dict() if isinstance(obj, IsingProblem) else obj.to_dict(BOOLEAN)
+    doc = obj.to_dict()
     if extra:
         doc.update(extra)
     return doc

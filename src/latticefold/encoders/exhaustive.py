@@ -14,12 +14,15 @@ asserted, not assumed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..core import InputError
+from ..core import TIE_TOL, InputError
 from .model import (
     CART_PATTERN_TO_STEP,
     TURN_CARTESIAN,
+    TURN_TETRAHEDRAL,
     EncodedModel,
     interaction_pair_range,
     parse_pair_key,
@@ -28,7 +31,6 @@ from .model import (
 from .turn_tetrahedral import chain_neighbors
 
 MAX_CONFIGS = 1 << 24
-_TIE_TOL = 1e-9
 
 # the Cartesian turn alphabet of `model`, indexed: direction d has pattern
 # CART_DIR_PATTERNS[d], step CART_DIR_STEPS[d] and reverse CART_OPPOSITE[d]
@@ -90,22 +92,62 @@ def _tet_block_scores(blocks: np.ndarray, model: EncodedModel):
     return energies, gate_values
 
 
-def _unravel_base(codes: np.ndarray, base: int, digits: int) -> np.ndarray:
-    out = np.empty((len(codes), digits), dtype=np.int8)
-    rest = codes.copy()
-    for d in range(digits):
-        out[:, d] = rest % base
-        rest //= base
-    return out
+def turn_ground_states(model: EncodedModel):
+    """(minimum energy, all minimizing assignments) of a turn model.
+
+    Turn words are mixed-radix codes over each turn's direction choices,
+    first turn least significant, scored in chunks of 2^18; every word
+    within TIE_TOL of the least energy is kept, in code order.
+    """
+    if model.model == TURN_TETRAHEDRAL:
+        choices, score, build, floor = _tet_pieces(model)
+    elif model.model == TURN_CARTESIAN:
+        choices, score, build, floor = _cart_pieces(model)
+    else:
+        raise InputError("turn_ground_states needs a turn-encoded model")
+    total = math.prod(len(c) for c in choices)
+    if total > MAX_CONFIGS:
+        raise InputError(f"{total} turn words exceed the enumeration budget")
+
+    best = np.inf
+    kept: list[tuple[float, np.ndarray, dict]] = []
+    for lo in range(0, total, 1 << 18):
+        rest = np.arange(lo, min(lo + (1 << 18), total), dtype=np.int64)
+        dirs = np.empty((len(rest), len(choices)), dtype=np.int8)
+        for t, opts in enumerate(choices):
+            dirs[:, t] = np.array(opts, dtype=np.int8)[rest % len(opts)]
+            rest = rest // len(opts)
+        energies, values = score(dirs)
+        cmin = float(energies.min())
+        if cmin < best - TIE_TOL:
+            best = cmin
+            kept = []
+        best = min(best, cmin)
+        for idx in np.flatnonzero(energies <= best + TIE_TOL):
+            kept.append((float(energies[idx]), dirs[idx].copy(),
+                         {p: v[idx] for p, v in values.items()}))
+
+    # re-filter: rows kept before later chunks lowered the minimum
+    assignments = [a for energy, row, vals in kept if energy <= best + TIE_TOL
+                   for a in build(row, vals)]
+    if floor is not None and floor <= best:
+        raise InputError(
+            "penalty margin too small: invalid turn words could undercut the enumerated minimum"
+        )
+    _cross_check(model, assignments, best)
+    return best, assignments
 
 
-def turn_ground_states(model: EncodedModel, tie_tol: float = _TIE_TOL):
-    """(minimum energy, all minimizing assignments) of a turn model."""
-    if model.layout["type"] == "turn-tetrahedral":
-        return _tet_ground_states(model, tie_tol)
-    if model.layout["type"] == "turn-cartesian":
-        return _cart_ground_states(model, tie_tol)
-    raise InputError("turn_ground_states needs a turn-encoded model")
+def _turn_bits(model: EncodedModel, row: np.ndarray, patterns) -> np.ndarray:
+    """Assignment with the free turn bits of the word `row` set: direction d
+    of a turn has bit pattern patterns[d]; every other variable is 0."""
+    a = np.zeros(model.num_vars, dtype=np.uint8)
+    for block, d in zip(model.layout["turns"], row):
+        for bit, val in zip(block, patterns[d]):
+            var = turn_var(bit)
+            if var is not None:
+                a[var] = val
+    return a
 
 
 def _expand_gates(base_assignment: np.ndarray, free_gate_vars: list[int]):
@@ -132,167 +174,82 @@ def _turn_choices(model: EncodedModel) -> list:
     return choices
 
 
-def _tet_ground_states(model: EncodedModel, tie_tol: float):
-    n = len(model.sequence)
-    n_turns = n - 1
-    choices = _turn_choices(model)
-    total = 1
-    for c in choices:
-        total *= len(c)
-    if total > MAX_CONFIGS:
-        raise InputError(f"{total} turn words exceed the enumeration budget")
-
-    best = np.inf
-    kept: list[tuple[float, np.ndarray, dict]] = []
-    gates = interaction_pair_range(model.model, n)
+def _tet_pieces(model: EncodedModel):
+    """(turn choices, scorer, assignment builder, invalid-word floor) of a
+    turn-tet model.  Each gate is set iff its value is negative, and every
+    zero-value gate is taken both ways.  No floor is asserted: the
+    tetrahedral margins are probed with `turn_tet_block_energies`."""
     one_hot = np.eye(4, dtype=np.int8)
-    chunk = 1 << 18
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        dirs = np.empty((len(codes), n_turns), dtype=np.int8)
-        rest = codes
-        for t, opts in enumerate(choices):
-            if len(opts) == 1:
-                dirs[:, t] = opts[0]
-            else:
-                dirs[:, t] = np.array(opts, dtype=np.int8)[rest % len(opts)]
-                rest = rest // len(opts)
-        energies, gate_values = _tet_block_scores(one_hot[dirs], model)
-        cmin = float(energies.min())
-        if cmin < best - tie_tol:
-            best = cmin
-            kept = []
-        best = min(best, cmin)
-        for idx in np.flatnonzero(energies <= best + tie_tol):
-            kept.append(
-                (float(energies[idx]), dirs[idx].copy(),
-                 {p: float(gate_values[p][idx]) for p in gates})
-            )
-
-    assignments = []
     qubits = {parse_pair_key(k): v for k, v in model.layout["interaction_qubits"].items()}
-    for energy, dirs_row, inner in kept:
-        # re-filter: rows kept before later chunks lowered the minimum
-        if energy > best + tie_tol:
-            continue
-        a = np.zeros(model.num_vars, dtype=np.uint8)
-        for t in range(3, n):
-            a[turn_var(model.layout["turns"][t - 1][dirs_row[t - 1]])] = 1
+
+    def build(row, gate_values):
+        a = _turn_bits(model, row, one_hot)
         free_gates = []
         for pair, q in qubits.items():
-            v = inner[pair]
-            if v < -tie_tol:
+            v = gate_values[pair]
+            if v < -TIE_TOL:
                 a[q] = 1
-            elif abs(v) <= tie_tol:
+            elif abs(v) <= TIE_TOL:
                 free_gates.append(q)
-        assignments.extend(_expand_gates(a, free_gates))
-    _cross_check(model, assignments, best, tie_tol)
-    return best, assignments
+        return _expand_gates(a, free_gates)
+
+    return _turn_choices(model), lambda dirs: _tet_block_scores(one_hot[dirs], model), build, None
 
 
-def _cart_ground_states(model: EncodedModel, tie_tol: float):
+def _cart_pieces(model: EncodedModel):
+    """(turn choices, scorer, assignment builder, invalid-word floor) of a
+    turn-cart model.  The scorer's per-pair values are squared distances; a
+    gate is set at a contact and each slack block closes its overlap
+    equality.  An invalid turn word costs lambda_turn and can recoup at most
+    the sum of all gated energies, which is the floor."""
     n = len(model.sequence)
     pens = model.penalties
-    lam_back, lam_olap = pens["lambda_back"], pens["lambda_olap"]
-    n_turns = n - 1
-    free = max(0, n - 3)
-    second_choices = (4, 0) if n >= 3 else ()  # q4=0 -> +z, q4=1 -> +x
-    total = max(1, len(second_choices)) * 6**free
-    if total > MAX_CONFIGS:
-        raise InputError(f"{total} turn words exceed the enumeration budget")
-
-    gated = [
-        (j, k)
-        for j, k in interaction_pair_range(TURN_CARTESIAN, n)
-        if model.interaction.energy(model.sequence[j], model.sequence[k]) != 0.0
-    ]
-    overlap_pairs = [
-        (j, k) for j in range(n) for k in range(j + 4, n) if (k - j) % 2 == 0
-    ]
-    qubit_of = {parse_pair_key(k): v for k, v in model.layout["interaction_qubits"].items()}
+    gates = {}  # pair -> (gating qubit, pair energy)
+    for key, q in model.layout["interaction_qubits"].items():
+        j, k = parse_pair_key(key)
+        gates[(j, k)] = (q, model.interaction.energy(model.sequence[j], model.sequence[k]))
     slack_of = {parse_pair_key(k): v for k, v in model.layout["slack_blocks"].items()}
-
     steps = np.array(CART_DIR_STEPS, dtype=np.int16)
-    best = np.inf
-    kept: list[tuple[float, np.ndarray]] = []
-    chunk = 1 << 18
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        dirs = np.empty((len(codes), n_turns), dtype=np.int8)
-        dirs[:, 0] = 0
-        rest = codes
-        if n >= 3:
-            dirs[:, 1] = np.where(rest % 2 == 0, second_choices[0], second_choices[1])
-            rest = rest // 2
-        if free:
-            dirs[:, 2:] = _unravel_base(rest, 6, free)
-        pos = np.zeros((len(codes), 3, n), dtype=np.int16)
+    opp = np.array(CART_OPPOSITE, dtype=np.int8)
+    # the first turn is +x; the second turn's free bit is 0 (+z) or 1 (+x)
+    choices = ([0], [4, 0], *[range(6)] * (n - 3))[: n - 1]
+
+    def score(dirs):
+        pos = np.zeros((len(dirs), 3, n), dtype=np.int16)
         for bead in range(1, n):
             pos[:, :, bead] = pos[:, :, bead - 1] + steps[dirs[:, bead - 1]]
-        energies = np.zeros(len(codes))
-        if n_turns >= 2:
-            opp = np.array(CART_OPPOSITE, dtype=np.int8)
-            backs = dirs[:, 1:] == opp[dirs[:, :-1]]
-            energies += lam_back * backs.sum(axis=1)
+        energies = np.zeros(len(dirs))
+        energies += pens["lambda_back"] * (dirs[:, 1:] == opp[dirs[:, :-1]]).sum(axis=1)
         dists = {}
+        for j, k in [*slack_of, *gates]:
+            d = pos[:, :, k].astype(np.int32) - pos[:, :, j].astype(np.int32)
+            dists[(j, k)] = np.sum(d * d, axis=1)
+        for pair in slack_of:
+            energies += pens["lambda_olap"] * (dists[pair] == 0)
+        for pair, (_, eps) in gates.items():
+            energies += np.where(dists[pair] == 1, eps, 0.0)
+        return energies, dists
 
-        def dist(i, j):
-            if (i, j) not in dists:
-                d = pos[:, :, j].astype(np.int32) - pos[:, :, i].astype(np.int32)
-                dists[(i, j)] = np.sum(d * d, axis=1)
-            return dists[(i, j)]
+    def build(row, dists):
+        a = _turn_bits(model, row, CART_DIR_PATTERNS)
+        for pair, (q, _) in gates.items():
+            if dists[pair] == 1:
+                a[q] = 1
+        for pair, bits in slack_of.items():
+            mu = len(bits)
+            alpha = int(np.clip(2**mu - int(dists[pair]), 0, 2**mu - 1))
+            for p, var in enumerate(bits):
+                a[var] = (alpha >> (mu - 1 - p)) & 1
+        return [a]
 
-        for j, k in overlap_pairs:
-            energies += lam_olap * (dist(j, k) == 0)
-        gains = {}
-        for j, k in gated:
-            eps = model.interaction.energy(model.sequence[j], model.sequence[k])
-            gains[(j, k)] = np.where(dist(j, k) == 1, eps, 0.0)
-            energies += gains[(j, k)]
-
-        cmin = float(energies.min())
-        if cmin < best - tie_tol:
-            best = cmin
-            kept = []
-        best = min(best, cmin)
-        for idx in np.flatnonzero(energies <= best + tie_tol):
-            a = np.zeros(model.num_vars, dtype=np.uint8)
-            row = dirs[idx]
-            if n >= 3:
-                a[0] = 1 if row[1] == 0 else 0
-            for t in range(3, n):
-                pattern = CART_DIR_PATTERNS[row[t - 1]]
-                block = model.layout["turns"][t - 1]
-                for bit, val in zip(block, pattern):
-                    a[turn_var(bit)] = val
-            for j, k in gated:
-                if dists[(j, k)][idx] == 1:
-                    a[qubit_of[(j, k)]] = 1
-            for (j, k), bits in slack_of.items():
-                mu = len(bits)
-                alpha = int(np.clip(2**mu - int(dists[(j, k)][idx]), 0, 2**mu - 1))
-                for p, var in enumerate(bits):
-                    a[var] = (alpha >> (mu - 1 - p)) & 1
-            kept.append((float(energies[idx]), a))
-
-    assignments = [a for e, a in kept if e <= best + tie_tol]
-    # invalid turn words cost lambda_turn each and can recoup at most the sum
-    # of all gated energies; refuse silently optimistic results
-    max_gain = sum(
-        abs(model.interaction.energy(model.sequence[j], model.sequence[k])) for j, k in gated
-    )
-    if pens["lambda_turn"] - max_gain <= best:
-        raise InputError(
-            "penalty margin too small: invalid turn words could undercut the enumerated minimum"
-        )
-    _cross_check(model, assignments, best, tie_tol)
-    return best, assignments
+    floor = pens["lambda_turn"] - sum(abs(eps) for _, eps in gates.values())
+    return choices, score, build, floor
 
 
-def _cross_check(model: EncodedModel, assignments, best: float, tie_tol: float) -> None:
+def _cross_check(model: EncodedModel, assignments, best: float) -> None:
     scale = max(1.0, abs(best))
     for e in model.objective.evaluate_batch(np.array(assignments[:64])):
-        if abs(e - best) > 1e-7 * scale + tie_tol:
+        if abs(e - best) > 1e-7 * scale + TIE_TOL:
             raise AssertionError(
                 f"enumerated minimizer evaluates to {float(e)}, expected {best}"
             )

@@ -68,12 +68,9 @@ class InteractionModel:
         )
 
 
-def hp_model(contact_energy: float = -1.0) -> InteractionModel:
-    if contact_energy >= 0.0:
-        raise InputError("H-H contact energy must be negative")
-    return InteractionModel(
-        kind=HP, pair_energies={("H", "H"): contact_energy}, alphabet="HP"
-    )
+def hp_model() -> InteractionModel:
+    """The HP model: an H-H contact scores -1, every other contact 0."""
+    return InteractionModel(kind=HP, pair_energies={("H", "H"): -1.0}, alphabet="HP")
 
 
 def mj_model() -> InteractionModel:

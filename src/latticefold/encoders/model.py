@@ -5,6 +5,7 @@ bitstrings decodable into folds, serializable to the problem-JSON format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,11 @@ class EncodedModel:
         L = self.layout.get("L")
         return None if L is None else LatticeSpec(self.lattice_kind, int(L))
 
+    @cached_property
+    def grid_classes(self) -> tuple[list[Site], list[Site]]:
+        """The site classes of a coordinate model's grid, built once per model."""
+        return site_classes(self.lattice_spec())
+
     def to_doc(self) -> dict:
         return problem_to_json(
             self.objective,
@@ -214,8 +220,7 @@ def decode(model: EncodedModel, assignment) -> Fold:
 
 
 def _decode_coordinate(model: EncodedModel, bits: np.ndarray) -> Fold:
-    spec = model.lattice_spec()
-    classes = site_classes(spec)
+    classes = model.grid_classes
     positions: list[Site] = []
     violations: list[str] = []
     for block in model.layout["bead_blocks"]:

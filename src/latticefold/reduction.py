@@ -28,6 +28,8 @@ from .core import (
 )
 
 WORST_CASE = "worst_case"
+# random assignments `verify_quadratization` checks when it is not exhaustive
+VERIFY_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,9 @@ def resolve_alpha(hubo: PolynomialObjective, alpha_policy) -> float:
     return alpha
 
 
-def scaled_alpha(lambda_global: float, factor: float = 1.1) -> float:
-    """Reduction penalty tied to the model's own penalty scale."""
-    return factor * lambda_global
+def scaled_alpha(lambda_global: float) -> float:
+    """Reduction penalty tied to the model's own penalty scale: 1.1 times it."""
+    return 1.1 * lambda_global
 
 
 def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> QuadratizationResult:
@@ -181,15 +183,14 @@ def verify_quadratization(
     hubo: PolynomialObjective,
     result: QuadratizationResult,
     budget: int = 20,
-    samples: int = 100_000,
-    seed: int = 0,
 ) -> VerificationReport:
     """Check energy agreement on consistent extensions and that every
     inconsistent auxiliary setting costs energy.
 
     Exhaustive over the original variables when their count fits the budget
     (the inconsistency scan is exhaustive over joint assignments when
-    originals + auxiliaries fit); otherwise randomized sampling.  Energies on
+    originals + auxiliaries fit); otherwise VERIFY_SAMPLES random
+    assignments from a fixed seed, and as many one-auxiliary flips.  Energies on
     both sides are float64 sums, so the discrepancy of a sound reduction is
     only rounding: the report passes it up to 1e-9 plus the rounding bounds
     of both sums (`PolynomialObjective.rounding_bound`), which grow with the
@@ -202,8 +203,8 @@ def verify_quadratization(
     if exhaustive:
         bits = code_bits(np.arange(1 << n), n)
     else:
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=(samples, n), dtype=np.uint8)
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2, size=(VERIFY_SAMPLES, n), dtype=np.uint8)
 
     lifted = _lifted(bits, result.aux_map, n + n_aux)
     hubo_e = hubo.evaluate_batch(bits)
@@ -231,8 +232,8 @@ def verify_quadratization(
                     gap = min(gap, float((e - refs).min()))
             checked = total
         else:
-            rng = np.random.default_rng(seed + 1)
-            m = max(samples, 100_000)
+            rng = np.random.default_rng(1)
+            m = VERIFY_SAMPLES
             sample_bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
             joint = _lifted(sample_bits, result.aux_map, n + n_aux)
             base = result.qubo.evaluate_batch(joint)

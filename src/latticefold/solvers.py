@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     BOOLEAN,
     ISING,
+    TIE_TOL,
     InputError,
     IsingProblem,
     PolynomialObjective,
@@ -99,7 +100,6 @@ class SaConfig:
     restarts: int
     seed: int
     t0: float | None = None  # None selects the automatic probe
-    probe_flips: int | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.cooling_rate < 1.0):
@@ -326,8 +326,9 @@ class _Compiled:
 # simulated annealing
 # ---------------------------------------------------------------------------
 
-def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, probe_n: int, key_state: int, key_var: int):
-    """Per-restart start temperature from greedy probe flips on random states.
+def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key_state: int, key_var: int):
+    """Per-restart start temperature from max(100, n) greedy probe flips on
+    random states.
 
     With no variable there is nothing to flip; such a run never reads its
     temperature, and every restart gets 1.
@@ -335,6 +336,7 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, probe_n: int, key_state: in
     n = comp.n
     if not n:
         return np.ones(len(rows))
+    probe_n = max(100, n)
     bits = (counter_uniforms(key_state, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
     fields = comp.local_fields(bits)
     samples = np.empty((len(rows), probe_n))
@@ -352,7 +354,7 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, probe_n: int, key_state: in
         bits[np.arange(len(rows)), vars_] = np.where(take, 1 - bits[np.arange(len(rows)), vars_], bits[np.arange(len(rows)), vars_])
         fields += flip[:, None] * comp.Q[vars_, :]
     mean = samples.mean(axis=1)
-    std = samples.std(axis=1, ddof=1) if probe_n > 1 else np.zeros(len(rows))
+    std = samples.std(axis=1, ddof=1)
     chi = accepted / probe_n
     t0 = np.ones(len(rows))
     normal = (chi > 0.0) & (chi < 1.0) & (mean + 3 * std > 0.0)
@@ -417,8 +419,7 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
     if cfg.t0 is not None:
         temps = np.full(len(rows), float(cfg.t0))
     else:
-        probe_n = cfg.probe_flips or max(100, n)
-        temps = _atiqullah_t0(comp, rows, probe_n, stable_seed(cfg.seed, "sa-probe-state"),
+        temps = _atiqullah_t0(comp, rows, stable_seed(cfg.seed, "sa-probe-state"),
                               stable_seed(cfg.seed, "sa-probe"))
 
     keys = (stable_seed(cfg.seed, "sa-init"), stable_seed(cfg.seed, "sa-accept"))
@@ -575,14 +576,12 @@ def _monomials(codes: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return ((codes[:, None] & masks[None, :]) == masks[None, :]).astype(np.float64)
 
 
-def brute_force(obj, free_var_limit: int = 30, tie_tol: float = 1e-9):
+def brute_force(obj, free_var_limit: int = 30):
     """Exhaustive minimum and the complete set of degenerate minimizers.
 
     Returns the least `evaluate_batch` energy over all 2^n assignments and
-    every assignment within `tie_tol` of it, as uint8 rows in ascending code
-    order (bit i of a code is variable i).  Ties are collected with an
-    absolute tolerance: the same real coefficient sums arrive in different
-    float association orders across assignments.
+    every assignment within `TIE_TOL` of it, as uint8 rows in ascending code
+    order (bit i of a code is variable i).
 
     Enumeration is blocked (after Bouillaguet et al., CHES 2010): variables
     0..nl-1, nl = ceil(n/2), are the low half and the rest the high half.
@@ -604,8 +603,8 @@ def brute_force(obj, free_var_limit: int = 30, tie_tol: float = 1e-9):
     L + 1 for the blocked form (a length-L dot product, a length-H one, the
     offset) with H x L the shape of C.  delta = gamma_K * S, K = len(terms) +
     H + L + 2 (one more for the threshold's own addition), bounds their
-    difference.  So a state within tie_tol of the least exact energy is
-    within tie_tol + 2 delta of the least blocked energy, and of the running
+    difference.  So a state within TIE_TOL of the least exact energy is
+    within TIE_TOL + 2 delta of the least blocked energy, and of the running
     minimum, which only falls.  Those candidates are rescored with
     `evaluate_batch`, whose energy of a row does not depend on the other rows;
     the result is the one scoring all 2^n states with it would give.
@@ -637,7 +636,7 @@ def brute_force(obj, free_var_limit: int = 30, tie_tol: float = 1e-9):
 
     s_bound = abs(boolean.offset) + sum(abs(c) for c in boolean.terms.values())
     delta = rounding_gamma(len(boolean.terms) + C.shape[0] + C.shape[1] + 2) * s_bound
-    window = tie_tol + 2.0 * delta
+    window = TIE_TOL + 2.0 * delta
 
     lows, highs = 1 << nl, 1 << (n - nl)
     width = min(lows, max(1, BRUTE_BLOCK_CELLS // max(C.shape)))
@@ -660,5 +659,5 @@ def brute_force(obj, free_var_limit: int = 30, tie_tol: float = 1e-9):
 
     exact = boolean.evaluate_batch(code_bits(codes, n))
     best = float(exact.min())
-    minimizers = np.ascontiguousarray(code_bits(codes[exact <= best + tie_tol], n))
+    minimizers = np.ascontiguousarray(code_bits(codes[exact <= best + TIE_TOL], n))
     return best, list(minimizers)

@@ -16,6 +16,18 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def usage_error(argv, capsys):
+    """Run argv, expect argparse's exit 2 with a usage message and no
+    traceback, and return the error line."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err, err
+    return err.splitlines()[-1]
+
+
 def input_error(argv, capsys):
     """Run argv, expect exit 2 with a single `error:` line and no traceback,
     and return the message."""
@@ -396,6 +408,18 @@ class TestEmbedCli:
         assert input_error(["embed", "p.json", "--embedding", "emb.json", "--hardware", name,
                             "--out", "e.json"], capsys).startswith(message)
 
+    def test_chain_strength_not_a_number_exits_2(self, workdir, capsys):
+        self._fixture(workdir)
+        argv = ["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt", "--out", "e.json"]
+        assert usage_error(argv + ["--chain-strength", "abc"], capsys).endswith(
+            "argument --chain-strength: 'abc' is neither auto nor a number")
+        (workdir / "conf.txt").write_text("chain-strength = abc\n")
+        assert usage_error(["--config", "conf.txt", *argv], capsys).endswith(
+            "argument --chain-strength: 'abc' is neither auto nor a number")
+        (workdir / "conf.txt").write_text("chain-strength = 2.5\n")
+        assert run(["--config", "conf.txt", *argv]) == 0
+        assert json.loads((workdir / "e.json").read_text())["embedding"]["chain_strength"] == 2.5
+
     def test_hardware_file_is_closed(self, workdir):
         self._fixture(workdir)
         with warnings.catch_warnings(record=True) as caught:
@@ -456,3 +480,35 @@ class TestDatasetAndConfig:
                     "--seed", "1", "--sweeps", "30", "--out", "s.csv"]) == 0
         rows = (workdir / "s.csv").read_text().splitlines()
         assert len(rows) == 2 + 6  # restarts from the config file
+
+    def test_config_value_of_wrong_type_exits_2(self, workdir, capsys):
+        (workdir / "conf.txt").write_text("sweeps = abc\n")
+        assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
+        assert usage_error(["--config", "conf.txt", "solve", "p.json", "--solver", "sa",
+                            "--seed", "1", "--out", "s.csv"], capsys).endswith(
+            "argument --sweeps: invalid int value: 'abc'")
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_config_flag_takes_true_or_false(self, workdir, value):
+        (workdir / "conf.txt").write_text(f"efficient_h3 = {value}\n")
+        argv = ["encode", "coord-cart", "--seq", "HHHHH", "--L", "3"]
+        assert run(["--config", "conf.txt", *argv, "--out", "c.json"]) == 0
+        flag = ["--efficient-h3"] if value == "true" else []
+        assert run([*argv, *flag, "--out", "f.json"]) == 0
+        from_config = json.loads((workdir / "c.json").read_text())
+        from_flag = json.loads((workdir / "f.json").read_text())
+        assert from_config["layout"]["efficient_h3"] is (value == "true")
+        del from_config["manifest"], from_flag["manifest"]
+        assert from_config == from_flag
+
+    def test_config_flag_other_value_exits_2(self, workdir, capsys):
+        (workdir / "conf.txt").write_text("efficient_h3 = yes\n")
+        assert input_error(["--config", "conf.txt", "encode", "coord-cart", "--seq", "HHHHH",
+                            "--L", "3", "--out", "c.json"], capsys) == (
+            "config flag efficient_h3 takes true or false, got 'yes'")
+
+    def test_config_repeatable_key_exits_2(self, workdir, capsys):
+        (workdir / "conf.txt").write_text("penalty = lambda_1=30\n")
+        assert input_error(["--config", "conf.txt", "encode", "turn-tet", "--seq", "HHHHHH",
+                            "--out", "t.json"], capsys) == (
+            "config key penalty is repeatable; give it on the command line")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_encoders as ref
+from latticefold.core import InputError
 from latticefold.encoders import (
     EncodedModel,
     decode,
@@ -24,6 +25,7 @@ from latticefold.encoders import (
     turn_ground_states,
     validate_fold,
 )
+from latticefold.encoders import exhaustive
 from latticefold.lattice import min_grid
 
 MJ_SEQUENCES = ("LKKKKLKKKKL", "LKDFSAW", "AGCDEFGHIK", "WYVLIMFKRA")
@@ -103,6 +105,42 @@ def test_turn_cart_ground_states_as_pinned(seq, energy, count, digest):
     assert repr(e) == energy and len(minimizers) == count
     assert hashlib.sha256(np.array(minimizers, dtype=np.uint8).tobytes()).hexdigest() == digest
 
+
+
+# short chains and MJ sequences, pinned at the per-model enumerators
+@pytest.mark.parametrize("seq, interaction, energy, count, digest", [
+    ("HH", "hp", "0.0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("HHH", "hp", "0.0", 2, "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2"),
+    ("HHHH", "hp", "-1.0", 1, "8e0c5acc0a2f5318a160746b497253cd00ffc3c75e838fd5b0deab2a23eeaff7"),
+    ("LKLKL", "mj", "-0.337", 11, "d3fbb132f5e1b245fa32990723962daebe272b571fa8b9acc25732b91f31e890"),
+    ("LLKKLL", "mj", "-1.474", 6, "1585cab5a8edc61930b0659e8f4b5256bc4a05479f93cee7c27320906d23a099"),
+])
+def test_turn_cart_short_and_mj_ground_states_as_pinned(seq, interaction, energy, count, digest):
+    e, minimizers = turn_ground_states(encode_turn_cartesian(seq, get_model(interaction)))
+    assert repr(e) == energy and len(minimizers) == count
+    assert hashlib.sha256(np.array(minimizers, dtype=np.uint8).tobytes()).hexdigest() == digest
+
+
+def test_ground_states_refuse_a_coordinate_model():
+    model = encode("coord-tet", "HHHH", get_model("hp"), L=3)
+    with pytest.raises(InputError, match="needs a turn-encoded model"):
+        turn_ground_states(model)
+
+
+@pytest.mark.parametrize("tag", ["turn-cart", "turn-tet"])
+def test_ground_states_refuse_words_over_budget(tag, monkeypatch):
+    model = encode(tag, "H" * 7, get_model("hp"))  # 2*6^4 and 3*4^3 turn words
+    monkeypatch.setattr(exhaustive, "MAX_CONFIGS", 100)
+    with pytest.raises(InputError, match="turn words exceed the enumeration budget"):
+        turn_ground_states(model)
+
+
+def test_ground_states_refuse_a_small_cart_penalty_margin():
+    # an invalid word may reach lambda_turn - 2 (two gated H-H pairs) = -1.5 < -1
+    model = encode_turn_cartesian("HHHHH", get_model("hp"), penalties={"lambda_turn": 0.5})
+    with pytest.raises(InputError, match="penalty margin too small"):
+        turn_ground_states(model)
+    assert repr(turn_ground_states(encode_turn_cartesian("HHHHH", get_model("hp")))[0]) == "-1.0"
 
 DECODE_MODELS = {
     "turn-cart": encode("turn-cart", "HPPHHP", get_model("hp")),

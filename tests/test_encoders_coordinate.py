@@ -152,6 +152,16 @@ class TestDecode:
         assert not fold.decode_feasible
         assert any("0 sites" in v for v in fold.violations)
 
+    def test_site_classes_built_once_per_model(self, monkeypatch):
+        import latticefold.encoders.model as model_module
+
+        calls = []
+        monkeypatch.setattr(model_module, "site_classes",
+                            lambda spec: calls.append(spec) or site_classes(spec))
+        m = encode_coord_cartesian("HHHHH", hp_model(), L=3)
+        folds = [decode(m, bits) for bits, _ in itertools.islice(one_hot_assignments(m), 20)]
+        assert len(calls) == 1 and len(folds) == 20
+
     def test_parity_classes_of_decoded_beads(self):
         m = encode_coord_cartesian("HHHHH", hp_model(), L=3)
         for bits, _ in itertools.islice(one_hot_assignments(m), 100):
