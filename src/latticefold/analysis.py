@@ -32,9 +32,6 @@ class SodHistogram:
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
-    def occupied_bins(self) -> set:
-        return set(np.flatnonzero(self.counts).tolist())
-
     def to_rows(self):
         return [
             (float(c), int(n)) for c, n in zip(self.bin_centers, self.counts)
@@ -57,16 +54,6 @@ def spin_overlap_values(states1: np.ndarray, states2: np.ndarray) -> np.ndarray:
     s1 = 2.0 * a - 1.0
     s2 = 2.0 * b - 1.0
     return (s1 * s2).mean(axis=1)
-
-
-def spin_overlap(run1, run2, bins: int = 101):
-    """Overlap series + histogram from two PtResult-like objects."""
-    fp1 = getattr(run1, "problem_fingerprint", None)
-    fp2 = getattr(run2, "problem_fingerprint", None)
-    if fp1 is not None and fp2 is not None and fp1 != fp2:
-        raise InputError("spin overlap requires two runs of the identical problem")
-    q = spin_overlap_values(run1.measure_states, run2.measure_states)
-    return q, overlap_histogram(q, bins=bins)
 
 
 def overlap_histogram(q_values: np.ndarray, bins: int = 101) -> SodHistogram:

@@ -34,6 +34,7 @@ from .core import (
     ISING,
     InputError,
     IsingProblem,
+    finite_float,
     ising_to_qubo,
     load_doc,
     load_problem,
@@ -57,7 +58,6 @@ from .encoders import (
     encode,
     geometric_energy,
     get_model,
-    validate_fold,
 )
 from .reduction import quadratize, scaled_alpha, verify_quadratization
 from .solvers import (
@@ -148,7 +148,7 @@ def _parse_penalties(pairs) -> dict:
         if "=" not in item:
             raise InputError(f"penalty overrides look like name=value, got {item!r}")
         k, v = item.split("=", 1)
-        out[k.strip()] = float(v)
+        out[k.strip()] = finite_float(v, f"penalty {k.strip()}")
     return out
 
 
@@ -283,12 +283,11 @@ def cmd_decode(args) -> int:
     records = []
     for row, energy, rep, sweep in zip(samples.bits, samples.energies, samples.replicas, samples.sweeps):
         fold = decode_assignment(model, row[:model.num_vars])
-        report = validate_fold(fold)
         rec = fold.to_dict()
         rec["sample_energy"] = float(energy)
         rec["replica"] = int(rep)
         rec["sweep"] = int(sweep)
-        if report.physical:
+        if fold.physical:
             rec["geometric_energy"] = geometric_energy(fold, model.interaction, model.sequence)
         records.append(rec)
     physical = sum(1 for r in records if r["physical"])
@@ -317,6 +316,8 @@ def _trajectory(path) -> np.ndarray:
 
 
 def _analyze_sod(args) -> int:
+    if None in (args.run1, args.run2):
+        raise InputError("analyze sod needs two PT samples CSVs")
     manifest = Manifest("analyze-sod", args, [args.run1, args.run2])
     t1 = _trajectory(args.run1)
     t2 = _trajectory(args.run2)
@@ -331,6 +332,8 @@ def _analyze_sod(args) -> int:
 
 
 def _analyze_tts(args) -> int:
+    if args.samples is None:
+        raise InputError("analyze tts needs --samples")
     if args.reference_energy is None:
         raise InputError("analyze tts needs --reference-energy")
     inputs = [args.samples]
@@ -483,18 +486,21 @@ def _apply_config_defaults(parser, defaults: dict) -> None:
     """Make the config values the subcommands' defaults.  They stay strings:
     argparse parses a string default with its option's type, and exits 2 on
     a bad one.  A flag takes true or false; the repeatable --penalty cannot
-    come from a config file."""
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            for a in sp._actions:
-                raw = defaults.get(a.dest)
-                if raw is None:
-                    continue
-                if isinstance(a, argparse._AppendAction):
-                    raise InputError(f"config key {a.dest} is repeatable; give it on the command line")
-                if a.nargs == 0 and raw not in ("true", "false"):
-                    raise InputError(f"config flag {a.dest} takes true or false, got {raw!r}")
-                sp.set_defaults(**{a.dest: raw == "true" if a.nargs == 0 else raw})
+    come from a config file, and a key must name some subcommand's option."""
+    subparsers = [sp for action in parser._subparsers._group_actions for sp in action.choices.values()]
+    unknown = sorted(defaults.keys() - {a.dest for sp in subparsers for a in sp._actions})
+    if unknown:
+        raise InputError(f"config key {', '.join(unknown)} names no option of any subcommand")
+    for sp in subparsers:
+        for a in sp._actions:
+            raw = defaults.get(a.dest)
+            if raw is None:
+                continue
+            if isinstance(a, argparse._AppendAction):
+                raise InputError(f"config key {a.dest} is repeatable; give it on the command line")
+            if a.nargs == 0 and raw not in ("true", "false"):
+                raise InputError(f"config flag {a.dest} takes true or false, got {raw!r}")
+            sp.set_defaults(**{a.dest: raw == "true" if a.nargs == 0 else raw})
 
 
 def _chain_strength(text: str):

@@ -25,6 +25,17 @@ class InputError(ValueError):
     """Invalid user-facing input (bad assignment length, bad file, ...)."""
 
 
+def finite_float(value, what: str) -> float:
+    """`value` as a finite float; InputError naming `what` otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} {value!r} is not a number") from None
+    if not np.isfinite(x):
+        raise InputError(f"{what} {value!r} is not finite")
+    return x
+
+
 class TermAccumulator:
     """Mutable builder for polynomial terms.
 
@@ -325,14 +336,6 @@ def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
 # JSON problem files: the interchange format for every CLI stage.
 # ---------------------------------------------------------------------------
 
-def problem_to_json(obj, extra: dict | None = None) -> dict:
-    """Serialize a PolynomialObjective/QuadraticObjective/IsingProblem."""
-    doc = obj.to_dict()
-    if extra:
-        doc.update(extra)
-    return doc
-
-
 def _problem_terms(raw_terms, num_vars: int) -> list[tuple[list[int], float]]:
     """(variables, coefficient) of each document term; InputError names a bad one."""
     if not isinstance(raw_terms, list):
@@ -403,9 +406,9 @@ def problem_from_dict(doc: dict):
         raise InputError(f"malformed problem document: {exc}") from exc
 
 
-def save_problem(path, obj, extra: dict | None = None) -> None:
+def save_problem(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(problem_to_json(obj, extra), fh, indent=1)
+        json.dump(obj.to_dict(), fh, indent=1)
         fh.write("\n")
 
 

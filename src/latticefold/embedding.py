@@ -11,7 +11,6 @@ assignment has exactly the logical energy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +81,6 @@ class EmbeddingMap:
     @staticmethod
     def load(path) -> "EmbeddingMap":
         return EmbeddingMap.from_doc(load_doc(path), path)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({str(k): list(v) for k, v in sorted(self.chains.items())}, fh, indent=1)
-            fh.write("\n")
 
     def physical_nodes(self) -> list:
         return sorted({p for chain in self.chains.values() for p in chain})

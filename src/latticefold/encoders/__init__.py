@@ -1,30 +1,10 @@
 """Model encoders: peptide sequence -> objective + decodable layout."""
 
 from ..core import InputError
-from .coordinate import (
-    DEFAULT_COORD_PENALTIES,
-    encode_coord_cartesian,
-    encode_coord_tetrahedral,
-    encode_coordinate,
-)
+from .coordinate import DEFAULT_COORD_PENALTIES, encode_coordinate
 from .exhaustive import turn_ground_states, turn_tet_block_energies
-from .folds import (
-    Fold,
-    ValidityReport,
-    contact_pairs,
-    enumerate_saws,
-    geometric_energy,
-    optimal_fold_energy,
-    validate_fold,
-)
-from .interactions import (
-    AMINO_ACIDS,
-    InteractionModel,
-    custom_model,
-    get_model,
-    hp_model,
-    mj_model,
-)
+from .folds import Fold, contact_pairs, enumerate_saws, geometric_energy, optimal_fold_energy
+from .interactions import AMINO_ACIDS, InteractionModel, get_model, hp_model, mj_model
 from .model import (
     COORD_CARTESIAN,
     COORD_TETRAHEDRAL,
@@ -46,8 +26,6 @@ def encode(model: str, sequence: str, interaction, L=None, penalties=None, **kwa
         return encode_turn_cartesian(sequence, interaction, penalties)
     if model == TURN_TETRAHEDRAL:
         return encode_turn_tetrahedral(sequence, interaction, penalties, **kwargs)
-    if model == COORD_CARTESIAN:
-        return encode_coord_cartesian(sequence, interaction, L, penalties, **kwargs)
-    if model == COORD_TETRAHEDRAL:
-        return encode_coord_tetrahedral(sequence, interaction, L, penalties, **kwargs)
+    if model in (COORD_CARTESIAN, COORD_TETRAHEDRAL):
+        return encode_coordinate(model, sequence, interaction, L, penalties, **kwargs)
     raise InputError(f"unknown model {model!r}; choose one of {MODEL_TAGS}")

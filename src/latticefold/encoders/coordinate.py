@@ -21,25 +21,23 @@ from __future__ import annotations
 import warnings
 
 from ..core import InputError, TermAccumulator
-from ..lattice import CARTESIAN, TETRAHEDRAL, LatticeSpec, adjacent, min_grid, site_classes
+from ..lattice import CARTESIAN, LatticeSpec, adjacent, min_grid, site_classes
 from .interactions import InteractionModel
-from .model import COORD_CARTESIAN, COORD_TETRAHEDRAL, EncodedModel
+from .model import MODEL_LATTICE, EncodedModel
 
 DEFAULT_COORD_PENALTIES = {"lambda_1": 18.6, "lambda_2": 14.4, "lambda_3": 18.6}
 
 
-def _coordinate_model_tag(kind: str) -> str:
-    return COORD_CARTESIAN if kind == CARTESIAN else COORD_TETRAHEDRAL
-
-
 def encode_coordinate(
-    kind: str,
+    model: str,
     sequence: str,
-    L: int | None,
     interaction: InteractionModel,
+    L: int | None = None,
     penalties: dict | None = None,
     efficient_h3: bool = False,
 ) -> EncodedModel:
+    """The coord-cart or coord-tet model of `sequence` (default L: the minimal grid)."""
+    kind = MODEL_LATTICE[model]
     n = len(sequence)
     if n < 2:
         raise InputError("sequence must have at least 2 residues")
@@ -55,7 +53,7 @@ def encode_coordinate(
     if L < min_grid(kind, n):
         warnings.warn(
             f"grid size {L} is below the recommended minimum {min_grid(kind, n)}",
-            stacklevel=2,
+            stacklevel=3,
         )
     pens = dict(DEFAULT_COORD_PENALTIES)
     pens.update(penalties or {})
@@ -149,18 +147,10 @@ def encode_coordinate(
         "bead_blocks": blocks,
     }
     return EncodedModel(
-        model=_coordinate_model_tag(kind),
+        model=model,
         objective=objective,
         sequence=sequence,
         interaction=interaction,
         penalties=pens,
         layout=layout,
     )
-
-
-def encode_coord_cartesian(sequence, interaction, L=None, penalties=None, efficient_h3=False):
-    return encode_coordinate(CARTESIAN, sequence, L, interaction, penalties, efficient_h3)
-
-
-def encode_coord_tetrahedral(sequence, interaction, L=None, penalties=None, efficient_h3=False):
-    return encode_coordinate(TETRAHEDRAL, sequence, L, interaction, penalties, efficient_h3)

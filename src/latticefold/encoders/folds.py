@@ -63,46 +63,13 @@ class Fold:
         }
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    self_avoiding: bool
-    connected: bool
-    physical: bool
-    overlapping_beads: tuple[tuple[int, int], ...]
-    broken_bonds: tuple[int, ...]
-
-
-def validate_fold(fold: Fold) -> ValidityReport:
-    """Self-avoidance and chain-connectivity report for a fold."""
-    overlaps = []
-    seen: dict[Site, int] = {}
-    for idx, pos in enumerate(fold.positions):
-        if pos in seen:
-            overlaps.append((seen[pos], idx))
-        else:
-            seen[pos] = idx
-    broken = [
-        i
-        for i, (a, b) in enumerate(zip(fold.positions, fold.positions[1:]))
-        if not adjacent(fold.lattice_kind, a, b)
-    ]
-    return ValidityReport(
-        self_avoiding=not overlaps,
-        connected=not broken,
-        physical=not overlaps and not broken,
-        overlapping_beads=tuple(overlaps),
-        broken_bonds=tuple(broken),
-    )
-
-
 def geometric_energy(fold: Fold, interaction: InteractionModel, sequence: str) -> float:
     """Sum of pair energies over non-bonded lattice contacts.
 
     The model-independent oracle: every encoding's constraint-free energy must
     reduce to this on physical folds.
     """
-    report = validate_fold(fold)
-    if not report.physical:
+    if not fold.physical:
         raise InputError("geometric_energy requires a physical fold")
     if len(sequence) != len(fold.positions):
         raise InputError("sequence length does not match fold length")

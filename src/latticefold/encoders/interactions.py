@@ -81,13 +81,6 @@ def mj_model() -> InteractionModel:
         {"kind": MIYAZAWA_JERNIGAN, "alphabet": AMINO_ACIDS, "pair_energies": pairs})
 
 
-def custom_model(pair_energies: dict, alphabet: str | None = None) -> InteractionModel:
-    doc = {"pair_energies": pair_energies}
-    if alphabet is not None:
-        doc["alphabet"] = alphabet
-    return InteractionModel.from_dict(doc)
-
-
 def get_model(name: str) -> InteractionModel:
     if name == HP:
         return hp_model()

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import InputError, PolynomialObjective, poly_add, poly_product, problem_from_dict, problem_to_json
+from ..core import InputError, PolynomialObjective, poly_add, poly_product, problem_from_dict
 from ..lattice import CARTESIAN, TETRAHEDRAL, LatticeSpec, Site, cartesian_site, neighbor_sites, site_classes
 from .folds import Fold
 from .interactions import InteractionModel
@@ -135,16 +135,14 @@ class EncodedModel:
         return site_classes(self.lattice_spec())
 
     def to_doc(self) -> dict:
-        return problem_to_json(
-            self.objective,
-            extra={
-                "model": self.model,
-                "sequence": self.sequence,
-                "interaction": self.interaction.to_dict(),
-                "penalties": dict(self.penalties),
-                "layout": self.layout,
-            },
-        )
+        return {
+            **self.objective.to_dict(),
+            "model": self.model,
+            "sequence": self.sequence,
+            "interaction": self.interaction.to_dict(),
+            "penalties": dict(self.penalties),
+            "layout": self.layout,
+        }
 
     @staticmethod
     def from_doc(doc: dict) -> "EncodedModel":

@@ -25,6 +25,7 @@ from .core import (
     QuadraticObjective,
     TermAccumulator,
     code_bits,
+    finite_float,
 )
 
 WORST_CASE = "worst_case"
@@ -46,13 +47,15 @@ class QuadratizationResult:
         n_orig = self.qubo.num_vars - len(self.aux_map)
         return np.asarray(assignment)[:n_orig]
 
-    def lift(self, assignment) -> np.ndarray:
-        """Extend an original assignment with consistent auxiliary values."""
-        vals = list(np.asarray(assignment).astype(np.uint8))
+    def lift(self, rows: np.ndarray) -> np.ndarray:
+        """(m, num_vars) uint8 rows: the original-variable `rows` followed by
+        each auxiliary's consistent value, with contiguous columns (see
+        `code_bits`)."""
+        cols = np.empty((rows.shape[1] + len(self.aux_map), len(rows)), dtype=np.uint8)
+        cols[: rows.shape[1]] = rows.T
         for aux, (i, j) in self.aux_map:
-            assert aux == len(vals)
-            vals.append(vals[i] & vals[j])
-        return np.array(vals, dtype=np.uint8)
+            np.bitwise_and(cols[i], cols[j], out=cols[aux])
+        return cols.T
 
 
 def worst_case_alpha(hubo: PolynomialObjective) -> float:
@@ -64,12 +67,10 @@ def resolve_alpha(hubo: PolynomialObjective, alpha_policy) -> float:
     if alpha_policy == WORST_CASE or alpha_policy is None:
         return worst_case_alpha(hubo)
     if isinstance(alpha_policy, str):
-        if alpha_policy.startswith("fixed:"):
-            alpha = float(alpha_policy.split(":", 1)[1])
-        else:
+        if not alpha_policy.startswith("fixed:"):
             raise InputError(f"unknown alpha policy {alpha_policy!r}")
-    else:
-        alpha = float(alpha_policy)
+        alpha_policy = alpha_policy.split(":", 1)[1]
+    alpha = finite_float(alpha_policy, "penalty strength")
     if alpha <= 0:
         raise InputError(f"penalty strength must be positive, got {alpha}")
     return alpha
@@ -169,16 +170,6 @@ class VerificationReport:
         return self.max_discrepancy <= self.tolerance and self.min_inconsistency_gap > 0.0
 
 
-def _lifted(bits: np.ndarray, aux_map, num_vars: int) -> np.ndarray:
-    """(m, num_vars) uint8 rows: `bits` followed by each auxiliary's consistent
-    value, with contiguous columns (see `code_bits`)."""
-    cols = np.empty((num_vars, len(bits)), dtype=np.uint8)
-    cols[: bits.shape[1]] = bits.T
-    for aux, (i, j) in aux_map:
-        np.bitwise_and(cols[i], cols[j], out=cols[aux])
-    return cols.T
-
-
 def verify_quadratization(
     hubo: PolynomialObjective,
     result: QuadratizationResult,
@@ -206,7 +197,7 @@ def verify_quadratization(
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=(VERIFY_SAMPLES, n), dtype=np.uint8)
 
-    lifted = _lifted(bits, result.aux_map, n + n_aux)
+    lifted = result.lift(bits)
     hubo_e = hubo.evaluate_batch(bits)
     qubo_e = result.qubo.evaluate_batch(lifted)
     max_disc = float(np.abs(hubo_e - qubo_e).max()) if len(bits) else 0.0
@@ -235,7 +226,7 @@ def verify_quadratization(
             rng = np.random.default_rng(1)
             m = VERIFY_SAMPLES
             sample_bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-            joint = _lifted(sample_bits, result.aux_map, n + n_aux)
+            joint = result.lift(sample_bits)
             base = result.qubo.evaluate_batch(joint)
             # each row flips one auxiliary, drawn uniformly
             flip_at = rng.integers(0, n_aux, size=m)

@@ -161,9 +161,6 @@ class SampleSet:
     def best_bits(self) -> np.ndarray:
         return self.bits[int(np.argmin(self.energies))]
 
-    def ground_hits(self, reference: float, tol: float = 1e-6) -> int:
-        return int(np.sum(self.energies <= reference + tol))
-
     def to_csv(self, path, manifest_name: str = "-") -> None:
         with open(path, "w") as fh:
             fh.write(f"# manifest={manifest_name}\n")

@@ -21,12 +21,11 @@ from latticefold.analysis import (
     THICK,
     THIN,
     classify_barriers,
+    estimate_p_ground,
     overlap_histogram,
     scaling_report,
-    spin_overlap,
     spin_overlap_values,
     tts,
-    wilson_interval,
 )
 from latticefold.cli import main as cli_main
 from latticefold.core import TermAccumulator, ising_to_qubo, qubo_to_ising
@@ -42,8 +41,7 @@ from latticefold.embedding import (
 from latticefold.encoders import (
     AMINO_ACIDS,
     decode,
-    encode_coord_cartesian,
-    encode_coord_tetrahedral,
+    encode,
     encode_turn_cartesian,
     encode_turn_tetrahedral,
     geometric_energy,
@@ -51,7 +49,6 @@ from latticefold.encoders import (
     mj_model,
     optimal_fold_energy,
     turn_ground_states,
-    validate_fold,
 )
 from latticefold.lattice import CARTESIAN, TETRAHEDRAL, adjacent, min_grid, site_classes
 from latticefold.reduction import quadratize
@@ -139,7 +136,7 @@ def test_criterion_2_cross_model_agreement():
         geo_tc = geometric_energy(fold, mj, seq)
         assert geo_tc == pytest.approx(e_tc, abs=1e-9)
 
-        m_cc = encode_coord_cartesian(seq, mj, L=min_grid(CARTESIAN, n))
+        m_cc = encode("coord-cart", seq, mj, L=min_grid(CARTESIAN, n))
         pt_cc = parallel_tempering(
             m_cc.objective,
             PtConfig(num_temps=64, t_min=0.75, t_max=1e4, sweeps=700, measure_sweeps=50,
@@ -155,7 +152,7 @@ def test_criterion_2_cross_model_agreement():
         saw_tet = optimal_fold_energy(TETRAHEDRAL, seq, mj)
         m_tt = encode_turn_tetrahedral(seq, mj)
         e_tt, mins_tt = turn_ground_states(m_tt)
-        m_ct = encode_coord_tetrahedral(seq, mj, L=min_grid(TETRAHEDRAL, n))
+        m_ct = encode("coord-tet", seq, mj, L=min_grid(TETRAHEDRAL, n))
         pt_ct = parallel_tempering(
             m_ct.objective,
             PtConfig(num_temps=64, t_min=0.75, t_max=1e4, sweeps=700, measure_sweeps=50,
@@ -178,10 +175,9 @@ def test_criterion_3_feasibility_energy_identity():
     mj = mj_model()
     for n in (2, 3, 4, 5):
         seq = "LKDFS"[:n]
-        for kind, encoder in ((CARTESIAN, encode_coord_cartesian),
-                              (TETRAHEDRAL, encode_coord_tetrahedral)):
+        for kind, tag in ((CARTESIAN, "coord-cart"), (TETRAHEDRAL, "coord-tet")):
             L = min_grid(kind, n)
-            model = encoder(seq, mj, L=L)
+            model = encode(tag, seq, mj, L=L)
             classes = site_classes(model.lattice_spec())
             sizes = [len(classes[b % 2]) for b in range(n)]
             blocks = model.layout["bead_blocks"]
@@ -219,7 +215,7 @@ def test_criterion_3_feasibility_energy_identity():
             energies = model.objective.evaluate_batch(feas_bits)
             for row, e in zip(feas_bits, energies):
                 fold = decode(model, row)
-                assert validate_fold(fold).physical
+                assert fold.physical
                 geo = geometric_energy(fold, mj, seq)
                 assert abs((e - model.layout["energy_shift"]) - geo) <= 1e-9
 
@@ -228,7 +224,7 @@ def test_criterion_3_feasibility_energy_identity():
             infeasible_rows = ranks[~feasible]
             if len(infeasible_rows):
                 pick = infeasible_rows[:: max(1, len(infeasible_rows) // 2000)]
-                pen_model = encoder("P" * n, hp_model(), L=L)
+                pen_model = encode(tag, "P" * n, hp_model(), L=L)
                 penalties = pen_model.objective.evaluate_batch(to_bits(pick))
                 assert penalties.min() > 1e-9
 
@@ -281,7 +277,7 @@ def test_criterion_5_solver_correctness():
     sa_hits = 0
     pt_hits = 0
     for seq, n in instances:
-        model = encode_coord_tetrahedral(seq, mj, L=min_grid(TETRAHEDRAL, n))
+        model = encode("coord-tet", seq, mj, L=min_grid(TETRAHEDRAL, n))
         reference = optimal_fold_energy(TETRAHEDRAL, seq, mj, model.lattice_spec())
         sa = simulated_annealing(
             model.objective,
@@ -298,9 +294,8 @@ def test_criterion_5_solver_correctness():
         pt_ok = abs(pt.sample_set.best_energy - reference) <= 1e-6
         pt_hits += pt_ok
 
-        p, interval = sa.ground_hits(reference) / sa.meta["restarts"], wilson_interval(
-            sa.ground_hits(reference), sa.meta["restarts"]
-        )
+        assert len(sa.energies) == sa.meta["restarts"]
+        p, interval = estimate_p_ground(sa, reference)
         result = tts(sa.tau_seconds, p, interval)
         if 0.0 < p < 0.99:
             expected = sa.tau_seconds * math.log(0.01) / math.log(1.0 - p)
@@ -353,7 +348,7 @@ def test_criterion_7_sod_machinery():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = encode_coord_tetrahedral("HHHH", hp, L=2)
+        model = encode("coord-tet", "HHHH", hp, L=2)
     spec = model.lattice_spec()
     classes = site_classes(spec)
     rank = [{s: r for r, s in enumerate(classes[0])},
@@ -370,7 +365,7 @@ def test_criterion_7_sod_machinery():
     feasible = np.array(feasible)
     spins = 2.0 * feasible - 1.0
     exact_q = (spins @ spins.T / model.num_vars).ravel()
-    exact_support = overlap_histogram(exact_q).occupied_bins()
+    exact_support = np.flatnonzero(overlap_histogram(exact_q).counts)
 
     runs = [
         parallel_tempering(
@@ -380,8 +375,9 @@ def test_criterion_7_sod_machinery():
         )
         for s in (101, 202)
     ]
-    _, hist = spin_overlap(runs[0], runs[1])
-    assert hist.occupied_bins() == exact_support
+    assert runs[0].problem_fingerprint == runs[1].problem_fingerprint
+    hist = overlap_histogram(spin_overlap_values(runs[0].measure_states, runs[1].measure_states))
+    assert np.array_equal(np.flatnonzero(hist.counts), exact_support)
 
 
 @report(8, "embedding algebra on a synthetic 16-node hardware graph")

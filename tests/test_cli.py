@@ -266,6 +266,32 @@ class TestMalformedInput:
                                        + "0" * doc["num_vars"] + ",1.0,0,3\n")
         assert message in input_error(["decode", "p.json", "s.csv", "--out", "folds.json"], capsys)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "sod", "--out", "s.csv"], "analyze sod needs two PT samples CSVs"),
+        (["analyze", "tts", "--reference-energy", "1", "--tau", "1", "--out", "t.csv"],
+         "analyze tts needs --samples"),
+        (["reduce", "h.json", "--alpha", "fixed:abc", "--out", "q.json"],
+         "penalty strength 'abc' is not a number"),
+        (["reduce", "h.json", "--alpha", "fixed:nan", "--out", "q.json"],
+         "penalty strength 'nan' is not finite"),
+        (["reduce", "h.json", "--alpha", "fixed:inf", "--out", "q.json"],
+         "penalty strength 'inf' is not finite"),
+        (["encode", "turn-tet", "--seq", "HHHHHH", "--penalty", "lambda_1=abc", "--out", "t.json"],
+         "penalty lambda_1 'abc' is not a number"),
+        (["encode", "turn-tet", "--seq", "HHHHHH", "--penalty", "lambda_1=nan", "--out", "t.json"],
+         "penalty lambda_1 'nan' is not finite"),
+        (["--config", "conf.txt", "solve", "h.json", "--solver", "sa", "--seed", "1", "--out", "s.csv"],
+         "config key restart names no option of any subcommand"),
+    ], ids=["sod-no-runs", "tts-no-samples", "alpha-not-a-number", "alpha-nan", "alpha-inf",
+            "penalty-not-a-number", "penalty-nan", "config-unknown-key"])
+    def test_bad_argument_exits_2(self, workdir, capsys, argv, message):
+        (workdir / "h.json").write_text(json.dumps({
+            "num_vars": 3, "offset": 0.0, "space": "boolean",
+            "terms": [{"vars": [0, 1, 2], "coeff": -8.0}],
+        }))
+        (workdir / "conf.txt").write_text("restart = 6\n")
+        assert input_error(argv, capsys) == message
+
     def test_ragged_samples_csv_exits_2(self, workdir, capsys):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
                     "--out", "p.json"]) == 0

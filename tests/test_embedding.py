@@ -170,10 +170,3 @@ class TestFileFormats:
         g2 = HardwareGraph.load(p2)
         assert g1.edges == g2.edges
         assert 9 in g2.nodes
-
-    def test_embedding_map_roundtrip(self, tmp_path):
-        emb = EmbeddingMap(chains={0: (3, 4), 1: (5,)})
-        path = tmp_path / "e.json"
-        emb.save(path)
-        again = EmbeddingMap.load(path)
-        assert again.chains == emb.chains

@@ -23,7 +23,6 @@ from latticefold.encoders import (
     encode_turn_tetrahedral,
     get_model,
     turn_ground_states,
-    validate_fold,
 )
 from latticefold.encoders import exhaustive
 from latticefold.lattice import min_grid
@@ -160,6 +159,6 @@ def test_decode_never_raises_on_random_bits(tag, data):
     fold = decode(model, bits)
     assert len(fold.positions) == len(model.sequence)
     assert fold.decode_feasible == (not fold.violations)
-    validate_fold(fold)
+    assert isinstance(fold.physical, bool)
     from_doc = EncodedModel.from_doc(json.loads(json.dumps(model.to_doc())))
     assert decode(from_doc, bits).to_dict() == fold.to_dict()

@@ -9,14 +9,11 @@ import pytest
 from latticefold.core import InputError
 from latticefold.encoders import (
     decode,
-    encode_coord_cartesian,
-    encode_coord_tetrahedral,
+    encode,
     geometric_energy,
     hp_model,
-    mj_model,
-    validate_fold,
 )
-from latticefold.lattice import CARTESIAN, TETRAHEDRAL, site_classes
+from latticefold.lattice import TETRAHEDRAL, site_classes
 
 
 def one_hot_assignments(model):
@@ -32,50 +29,47 @@ def one_hot_assignments(model):
 
 class TestLayoutCounts:
     def test_cartesian_n10_l4(self):
-        m = encode_coord_cartesian("H" * 10, hp_model(), L=4)
+        m = encode("coord-cart", "H" * 10, hp_model(), L=4)
         assert m.num_vars == 5 * 32 + 5 * 32 == 320
 
     def test_tetrahedral_n10_l3(self):
-        m = encode_coord_tetrahedral("H" * 10, hp_model(), L=3)
+        m = encode("coord-tet", "H" * 10, hp_model(), L=3)
         assert m.num_vars == 270
 
     def test_tetrahedral_n11_l3(self):
-        m = encode_coord_tetrahedral("HPPPPHPPPPH", hp_model(), L=3)
+        m = encode("coord-tet", "HPPPPHPPPPH", hp_model(), L=3)
         assert m.num_vars == 6 * 27 + 5 * 27 == 297
 
     def test_grid_too_small(self):
         with pytest.raises(InputError):
-            encode_coord_cartesian("H" * 9, hp_model(), L=2)
+            encode("coord-cart", "H" * 9, hp_model(), L=2)
 
     def test_warns_below_min_grid(self):
         with pytest.warns(UserWarning):
-            encode_coord_tetrahedral("HHHH", hp_model(), L=2)
+            encode("coord-tet", "HHHH", hp_model(), L=2)
 
     def test_native_quadratic(self):
-        m = encode_coord_cartesian("HPPH", hp_model(), L=3)
+        m = encode("coord-cart", "HPPH", hp_model(), L=3)
         assert m.objective.degree == 2
 
     def test_n2_minimal_zero_penalty_floor(self):
         with pytest.warns(UserWarning):
-            m = encode_coord_cartesian("HH", hp_model(), L=2)
+            m = encode("coord-cart", "HH", hp_model(), L=2)
         best = min(m.objective.evaluate_batch(np.array([b for b, _ in one_hot_assignments(m)])))
         assert best == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFeasibilityEnergyIdentity:
-    @pytest.mark.parametrize("kind,encoder,L", [
-        (TETRAHEDRAL, encode_coord_tetrahedral, 2),
-        (CARTESIAN, encode_coord_cartesian, 3),
-    ])
-    def test_exhaustive_n4(self, kind, encoder, L):
+    @pytest.mark.parametrize("tag,L", [("coord-tet", 2), ("coord-cart", 3)])
+    def test_exhaustive_n4(self, tag, L):
         seq = "HHHH"
         hp = hp_model()
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = encoder(seq, hp, L=L)
-            penalty_only = encoder("P" * 4, hp, L=L)
+            model = encode(tag, seq, hp, L=L)
+            penalty_only = encode(tag, "P" * 4, hp, L=L)
         bits = np.array([b for b, _ in one_hot_assignments(model)])
         energies = model.objective.evaluate_batch(bits)
         penalties = penalty_only.objective.evaluate_batch(bits)
@@ -86,8 +80,7 @@ class TestFeasibilityEnergyIdentity:
             n_feasible += 1
             fold = decode(model, row)
             assert fold.decode_feasible
-            report = validate_fold(fold)
-            assert report.physical
+            assert fold.physical
             geo = geometric_energy(fold, hp, seq)
             assert e - model.layout["energy_shift"] == pytest.approx(geo, abs=1e-9)
         assert n_feasible > 0
@@ -98,26 +91,26 @@ class TestFeasibilityEnergyIdentity:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = encode_coord_tetrahedral("PPPP", hp, L=2)
+            model = encode("coord-tet", "PPPP", hp, L=2)
         bits = np.array([b for b, _ in one_hot_assignments(model)])
         energies = model.objective.evaluate_batch(bits)
         for row, e in zip(bits, energies):
             fold = decode(model, row)
-            assert (abs(e) <= 1e-9) == validate_fold(fold).physical
+            assert (abs(e) <= 1e-9) == fold.physical
 
 
 class TestEfficientH3:
     def test_same_energy_on_feasible_n4_l3(self):
         seq = "HHHH"
         hp = hp_model()
-        pen = encode_coord_cartesian(seq, hp, L=3, efficient_h3=False)
-        eff = encode_coord_cartesian(seq, hp, L=3, efficient_h3=True)
+        pen = encode("coord-cart", seq, hp, L=3, efficient_h3=False)
+        eff = encode("coord-cart", seq, hp, L=3, efficient_h3=True)
         bits = np.array([b for b, _ in one_hot_assignments(pen)])
         e_pen = pen.objective.evaluate_batch(bits)
         e_eff = eff.objective.evaluate_batch(bits)
         feasible = 0
         for row, a, b in zip(bits, e_pen, e_eff):
-            if validate_fold(decode(pen, row)).physical:
+            if decode(pen, row).physical:
                 feasible += 1
                 assert a == pytest.approx(b, abs=1e-9)
         assert feasible > 0
@@ -128,7 +121,7 @@ class TestEfficientH3:
         # sparser H3 buys density at the cost of this soundness hole, which is
         # why it is opt-in
         hp = hp_model()
-        eff = encode_coord_cartesian("PPP", hp, L=3, efficient_h3=True)
+        eff = encode("coord-cart", "PPP", hp, L=3, efficient_h3=True)
         classes = site_classes(eff.lattice_spec())
         rank0 = {s: r for r, s in enumerate(classes[0])}
         rank1 = {s: r for r, s in enumerate(classes[1])}
@@ -147,7 +140,7 @@ class TestEfficientH3:
 
 class TestDecode:
     def test_all_zero_assignment(self):
-        m = encode_coord_tetrahedral("HHHH", hp_model(), L=3)
+        m = encode("coord-tet", "HHHH", hp_model(), L=3)
         fold = decode(m, np.zeros(m.num_vars, dtype=np.uint8))
         assert not fold.decode_feasible
         assert any("0 sites" in v for v in fold.violations)
@@ -158,12 +151,12 @@ class TestDecode:
         calls = []
         monkeypatch.setattr(model_module, "site_classes",
                             lambda spec: calls.append(spec) or site_classes(spec))
-        m = encode_coord_cartesian("HHHHH", hp_model(), L=3)
+        m = encode("coord-cart", "HHHHH", hp_model(), L=3)
         folds = [decode(m, bits) for bits, _ in itertools.islice(one_hot_assignments(m), 20)]
         assert len(calls) == 1 and len(folds) == 20
 
     def test_parity_classes_of_decoded_beads(self):
-        m = encode_coord_cartesian("HHHHH", hp_model(), L=3)
+        m = encode("coord-cart", "HHHHH", hp_model(), L=3)
         for bits, _ in itertools.islice(one_hot_assignments(m), 100):
             fold = decode(m, bits)
             for bead, site in enumerate(fold.positions):
@@ -171,7 +164,7 @@ class TestDecode:
 
     def test_translation_invariance(self):
         hp = hp_model()
-        m = encode_coord_tetrahedral("HHHH", hp, L=3)
+        m = encode("coord-tet", "HHHH", hp, L=3)
         classes = site_classes(m.lattice_spec())
         rank = [
             {s: r for r, s in enumerate(classes[0])},

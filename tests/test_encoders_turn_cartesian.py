@@ -6,7 +6,7 @@ import pytest
 
 from latticefold.core import InputError
 from latticefold.encoders import (
-    custom_model,
+    InteractionModel,
     decode,
     encode_turn_cartesian,
     geometric_energy,
@@ -15,7 +15,6 @@ from latticefold.encoders import (
     optimal_fold_energy,
     slack_bit_count,
     turn_ground_states,
-    validate_fold,
 )
 from latticefold.lattice import CARTESIAN
 from latticefold.solvers import brute_force
@@ -46,7 +45,7 @@ class TestLayout:
         assert m2.layout["interaction_qubits"] == {}
 
     def test_positive_pair_energy_rejected(self):
-        repulsive = custom_model({("H", "H"): 0.5}, alphabet="HP")
+        repulsive = InteractionModel.from_dict({"pair_energies": {"HH": 0.5}, "alphabet": "HP"})
         with pytest.raises(InputError):
             encode_turn_cartesian("HHHH", repulsive)
 

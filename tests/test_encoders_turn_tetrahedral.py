@@ -8,7 +8,7 @@ import pytest
 
 from latticefold.core import InputError
 from latticefold.encoders import (
-    custom_model,
+    InteractionModel,
     decode,
     encode_turn_tetrahedral,
     geometric_energy,
@@ -17,7 +17,6 @@ from latticefold.encoders import (
     optimal_fold_energy,
     turn_ground_states,
     turn_tet_block_energies,
-    validate_fold,
 )
 from latticefold.encoders.turn_tetrahedral import default_turn_tet_penalties
 from latticefold.lattice import TETRAHEDRAL
@@ -60,8 +59,9 @@ class TestLayout:
             encode_turn_tetrahedral("H" * 8, hp_model(), penalties={"lambda_1": 1.0})
 
     def test_positive_pair_energy_rejected(self):
+        repulsive = InteractionModel.from_dict({"pair_energies": {"HH": 1.0}, "alphabet": "HP"})
         with pytest.raises(InputError):
-            encode_turn_tetrahedral("HHHHHH", custom_model({("H", "H"): 1.0}, "HP"))
+            encode_turn_tetrahedral("HHHHHH", repulsive)
 
 
 class TestGroundTruth:

@@ -9,9 +9,8 @@ from latticefold.encoders import (
     hp_model,
     mj_model,
     optimal_fold_energy,
-    validate_fold,
 )
-from latticefold.lattice import CARTESIAN, TETRAHEDRAL, LatticeSpec, Site, cartesian_site
+from latticefold.lattice import CARTESIAN, TETRAHEDRAL, LatticeSpec, cartesian_site
 
 
 def cart_fold(coords):
@@ -19,21 +18,19 @@ def cart_fold(coords):
 
 
 class TestValidateFold:
+    """The physicality flags of a `Fold`."""
+
     def test_straight_chain_physical(self):
         fold = cart_fold([(i, 0, 0) for i in range(4)])
-        report = validate_fold(fold)
-        assert report.physical and report.self_avoiding and report.connected
+        assert fold.physical and fold.self_avoiding and fold.connected
 
     def test_overlapping_beads_flagged(self):
-        coords = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0)]
-        report = validate_fold(cart_fold(coords))
-        assert not report.self_avoiding
-        assert (0, 4) in report.overlapping_beads
+        fold = cart_fold([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0)])
+        assert not fold.self_avoiding and fold.connected and not fold.physical
 
     def test_disconnected_pair_flagged(self):
-        report = validate_fold(cart_fold([(0, 0, 0), (2, 0, 0)]))
-        assert not report.connected
-        assert report.broken_bonds == (0,)
+        fold = cart_fold([(0, 0, 0), (2, 0, 0)])
+        assert fold.self_avoiding and not fold.connected and not fold.physical
 
 
 class TestGeometricEnergy:

@@ -1,7 +1,7 @@
 import pytest
 
 from latticefold.core import InputError
-from latticefold.encoders import AMINO_ACIDS, custom_model, get_model, hp_model, mj_model
+from latticefold.encoders import AMINO_ACIDS, InteractionModel, get_model, hp_model, mj_model
 
 
 def test_hp_model_pairs():
@@ -32,11 +32,11 @@ def test_mj_anchor_values():
 
 
 def test_custom_model_roundtrip():
-    table = custom_model({("A", "B"): -2.0, ("B", "B"): -1.0}, alphabet="AB")
+    table = InteractionModel.from_dict(
+        {"pair_energies": {("A", "B"): -2.0, ("B", "B"): -1.0}, "alphabet": "AB"})
+    assert table.kind == "custom"
     assert table.energy("B", "A") == -2.0
     doc = table.to_dict()
-    from latticefold.encoders.interactions import InteractionModel
-
     again = InteractionModel.from_dict(doc)
     assert again.pair_energies == table.pair_energies
 

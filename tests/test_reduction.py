@@ -105,7 +105,7 @@ class TestVerify:
     def test_lift_project_roundtrip(self, rng):
         hubo = build_poly({(0, 1, 2): 1.0, (0, 2, 3): 2.0}, 4)
         res = quadratize(hubo)
-        bits = rng.integers(0, 2, size=4).astype(np.uint8)
-        lifted = res.lift(bits)
-        assert np.array_equal(res.project(lifted), bits)
-        assert res.qubo.evaluate(lifted) == pytest.approx(hubo.evaluate(bits), abs=1e-9)
+        bits = rng.integers(0, 2, size=(8, 4)).astype(np.uint8)
+        for row, lifted in zip(bits, res.lift(bits)):
+            assert np.array_equal(res.project(lifted), row)
+            assert res.qubo.evaluate(lifted) == pytest.approx(hubo.evaluate(row), abs=1e-9)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticefold.core import InputError, IsingProblem, TermAccumulator, qubo_to_ising
-from latticefold.encoders import encode, encode_coord_tetrahedral, hp_model, mj_model, optimal_fold_energy
+from latticefold.encoders import encode, hp_model, mj_model, optimal_fold_energy
 from latticefold.reduction import quadratize
 from latticefold.solvers import (
     SA_BLOCK_CELLS,
@@ -186,7 +186,7 @@ class TestSimulatedAnnealing:
     @pytest.mark.parametrize("t0", [None, 2.0])
     def test_sa_rows_independent_of_partition(self, t0):
         # every row's arithmetic must not depend on the rows sharing its block
-        m = encode_coord_tetrahedral("LKDFSAW", mj_model(), L=3)
+        m = encode("coord-tet", "LKDFSAW", mj_model(), L=3)
         comp = _Compiled(m.objective)
         cfg = SaConfig(0.999, 10, 70, seed=13, t0=t0)
         rows = np.arange(cfg.restarts, dtype=np.int64)
@@ -198,7 +198,7 @@ class TestSimulatedAnnealing:
 
     def test_reaches_ground_on_coordinate_model(self):
         hp = hp_model()
-        m = encode_coord_tetrahedral("HHHHHH", hp, L=3)
+        m = encode("coord-tet", "HHHHHH", hp, L=3)
         ref = optimal_fold_energy("tetrahedral", "HHHHHH", hp, m.lattice_spec())
         ss = simulated_annealing(m.objective, SaConfig(0.9995, 150, 64, seed=5))
         assert ss.best_energy == pytest.approx(ref, abs=1e-6)
@@ -255,7 +255,7 @@ class TestParallelTempering:
     def test_reaches_ground_coord_tet_n7(self):
         mj = mj_model()
         seq = "LKLKLKL"
-        m = encode_coord_tetrahedral(seq, mj, L=3)
+        m = encode("coord-tet", seq, mj, L=3)
         ref = optimal_fold_energy("tetrahedral", seq, mj, m.lattice_spec())
         res = parallel_tempering(
             m.objective,
