@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, coefficient_stats
+from .core import InputError, coefficient_stats, finite_float
 from .encoders import encode, get_model
 from .lattice import min_grid
 from .reduction import quadratize
@@ -57,6 +57,8 @@ def spin_overlap_values(states1: np.ndarray, states2: np.ndarray) -> np.ndarray:
 
 
 def overlap_histogram(q_values: np.ndarray, bins: int = 101) -> SodHistogram:
+    if bins < 1:
+        raise InputError(f"histogram bins must be at least 1, got {bins}")
     q = np.asarray(q_values, dtype=np.float64)
     if np.any(np.abs(q) > 1.0 + 1e-12):
         raise InputError("overlap values must lie in [-1, 1]")
@@ -118,7 +120,7 @@ def tts(tau_seconds: float, p_ground: float, p_interval=(0.0, 1.0)) -> TtsResult
     p = 0 never succeeds (+inf); p >= 0.99 already meets the confidence
     target in one run, so the run factor clamps to 1.
     """
-    if tau_seconds <= 0:
+    if finite_float(tau_seconds, "tau") <= 0:
         raise InputError("tau must be positive")
     if not (0.0 <= p_ground <= 1.0):
         raise InputError("p_ground must lie in [0, 1]")

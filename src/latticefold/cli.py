@@ -190,10 +190,11 @@ def cmd_reduce(args) -> int:
         raise InputError("reduce expects a Boolean-space problem")
     policy = args.alpha
     if policy == "scaled":
-        lam = doc.get("penalties", {}).get("lambda_global")
+        penalties = doc.get("penalties", {})
+        lam = penalties.get("lambda_global") if isinstance(penalties, dict) else None
         if lam is None:
             raise InputError("--alpha scaled needs a problem with a lambda_global penalty")
-        policy = f"fixed:{scaled_alpha(lam)}"
+        policy = f"fixed:{scaled_alpha(finite_float(lam, 'penalty lambda_global'))}"
     result = quadratize(problem, policy)
     report = verify_quadratization(problem, result, budget=args.verify_budget)
     out_doc = result.qubo.to_dict()

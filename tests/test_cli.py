@@ -224,6 +224,8 @@ class TestMalformedInput:
         ("{bad", "sum.json is not a JSON document"),
         ("[1, 2]", "sum.json is not a JSON object"),
         ('{"tau_seconds": "abc"}', "sum.json: tau_seconds 'abc' is not a number"),
+        ('{"tau_seconds": NaN}', "tau nan is not finite"),
+        ('{"tau_seconds": Infinity}', "tau inf is not finite"),
     ])
     def test_malformed_tts_summary_exits_2(self, workdir, capsys, text, message):
         (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
@@ -282,13 +284,29 @@ class TestMalformedInput:
          "penalty lambda_1 'nan' is not finite"),
         (["--config", "conf.txt", "solve", "h.json", "--solver", "sa", "--seed", "1", "--out", "s.csv"],
          "config key restart names no option of any subcommand"),
+        (["reduce", "scaled.json", "--alpha", "scaled", "--out", "q.json"],
+         "penalty lambda_global 'abc' is not a number"),
+        (["reduce", "listed.json", "--alpha", "scaled", "--out", "q.json"],
+         "--alpha scaled needs a problem with a lambda_global penalty"),
+        (["analyze", "sod", "a.csv", "a.csv", "--bins", "0", "--out", "sod.csv"],
+         "histogram bins must be at least 1, got 0"),
+        (["analyze", "tts", "--samples", "a.csv", "--reference-energy", "-1", "--tau", "nan",
+          "--out", "t.csv"], "tau nan is not finite"),
+        (["analyze", "tts", "--samples", "a.csv", "--reference-energy", "-1", "--tau", "inf",
+          "--out", "t.csv"], "tau inf is not finite"),
     ], ids=["sod-no-runs", "tts-no-samples", "alpha-not-a-number", "alpha-nan", "alpha-inf",
-            "penalty-not-a-number", "penalty-nan", "config-unknown-key"])
+            "penalty-not-a-number", "penalty-nan", "config-unknown-key", "lambda-global-not-a-number",
+            "penalties-not-an-object", "sod-zero-bins", "tau-nan", "tau-inf"])
     def test_bad_argument_exits_2(self, workdir, capsys, argv, message):
-        (workdir / "h.json").write_text(json.dumps({
+        problem = {
             "num_vars": 3, "offset": 0.0, "space": "boolean",
             "terms": [{"vars": [0, 1, 2], "coeff": -8.0}],
-        }))
+        }
+        (workdir / "h.json").write_text(json.dumps(problem))
+        (workdir / "scaled.json").write_text(json.dumps({**problem, "penalties": {"lambda_global": "abc"}}))
+        (workdir / "listed.json").write_text(json.dumps({**problem, "penalties": [20.0]}))
+        (workdir / "a.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
+                                       "011,-1.0,0,3\n110,-2.0,0,4\n")
         (workdir / "conf.txt").write_text("restart = 6\n")
         assert input_error(argv, capsys) == message
 

@@ -2,9 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_encoders as ref
+from latticefold import core
 from latticefold.core import (
     BOOLEAN,
+    MASK_BITS,
+    MASK_PRODUCT_PAIRS,
     InputError,
     IsingProblem,
     PolynomialObjective,
@@ -13,6 +19,7 @@ from latticefold.core import (
     coefficient_stats,
     ising_to_qubo,
     load_problem,
+    poly_product,
     problem_from_dict,
     qubo_to_ising,
     save_problem,
@@ -66,6 +73,41 @@ class TestEvaluate:
         for bits in all_assignments(6)[::7]:
             expected = 2.5 * a.evaluate(bits) - 1.25 * b.evaluate(bits)
             assert combo.evaluate(bits) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# +-1 and +-0.5 make exact cancellations common; -0.0 checks the sign of zero
+COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -0.5, 2.0, -0.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def product_factors(draw):
+    """Factor lists below and above MASK_PRODUCT_PAIRS, over a small or a
+    large variable pool (the large one gives products of more than
+    MASK_BITS variables); keys may be (), unsorted or repeat a variable."""
+    if draw(st.booleans()):  # at least MASK_PRODUCT_PAIRS pairs
+        lengths = draw(st.sampled_from([[32, 48], [40, 40], [11, 11, 11], [1, 36, 36]]))
+    else:
+        lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    pool = draw(st.sampled_from([6, 2 * MASK_BITS]))
+    key = st.lists(st.integers(0, pool - 1), max_size=3).map(tuple)
+    return [draw(st.dictionaries(key, COEFFS, min_size=n, max_size=n)) for n in lengths]
+
+
+class TestPolyProduct:
+    @settings(max_examples=120, deadline=None)
+    @given(factors=product_factors())
+    def test_matches_the_dict_loop(self, factors):
+        got, want = poly_product(factors), ref.poly_product(factors)
+        assert list(got) == list(want)
+        assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+
+    @pytest.mark.parametrize("mask_pairs", [1, MASK_PRODUCT_PAIRS])
+    def test_cancelled_key_is_kept(self, monkeypatch, mask_pairs):
+        monkeypatch.setattr(core, "MASK_PRODUCT_PAIRS", mask_pairs)
+        x, y = {(0,): 1.0, (1,): -1.0}, {(1,): 1.0, (0,): 1.0}
+        got = poly_product([x, y])
+        assert list(got.items()) == [((0, 1), 0.0), ((0,), 1.0), ((1,), -1.0)]
 
 
 class TestInvariants:

@@ -93,6 +93,16 @@ def test_coordinate_encodes_as_pinned(tag, seq, interaction, kwargs, digest):
     assert model_digest(model) == digest
 
 
+# digests taken before the bit-mask products; these hold the largest products
+# the encoders form, on which the reference copy is too slow to run
+@pytest.mark.parametrize("n, digest", [
+    (8, "06ca3271afaa1796bf354cbe24985f285b011dddb8ef01041ed7d23c6cb10726"),
+    (9, "9ac794c8fcedab5393926156c05b581a8fdbb23d7c81c07e911fac73707fa90b"),
+])
+def test_large_turn_cart_encodes_as_pinned(n, digest):
+    assert model_digest(encode_turn_cartesian("H" * n, get_model("hp"))) == digest
+
+
 @pytest.mark.parametrize("seq, energy, count, digest", [
     ("HPPHHP", "-1.0", 20, "9c03ac9851e878737ca1fc9f3bfb2a8e639609e684845f20affd6febaa0b31d7"),
     ("HHHHHHH", "-3.0", 8, "8b96074a84a0c8fba268a6298516f386d43277d8002783740085dd4b7b222a0b"),
