@@ -156,7 +156,8 @@ def estimate_p_ground(sample_set, reference_energy: float, tol: float = 1e-6):
     energies = np.asarray(sample_set.energies if hasattr(sample_set, "energies") else sample_set)
     if energies.size == 0:
         raise InputError("empty sample set")
-    hits = int(np.sum(energies <= reference_energy + tol))
+    threshold = finite_float(reference_energy, "reference energy") + finite_float(tol, "tol")
+    hits = int(np.sum(energies <= threshold))
     n = int(energies.size)
     return hits / n, wilson_interval(hits, n)
 

@@ -30,10 +30,8 @@ from .analysis import (
     tts,
 )
 from .core import (
-    BOOLEAN,
     ISING,
     InputError,
-    IsingProblem,
     finite_float,
     ising_to_qubo,
     load_doc,
@@ -186,8 +184,6 @@ def cmd_encode(args) -> int:
 def cmd_reduce(args) -> int:
     manifest = Manifest("reduce", args, [args.problem])
     problem, doc = load_problem(args.problem)
-    if isinstance(problem, IsingProblem):
-        raise InputError("reduce expects a Boolean-space problem")
     policy = args.alpha
     if policy == "scaled":
         penalties = doc.get("penalties", {})
@@ -244,15 +240,13 @@ def cmd_solve(args) -> int:
             measure_sweeps=args.measure_sweeps,
             seed=seed,
         )
-        result = parallel_tempering(problem, cfg)
-        samples = result.sample_set
-        samples.meta["problem_fingerprint"] = result.problem_fingerprint
+        samples = parallel_tempering(problem, cfg).sample_set
     else:  # brute
         start = time.perf_counter()
         energy, minimizers = brute_force(problem, free_var_limit=args.brute_limit)
         wall = time.perf_counter() - start
         samples = SampleSet(
-            space=ISING if isinstance(problem, IsingProblem) else BOOLEAN,
+            space=problem.space,
             bits=np.array(minimizers, dtype=np.uint8),
             energies=np.full(len(minimizers), energy),
             replicas=np.arange(len(minimizers)),
@@ -386,16 +380,12 @@ def cmd_embed(args) -> int:
     problem, doc = load_problem(args.problem)
     emb = EmbeddingMap.load(args.embedding)
     hw = HardwareGraph.load(args.hardware)
-    if isinstance(problem, IsingProblem):
-        ising = problem
-    elif problem.degree > 2:
+    if problem.degree > 2:
         raise InputError("embed expects a quadratic problem; reduce first")
-    else:
-        ising = qubo_to_ising(problem)
-    if args.chain_strength == "auto":
+    ising = problem if problem.space == ISING else qubo_to_ising(problem)
+    strength = args.chain_strength
+    if strength == "auto":
         strength = default_chain_strength(ising_to_qubo(ising) if ising is problem else problem)
-    else:
-        strength = args.chain_strength
     embedded = apply_embedding(ising, emb, hw, strength)
     report = validate_embedding(emb, ising, hw)
     out_doc = embedded.ising.to_dict()
@@ -423,10 +413,8 @@ def cmd_unembed(args) -> int:
             unembed(row, emb, node_order, seed=args.seed, sample_index=idx)
             for idx, row in enumerate(samples.bits)
         ))
-        if isinstance(problem, IsingProblem):
-            energies = [problem.evaluate(2 * bits.astype(np.int64) - 1) for bits in logical]
-        else:
-            energies = problem.evaluate_batch(np.array(logical)).tolist()
+        rows = np.array(logical, dtype=np.int64)
+        energies = problem.evaluate_batch(2 * rows - 1 if problem.space == ISING else rows).tolist()
         for bits, energy, rep, sweep, cbf in zip(logical, energies, samples.replicas, samples.sweeps, breaks):
             bitstring = "".join("1" if b else "0" for b in bits)
             fh.write(f"{bitstring},{energy!r},{int(rep)},{int(sweep)},{cbf!r}\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -196,25 +197,28 @@ class PolynomialObjective:
     num_vars: int
     terms: dict[tuple[int, ...], float] = field(default_factory=dict)
     offset: float = 0.0
+    space = BOOLEAN  # the values of a variable; a class constant, not a field
 
     def __post_init__(self) -> None:
-        for key, coeff in self.terms.items():
-            if not key:
-                raise ValueError("constant terms belong in offset")
-            if list(key) != sorted(set(key)):
-                raise ValueError(f"term key {key} not sorted/duplicate-free")
-            if key[-1] >= self.num_vars or key[0] < 0:
-                raise ValueError(f"term key {key} out of range for {self.num_vars} vars")
-            if not np.isfinite(coeff) or coeff == 0.0:
-                raise ValueError(f"coefficient for {key} must be finite and nonzero")
+        # the keys in one Python pass and the coefficients in one numpy call, not
+        # a Python call per term; a failure is then named by the per-key checks
+        n = self.num_vars
+        lt = operator.lt
+        for key in self.terms:
+            if not (key and key[0] >= 0 and key[-1] < n and all(map(lt, key, key[1:]))):
+                if not key:
+                    raise ValueError("constant terms belong in offset")
+                if list(key) != sorted(set(key)):
+                    raise ValueError(f"term key {key} not sorted/duplicate-free")
+                raise ValueError(f"term key {key} out of range for {n} vars")
+        coeffs = np.fromiter(self.terms.values(), dtype=np.float64, count=len(self.terms))
+        if not (np.isfinite(coeffs).all() and coeffs.all()):
+            key = next(k for k, c in self.terms.items() if not (np.isfinite(c) and c != 0.0))
+            raise ValueError(f"coefficient for {key} must be finite and nonzero")
 
     @property
     def degree(self) -> int:
         return max((len(k) for k in self.terms), default=0)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], float]]:
-        """Deterministic iteration order: by (degree, indices)."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def evaluate(self, assignment) -> float:
         """Energy of a Boolean assignment: one row of `evaluate_batch`."""
@@ -277,14 +281,14 @@ class PolynomialObjective:
         pairs = {pair for key in self.terms for pair in combinations(key, 2)}
         return len(pairs) / (n * (n - 1) / 2)
 
-    def to_dict(self, space: str = BOOLEAN) -> dict:
+    def to_dict(self) -> dict:
+        """The problem document; terms by (degree, indices)."""
+        ordered = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
         return {
             "num_vars": self.num_vars,
             "offset": self.offset,
-            "terms": [
-                {"vars": list(k), "coeff": c} for k, c in self.sorted_terms()
-            ],
-            "space": space,
+            "terms": [{"vars": list(k), "coeff": c} for k, c in ordered],
+            "space": self.space,
         }
 
 
@@ -302,47 +306,27 @@ class QuadraticObjective(PolynomialObjective):
         return {(k[0], k[1]): c for k, c in self.terms.items() if len(k) == 2}
 
 
-@dataclass(frozen=True)
-class IsingProblem:
-    """Spin-space twin of a QUBO: H = sum J_ij s_i s_j + sum h_i s_i + offset."""
+class IsingProblem(QuadraticObjective):
+    """Spin-space twin of a QUBO: H = sum J_ij s_i s_j + sum h_i s_i + offset,
+    as a term table over spins in {-1, +1}: fields (i,) first, then couplings
+    (i, j).  `evaluate_batch` reads rows of spins."""
 
-    num_vars: int
-    couplings: dict[tuple[int, int], float] = field(default_factory=dict)
-    fields: dict[int, float] = field(default_factory=dict)
-    offset: float = 0.0
+    space = ISING
 
-    def __post_init__(self) -> None:
-        for (i, j) in self.couplings:
-            if not (0 <= i < j < self.num_vars):
-                raise ValueError(f"coupling key ({i},{j}) must satisfy 0 <= i < j < n")
-        for i in self.fields:
-            if not (0 <= i < self.num_vars):
-                raise ValueError(f"field key {i} out of range")
+    @classmethod
+    def from_tables(cls, num_vars: int, fields: dict, couplings: dict, offset: float) -> "IsingProblem":
+        """Fields {i: h_i} first, then couplings {(i, j): J_ij}, each in table order; zeros dropped."""
+        terms = {(i,): h for i, h in fields.items() if h != 0.0}
+        terms.update((key, jij) for key, jij in couplings.items() if jij != 0.0)
+        return cls(num_vars=num_vars, terms=terms, offset=offset)
 
-    def evaluate(self, spins) -> float:
-        s = np.asarray(spins)
-        if s.shape != (self.num_vars,):
-            raise InputError(
-                f"spin vector length {s.shape} does not match num_vars={self.num_vars}"
-            )
-        energy = self.offset
-        for i, h in self.fields.items():
-            energy += h * s[i]
-        for (i, j), jij in self.couplings.items():
-            energy += jij * s[i] * s[j]
-        return float(energy)
+    @property
+    def fields(self) -> dict[int, float]:
+        return {key[0]: h for key, h in self.terms.items() if len(key) == 1}
 
-    def to_dict(self) -> dict:
-        terms = [{"vars": [i], "coeff": c} for i, c in sorted(self.fields.items())]
-        terms += [
-            {"vars": list(k), "coeff": c} for k, c in sorted(self.couplings.items())
-        ]
-        return {
-            "num_vars": self.num_vars,
-            "offset": self.offset,
-            "terms": terms,
-            "space": ISING,
-        }
+    @property
+    def couplings(self) -> dict[tuple[int, int], float]:
+        return {key: jij for key, jij in self.terms.items() if len(key) == 2}
 
 
 def qubo_to_ising(q: PolynomialObjective) -> IsingProblem:
@@ -351,6 +335,8 @@ def qubo_to_ising(q: PolynomialObjective) -> IsingProblem:
     Preserves the full energy spectrum: evaluate(q, b) == ising.evaluate(s)
     for every assignment with s = 2b - 1.
     """
+    if q.space != BOOLEAN:
+        raise InputError("qubo_to_ising expects a Boolean-space problem")
     if q.degree > 2:
         raise InputError(f"cannot convert degree-{q.degree} objective to Ising form")
     fields: dict[int, float] = {}
@@ -367,9 +353,7 @@ def qubo_to_ising(q: PolynomialObjective) -> IsingProblem:
             fields[i] = fields.get(i, 0.0) + c / 4.0
             fields[j] = fields.get(j, 0.0) + c / 4.0
             offset += c / 4.0
-    fields = {i: h for i, h in fields.items() if h != 0.0}
-    couplings = {k: v for k, v in couplings.items() if v != 0.0}
-    return IsingProblem(num_vars=q.num_vars, couplings=couplings, fields=fields, offset=offset)
+    return IsingProblem.from_tables(q.num_vars, fields, couplings, offset)
 
 
 def ising_to_qubo(p: IsingProblem) -> QuadraticObjective:
@@ -444,33 +428,27 @@ def problem_from_dict(doc: dict):
         )
     terms = _problem_terms(raw_terms, num_vars)
 
-    # the constructors' own checks catch what is left: a repeated Ising
-    # variable, or coefficient sums that overflow
     if space == ISING:
-        couplings: dict[tuple[int, int], float] = {}
         fields: dict[int, float] = {}
-        for vars_, c in terms:
+        couplings: dict[tuple[int, int], float] = {}
+        for i, (vars_, c) in enumerate(terms):
             key = tuple(sorted(vars_))
             if len(key) == 1:
                 fields[key[0]] = fields.get(key[0], 0.0) + c
-            elif len(key) == 2:
+            elif len(key) == 2 and key[0] != key[1]:
                 couplings[key] = couplings.get(key, 0.0) + c
             else:
-                raise InputError("ising documents support degree <= 2 only")
-        fields = {i: v for i, v in fields.items() if v != 0.0}
-        couplings = {k: v for k, v in couplings.items() if v != 0.0}
-        try:
-            return IsingProblem(num_vars=num_vars, couplings=couplings, fields=fields, offset=offset)
-        except ValueError as exc:
-            raise InputError(f"malformed problem document: {exc}") from exc
-
-    acc = TermAccumulator()
-    acc.offset = offset
-    for vars_, c in terms:
-        acc.add(vars_, c)
-    degree = max((len(k) for k in acc.terms), default=0)
+                raise InputError(f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
+    else:
+        acc = TermAccumulator()
+        acc.offset = offset
+        for vars_, c in terms:
+            acc.add(vars_, c)
+    # the constructors' own checks catch what is left: coefficient sums that overflow
     try:
-        return acc.build(num_vars, quadratic=degree <= 2)
+        if space == ISING:
+            return IsingProblem.from_tables(num_vars, fields, couplings, offset)
+        return acc.build(num_vars, quadratic=max((len(k) for k in acc.terms), default=0) <= 2)
     except ValueError as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
 

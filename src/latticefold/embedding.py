@@ -76,6 +76,8 @@ class EmbeddingMap:
                 chains[int(k)] = tuple(int(x) for x in v)
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{where}: malformed chain {k!r}: {exc}") from exc
+            if len(set(chains[int(k)])) != len(v):
+                raise InputError(f"{where}: chain {k!r} names a node twice")
         return EmbeddingMap(chains=chains)
 
     @staticmethod
@@ -202,14 +204,8 @@ def apply_embedding(
                     chain_edges += 1
 
     offset = ising.offset + abs(chain_strength) * chain_edges
-    embedded = IsingProblem(
-        num_vars=len(node_order),
-        couplings={k: v for k, v in couplings.items() if v != 0.0},
-        fields={k: v for k, v in fields.items() if v != 0.0},
-        offset=offset,
-    )
     return EmbeddedProblem(
-        ising=embedded,
+        ising=IsingProblem.from_tables(len(node_order), fields, couplings, offset),
         node_order=node_order,
         chain_strength=abs(chain_strength),
         chain_edge_count=chain_edges,

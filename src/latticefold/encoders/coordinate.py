@@ -23,7 +23,7 @@ import warnings
 from ..core import InputError, TermAccumulator
 from ..lattice import CARTESIAN, LatticeSpec, adjacent, min_grid, site_classes
 from .interactions import InteractionModel
-from .model import MODEL_LATTICE, EncodedModel
+from .model import MODEL_LATTICE, EncodedModel, merge_penalties
 
 DEFAULT_COORD_PENALTIES = {"lambda_1": 18.6, "lambda_2": 14.4, "lambda_3": 18.6}
 
@@ -55,11 +55,8 @@ def encode_coordinate(
             f"grid size {L} is below the recommended minimum {min_grid(kind, n)}",
             stacklevel=3,
         )
-    pens = dict(DEFAULT_COORD_PENALTIES)
-    pens.update(penalties or {})
+    pens = merge_penalties(DEFAULT_COORD_PENALTIES, penalties)
     lam1, lam2, lam3 = pens["lambda_1"], pens["lambda_2"], pens["lambda_3"]
-    if min(lam1, lam2, lam3) <= 0:
-        raise InputError("penalty multipliers must be strictly positive")
 
     classes = site_classes(spec)
     class_sizes = (len(classes[0]), len(classes[1]))

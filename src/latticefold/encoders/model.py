@@ -106,6 +106,20 @@ def squared_distances(steps: dict[int, list[Poly]]):
     return D
 
 
+def merge_penalties(defaults: dict, overrides: dict | None) -> dict:
+    """`defaults` with `overrides` applied; InputError for an override that names none of the
+    multipliers (the defaults with a number value), or a multiplier that is not positive."""
+    multipliers = sorted(k for k, v in defaults.items() if not isinstance(v, str))
+    for name in overrides or ():
+        if name not in multipliers:
+            raise InputError(f"penalty {name!r} is not one of this model's multipliers: "
+                             f"{', '.join(multipliers)}")
+    pens = {**defaults, **(overrides or {})}
+    if min(pens[k] for k in multipliers) <= 0:
+        raise InputError("penalty multipliers must be strictly positive")
+    return pens
+
+
 @dataclass(frozen=True)
 class EncodedModel:
     """An objective and everything needed to decode its assignments."""

@@ -29,6 +29,7 @@ from .model import (
     EncodedModel,
     Poly,
     interaction_pair_range,
+    merge_penalties,
     pair_key,
     squared_distances,
     turn_literal,
@@ -72,11 +73,8 @@ def encode_turn_cartesian(
         raise InputError(
             "turn-based encodings need all pair energies <= 0 (gated interaction terms)"
         )
-    pens = dict(DEFAULT_TURN_CART_PENALTIES)
-    pens.update(penalties or {})
+    pens = merge_penalties(DEFAULT_TURN_CART_PENALTIES, penalties)
     lam_back, lam_turn, lam_olap = pens["lambda_back"], pens["lambda_turn"], pens["lambda_olap"]
-    if min(lam_back, lam_turn, lam_olap) <= 0:
-        raise InputError("penalty multipliers must be strictly positive")
 
     # variable allocation: turn bits, gating qubits, slack blocks
     next_var = 0

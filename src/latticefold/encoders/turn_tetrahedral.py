@@ -29,6 +29,7 @@ from .model import (
     EncodedModel,
     Poly,
     interaction_pair_range,
+    merge_penalties,
     pair_key,
     squared_distances,
     turn_literal,
@@ -79,13 +80,9 @@ def encode_turn_tetrahedral(
         raise InputError(
             "turn-based encodings need all pair energies <= 0 (gated interaction terms)"
         )
-    pens = default_turn_tet_penalties(n, penalty_variant)
-    if penalties:
-        pens.update(penalties)
+    pens = merge_penalties(default_turn_tet_penalties(n, penalty_variant), penalties)
     lam1, lam2 = pens["lambda_1"], pens["lambda_2"]
     lam_turn, lam_gc = pens["lambda_turn"], pens["lambda_gc"]
-    if min(lam1, lam2, lam_turn, lam_gc) <= 0:
-        raise InputError("penalty multipliers must be strictly positive")
 
     pairs = interaction_pair_range(TURN_TETRAHEDRAL, n)
     for i, j in pairs:

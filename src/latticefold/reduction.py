@@ -20,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
+    BOOLEAN,
     InputError,
     PolynomialObjective,
     QuadraticObjective,
@@ -92,6 +93,8 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
     chosen twice: every term keeps its coefficient and its position, and the
     QUBO terms come out in the order of the input terms.
     """
+    if hubo.space != BOOLEAN:
+        raise InputError("quadratize expects a Boolean-space problem")
     alpha = resolve_alpha(hubo, alpha_policy)
     if hubo.degree <= 2:
         qubo = QuadraticObjective(

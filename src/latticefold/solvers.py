@@ -25,9 +25,9 @@ from .core import (
     ISING,
     TIE_TOL,
     InputError,
-    IsingProblem,
     PolynomialObjective,
     code_bits,
+    finite_float,
     ising_to_qubo,
     rounding_gamma,
 )
@@ -106,7 +106,7 @@ class SaConfig:
             raise InputError("cooling_rate must lie strictly inside (0, 1)")
         if self.sweeps < 1 or self.restarts < 1:
             raise InputError("sweeps and restarts must be positive")
-        if self.t0 is not None and self.t0 <= 0:
+        if self.t0 is not None and finite_float(self.t0, "t0") <= 0:
             raise InputError("fixed start temperature must be positive")
 
 
@@ -181,6 +181,13 @@ class SampleSet:
         }
 
 
+def _is_fraction(text: str) -> bool:
+    try:
+        return 0.0 <= float(text) <= 1.0
+    except ValueError:
+        return False
+
+
 def sample_set_from_csv(path) -> SampleSet:
     """Read a `to_csv` file; InputError names the first malformed line."""
     bits, energies, replicas, sweeps = [], [], [], []
@@ -191,9 +198,11 @@ def sample_set_from_csv(path) -> SampleSet:
                 continue
             where = f"{path} line {lineno}"
             fields = line.split(",")
+            if len(fields) == 5 and _is_fraction(fields[4]):  # `unembed` output; not kept
+                fields.pop()
             if len(fields) != 4:
                 raise InputError(f"{where}: expected 4 fields assignment,energy,replica,sweep, "
-                                 f"got {len(fields)}")
+                                 f"or 5 with a chain_break_fraction in [0, 1], got {line!r}")
             bs, e, rep, sw = fields
             if bs.strip("01"):
                 raise InputError(f"{where}: assignment {bs!r} is not a string of 0s and 1s")
@@ -276,18 +285,14 @@ class _Compiled:
     """Dense symmetric form of a quadratic problem in Boolean space."""
 
     def __init__(self, problem):
-        if isinstance(problem, IsingProblem):
-            self.space = ISING
-            qubo = ising_to_qubo(problem)
-        elif isinstance(problem, PolynomialObjective):
-            if problem.degree > 2:
-                raise InputError(
-                    f"solver requires degree <= 2, got degree {problem.degree}; quadratize first"
-                )
-            self.space = BOOLEAN
-            qubo = problem
-        else:
+        if not isinstance(problem, PolynomialObjective):
             raise InputError(f"cannot solve a {type(problem).__name__}")
+        if problem.degree > 2:
+            raise InputError(
+                f"solver requires degree <= 2, got degree {problem.degree}; quadratize first"
+            )
+        self.space = problem.space
+        qubo = ising_to_qubo(problem) if problem.space == ISING else problem
         n = qubo.num_vars
         self.n = n
         self.offset = qubo.offset
@@ -484,11 +489,8 @@ def simulated_annealing(problem, cfg: SaConfig, jobs: int = 1) -> SampleSet:
 
 @dataclass
 class PtResult:
-    sample_set: SampleSet
-    ladder: np.ndarray
+    sample_set: SampleSet  # the lowest-T slot's measured sweeps, then the best state
     energy_trajectory: np.ndarray  # (sweeps, num_temps) float32, post-swap
-    measure_states: np.ndarray  # (measure_sweeps, n) uint8, lowest-T slot
-    problem_fingerprint: str
 
 
 def _problem_fingerprint(comp: _Compiled) -> str:
@@ -556,9 +558,9 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
         tau_seconds=wall,
         meta={"solver": "pt", "seed": cfg.seed, "num_temps": m,
               "t_min": cfg.t_min, "t_max": cfg.t_max, "pt_sweeps": cfg.sweeps,
-              "measure_sweeps": cfg.measure_sweeps},
+              "measure_sweeps": cfg.measure_sweeps, "problem_fingerprint": _problem_fingerprint(comp)},
     )
-    return PtResult(ss, ladder, trajectory, measure_states, _problem_fingerprint(comp))
+    return PtResult(ss, trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +608,7 @@ def brute_force(obj, free_var_limit: int = 30):
     `evaluate_batch`, whose energy of a row does not depend on the other rows;
     the result is the one scoring all 2^n states with it would give.
     """
-    if isinstance(obj, IsingProblem):
-        boolean = ising_to_qubo(obj)
-    else:
-        boolean = obj
+    boolean = ising_to_qubo(obj) if obj.space == ISING else obj
     n = boolean.num_vars
     if n > free_var_limit:
         raise ResourceRefusal(

@@ -375,8 +375,9 @@ def test_criterion_7_sod_machinery():
         )
         for s in (101, 202)
     ]
-    assert runs[0].problem_fingerprint == runs[1].problem_fingerprint
-    hist = overlap_histogram(spin_overlap_values(runs[0].measure_states, runs[1].measure_states))
+    assert runs[0].sample_set.meta["problem_fingerprint"] == runs[1].sample_set.meta["problem_fingerprint"]
+    # the measured sweeps, without the best-state row
+    hist = overlap_histogram(spin_overlap_values(runs[0].sample_set.bits[:-1], runs[1].sample_set.bits[:-1]))
     assert np.array_equal(np.flatnonzero(hist.counts), exact_support)
 
 

@@ -294,15 +294,43 @@ class TestMalformedInput:
           "--out", "t.csv"], "tau nan is not finite"),
         (["analyze", "tts", "--samples", "a.csv", "--reference-energy", "-1", "--tau", "inf",
           "--out", "t.csv"], "tau inf is not finite"),
+        (["encode", "turn-cart", "--seq", "HPPHHP", "--penalty", "lambda_bak=5", "--out", "t.json"],
+         "penalty 'lambda_bak' is not one of this model's multipliers: lambda_back, lambda_olap, lambda_turn"),
+        (["encode", "turn-tet", "--seq", "HPPHHP", "--penalty", "variant=1", "--out", "t.json"],
+         "penalty 'variant' is not one of this model's multipliers: "
+         "lambda_1, lambda_2, lambda_gc, lambda_global, lambda_turn"),
+        (["solve", "q.json", "--solver", "sa", "--seed", "1", "--t0", "nan", "--out", "s.csv"],
+         "t0 nan is not finite"),
+        (["solve", "q.json", "--solver", "sa", "--seed", "1", "--t0", "inf", "--out", "s.csv"],
+         "t0 inf is not finite"),
+        (["analyze", "tts", "--samples", "a.csv", "--reference-energy", "nan", "--tau", "1",
+          "--out", "t.csv"], "reference energy nan is not finite"),
+        (["analyze", "tts", "--samples", "a.csv", "--reference-energy", "-1", "--tol", "nan", "--tau", "1",
+          "--out", "t.csv"], "tol nan is not finite"),
+        (["embed", "q.json", "--embedding", "twice.json", "--hardware", "hw.txt", "--out", "e.json"],
+         "twice.json: chain '0' names a node twice"),
+        (["solve", "repeated.json", "--solver", "brute", "--out", "b.csv"],
+         "problem term 0: an ising term names one or two distinct spins, got [1, 1]"),
+        (["solve", "three.json", "--solver", "brute", "--out", "b.csv"],
+         "problem term 0: an ising term names one or two distinct spins, got [0, 1, 2]"),
+        (["reduce", "spins.json", "--out", "r.json"], "quadratize expects a Boolean-space problem"),
     ], ids=["sod-no-runs", "tts-no-samples", "alpha-not-a-number", "alpha-nan", "alpha-inf",
             "penalty-not-a-number", "penalty-nan", "config-unknown-key", "lambda-global-not-a-number",
-            "penalties-not-an-object", "sod-zero-bins", "tau-nan", "tau-inf"])
+            "penalties-not-an-object", "sod-zero-bins", "tau-nan", "tau-inf", "penalty-unknown-name",
+            "penalty-not-a-multiplier", "t0-nan", "t0-inf", "reference-energy-nan", "tol-nan",
+            "chain-node-twice", "ising-repeated-spin", "ising-three-spins", "reduce-ising"])
     def test_bad_argument_exits_2(self, workdir, capsys, argv, message):
         problem = {
             "num_vars": 3, "offset": 0.0, "space": "boolean",
             "terms": [{"vars": [0, 1, 2], "coeff": -8.0}],
         }
         (workdir / "h.json").write_text(json.dumps(problem))
+        (workdir / "q.json").write_text(json.dumps({**problem, "terms": [{"vars": [0, 1], "coeff": -1.0}]}))
+        (workdir / "hw.txt").write_text("0 1\n1 2\n2 3\n")
+        (workdir / "twice.json").write_text('{"0": [0, 0, 1], "1": [2], "2": [3]}')
+        for name, vars_ in (("repeated", [1, 1]), ("three", [0, 1, 2]), ("spins", [0, 1])):
+            doc = {**problem, "space": "ising", "terms": [{"vars": vars_, "coeff": 1.0}]}
+            (workdir / f"{name}.json").write_text(json.dumps(doc))
         (workdir / "scaled.json").write_text(json.dumps({**problem, "penalties": {"lambda_global": "abc"}}))
         (workdir / "listed.json").write_text(json.dumps({**problem, "penalties": [20.0]}))
         (workdir / "a.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
@@ -420,6 +448,43 @@ class TestEmbedCli:
         assert got.split(",")[0] == ref.split(",")[0]
         assert float(got.split(",")[1]) == float(ref.split(",")[1])
         assert got.split(",")[4] == "0.0"
+
+    def test_unembed_output_feeds_decode_and_tts(self, workdir):
+        assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
+        doc = json.loads((workdir / "p.json").read_text())
+        # logical i on nodes 2i and 2i + 1, and one edge per coupling
+        edges = [(2 * i, 2 * i + 1) for i in range(doc["num_vars"])]
+        edges += [(2 * t["vars"][0], 2 * t["vars"][1]) for t in doc["terms"] if len(t["vars"]) == 2]
+        (workdir / "hw.txt").write_text("".join(f"{u} {v}\n" for u, v in edges))
+        (workdir / "emb.json").write_text(json.dumps({i: [2 * i, 2 * i + 1] for i in range(doc["num_vars"])}))
+        assert run(["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt",
+                    "--out", "e.json"]) == 0
+        assert run(["solve", "e.json", "--solver", "sa", "--seed", "5", "--restarts", "6",
+                    "--sweeps", "20", "--out", "phys.csv"]) == 0
+        assert run(["unembed", "phys.csv", "--embedded", "e.json", "--problem", "p.json",
+                    "--out", "five.csv"]) == 0
+        lines = (workdir / "five.csv").read_text().splitlines()
+        assert lines[1].endswith(",chain_break_fraction")
+        (workdir / "four.csv").write_text("".join(",".join(ln.split(",")[:4]) + "\n" for ln in lines))
+        outputs = {}
+        for name in ("five", "four"):
+            assert run(["decode", "p.json", f"{name}.csv", "--out", f"{name}.folds.json"]) == 0
+            assert run(["analyze", "tts", "--samples", f"{name}.csv", "--reference-energy", "0",
+                        "--tau", "1", "--out", f"{name}.tts.csv"]) == 0
+            folds = json.loads((workdir / f"{name}.folds.json").read_text())
+            folds.pop("manifest")
+            outputs[name] = folds, (workdir / f"{name}.tts.csv").read_text().splitlines()[1:]
+        assert outputs["five"] == outputs["four"]
+        assert outputs["five"][0]["count"] == 6
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "abc"])
+    def test_bad_chain_break_fraction_exits_2(self, workdir, capsys, value):
+        (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep,chain_break_fraction\n"
+                                       f"01,1.0,0,3,0.5\n10,2.0,1,3,{value}\n")
+        assert input_error(["analyze", "tts", "--samples", "s.csv", "--reference-energy", "1",
+                            "--tau", "1", "--out", "t.csv"], capsys) == (
+            "s.csv line 4: expected 4 fields assignment,energy,replica,sweep, "
+            f"or 5 with a chain_break_fraction in [0, 1], got '10,2.0,1,3,{value}'")
 
     def test_invalid_embedding_rejected(self, workdir):
         self._fixture(workdir)

@@ -9,6 +9,7 @@ import reference_encoders as ref
 from latticefold import core
 from latticefold.core import (
     BOOLEAN,
+    ISING,
     MASK_BITS,
     MASK_PRODUCT_PAIRS,
     InputError,
@@ -94,6 +95,21 @@ def product_factors(draw):
     return [draw(st.dictionaries(key, COEFFS, min_size=n, max_size=n)) for n in lengths]
 
 
+@st.composite
+def cancelling_qubos(draw):
+    """QUBOs over at most 8 variables whose repeated terms may cancel to
+    nothing, and whose halves and quarters may cancel in an Ising field."""
+    n = draw(st.integers(1, 8))
+    coeff = st.one_of(st.sampled_from([1.0, -1.0, 2.0, -2.0, 4.0, -4.0, 0.5, -0.5]),
+                      st.floats(-1e3, 1e3).filter(lambda x: abs(x) > 1e-3))
+    acc = TermAccumulator()
+    acc.offset = draw(coeff)
+    var = st.integers(0, n - 1)
+    for i, j, c in draw(st.lists(st.tuples(var, var, coeff), max_size=24)):
+        acc.add((i, j), c)  # i == j is a linear term
+    return acc.build(n, quadratic=True)
+
+
 class TestPolyProduct:
     @settings(max_examples=120, deadline=None)
     @given(factors=product_factors())
@@ -122,6 +138,24 @@ class TestInvariants:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             PolynomialObjective(num_vars=2, terms={(0, 5): 1.0})
+
+    @pytest.mark.parametrize("terms, message", [
+        ({(0,): 1.0, (): 2.0}, "constant terms belong in offset"),
+        ({(0,): 1.0, (2, 1): 2.0, (1, 0): 1.0}, "term key (2, 1) not sorted/duplicate-free"),
+        ({(1, 1): 2.0}, "term key (1, 1) not sorted/duplicate-free"),
+        ({(0, 1, 1, 2): 2.0}, "term key (0, 1, 1, 2) not sorted/duplicate-free"),
+        ({(0, 1): 1.0, (1, 3): 1.0, (0, 4): 1.0}, "term key (1, 3) out of range for 3 vars"),
+        ({(-1, 0): 1.0}, "term key (-1, 0) out of range for 3 vars"),
+        ({(0,): 1.0, (1,): float("nan"), (2,): 0.0}, "coefficient for (1,) must be finite and nonzero"),
+        ({(0, 2): -float("inf")}, "coefficient for (0, 2) must be finite and nonzero"),
+        ({(0,): 1.0, (1, 2): 0.0}, "coefficient for (1, 2) must be finite and nonzero"),
+        ({(0,): float("nan"), (1, 0): 1.0}, "term key (1, 0) not sorted/duplicate-free"),
+    ], ids=["constant", "unsorted", "repeated", "repeated-inside", "above-range", "negative",
+            "nan", "minus-inf", "zero", "keys-before-coefficients"])
+    def test_names_the_first_bad_term(self, terms, message):
+        with pytest.raises(ValueError) as exc:
+            PolynomialObjective(num_vars=3, terms=terms)
+        assert str(exc.value) == message
 
     def test_accumulation_drops_exact_zero(self):
         acc = TermAccumulator()
@@ -197,6 +231,36 @@ class TestQuboIsing:
         with pytest.raises(InputError):
             qubo_to_ising(build_poly({(0, 1, 2): 1.0}, 3))
 
+    def test_ising_input_rejected(self):
+        ising = qubo_to_ising(build_poly({(0,): 1.0, (0, 1): 2.0}, 2, quadratic=True))
+        with pytest.raises(InputError, match="Boolean-space"):
+            qubo_to_ising(ising)
+
+    def test_spin_tables_are_the_term_table(self):
+        ising = IsingProblem.from_tables(3, {2: 1.0, 0: 0.0, 1: -0.5}, {(1, 2): 0.0, (0, 1): -1.0}, 1.5)
+        assert list(ising.terms.items()) == [((2,), 1.0), ((1,), -0.5), ((0, 1), -1.0)]
+        assert ising.fields == {2: 1.0, 1: -0.5}
+        assert ising.couplings == {(0, 1): -1.0}
+        assert ising.space == ISING and ising.to_dict()["space"] == ISING
+        assert ising.evaluate([1, -1, 1]) == 1.5 + 1.0 + 0.5 + 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=cancelling_qubos())
+    def test_round_trip_keeps_every_energy(self, q):
+        ising = qubo_to_ising(q)
+        back = ising_to_qubo(ising)
+        bits = all_assignments(q.num_vars)
+        e_q = q.evaluate_batch(bits)
+        # each evaluation is within its own rounding bound of the exact energy
+        # of its coefficients.  The change of variables rounds too: the Ising
+        # offset and fields add halves and quarters of q's coefficients (at
+        # most q.rounding_bound each); back, the offset and the linear terms
+        # add at most ising.rounding_bound and 4 * ising.rounding_bound
+        spin_tol = 3 * q.rounding_bound + ising.rounding_bound
+        assert np.all(np.abs(ising.evaluate_batch(2 * bits.astype(np.int8) - 1) - e_q) <= spin_tol)
+        back_tol = spin_tol + 5 * ising.rounding_bound + back.rounding_bound
+        assert np.all(np.abs(back.evaluate_batch(bits) - e_q) <= back_tol)
+
 
 class TestCoefficientStats:
     def test_direct_arithmetic(self):
@@ -250,7 +314,7 @@ class TestProblemFiles:
         assert loaded.offset == q.offset
 
     def test_ising_document(self, tmp_path):
-        ising = IsingProblem(num_vars=2, couplings={(0, 1): -1.0}, fields={0: 0.5}, offset=2.0)
+        ising = IsingProblem.from_tables(2, {0: 0.5}, {(0, 1): -1.0}, 2.0)
         path = tmp_path / "i.json"
         save_problem(path, ising)
         loaded, doc = load_problem(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latticefold.core import InputError
+from latticefold.core import InputError, qubo_to_ising
 from latticefold.encoders import encode_turn_tetrahedral, hp_model
 from latticefold.reduction import (
     QuadratizationResult,
@@ -16,6 +16,11 @@ from conftest import build_poly
 
 
 class TestQuadratize:
+    def test_ising_input_rejected(self):
+        ising = qubo_to_ising(build_poly({(0,): 1.0, (0, 1): 2.0}, 2, quadratic=True))
+        with pytest.raises(InputError, match="Boolean-space"):
+            quadratize(ising)
+
     def test_single_cubic_term_structure(self):
         hubo = build_poly({(0, 1, 2): 1.0}, 3)
         res = quadratize(hubo)
