@@ -130,9 +130,9 @@ def _mask_product(polys, labels: list[int]) -> dict[tuple[int, ...], float]:
 
     Per factor: the outer OR of the masks and the outer product of the
     coefficients, both raveled in C order (the dict loop's pair order).
-    `np.unique` gives each key's first index in that order, and `np.add.at`,
-    which is unbuffered and applies values in index order, adds each key's
-    products to 0.0 in that order too.  Sorting the keys by first index
+    An unstable argsort groups equal keys, whose least position is their first
+    index in that order; `np.add.at`, unbuffered and in index order, adds each
+    key's products to 0.0 in that order too.  Sorting the keys by first index
     restores the dict's insertion order.
     """
     local = {v: i for i, v in enumerate(labels)}
@@ -141,13 +141,17 @@ def _mask_product(polys, labels: list[int]) -> dict[tuple[int, ...], float]:
     for poly in polys:
         pm = np.array([sum(1 << local[v] for v in set(k)) for k in poly], dtype=np.uint64)
         pc = np.fromiter(poly.values(), dtype=np.float64, count=len(poly))
-        keys, first, inverse = np.unique(
-            np.bitwise_or.outer(masks, pm).ravel(), return_index=True, return_inverse=True
-        )
-        sums = np.zeros(len(keys))
+        ored = np.bitwise_or.outer(masks, pm).ravel()
+        perm = np.argsort(ored)
+        ranked = ored[perm]
+        new_key = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        starts = np.flatnonzero(new_key)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.cumsum(new_key) - 1
+        sums = np.zeros(len(starts))
         np.add.at(sums, inverse, np.multiply.outer(coeffs, pc).ravel())
-        order = np.argsort(first)
-        masks, coeffs = keys[order], sums[order]
+        order = np.argsort(np.minimum.reduceat(perm, starts))
+        masks, coeffs = ranked[starts][order], sums[order]
     # mask -> index tuple: bit i (column i) is labels[i], so each row's set
     # bits, read in ascending order, are its sorted variables
     bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
@@ -357,18 +361,20 @@ def qubo_to_ising(q: PolynomialObjective) -> IsingProblem:
 
 
 def ising_to_qubo(p: IsingProblem) -> QuadraticObjective:
-    """Inverse substitution s_i = 2 b_i - 1; round trip is the identity."""
-    acc = TermAccumulator()
-    acc.offset = p.offset
+    """Inverse substitution s_i = 2 b_i - 1; round trip is the identity.  Adds
+    in `TermAccumulator.add`'s order and drops a sum that cancels to 0.0."""
+    terms: dict[tuple[int, ...], float] = {}
+    offset = p.offset
     for i, h in p.fields.items():
-        acc.add((i,), 2.0 * h)
-        acc.offset -= h
+        terms[(i,)] = 2.0 * h
+        offset -= h
     for (i, j), jij in p.couplings.items():
-        acc.add((i, j), 4.0 * jij)
-        acc.add((i,), -2.0 * jij)
-        acc.add((j,), -2.0 * jij)
-        acc.offset += jij
-    return acc.build(p.num_vars, quadratic=True)
+        terms[(i, j)] = 4.0 * jij
+        terms[(i,)] = terms.get((i,), 0.0) - 2.0 * jij
+        terms[(j,)] = terms.get((j,), 0.0) - 2.0 * jij
+        offset += jij
+    terms = {k: c for k, c in terms.items() if c != 0.0}
+    return QuadraticObjective(num_vars=p.num_vars, terms=terms, offset=offset)
 
 
 def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:

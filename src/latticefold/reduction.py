@@ -86,12 +86,14 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
     """Reduce to degree <= 2; degree <= 2 input passes through unchanged.
 
     Each round substitutes the pair held by the most terms of degree > 2
-    (ties to the smallest pair).  A pair -> terms index with counts and a
-    lazy heap on (-count, pair) find it; a substitution updates only the
-    terms holding the pair.  The new auxiliary is a fresh variable, so a
-    substituted term never coincides with another term and no pair is
-    chosen twice: every term keeps its coefficient and its position, and the
-    QUBO terms come out in the order of the input terms.
+    (ties to the smallest pair), found by a pair -> terms index and a heap on
+    (-count, pair).  Putting aux in place of (i, j) in a term changes only its
+    pairs with i or j, which it leaves, and with aux, which it joins while its
+    degree stays above 2; each new pair is pushed once, with its final count.
+    Other counts only fall, so a stale popped entry is pushed again at its
+    current count.  aux is a fresh variable, so no substituted term coincides
+    with another and no pair is chosen twice: the QUBO terms keep the input
+    terms' coefficients and order.
     """
     if hubo.space != BOOLEAN:
         raise InputError("quadratize expects a Boolean-space problem")
@@ -103,60 +105,53 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
         return QuadratizationResult(qubo=qubo, aux_map=[], alpha=alpha)
 
     keys = [set(k) for k in hubo.terms]
-    holders: dict[tuple[int, int], set[int]] = {}  # pair -> high terms holding it
-    heap: list = []
-
-    def tally(t: int, sign: int, touched: set) -> None:
-        for pair in combinations(sorted(keys[t]), 2):
-            held = holders.setdefault(pair, set())
-            if sign > 0:
-                held.add(t)
-            else:
-                held.discard(t)
-            touched.add(pair)
-
-    def publish(touched: set) -> None:
-        for pair in touched:
-            if holders[pair]:
-                heapq.heappush(heap, (-len(holders[pair]), pair))
-            else:
-                del holders[pair]
-
-    touched: set = set()
-    for t, key in enumerate(keys):
+    holders: dict[tuple[int, int], set[int]] = {}  # pair -> terms of degree > 2 holding it
+    for t, key in enumerate(hubo.terms):
         if len(key) > 2:
-            tally(t, +1, touched)
-    publish(touched)
+            for pair in combinations(key, 2):
+                holders.setdefault(pair, set()).add(t)
+    heap = [(-len(held), pair) for pair, held in holders.items()]
+    heapq.heapify(heap)
 
-    next_var = hubo.num_vars
     aux_map: list = []
     while heap:
         neg_count, pair = heapq.heappop(heap)
-        if len(holders.get(pair, ())) != -neg_count:
-            continue  # stale entry
+        held = holders.get(pair)
+        if held is None:
+            continue
+        if len(held) != -neg_count:  # the count fell since the push
+            heapq.heappush(heap, (-len(held), pair))
+            continue
+        del holders[pair]
         i, j = pair
-        aux = next_var
-        next_var += 1
+        aux = hubo.num_vars + len(aux_map)
         aux_map.append((aux, pair))
-        touched = set()
-        for t in list(holders[pair]):
-            tally(t, -1, touched)
-            keys[t] -= {i, j}
-            keys[t].add(aux)
-            if len(keys[t]) > 2:
-                tally(t, +1, touched)
-        publish(touched)
+        joined: dict[int, set[int]] = {}  # x -> terms joining (x, aux)
+        for t in held:
+            key = keys[t]
+            key.difference_update(pair)
+            for x in key:
+                for old in ((x, i) if x < i else (i, x), (x, j) if x < j else (j, x)):
+                    rest = holders[old]
+                    rest.discard(t)
+                    if not rest:
+                        del holders[old]
+                if len(key) > 1:
+                    joined.setdefault(x, set()).add(t)
+            key.add(aux)
+        for x, ts in joined.items():
+            holders[(x, aux)] = ts
+            heapq.heappush(heap, (-len(ts), (x, aux)))
 
     acc = TermAccumulator()
+    acc.terms = {tuple(sorted(key)): c for key, c in zip(keys, hubo.terms.values())}
     acc.offset = hubo.offset
-    for key, coeff in zip(keys, hubo.terms.values()):
-        acc.add(tuple(sorted(key)), coeff)
     for aux, (i, j) in aux_map:
         acc.add((i, j), alpha)
         acc.add((i, aux), -2.0 * alpha)
         acc.add((j, aux), -2.0 * alpha)
         acc.add((aux,), 3.0 * alpha)
-    qubo = acc.build(next_var, quadratic=True)
+    qubo = acc.build(hubo.num_vars + len(aux_map), quadratic=True)
     return QuadratizationResult(qubo=qubo, aux_map=aux_map, alpha=alpha)
 
 

@@ -315,13 +315,13 @@ class _Compiled:
             * (abs(self.offset) + sum(abs(v) for v in qubo.terms.values()))
         )
 
-    # einsum, not BLAS @: a fixed reduction order whatever the block's row count
+    # einsum, not BLAS @, on C-ordered rows: a fixed reduction order whatever the rows
     def energies(self, bits: np.ndarray) -> np.ndarray:
-        b = bits.astype(np.float64)
+        b = bits.astype(np.float64, order="C")
         return self.offset + np.einsum("ri,i->r", b, self.c) + 0.5 * np.einsum("ri,ij,rj->r", b, self.Q, b)
 
     def local_fields(self, bits: np.ndarray) -> np.ndarray:
-        return self.c + np.einsum("rn,nm->rm", bits.astype(np.float64), self.Q)
+        return self.c + np.einsum("rn,nm->rm", bits.astype(np.float64, order="C"), self.Q)
 
 
 # ---------------------------------------------------------------------------

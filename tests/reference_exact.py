@@ -1,9 +1,11 @@
 """Reference copies of the term-by-term exact solvers, for differential tests.
 
 `quadratize` recounts every pair of every high-degree term after each
-substitution, and `brute_force` scores every state with a float64 term loop
-(`evaluate_batch`).  The package's versions use an incremental pair index and
-a blocked matrix product; they must return the same outputs bit for bit.
+substitution, `brute_force` scores every state with a float64 term loop
+(`evaluate_batch`), and `ising_to_qubo` adds every contribution through
+`TermAccumulator.add`.  The package's versions use an incremental pair index,
+a blocked matrix product and a direct fill of the term dict; they must return
+the same outputs bit for bit.
 """
 
 from collections import Counter
@@ -11,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from latticefold.core import IsingProblem, QuadraticObjective, TermAccumulator, ising_to_qubo
+from latticefold.core import IsingProblem, QuadraticObjective, TermAccumulator
 from latticefold.reduction import QuadratizationResult, resolve_alpha
 
 
@@ -74,6 +76,20 @@ def quadratize(hubo, alpha_policy="worst_case"):
         acc.add((aux,), 3.0 * alpha)
     qubo = acc.build(next_var, quadratic=True)
     return QuadratizationResult(qubo=qubo, aux_map=aux_map, alpha=alpha)
+
+
+def ising_to_qubo(p):
+    acc = TermAccumulator()
+    acc.offset = p.offset
+    for i, h in p.fields.items():
+        acc.add((i,), 2.0 * h)
+        acc.offset -= h
+    for (i, j), jij in p.couplings.items():
+        acc.add((i, j), 4.0 * jij)
+        acc.add((i,), -2.0 * jij)
+        acc.add((j,), -2.0 * jij)
+        acc.offset += jij
+    return acc.build(p.num_vars, quadratic=True)
 
 
 def brute_force(obj, tie_tol=1e-9, chunk=1 << 18):

@@ -1,7 +1,7 @@
-"""The blocked brute force, the incremental quadratizer and the contiguous
-`evaluate_batch` against their term-by-term reference versions: every output
-must be identical, down to the dict order of the QUBO terms and the repr of
-the minimum energy."""
+"""The blocked brute force, the incremental quadratizer, the contiguous
+`evaluate_batch` and the direct `ising_to_qubo` against their term-by-term
+reference versions: every output must be identical, down to the dict order
+of the QUBO terms and the repr of the minimum energy."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_exact as ref
 from conftest import all_assignments, build_poly, random_qubo
-from latticefold.core import IsingProblem, TermAccumulator, qubo_to_ising
+from latticefold.core import IsingProblem, TermAccumulator, ising_to_qubo, qubo_to_ising
 from latticefold.encoders import encode, get_model
 from latticefold.reduction import quadratize
 from latticefold.solvers import brute_force
@@ -52,10 +52,58 @@ def hubos(draw, max_vars=10):
     return acc.build(n)
 
 
+@st.composite
+def dense_hubos(draw):
+    """Many high-degree terms over few variables with coefficients from a
+    small alphabet: pairs tie often, and pair counts often fall after they
+    are pushed, so the quadratizer's lazy re-queue runs."""
+    n = draw(st.integers(3, 12))
+    terms = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, n - 1), min_size=3, max_size=8, unique=True),
+                  st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0])),
+        min_size=1, max_size=40,
+    ))
+    acc = TermAccumulator()
+    for vars_, coeff in terms:
+        acc.add(vars_, coeff)
+    return acc.build(n)
+
+
+@st.composite
+def ising_problems(draw):
+    """Fields and couplings from a small alphabet, so that the (i,) sums of
+    `ising_to_qubo` often cancel to 0.0, and arbitrary floats."""
+    n = draw(st.integers(1, 8))
+    coeff = st.one_of(st.sampled_from([-1.0, -0.5, 0.5, 1.0]), st.floats(-1e3, 1e3))
+    fields = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=n))
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+    couplings = draw(st.dictionaries(pairs, coeff, max_size=12)) if n > 1 else {}
+    return IsingProblem.from_tables(n, fields, couplings, draw(st.floats(-1e3, 1e3)))
+
+
 @pytest.mark.parametrize("tag, n", [("turn-tet", 8), ("turn-tet", 9), ("turn-tet", 10),
-                                    ("turn-cart", 5), ("turn-cart", 6)])
+                                    ("turn-tet", 15), ("turn-cart", 5), ("turn-cart", 6),
+                                    ("turn-cart", 7), ("turn-tet", "LKDFSAWLKDFSA")])
 def test_scaling_hubos_quadratize_identically(tag, n):
-    assert_same_quadratization(encode(tag, "H" * n, get_model("hp")).objective)
+    """HP chains of n beads, up to the largest of the benchmark's scaling
+    report, and one MJ sequence."""
+    seq, model = ("H" * n, "hp") if isinstance(n, int) else (n, "mj")
+    assert_same_quadratization(encode(tag, seq, get_model(model)).objective)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hubo=dense_hubos())
+def test_dense_tied_hubos_quadratize_identically(hubo):
+    assert_same_quadratization(hubo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ising=ising_problems())
+def test_ising_to_qubo_identical(ising):
+    new, old = ising_to_qubo(ising), ref.ising_to_qubo(ising)
+    assert [(k, repr(c)) for k, c in new.terms.items()] == [(k, repr(c)) for k, c in old.terms.items()]
+    assert repr(new.offset) == repr(old.offset)
+    assert new.num_vars == old.num_vars
 
 
 @pytest.mark.parametrize("tag, seq", [("turn-tet", "HHHHHH"), ("turn-cart", "HPHPH"),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticefold.core import InputError, qubo_to_ising
+from latticefold.core import InputError, TermAccumulator, qubo_to_ising
 from latticefold.encoders import encode_turn_tetrahedral, hp_model
 from latticefold.reduction import (
     QuadratizationResult,
@@ -12,7 +14,31 @@ from latticefold.reduction import (
 )
 from latticefold.solvers import brute_force
 
-from conftest import build_poly
+from conftest import all_assignments, build_poly
+
+# sums of these are exact in float64, so energies compare with ==
+EXACT_COEFFS = [-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def small_hubos(draw):
+    """At most 8 variables, terms of degree 1..5 with exact coefficients; a
+    term joins only while the degrees above 2 sum to at most 12, which bounds
+    the auxiliaries and keeps the QUBO's brute force at <= 20 variables."""
+    n = draw(st.integers(3, 8))
+    drawn = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True),
+                  st.sampled_from(EXACT_COEFFS)),
+        min_size=1, max_size=12,
+    ))
+    acc = TermAccumulator()
+    budget = 12
+    for vars_, coeff in drawn:
+        budget -= max(len(vars_) - 2, 0)
+        if budget < 0:
+            break
+        acc.add(vars_, coeff)
+    return acc.build(n)
 
 
 class TestQuadratize:
@@ -74,6 +100,20 @@ class TestQuadratize:
             assert e_q == pytest.approx(e_h, abs=1e-9)
             proj = {tuple(res.project(a).tolist()) for a in mins_q}
             assert proj == {tuple(a.tolist()) for a in mins_h}
+
+    @settings(max_examples=100, deadline=None)
+    @given(hubo=small_hubos())
+    def test_argmin_set_preserved(self, hubo):
+        res = quadratize(hubo)
+        bits = all_assignments(hubo.num_vars)
+        # every consistent lift scores its HUBO energy ...
+        assert res.qubo.evaluate_batch(res.lift(bits)).tolist() == hubo.evaluate_batch(bits).tolist()
+        # ... and no assignment of the auxiliaries does better
+        e_h, mins_h = brute_force(hubo)
+        e_q, mins_q = brute_force(res.qubo)
+        assert e_q == e_h
+        assert {tuple(res.project(a).tolist()) for a in mins_q} == {tuple(a.tolist()) for a in mins_h}
+        assert all(np.array_equal(res.lift(res.project(a)[None, :])[0], a) for a in mins_q)
 
     def test_nonpositive_alpha_rejected(self):
         hubo = build_poly({(0, 1, 2): 1.0}, 3)

@@ -196,6 +196,18 @@ class TestSimulatedAnnealing:
             for got, want in zip((np.concatenate(p) for p in zip(*parts)), whole):
                 assert np.array_equal(got, want), size
 
+    def test_energies_independent_of_row_layout(self):
+        # einsum's summation order follows the strides: a Fortran-ordered or
+        # column-sliced copy of the rows must still give the same bytes
+        comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
+        rows = np.random.default_rng(3).integers(0, 2, size=(200, comp.n), dtype=np.int8)
+        copies = [np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2],
+                  np.concatenate([rows, rows], axis=1)[:, comp.n:]]
+        for copy in copies:
+            assert np.array_equal(copy, rows)
+            assert comp.energies(copy).tobytes() == comp.energies(rows).tobytes()
+            assert comp.local_fields(copy).tobytes() == comp.local_fields(rows).tobytes()
+
     def test_reaches_ground_on_coordinate_model(self):
         hp = hp_model()
         m = encode("coord-tet", "HHHHHH", hp, L=3)
