@@ -314,6 +314,11 @@ class _Compiled:
             0.5 * np.finfo(np.float64).eps * len(self.colors) / max(n, 1)
             * (abs(self.offset) + sum(abs(v) for v in qubo.terms.values()))
         )
+        # a yielded incremental energy is within the drift check's largest
+        # tolerance of its exact value (fewer than FULL_REEVAL_FLIPS + n flips
+        # since the last re-evaluation); a kept best state is replaced only by
+        # one lower by more than that, so ties do not move on rounding
+        self.best_tol = DRIFT_TOL + (FULL_REEVAL_FLIPS + n) * self.flip_rounding
 
     # einsum, not BLAS @, on C-ordered rows: a fixed reduction order whatever the rows
     def energies(self, bits: np.ndarray) -> np.ndarray:
@@ -429,7 +434,7 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
     best_bits = np.zeros((len(rows), n), dtype=np.int8)
     best_sweep = np.zeros(len(rows), dtype=np.int64)
     for sweep, bits, _, energies in _metropolis(comp, keys, rows, cfg.sweeps, temps, cfg.cooling_rate):
-        improved = energies < best_e
+        improved = energies < best_e - comp.best_tol
         best_e = np.where(improved, energies, best_e)
         best_bits[improved] = bits[improved]
         best_sweep[improved] = sweep
@@ -538,10 +543,10 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
                 arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
 
         trajectory[sweep] = energies
-        sweep_best = int(np.argmin(energies))
-        if energies[sweep_best] < best_e:
-            best_e = float(energies[sweep_best])
-            best_bits = bits[sweep_best].copy()
+        sweep_min = float(energies.min())
+        if sweep_min < best_e - comp.best_tol:  # the rule `_sa_rows` keeps its best by
+            best_e = sweep_min
+            best_bits = bits[int(np.argmax(energies <= sweep_min + comp.best_tol))].copy()
         if sweep >= measure_from:
             measure_states[sweep - measure_from] = bits[0]
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticefold import solvers
 from latticefold.core import InputError, IsingProblem, TermAccumulator, qubo_to_ising
 from latticefold.encoders import encode, hp_model, mj_model, optimal_fold_energy
 from latticefold.reduction import quadratize
@@ -195,6 +196,24 @@ class TestSimulatedAnnealing:
             parts = [_sa_rows(comp, cfg, rows[lo : lo + size]) for lo in range(0, len(rows), size)]
             for got, want in zip((np.concatenate(p) for p in zip(*parts)), whole):
                 assert np.array_equal(got, want), size
+
+    def test_best_picks_ignore_last_bit_energy_changes(self, monkeypatch):
+        # incremental energies that differ by rounding alone (here a jitter of
+        # 1e-12) must not move a kept state or its sweep: ties keep the first
+        comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
+        cfg = SaConfig(0.999, 100, 64, seed=3)
+        rows = np.arange(cfg.restarts, dtype=np.int64)
+        want = _sa_rows(comp, cfg, rows)
+        kernel = solvers._metropolis
+        jitter = np.random.default_rng(0)
+
+        def jittered(*args):
+            for *head, energies in kernel(*args):
+                yield (*head, energies + 1e-12 * jitter.uniform(-1.0, 1.0, len(energies)))
+
+        monkeypatch.setattr(solvers, "_metropolis", jittered)
+        for got, expected in zip(_sa_rows(comp, cfg, rows), want):
+            assert np.array_equal(got, expected)
 
     def test_energies_independent_of_row_layout(self):
         # einsum's summation order follows the strides: a Fortran-ordered or
