@@ -111,9 +111,11 @@ def _chain_connected(chain, hw: HardwareGraph) -> bool:
 
 
 def validate_embedding(emb: EmbeddingMap, ising: IsingProblem, hw: HardwareGraph) -> EmbeddingReport:
-    """Checks chains are disjoint, connected, on-graph, and that every
-    logical coupling has a connecting hardware edge."""
-    violations = []
+    """Checks chains are disjoint, connected, on-graph, name only logical
+    variables of the problem, and that every logical coupling has a
+    connecting hardware edge."""
+    violations = [f"chain of {logical} names no variable of the problem (0..{ising.num_vars - 1})"
+                  for logical in sorted(emb.chains) if not 0 <= logical < ising.num_vars]
     seen_nodes: set = set()
     for logical in range(ising.num_vars):
         chain = emb.chains.get(logical)

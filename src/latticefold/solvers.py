@@ -3,10 +3,12 @@ coloring parallelism, parallel tempering, and exhaustive brute force.
 
 SA and PT share one Metropolis kernel over a block of rows (restarts or
 replicas).  Every uniform is a pure function of (master seed, role,
-restart/replica, sweep, variable), every reduction over the n variables is
-an `einsum` with a fixed per-row order, and the per-class field update sums
-at most |class| exact products of a flip in {-1, 0, +1} with a row of Q.  So
-no row depends on the rows sharing its block: SA results are bit-identical
+restart/replica, sweep, variable), and a sweep draws them as one table.
+Exact energies are `einsum`s with a fixed per-row order.  A colour class's
+local fields are computed from the bits when the class is proposed, as two
+products with an error-free split of [Q; c] whose partial sums are all
+exact, so they have the same bits under any BLAS and summation order.  No
+row depends on the rows sharing its block: SA results are bit-identical
 however restarts are split into blocks or spread over `jobs` processes.
 """
 
@@ -281,8 +283,32 @@ def color_graph(obj: PolynomialObjective) -> ColorClasses:
     return ColorClasses(classes=classes)
 
 
+def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error-free split of a (k, w) matrix: `a = hi + lo + r`, column by column.
+
+    hi and lo each lie on a power-of-two grid per column, fine enough that
+    every sum of at most k entries of one column is exact in float64, in any
+    order (after Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).  So
+    `bits @ lo + bits @ hi` over 0/1 rows has the same bits under any BLAS,
+    row count or summation order.  The dropped residual satisfies
+    |r| <= k^2 * max|column| * 2^-104 entry by entry.
+    """
+    k = len(a)
+
+    def on_grid(x):
+        # the grid 2^(e - 52), k * max|x| < 2^e: a sum of k rounded entries is
+        # an integer multiple of the grid below 2^53 grid steps
+        _, e = np.frexp(k * np.abs(x).max(axis=0, initial=0.0))
+        grid = np.ldexp(1.0, e - 52)
+        return np.rint(x / grid) * grid
+
+    hi = on_grid(a)
+    return hi, on_grid(a - hi)  # a - hi is exact: |a - hi| <= grid / 2
+
+
 class _Compiled:
-    """Dense symmetric form of a quadratic problem in Boolean space."""
+    """Dense symmetric form of a quadratic problem in Boolean space, and the
+    kernel's colour-contiguous layout of it."""
 
     def __init__(self, problem):
         if not isinstance(problem, PolynomialObjective):
@@ -307,11 +333,26 @@ class _Compiled:
                 self.Q[j, i] += coeff
         self.colors = color_graph(qubo).classes
         self.qubo = qubo
-        # float64 rounding bound of the incremental energy, per proposed flip:
-        # a sweep proposes n flips and adds once per colour class to an energy
-        # no larger than |offset| + sum |coefficient|
+        # kernel layout: column k of a state row is variable order[k], so each
+        # colour class is one slice; a last constant-1 column carries c.  A
+        # class's fields are state @ lo + state @ hi for the exact split of
+        # its columns of [Q; c], permuted to that layout.
+        self.order = np.concatenate([np.zeros(0, dtype=np.int64), *self.colors])
+        self.inverse = np.argsort(self.order)
+        augmented = np.vstack([self.Q[self.order], self.c[None, :]])
+        self.blocks = []
+        start = 0
+        for cls in self.colors:
+            hi, lo = _exact_split(np.ascontiguousarray(augmented[:, cls]))  # C order: BLAS's fast layout here
+            self.blocks.append((slice(start, start + len(cls)), lo, hi))
+            start += len(cls)
+        # float64 rounding bound of the incremental energy, per proposed flip.
+        # A sweep of n flips adds one row sum of its accepted ΔE to an energy
+        # no larger than S = |offset| + sum |coefficient|.  numpy sums the row
+        # pairwise, about ceil(log2 n) roundings deep, and the |ΔE| of a sweep
+        # add up to at most 2S (each is a field: |c_i| + sum_j |Q_ij|)
         self.flip_rounding = (
-            0.5 * np.finfo(np.float64).eps * len(self.colors) / max(n, 1)
+            0.5 * np.finfo(np.float64).eps * (1 + 2 * max(n - 1, 0).bit_length()) / max(n, 1)
             * (abs(self.offset) + sum(abs(v) for v in qubo.terms.values()))
         )
         # a yielded incremental energy is within the drift check's largest
@@ -374,51 +415,48 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key_state: int, key_var: in
 def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.ndarray, cooling: float):
     """Colour-class Metropolis sweeps over a block of rows (restarts or replicas).
 
-    Yields `(sweep, bits, fields, energies)` for the random initial state (as
-    sweep 0), then after each sweep; the arrays are updated in place, so the
+    Yields `(sweep, state, energies)` for the random initial state (as sweep
+    0), then after each sweep.  `state` is float64 0/1 in the layout of
+    `comp.order` with a constant-1 last column, so `state[:, comp.inverse]`
+    are the bits in variable order.  The arrays are updated in place, so the
     caller may exchange rows between sweeps.  A class is proposed at once at
     its entry temperature; temperatures advance by `cooling` per proposed
     variable (1.0 keeps a fixed ladder).
     """
     key_init, key_prop = keys
     n = comp.n
-    bits = (counter_uniforms(key_init, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
-    fields = comp.local_fields(bits)
-    energies = comp.energies(bits)
-    yield 0, bits, fields, energies
+    state = np.ones((len(rows), n + 1))
+    state[:, :n] = counter_uniforms(key_init, rows[:, None], comp.order[None, :]) < 0.5
+    energies = comp.energies(state[:, comp.inverse])
+    yield 0, state, energies
 
-    q_classes = [comp.Q[cls, :] for cls in comp.colors]
     # the (key, row) and (key, row, sweep) prefixes of the proposal counters
-    # are mixed once, not once per class
+    # are mixed once; a sweep's uniforms are one table keyed by variable
     row_state = _counter_state(key_prop, rows[:, None])
     flips_since_reeval = 0
     for sweep in range(sweeps):
-        sweep_state = _counter_state(row_state, sweep)
-        for cls, q_cls in zip(comp.colors, q_classes):
-            sub_bits = bits[:, cls]
-            sign = 1.0 - 2.0 * sub_bits
-            delta_e = sign * fields[:, cls]
-            u = counter_uniforms(sweep_state, cls[None, :])
+        table = counter_uniforms(_counter_state(row_state, sweep), comp.order[None, :])
+        for cls, lo, hi in comp.blocks:
+            bits = state[:, cls]
+            # both products are exact (see _exact_split): the fields do not
+            # depend on the BLAS, the row count or the summation order
+            delta_e = (1.0 - 2.0 * bits) * (state @ lo + state @ hi)
             with np.errstate(over="ignore"):
-                prob = np.where(delta_e <= 0.0, 1.0, np.exp(-np.maximum(delta_e, 0.0) / temps[:, None]))
-            accepted = u < prob
-            # each product is exact (flips in {-1, 0, +1}) and each sum has at
-            # most |class| terms, so @ gives the same bits at any row count
-            flips = np.where(accepted, sign, 0.0)
-            bits[:, cls] = sub_bits ^ accepted
-            fields += flips @ q_cls
-            energies += np.sum(np.where(accepted, delta_e, 0.0), axis=1)
-            temps = temps * cooling ** len(cls)
-            flips_since_reeval += len(cls)
+                accepted = table[:, cls] < np.exp(np.maximum(delta_e, 0.0) / -temps[:, None])
+            np.multiply(delta_e, accepted, out=table[:, cls])  # the spent uniforms hold the accepted ΔE
+            state[:, cls] = bits != accepted
+            temps = temps * cooling ** (cls.stop - cls.start)
+        energies += table.sum(axis=1)
+        flips_since_reeval += n
         if flips_since_reeval >= FULL_REEVAL_FLIPS:
-            exact = comp.energies(bits)
+            exact = comp.energies(state[:, comp.inverse])
             drift = np.abs(exact - energies).max()
             tol = DRIFT_TOL + flips_since_reeval * comp.flip_rounding
             if drift > tol:
                 raise AssertionError(f"incremental energy drift {drift} exceeds {tol}")
             energies[:] = exact
             flips_since_reeval = 0
-        yield sweep, bits, fields, energies
+        yield sweep, state, energies
 
 
 def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
@@ -431,18 +469,20 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
 
     keys = (stable_seed(cfg.seed, "sa-init"), stable_seed(cfg.seed, "sa-accept"))
     best_e = np.full(len(rows), np.inf)
-    best_bits = np.zeros((len(rows), n), dtype=np.int8)
+    best_state = np.zeros((len(rows), n), dtype=np.int8)
     best_sweep = np.zeros(len(rows), dtype=np.int64)
-    for sweep, bits, _, energies in _metropolis(comp, keys, rows, cfg.sweeps, temps, cfg.cooling_rate):
+    for sweep, state, energies in _metropolis(comp, keys, rows, cfg.sweeps, temps, cfg.cooling_rate):
         improved = energies < best_e - comp.best_tol
         best_e = np.where(improved, energies, best_e)
-        best_bits[improved] = bits[improved]
+        best_state[improved] = state[improved, :n]
         best_sweep[improved] = sweep
+    best_bits = best_state[:, comp.inverse]
     # report exact energies, free of incremental accumulation error
     return best_bits.astype(np.uint8), comp.energies(best_bits), best_sweep
 
 
-# a block's `fields` array holds at most this many float64 cells (8 MB)
+# a block's kernel state and per-sweep uniform table hold about this many
+# float64 cells each (8 MB): rows x (n + 1) and rows x n
 SA_BLOCK_CELLS = 1 << 20
 
 
@@ -484,7 +524,8 @@ def simulated_annealing(problem, cfg: SaConfig, jobs: int = 1) -> SampleSet:
         run_seconds=wall,
         tau_seconds=wall / cfg.restarts,
         meta={"solver": "sa", "restarts": cfg.restarts, "seed": cfg.seed,
-              "cooling_rate": cfg.cooling_rate, "sa_sweeps": cfg.sweeps},
+              "cooling_rate": cfg.cooling_rate, "sa_sweeps": cfg.sweeps,
+              "colour_classes": len(comp.colors)},
     )
 
 
@@ -529,7 +570,7 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     keys = (stable_seed(cfg.seed, "pt-init"), stable_seed(cfg.seed, "pt-accept"))
     kernel = _metropolis(comp, keys, rows, cfg.sweeps, ladder, 1.0)
     next(kernel)  # the initial state is not a record
-    for sweep, bits, fields, energies in kernel:
+    for sweep, state, energies in kernel:
         if m > 1:
             lows = np.arange(sweep % 2, m - 1, 2)
             highs = lows + 1
@@ -539,18 +580,20 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
             u = counter_uniforms(key_swap, np.full(len(lows), sweep), lows)
             do = u < p_swap
             swap_lo, swap_hi = lows[do], highs[do]
-            for arr in (bits, fields, energies):
+            for arr in (state, energies):
                 arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
 
         trajectory[sweep] = energies
         sweep_min = float(energies.min())
         if sweep_min < best_e - comp.best_tol:  # the rule `_sa_rows` keeps its best by
             best_e = sweep_min
-            best_bits = bits[int(np.argmax(energies <= sweep_min + comp.best_tol))].copy()
+            best_state = state[int(np.argmax(energies <= sweep_min + comp.best_tol)), :n].copy()
         if sweep >= measure_from:
-            measure_states[sweep - measure_from] = bits[0]
+            measure_states[sweep - measure_from] = state[0, :n]
 
     wall = time.perf_counter() - start
+    measure_states = measure_states[:, comp.inverse]
+    best_bits = best_state[comp.inverse]
     measure_energies = comp.energies(measure_states)
     best_e = float(comp.energies(best_bits[None, :])[0])
     ss = SampleSet(
@@ -563,7 +606,8 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
         tau_seconds=wall,
         meta={"solver": "pt", "seed": cfg.seed, "num_temps": m,
               "t_min": cfg.t_min, "t_max": cfg.t_max, "pt_sweeps": cfg.sweeps,
-              "measure_sweeps": cfg.measure_sweeps, "problem_fingerprint": _problem_fingerprint(comp)},
+              "measure_sweeps": cfg.measure_sweeps, "problem_fingerprint": _problem_fingerprint(comp),
+              "colour_classes": len(comp.colors)},
     )
     return PtResult(ss, trajectory)
 

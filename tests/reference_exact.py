@@ -1,11 +1,14 @@
-"""Reference copies of the term-by-term exact solvers, for differential tests.
+"""Reference copies of the term-by-term exact solvers and of the
+incremental-field Metropolis kernel, for differential tests.
 
 `quadratize` recounts every pair of every high-degree term after each
 substitution, `brute_force` scores every state with a float64 term loop
 (`evaluate_batch`), and `ising_to_qubo` adds every contribution through
 `TermAccumulator.add`.  The package's versions use an incremental pair index,
 a blocked matrix product and a direct fill of the term dict; they must return
-the same outputs bit for bit.
+the same outputs bit for bit.  `metropolis` keeps a (rows x n) field array
+that every colour class updates with a BLAS product; the package's kernel
+computes each class's fields from the bits, and must visit the same states.
 """
 
 from collections import Counter
@@ -15,6 +18,7 @@ import numpy as np
 
 from latticefold.core import IsingProblem, QuadraticObjective, TermAccumulator
 from latticefold.reduction import QuadratizationResult, resolve_alpha
+from latticefold.solvers import DRIFT_TOL, FULL_REEVAL_FLIPS, _counter_state, counter_uniforms
 
 
 def evaluate_batch(obj, bits):
@@ -122,3 +126,47 @@ def brute_force(obj, tie_tol=1e-9, chunk=1 << 18):
         ((np.uint64(c) >> shifts) & np.uint64(1)).astype(np.uint8) for c in sorted(final)
     ]
     return best, assignments
+
+
+def metropolis(comp, keys, rows, sweeps, temps, cooling):
+    """Yields `(sweep, bits, fields, energies)` for the random initial state
+    (as sweep 0), then after each sweep; bits are in variable order."""
+    key_init, key_prop = keys
+    n = comp.n
+    flip_rounding = (
+        0.5 * np.finfo(np.float64).eps * len(comp.colors) / max(n, 1)
+        * (abs(comp.offset) + sum(abs(v) for v in comp.qubo.terms.values()))
+    )
+    bits = (counter_uniforms(key_init, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
+    fields = comp.local_fields(bits)
+    energies = comp.energies(bits)
+    yield 0, bits, fields, energies
+
+    q_classes = [comp.Q[cls, :] for cls in comp.colors]
+    row_state = _counter_state(key_prop, rows[:, None])
+    flips_since_reeval = 0
+    for sweep in range(sweeps):
+        sweep_state = _counter_state(row_state, sweep)
+        for cls, q_cls in zip(comp.colors, q_classes):
+            sub_bits = bits[:, cls]
+            sign = 1.0 - 2.0 * sub_bits
+            delta_e = sign * fields[:, cls]
+            u = counter_uniforms(sweep_state, cls[None, :])
+            with np.errstate(over="ignore"):
+                prob = np.where(delta_e <= 0.0, 1.0, np.exp(-np.maximum(delta_e, 0.0) / temps[:, None]))
+            accepted = u < prob
+            flips = np.where(accepted, sign, 0.0)
+            bits[:, cls] = sub_bits ^ accepted
+            fields += flips @ q_cls
+            energies += np.sum(np.where(accepted, delta_e, 0.0), axis=1)
+            temps = temps * cooling ** len(cls)
+            flips_since_reeval += len(cls)
+        if flips_since_reeval >= FULL_REEVAL_FLIPS:
+            exact = comp.energies(bits)
+            drift = np.abs(exact - energies).max()
+            tol = DRIFT_TOL + flips_since_reeval * flip_rounding
+            if drift > tol:
+                raise AssertionError(f"incremental energy drift {drift} exceeds {tol}")
+            energies[:] = exact
+            flips_since_reeval = 0
+        yield sweep, bits, fields, energies

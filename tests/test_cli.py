@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from latticefold.cli import main
-from latticefold.core import QuadraticObjective
+from latticefold.core import QuadraticObjective, load_problem
 from latticefold.reduction import QuadratizationResult, quadratize
+from latticefold.solvers import color_graph
 
 
 def run(argv):
@@ -169,6 +170,8 @@ class TestSolve:
         summary = json.loads((workdir / "pt.summary.json").read_text())
         assert summary["solver"] == "pt"
         assert "problem_fingerprint" in summary
+        problem, _ = load_problem(workdir / "p.json")
+        assert summary["colour_classes"] == len(color_graph(problem).classes) > 1
 
     @pytest.mark.parametrize("solver, options, rows", [
         ("sa", ["--seed", "3", "--restarts", "4", "--sweeps", "10"],
@@ -188,6 +191,8 @@ class TestSolve:
         assert summary["num_vars"] == 0 and summary["records"] == len(rows)
         if solver == "pt":
             assert summary["num_temps"] == 4 and summary["measure_sweeps"] == 3
+        if solver != "brute":
+            assert summary["colour_classes"] == 0
 
     def test_zero_variable_offset_is_every_energy(self, workdir):
         (workdir / "c.json").write_text('{"num_vars": 0, "offset": -2.5, "terms": []}')
@@ -491,6 +496,20 @@ class TestEmbedCli:
         (workdir / "emb.json").write_text('{"0": [0, 3], "1": [2], "2": [4]}')
         assert run(["embed", "p.json", "--embedding", "emb.json",
                     "--hardware", "hw.txt", "--out", "e.json"]) == 2
+
+    def test_phantom_chain_rejected(self, workdir, capsys):
+        # a chain for a logical index the problem lacks would couple its nodes
+        # to a real chain's (here node 1, logical 1's qubit, to nodes 2 and 3)
+        (workdir / "hw.txt").write_text("0 1\n1 2\n2 3\n")
+        (workdir / "emb.json").write_text('{"0": [0], "1": [1], "7": [1, 2, 3]}')
+        (workdir / "p.json").write_text(json.dumps({
+            "num_vars": 2, "offset": 0.0, "space": "boolean",
+            "terms": [{"vars": [0], "coeff": 1.0}, {"vars": [0, 1], "coeff": -2.0}],
+        }))
+        assert input_error(["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt",
+                            "--out", "e.json"], capsys) == (
+            "invalid embedding: chain of 7 names no variable of the problem (0..1)")
+        assert not (workdir / "e.json").exists()
 
     @pytest.mark.parametrize("text, message", [
         ('{"0": "x", "1": [2], "2": [3]}', "emb.json: chain '0' is 'x', not a list of nodes"),

@@ -1,7 +1,9 @@
 """The blocked brute force, the incremental quadratizer, the contiguous
 `evaluate_batch` and the direct `ising_to_qubo` against their term-by-term
 reference versions: every output must be identical, down to the dict order
-of the QUBO terms and the repr of the minimum energy."""
+of the QUBO terms and the repr of the minimum energy.  The Metropolis kernel
+against the incremental-field kernel it replaced: the same state after every
+sweep."""
 
 import numpy as np
 import pytest
@@ -13,7 +15,16 @@ from conftest import all_assignments, build_poly, random_qubo
 from latticefold.core import IsingProblem, TermAccumulator, ising_to_qubo, qubo_to_ising
 from latticefold.encoders import encode, get_model
 from latticefold.reduction import quadratize
-from latticefold.solvers import brute_force
+from latticefold.solvers import (
+    DRIFT_TOL,
+    PtConfig,
+    _atiqullah_t0,
+    _Compiled,
+    _metropolis,
+    brute_force,
+    stable_seed,
+    temperature_ladder,
+)
 
 
 def assert_same_quadratization(hubo):
@@ -180,3 +191,26 @@ def test_brute_force_independent_of_blocking(rng, monkeypatch):
     energy, minimizers = solvers.brute_force(hubo)
     assert repr(energy) == repr(expected[0])
     assert [a.tolist() for a in minimizers] == [a.tolist() for a in expected[1]]
+
+
+@pytest.mark.parametrize("solver", ["sa", "pt"])
+def test_metropolis_visits_the_reference_kernels_states(solver):
+    # SA: 432 restarts, cooling 0.9998 from Atiqullah start temperatures; PT:
+    # the 400-temperature ladder.  60 sweeps pass one exact re-evaluation.
+    comp = _Compiled(encode("coord-tet", "LKDFSAW", get_model("mj")).objective)
+    if solver == "sa":
+        rows = np.arange(432, dtype=np.int64)
+        temps = _atiqullah_t0(comp, rows, stable_seed(11, "sa-probe-state"), stable_seed(11, "sa-probe"))
+        cooling = 0.9998
+    else:
+        temps = temperature_ladder(PtConfig(num_temps=400, t_min=1.0, t_max=1e4))
+        rows = np.arange(400, dtype=np.int64)
+        cooling = 1.0
+    keys = (stable_seed(11, f"{solver}-init"), stable_seed(11, f"{solver}-accept"))
+    new = _metropolis(comp, keys, rows, 60, temps, cooling)
+    old = ref.metropolis(comp, keys, rows, 60, temps, cooling)
+    for (sweep, state, e_new), (ref_sweep, bits, _, e_old) in zip(new, old, strict=True):
+        assert sweep == ref_sweep
+        assert np.array_equal(state[:, comp.inverse], bits)
+        assert np.all(state[:, -1] == 1.0)
+        assert np.abs(e_new - e_old).max() <= DRIFT_TOL

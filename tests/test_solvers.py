@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from latticefold.solvers import (
     SaConfig,
     _Compiled,
     _counter_state,
+    _exact_split,
+    _metropolis,
     _sa_blocks,
     _sa_rows,
     brute_force,
@@ -95,6 +99,60 @@ class TestBlockPlan:
             assert len(blocks) == 1
         assert len(blocks) >= min(restarts, -(-cells // SA_BLOCK_CELLS))
         assert len(blocks) >= min(restarts, workers)
+
+
+class TestExactSplit:
+    @staticmethod
+    def fields(state, a):
+        hi, lo = _exact_split(a)
+        return state @ lo + state @ hi
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        w=st.integers(1, 6),
+        entries=st.lists(st.one_of(st.just(0.0), st.just(4.78e7), st.floats(1e-6, 1e8)),
+                         min_size=240, max_size=240),
+        signs=st.lists(st.booleans(), min_size=240, max_size=240),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fields_exact_under_any_rows_or_order(self, k, w, entries, signs, seed):
+        # magnitudes from 1e-6 to 1e8 (and the worst-case alpha scale) in one
+        # matrix: the class fields must not depend on the rows, their number
+        # or order, the column order of the state or its memory layout
+        a = np.array([-x if neg else x for x, neg in zip(entries, signs)])[: k * w].reshape(k, w)
+        rng = np.random.default_rng(seed)
+        state = rng.integers(0, 2, size=(400, k)).astype(np.float64)
+        want = self.fields(state, a)
+        for rows in (1, 2, 7, 64):
+            assert self.fields(state[:rows], a).tobytes() == want[:rows].tobytes()
+        perm = rng.permutation(400)
+        assert self.fields(state[perm], a).tobytes() == want[perm].tobytes()
+        cols = rng.permutation(k)
+        assert self.fields(state[:, cols], a[cols]).tobytes() == want.tobytes()
+        assert self.fields(np.asfortranarray(state), a).tobytes() == want.tobytes()
+        # within one rounding plus the dropped residual of the exact sum
+        residual = k**3 * np.abs(a).max(axis=0) * 2.0**-104
+        for r in range(0, 400, 37):
+            exact = np.array([math.fsum(a[state[r] == 1.0, j]) for j in range(w)])
+            assert np.all(np.abs(want[r] - exact) <= np.spacing(np.abs(want[r])) + residual)
+
+    def test_split_drops_nothing_on_the_bench_problem(self):
+        comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
+        augmented = np.vstack([comp.Q[comp.order], comp.c])
+        for cls, lo, hi in comp.blocks:
+            assert np.array_equal(lo + hi, augmented[:, comp.order[cls]])
+
+    def test_drift_check_catches_a_corrupted_energy(self):
+        # a drift far below any energy gap, but above DRIFT_TOL, must still
+        # fail the re-evaluation after FULL_REEVAL_FLIPS proposals (53 sweeps)
+        comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
+        kernel = _metropolis(comp, (1, 2), np.arange(4, dtype=np.int64), 60, np.full(4, 5.0), 1.0)
+        _, _, energies = next(kernel)
+        energies[2] += 1e-5
+        with pytest.raises(AssertionError, match="incremental energy drift"):
+            for _ in kernel:
+                pass
 
 
 class TestColoring:
