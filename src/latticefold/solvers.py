@@ -3,13 +3,11 @@ coloring parallelism, parallel tempering, and exhaustive brute force.
 
 SA and PT share one Metropolis kernel over a block of rows (restarts or
 replicas).  Every uniform is a pure function of (master seed, role,
-restart/replica, sweep, variable), and a sweep draws them as one table.
-Exact energies are `einsum`s with a fixed per-row order.  A colour class's
-local fields are computed from the bits when the class is proposed, as two
-products with an error-free split of [Q; c] whose partial sums are all
-exact, so they have the same bits under any BLAS and summation order.  No
-row depends on the rows sharing its block: SA results are bit-identical
-however restarts are split into blocks or spread over `jobs` processes.
+restart/replica, sweep, variable), exact energies are `einsum`s with a
+fixed per-row order, and a colour class's fields are two exact products (see
+`_exact_split`).  So no row depends on the rows sharing its block or on the
+BLAS: SA results are bit-identical however restarts are split into blocks or
+spread over `jobs` processes.
 """
 
 from __future__ import annotations
@@ -284,14 +282,13 @@ def color_graph(obj: PolynomialObjective) -> ColorClasses:
 
 
 def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Error-free split of a (k, w) matrix: `a = hi + lo + r`, column by column.
+    """Error-free split `a = hi + lo + r` of a (k, w) matrix (after Ozaki,
+    Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).
 
     hi and lo each lie on a power-of-two grid per column, fine enough that
-    every sum of at most k entries of one column is exact in float64, in any
-    order (after Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).  So
-    `bits @ lo + bits @ hi` over 0/1 rows has the same bits under any BLAS,
-    row count or summation order.  The dropped residual satisfies
-    |r| <= k^2 * max|column| * 2^-104 entry by entry.
+    every sum of at most k entries of a column is exact in any order.  So
+    `bits @ hi + bits @ lo` over 0/1 rows has the same bits under any BLAS,
+    row count or summation order.  |r| <= k^2 * max|column| * 2^-104.
     """
     k = len(a)
 
@@ -307,8 +304,7 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Compiled:
-    """Dense symmetric form of a quadratic problem in Boolean space, and the
-    kernel's colour-contiguous layout of it."""
+    """Dense symmetric form of a quadratic problem in Boolean space."""
 
     def __init__(self, problem):
         if not isinstance(problem, PolynomialObjective):
@@ -332,33 +328,23 @@ class _Compiled:
                 self.Q[i, j] += coeff
                 self.Q[j, i] += coeff
         self.colors = color_graph(qubo).classes
-        self.qubo = qubo
-        # kernel layout: column k of a state row is variable order[k], so each
-        # colour class is one slice; a last constant-1 column carries c.  A
-        # class's fields are state @ lo + state @ hi for the exact split of
-        # its columns of [Q; c], permuted to that layout.
+        # kernel layout: state column k is variable order[k], so a colour class
+        # is a slice, then a constant 1 for c; per class, the split [Q; c] columns
         self.order = np.concatenate([np.zeros(0, dtype=np.int64), *self.colors])
         self.inverse = np.argsort(self.order)
         augmented = np.vstack([self.Q[self.order], self.c[None, :]])
-        self.blocks = []
-        start = 0
-        for cls in self.colors:
-            hi, lo = _exact_split(np.ascontiguousarray(augmented[:, cls]))  # C order: BLAS's fast layout here
-            self.blocks.append((slice(start, start + len(cls)), lo, hi))
-            start += len(cls)
-        # float64 rounding bound of the incremental energy, per proposed flip.
-        # A sweep of n flips adds one row sum of its accepted ΔE to an energy
-        # no larger than S = |offset| + sum |coefficient|.  numpy sums the row
-        # pairwise, about ceil(log2 n) roundings deep, and the |ΔE| of a sweep
-        # add up to at most 2S (each is a field: |c_i| + sum_j |Q_ij|)
+        ends = np.cumsum([len(cls) for cls in self.colors], dtype=np.int64).tolist()
+        self.blocks = [(slice(end - len(cls), end), *_exact_split(np.ascontiguousarray(augmented[:, cls])))
+                       for end, cls in zip(ends, self.colors)]  # C order: BLAS's fast layout here
+        # float64 rounding bound of the incremental energy, per proposed flip: a
+        # sweep adds the pairwise row sum (~ceil(log2 n) roundings) of its ΔE,
+        # whose |ΔE| add up to at most 2S, to an energy of at most S = |offset| + sum |coefficient|
         self.flip_rounding = (
             0.5 * np.finfo(np.float64).eps * (1 + 2 * max(n - 1, 0).bit_length()) / max(n, 1)
             * (abs(self.offset) + sum(abs(v) for v in qubo.terms.values()))
         )
-        # a yielded incremental energy is within the drift check's largest
-        # tolerance of its exact value (fewer than FULL_REEVAL_FLIPS + n flips
-        # since the last re-evaluation); a kept best state is replaced only by
-        # one lower by more than that, so ties do not move on rounding
+        # the drift check's largest tolerance: a best state is replaced only by
+        # one lower by more than this, so ties do not move on rounding
         self.best_tol = DRIFT_TOL + (FULL_REEVAL_FLIPS + n) * self.flip_rounding
 
     # einsum, not BLAS @, on C-ordered rows: a fixed reduction order whatever the rows
@@ -416,10 +402,9 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     """Colour-class Metropolis sweeps over a block of rows (restarts or replicas).
 
     Yields `(sweep, state, energies)` for the random initial state (as sweep
-    0), then after each sweep.  `state` is float64 0/1 in the layout of
-    `comp.order` with a constant-1 last column, so `state[:, comp.inverse]`
-    are the bits in variable order.  The arrays are updated in place, so the
-    caller may exchange rows between sweeps.  A class is proposed at once at
+    0), then after each sweep; `state[:, comp.inverse]` are the bits.  The
+    arrays are updated in place, so the caller may exchange rows between
+    sweeps.  A class is proposed at once at
     its entry temperature; temperatures advance by `cooling` per proposed
     variable (1.0 keeps a fixed ladder).
     """
@@ -436,10 +421,10 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     flips_since_reeval = 0
     for sweep in range(sweeps):
         table = counter_uniforms(_counter_state(row_state, sweep), comp.order[None, :])
-        for cls, lo, hi in comp.blocks:
+        for cls, hi, lo in comp.blocks:
             bits = state[:, cls]
-            # both products are exact (see _exact_split): the fields do not
-            # depend on the BLAS, the row count or the summation order
+            # two products of width |class|, not one of 2|class|: each keeps the
+            # M*N*K of the old field update, the size OpenBLAS sets its threads by
             delta_e = (1.0 - 2.0 * bits) * (state @ lo + state @ hi)
             with np.errstate(over="ignore"):
                 accepted = table[:, cls] < np.exp(np.maximum(delta_e, 0.0) / -temps[:, None])
@@ -481,8 +466,7 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
     return best_bits.astype(np.uint8), comp.energies(best_bits), best_sweep
 
 
-# a block's kernel state and per-sweep uniform table hold about this many
-# float64 cells each (8 MB): rows x (n + 1) and rows x n
+# a block's kernel state and uniform table hold about this many float64 cells each (8 MB)
 SA_BLOCK_CELLS = 1 << 20
 
 

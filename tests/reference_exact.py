@@ -135,7 +135,7 @@ def metropolis(comp, keys, rows, sweeps, temps, cooling):
     n = comp.n
     flip_rounding = (
         0.5 * np.finfo(np.float64).eps * len(comp.colors) / max(n, 1)
-        * (abs(comp.offset) + sum(abs(v) for v in comp.qubo.terms.values()))
+        * (abs(comp.offset) + np.abs(comp.c).sum() + np.abs(np.triu(comp.Q)).sum())
     )
     bits = (counter_uniforms(key_init, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
     fields = comp.local_fields(bits)

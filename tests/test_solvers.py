@@ -140,8 +140,8 @@ class TestExactSplit:
     def test_split_drops_nothing_on_the_bench_problem(self):
         comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
         augmented = np.vstack([comp.Q[comp.order], comp.c])
-        for cls, lo, hi in comp.blocks:
-            assert np.array_equal(lo + hi, augmented[:, comp.order[cls]])
+        for cls, hi, lo in comp.blocks:
+            assert np.array_equal(hi + lo, augmented[:, comp.order[cls]])
 
     def test_drift_check_catches_a_corrupted_energy(self):
         # a drift far below any energy gap, but above DRIFT_TOL, must still
