@@ -12,7 +12,6 @@ import numpy as np
 
 from .core import InputError, coefficient_stats, finite_float
 from .encoders import encode, get_model
-from .lattice import min_grid
 from .reduction import quadratize
 
 Z95 = 1.959963984540054
@@ -26,7 +25,10 @@ Z95 = 1.959963984540054
 class SodHistogram:
     bin_edges: np.ndarray
     counts: np.ndarray
-    sample_count: int
+
+    @property
+    def sample_count(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -60,11 +62,11 @@ def overlap_histogram(q_values: np.ndarray, bins: int = 101) -> SodHistogram:
     if bins < 1:
         raise InputError(f"histogram bins must be at least 1, got {bins}")
     q = np.asarray(q_values, dtype=np.float64)
-    if np.any(np.abs(q) > 1.0 + 1e-12):
+    if not np.all(np.abs(q) <= 1.0 + 1e-12):
         raise InputError("overlap values must lie in [-1, 1]")
     q = np.clip(q, -1.0, 1.0)
     counts, edges = np.histogram(q, bins=bins, range=(-1.0, 1.0))
-    return SodHistogram(bin_edges=edges, counts=counts, sample_count=len(q))
+    return SodHistogram(bin_edges=edges, counts=counts)
 
 
 THIN = "thin"
@@ -79,7 +81,7 @@ def classify_barriers(hist: SodHistogram, threshold: float = 0.5) -> str:
     smoothed values that sits strictly above both flanks counts as one peak,
     represented by its highest raw-count bin.
     """
-    if hist.sample_count == 0 or hist.counts.sum() == 0:
+    if hist.sample_count == 0:
         raise InputError("cannot classify an empty histogram")
     c = hist.counts.astype(np.float64)
     smooth = np.convolve(c, np.ones(3) / 3.0, mode="same")
@@ -150,10 +152,10 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def estimate_p_ground(sample_set, reference_energy: float, tol: float = 1e-6):
-    """Fraction of runs whose best energy reaches the reference, with a
+def estimate_p_ground(energies, reference_energy: float, tol: float = 1e-6):
+    """Fraction of the runs' best energies that reach the reference, with a
     Wilson 95% interval."""
-    energies = np.asarray(sample_set.energies if hasattr(sample_set, "energies") else sample_set)
+    energies = np.asarray(energies)
     if energies.size == 0:
         raise InputError("empty sample set")
     threshold = finite_float(reference_energy, "reference energy") + finite_float(tol, "tol")
@@ -203,16 +205,9 @@ def scaling_report(model_tags, n_values, interaction=None) -> ScalingReport:
     rows = []
     for tag in model_tags:
         for n in n_values:
-            seq = "H" * n
-            kind = "cartesian" if tag.endswith("cart") else "tetrahedral"
-            if tag.startswith("coord"):
-                L = min_grid(kind, n)
-                model = encode(tag, seq, interaction, L=L)
-                qubo = model.objective
-            else:
-                L = None
-                model = encode(tag, seq, interaction)
-                qubo = quadratize(model.objective).qubo
+            model = encode(tag, "H" * n, interaction)
+            L = model.layout.get("L")
+            qubo = model.objective if tag.startswith("coord") else quadratize(model.objective).qubo
             n_quad = len(qubo.quadratic)
             nv = qubo.num_vars
             _, _, resolution = coefficient_stats(qubo)

@@ -160,19 +160,14 @@ def cmd_encode(args) -> int:
     sequence = args.seq.upper() if args.seq else _read_fasta(args.fasta)
     inputs = [args.fasta] if args.fasta else []
     manifest = Manifest("encode", args, inputs)
-    interaction = get_model(args.interaction)
-    kwargs = {}
-    if args.model.startswith("coord"):
-        kwargs["efficient_h3"] = args.efficient_h3
-    if args.model == "turn-tet":
-        kwargs["penalty_variant"] = args.penalty_variant
     model = encode(
         args.model,
         sequence,
-        interaction,
+        get_model(args.interaction),
         L=args.L,
         penalties=_parse_penalties(args.penalty),
-        **kwargs,
+        efficient_h3=args.efficient_h3,
+        penalty_variant=args.penalty_variant,
     )
     _write_json(args.out, model.to_doc(), manifest)
     obj = model.objective
@@ -343,7 +338,7 @@ def _analyze_tts(args) -> int:
         raise InputError("provide --tau or a solve summary with tau_seconds")
     if isinstance(tau, bool) or not isinstance(tau, (int, float)):
         raise InputError(f"{args.summary}: tau_seconds {tau!r} is not a number")
-    p, interval = estimate_p_ground(ss, args.reference_energy, tol=args.tol)
+    p, interval = estimate_p_ground(ss.energies, args.reference_energy, tol=args.tol)
     result = tts(tau, p, interval)
     model = args.model or summary.get("model", "-")
     n = args.n if args.n is not None else summary.get("N", -1)

@@ -88,13 +88,6 @@ class EmbeddingMap:
         return sorted({p for chain in self.chains.values() for p in chain})
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    valid: bool
-    violations: tuple
-    physical_qubits: int
-
-
 def _chain_connected(chain, hw: HardwareGraph) -> bool:
     chain = set(chain)
     if not chain:
@@ -110,10 +103,10 @@ def _chain_connected(chain, hw: HardwareGraph) -> bool:
     return seen == chain
 
 
-def validate_embedding(emb: EmbeddingMap, ising: IsingProblem, hw: HardwareGraph) -> EmbeddingReport:
-    """Checks chains are disjoint, connected, on-graph, name only logical
-    variables of the problem, and that every logical coupling has a
-    connecting hardware edge."""
+def validate_embedding(emb: EmbeddingMap, ising: IsingProblem, hw: HardwareGraph) -> tuple[str, ...]:
+    """The violations of `emb`, empty for a valid embedding: chains must be
+    disjoint, connected, on-graph and name only logical variables of the
+    problem, and every logical coupling needs a connecting hardware edge."""
     violations = [f"chain of {logical} names no variable of the problem (0..{ising.num_vars - 1})"
                   for logical in sorted(emb.chains) if not 0 <= logical < ising.num_vars]
     seen_nodes: set = set()
@@ -137,11 +130,7 @@ def validate_embedding(emb: EmbeddingMap, ising: IsingProblem, hw: HardwareGraph
         cj = emb.chains.get(j, ())
         if not any(hw.has_edge(u, v) for u in ci for v in cj):
             violations.append(f"no hardware edge connects chains of ({i},{j})")
-    return EmbeddingReport(
-        valid=not violations,
-        violations=tuple(violations),
-        physical_qubits=sum(len(c) for c in emb.chains.values()),
-    )
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -166,9 +155,9 @@ def apply_embedding(
     hw: HardwareGraph,
     chain_strength: float,
 ) -> EmbeddedProblem:
-    report = validate_embedding(emb, ising, hw)
-    if not report.valid:
-        raise InputError("invalid embedding: " + "; ".join(report.violations))
+    violations = validate_embedding(emb, ising, hw)
+    if violations:
+        raise InputError("invalid embedding: " + "; ".join(violations))
     if chain_strength <= 0:
         raise InputError("chain strength must be positive")
 

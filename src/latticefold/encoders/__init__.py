@@ -15,17 +15,20 @@ from .model import (
     interaction_pair_range,
 )
 from .turn_cartesian import DEFAULT_TURN_CART_PENALTIES, encode_turn_cartesian, slack_bit_count
-from .turn_tetrahedral import default_turn_tet_penalties, encode_turn_tetrahedral
+from .turn_tetrahedral import STRICT, default_turn_tet_penalties, encode_turn_tetrahedral
 
 MODEL_TAGS = (TURN_CARTESIAN, TURN_TETRAHEDRAL, COORD_CARTESIAN, COORD_TETRAHEDRAL)
 
 
-def encode(model: str, sequence: str, interaction, L=None, penalties=None, **kwargs) -> EncodedModel:
-    """Dispatch over the four model tags."""
+def encode(model: str, sequence: str, interaction, L=None, penalties=None,
+           efficient_h3: bool = False, penalty_variant: str = STRICT) -> EncodedModel:
+    """Dispatch over the four model tags; each option goes to the models that
+    have it (L and efficient_h3 to the coordinate models, penalty_variant to
+    turn-tet) and the others ignore it."""
     if model == TURN_CARTESIAN:
         return encode_turn_cartesian(sequence, interaction, penalties)
     if model == TURN_TETRAHEDRAL:
-        return encode_turn_tetrahedral(sequence, interaction, penalties, **kwargs)
+        return encode_turn_tetrahedral(sequence, interaction, penalties, penalty_variant)
     if model in (COORD_CARTESIAN, COORD_TETRAHEDRAL):
-        return encode_coordinate(model, sequence, interaction, L, penalties, **kwargs)
+        return encode_coordinate(model, sequence, interaction, L, penalties, efficient_h3)
     raise InputError(f"unknown model {model!r}; choose one of {MODEL_TAGS}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 
 from ..core import InputError, TermAccumulator
-from ..lattice import CARTESIAN, LatticeSpec, adjacent, min_grid, site_classes
+from ..lattice import CARTESIAN, LatticeSpec, min_grid, neighbor_sites, site_classes
 from .interactions import InteractionModel
 from .model import MODEL_LATTICE, EncodedModel, merge_penalties
 
@@ -73,19 +73,13 @@ def encode_coordinate(
     def var(bead: int, rank: int) -> int:
         return blocks[bead]["start"] + rank
 
-    # Adjacency by rank between the two classes.
-    adj_ranks: list[list[int]] = []
+    # adjacent site pairs (rank0, rank1) between the two classes, for the bond terms
     rank_of_cls1 = {site: r for r, site in enumerate(classes[1])}
-    for s in classes[0]:
-        adj_ranks.append(
-            sorted(
-                rank_of_cls1[t]
-                for t in classes[1]
-                if adjacent(kind, s, t)
-            )
-        )
-    # site pairs (rank0, rank1) that are adjacent, for fast bond terms
-    adjacent_pairs = [(r0, r1) for r0, nbrs in enumerate(adj_ranks) for r1 in nbrs]
+    adjacent_pairs = [
+        (r0, r1)
+        for r0, s in enumerate(classes[0])
+        for r1 in sorted(rank_of_cls1[t] for t in neighbor_sites(kind, s) if t in rank_of_cls1)
+    ]
     adjacent_set = set(adjacent_pairs)
 
     acc = TermAccumulator()

@@ -9,11 +9,10 @@ from dataclasses import dataclass, field
 
 from ..core import InputError
 from ..lattice import (
-    CARTESIAN,
+    ORIGIN,
     LatticeSpec,
     Site,
     adjacent,
-    cartesian_site,
     in_grid,
     neighbor_sites,
     site_classes,
@@ -24,17 +23,20 @@ from .interactions import InteractionModel
 
 @dataclass
 class Fold:
-    """Per-bead lattice sites plus validity flags.
+    """Per-bead lattice sites plus the decode's violations.
 
-    decode_feasible is False when the originating assignment violated its
+    A violation records where the originating assignment broke its
     encoding's block structure (invalid turn pattern, non-one-hot placement);
     positions are then best-effort.
     """
 
     lattice_kind: str
     positions: list[Site]
-    decode_feasible: bool = True
     violations: list[str] = field(default_factory=list)
+
+    @property
+    def decode_feasible(self) -> bool:
+        return not self.violations
 
     @property
     def self_avoiding(self) -> bool:
@@ -90,10 +92,6 @@ def contact_pairs(fold: Fold) -> list[tuple[int, int]]:
     ]
 
 
-def _walk_origin(kind: str) -> Site:
-    return cartesian_site(0, 0, 0) if kind == CARTESIAN else Site(0, 0, 0, 0)
-
-
 def enumerate_saws(kind: str, n: int, spec: LatticeSpec | None = None):
     """Yield every self-avoiding walk of n beads as a list of sites.
 
@@ -107,10 +105,7 @@ def enumerate_saws(kind: str, n: int, spec: LatticeSpec | None = None):
     if spec is not None and spec.kind != kind:
         raise InputError("lattice spec kind mismatch")
 
-    if spec is None:
-        starts = [_walk_origin(kind)]
-    else:
-        starts = site_classes(spec)[0]
+    starts = [ORIGIN] if spec is None else site_classes(spec)[0]
 
     path: list[Site] = []
     occupied: set[Site] = set()
@@ -144,13 +139,9 @@ def optimal_fold_energy(
     """Exact minimum contact energy over all self-avoiding walks."""
     interaction.validate_sequence(sequence)
     best = 0.0
-    n = len(sequence)
-    for walk in enumerate_saws(kind, n, spec):
+    for walk in enumerate_saws(kind, len(sequence), spec):
         total = 0.0
-        for i in range(n):
-            for j in range(i + 2, n):
-                if adjacent(kind, walk[i], walk[j]):
-                    total += interaction.energy(sequence[i], sequence[j])
-        if total < best:
-            best = total
+        for i, j in contact_pairs(Fold(kind, walk)):
+            total += interaction.energy(sequence[i], sequence[j])
+        best = min(best, total)
     return best

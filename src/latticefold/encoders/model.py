@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from ..core import InputError, PolynomialObjective, poly_add, poly_product, problem_from_dict
-from ..lattice import CARTESIAN, TETRAHEDRAL, LatticeSpec, Site, cartesian_site, neighbor_sites, site_classes
+from ..lattice import CARTESIAN, ORIGIN, TETRAHEDRAL, LatticeSpec, Site, cartesian_site, neighbor_sites, site_classes
 from .folds import Fold
 from .interactions import InteractionModel
 
@@ -218,7 +218,7 @@ def decode(model: EncodedModel, assignment) -> Fold:
     """Map a solver bitstring to bead positions.
 
     Never raises on infeasible content: invalid turn patterns and broken
-    one-hot blocks set decode_feasible=False, record a violation, and the
+    one-hot blocks record a violation (so decode_feasible is False), and the
     positions are completed best-effort.
     """
     bits = np.asarray(assignment).astype(np.int8)
@@ -245,17 +245,12 @@ def _decode_coordinate(model: EncodedModel, bits: np.ndarray) -> Fold:
             violations.append(f"bead {bead} placed on {len(ranks)} sites")
             rank = int(ranks[0]) if len(ranks) else 0
             positions.append(classes[cls][rank])
-    return Fold(
-        lattice_kind=model.lattice_kind,
-        positions=positions,
-        decode_feasible=not violations,
-        violations=violations,
-    )
+    return Fold(model.lattice_kind, positions, violations)
 
 
 def _decode_turns(model: EncodedModel, bits: np.ndarray) -> Fold:
     kind = model.lattice_kind
-    positions = [cartesian_site(0, 0, 0) if kind == CARTESIAN else Site(0, 0, 0, 0)]
+    positions = [ORIGIN]
     violations: list[str] = []
     for t, block in enumerate(model.layout["turns"], start=1):
         pattern = tuple(int(b) if (v := turn_var(b)) is None else int(bits[v]) for b in block)
@@ -274,12 +269,7 @@ def _decode_turns(model: EncodedModel, bits: np.ndarray) -> Fold:
                 positions.append(cur if not ones else neighbor_sites(kind, cur)[ones[0]])
             else:
                 positions.append(neighbor_sites(kind, cur)[ones[0]])
-    return Fold(
-        lattice_kind=kind,
-        positions=positions,
-        decode_feasible=not violations,
-        violations=violations,
-    )
+    return Fold(kind, positions, violations)
 
 
 def interaction_pair_range(model_tag: str, n: int) -> list[tuple[int, int]]:

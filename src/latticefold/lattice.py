@@ -72,6 +72,10 @@ def cartesian_site(i: int, j: int, k: int) -> Site:
     return Site((i + j + k) % 2, i, j, k)
 
 
+# The class-0 site at (0, 0, 0) on both lattices: turn decodes and free walks start here.
+ORIGIN = Site(0, 0, 0, 0)
+
+
 def sites(spec: LatticeSpec) -> list[Site]:
     """All sites of the grid, class 0 first, lexicographic within a class."""
     L = spec.L

@@ -555,17 +555,16 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     kernel = _metropolis(comp, keys, rows, cfg.sweeps, ladder, 1.0)
     next(kernel)  # the initial state is not a record
     for sweep, state, energies in kernel:
-        if m > 1:
-            lows = np.arange(sweep % 2, m - 1, 2)
-            highs = lows + 1
-            exponent = (energies[lows] - energies[highs]) * (1.0 / ladder[lows] - 1.0 / ladder[highs])
-            with np.errstate(over="ignore"):
-                p_swap = np.where(exponent >= 0.0, 1.0, np.exp(exponent))
-            u = counter_uniforms(key_swap, np.full(len(lows), sweep), lows)
-            do = u < p_swap
-            swap_lo, swap_hi = lows[do], highs[do]
-            for arr in (state, energies):
-                arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
+        lows = np.arange(sweep % 2, m - 1, 2)  # empty with one temperature
+        highs = lows + 1
+        exponent = (energies[lows] - energies[highs]) * (1.0 / ladder[lows] - 1.0 / ladder[highs])
+        with np.errstate(over="ignore"):
+            p_swap = np.where(exponent >= 0.0, 1.0, np.exp(exponent))
+        u = counter_uniforms(key_swap, np.full(len(lows), sweep), lows)
+        do = u < p_swap
+        swap_lo, swap_hi = lows[do], highs[do]
+        for arr in (state, energies):
+            arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
 
         trajectory[sweep] = energies
         sweep_min = float(energies.min())

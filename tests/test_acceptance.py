@@ -295,7 +295,7 @@ def test_criterion_5_solver_correctness():
         pt_hits += pt_ok
 
         assert len(sa.energies) == sa.meta["restarts"]
-        p, interval = estimate_p_ground(sa, reference)
+        p, interval = estimate_p_ground(sa.energies, reference)
         result = tts(sa.tau_seconds, p, interval)
         if 0.0 < p < 0.99:
             expected = sa.tau_seconds * math.log(0.01) / math.log(1.0 - p)
@@ -400,8 +400,8 @@ def test_criterion_8_embedding_algebra():
     hw = HardwareGraph.from_edges(edges, extra_nodes=range(16))
     assert len(hw.nodes) == 16
     emb = EmbeddingMap(chains=chains)
-    report_ = validate_embedding(emb, ising, hw)
-    assert report_.valid and report_.physical_qubits == 8
+    assert validate_embedding(emb, ising, hw) == ()
+    assert len(emb.physical_nodes()) == 8
 
     strength = default_chain_strength(qubo)
     assert strength == max(abs(c) for c in qubo.terms.values()) / 2
