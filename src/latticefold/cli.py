@@ -401,14 +401,18 @@ def cmd_unembed(args) -> int:
     manifest = Manifest("unembed", args, [args.samples, args.embedded, args.problem])
     emb, node_order = load_embedded(args.embedded)
     problem, _ = load_problem(args.problem)
+    stray = sorted(set(emb.chains) ^ set(range(problem.num_vars)))
+    if stray:
+        raise InputError(f"{args.embedded}: chains must be keyed by the variables 0..{problem.num_vars - 1} "
+                         f"of {args.problem}; extra or missing: {stray}")
     samples = sample_set_from_csv(args.samples)
+    logical, breaks = zip(*(
+        unembed(row, emb, node_order, seed=args.seed, sample_index=idx)
+        for idx, row in enumerate(samples.bits)
+    ))
+    rows = np.array(logical, dtype=np.int64)
+    energies = problem.evaluate_batch(2 * rows - 1 if problem.space == ISING else rows).tolist()
     with _csv_out(args.out, manifest, "assignment,energy,replica,sweep,chain_break_fraction") as fh:
-        logical, breaks = zip(*(
-            unembed(row, emb, node_order, seed=args.seed, sample_index=idx)
-            for idx, row in enumerate(samples.bits)
-        ))
-        rows = np.array(logical, dtype=np.int64)
-        energies = problem.evaluate_batch(2 * rows - 1 if problem.space == ISING else rows).tolist()
         for bits, energy, rep, sweep, cbf in zip(logical, energies, samples.replicas, samples.sweeps, breaks):
             bitstring = "".join("1" if b else "0" for b in bits)
             fh.write(f"{bitstring},{energy!r},{int(rep)},{int(sweep)},{cbf!r}\n")
@@ -417,6 +421,8 @@ def cmd_unembed(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
+    if args.count < 0 or args.len < 0:
+        raise InputError(f"--count and --len must be non-negative, got {args.count} and {args.len}")
     manifest = Manifest("gen-dataset", args, [])
     key = stable_seed(args.seed, "dataset")
     records = []
@@ -487,13 +493,16 @@ def _apply_config_defaults(parser, defaults: dict) -> None:
 
 
 def _chain_strength(text: str):
-    """--chain-strength: auto or a number."""
+    """--chain-strength: auto or a finite number."""
     if text == "auto":
         return text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is neither auto nor a number") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -122,7 +122,9 @@ class PtConfig:
     def __post_init__(self) -> None:
         if self.num_temps < 1:
             raise InputError("need at least one temperature")
-        if self.num_temps > 1 and not (0 < self.t_min < self.t_max):
+        if finite_float(self.t_min, "t_min") <= 0:
+            raise InputError("t_min must be positive")
+        if self.num_temps > 1 and not finite_float(self.t_max, "t_max") > self.t_min:
             raise InputError("need 0 < t_min < t_max")
         if not (0 < self.measure_sweeps <= self.sweeps):
             raise InputError("need 0 < measure_sweeps <= sweeps")

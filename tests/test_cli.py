@@ -343,6 +343,20 @@ class TestMalformedInput:
         (workdir / "conf.txt").write_text("restart = 6\n")
         assert input_error(argv, capsys) == message
 
+    @pytest.mark.parametrize("options, message", [
+        (["--num-temps", "1", "--t-min", "0"], "t_min must be positive"),
+        (["--num-temps", "1", "--t-min", "-5"], "t_min must be positive"),
+        (["--num-temps", "1", "--t-min", "nan"], "t_min nan is not finite"),
+        (["--num-temps", "4", "--t-max", "inf"], "t_max inf is not finite"),
+    ], ids=["one-temp-zero", "one-temp-negative", "one-temp-nan", "t-max-inf"])
+    def test_bad_pt_temperature_exits_2(self, workdir, capsys, options, message):
+        (workdir / "q.json").write_text(json.dumps({
+            "num_vars": 2, "offset": 0.0, "space": "boolean", "terms": [{"vars": [0, 1], "coeff": -1.0}],
+        }))
+        assert input_error(["solve", "q.json", "--solver", "pt", "--seed", "1", "--sweeps", "4",
+                            "--measure-sweeps", "2", *options, "--out", "s.csv"], capsys) == message
+        assert not (workdir / "s.csv").exists()
+
     def test_ragged_samples_csv_exits_2(self, workdir, capsys):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
                     "--out", "p.json"]) == 0
@@ -548,6 +562,36 @@ class TestEmbedCli:
         assert run(["--config", "conf.txt", *argv]) == 0
         assert json.loads((workdir / "e.json").read_text())["embedding"]["chain_strength"] == 2.5
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_chain_strength_not_finite_exits_2(self, workdir, capsys, value):
+        self._fixture(workdir)
+        assert usage_error(["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt",
+                            f"--chain-strength={value}", "--out", "e.json"], capsys).endswith(
+            f"argument --chain-strength: '{value}' is not finite")
+        assert not (workdir / "e.json").exists()
+
+    @pytest.mark.parametrize("edit, samples, message", [
+        (lambda chains: chains.update({"7": [1]}), None,
+         "e.json: chains must be keyed by the variables 0..2 of p.json; extra or missing: [7]"),
+        (lambda chains: chains.pop("2"), None,
+         "e.json: chains must be keyed by the variables 0..2 of p.json; extra or missing: [2]"),
+        (None, "010,1.0,0,0\n", "sample covers (3,) nodes, embedding uses 4"),
+    ], ids=["stray-chain", "missing-chain", "short-sample"])
+    def test_unembed_error_leaves_no_output(self, workdir, capsys, edit, samples, message):
+        self._fixture(workdir)
+        assert run(["embed", "p.json", "--embedding", "emb.json",
+                    "--hardware", "hw.txt", "--out", "e.json"]) == 0
+        assert run(["solve", "e.json", "--solver", "brute", "--out", "phys.csv"]) == 0
+        if edit is not None:
+            doc = json.loads((workdir / "e.json").read_text())
+            edit(doc["embedding"]["chains"])
+            (workdir / "e.json").write_text(json.dumps(doc))
+        if samples is not None:
+            (workdir / "phys.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n" + samples)
+        assert input_error(["unembed", "phys.csv", "--embedded", "e.json", "--problem", "p.json",
+                            "--out", "log.csv"], capsys) == message
+        assert not (workdir / "log.csv").exists()
+
     def test_hardware_file_is_closed(self, workdir):
         self._fixture(workdir)
         with warnings.catch_warnings(record=True) as caught:
@@ -589,6 +633,13 @@ class TestDatasetAndConfig:
         seq = a["sequences"][0]["sequence"]
         assert len(seq) == 8
         assert a["sequences"][0]["prefixes"]["4"] == seq[:4]
+
+    @pytest.mark.parametrize("count, length", [("-1", "8"), ("4", "-1")], ids=["count", "len"])
+    def test_gen_dataset_negative_size_exits_2(self, workdir, capsys, count, length):
+        assert input_error(["gen-dataset", "--count", count, "--len", length, "--seed", "9",
+                            "--out", "d.json"], capsys) == (
+            f"--count and --len must be non-negative, got {count} and {length}")
+        assert not (workdir / "d.json").exists()
 
     def test_input_files_are_closed(self, workdir):
         (workdir / "seq.fa").write_text(">rec\nHPPH\n")

@@ -15,6 +15,7 @@ from latticefold.solvers import (
     PtConfig,
     ResourceRefusal,
     SaConfig,
+    SampleSet,
     _Compiled,
     _counter_state,
     _exact_split,
@@ -384,6 +385,12 @@ class TestParallelTempering:
             PtConfig(num_temps=4, t_min=2.0, t_max=1.0, sweeps=10, measure_sweeps=5)
         with pytest.raises(InputError):
             PtConfig(num_temps=4, t_min=1.0, t_max=2.0, sweeps=10, measure_sweeps=50)
+        for num_temps, t_min, t_max in ((1, 0.0, 1e4), (1, -5.0, 1e4), (1, math.nan, 1e4),
+                                        (4, math.nan, 2.0), (4, 1.0, math.inf), (4, 1.0, math.nan)):
+            with pytest.raises(InputError):
+                PtConfig(num_temps=num_temps, t_min=t_min, t_max=t_max, sweeps=10, measure_sweeps=5)
+        # one temperature never reads t_max
+        assert temperature_ladder(PtConfig(num_temps=1, t_min=2.0, t_max=math.inf)).tolist() == [2.0]
 
 
 class TestSampleSetCsv:
@@ -396,6 +403,42 @@ class TestSampleSetCsv:
         assert np.array_equal(again.bits, ss.bits)
         assert np.array_equal(again.energies, ss.energies)
         assert np.array_equal(again.replicas, ss.replicas)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_property(self, tmp_path_factory, data):
+        # every column reads back bit for bit, from the four-column `to_csv`
+        # form and from the five-column `unembed` form
+        n = data.draw(st.integers(0, 12), label="n")
+        m = data.draw(st.integers(1, 6), label="m")
+
+        def column(elements):
+            return st.lists(elements, min_size=m, max_size=m)
+
+        odd = st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308])
+        ss = SampleSet(
+            space="boolean",
+            bits=np.array(data.draw(column(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+                          dtype=np.uint8).reshape(m, n),
+            energies=np.array(data.draw(column(st.floats(allow_nan=False, allow_infinity=False) | odd))),
+            replicas=np.array(data.draw(column(st.integers(-1, 10**6)))),
+            sweeps=np.array(data.draw(column(st.integers(0, 10**9)))),
+            run_seconds=0.0,
+            tau_seconds=0.0,
+        )
+        fractions = data.draw(column(st.floats(0.0, 1.0)), label="chain break fractions")
+        four = tmp_path_factory.mktemp("csv") / "four.csv"
+        ss.to_csv(four, manifest_name="m.json")
+        head, *rows = four.read_text().splitlines(keepends=True)[1:]
+        five = four.with_name("five.csv")
+        five.write_text("# manifest=m.json\n" + head.rstrip("\n") + ",chain_break_fraction\n"
+                        + "".join(f"{r.rstrip()},{f!r}\n" for r, f in zip(rows, fractions)))
+        for path in (four, five):
+            again = sample_set_from_csv(path)
+            assert again.bits.shape == (m, n) and np.array_equal(again.bits, ss.bits)
+            assert again.energies.tobytes() == ss.energies.tobytes()
+            assert np.array_equal(again.replicas, ss.replicas)
+            assert np.array_equal(again.sweeps, ss.sweeps)
 
     @pytest.mark.parametrize("row, message", [
         ("01,1.0,1,0", "2 bits, earlier rows have 3"),  # ragged bitstrings
