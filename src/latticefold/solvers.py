@@ -3,11 +3,12 @@ coloring parallelism, parallel tempering, and exhaustive brute force.
 
 SA and PT share one Metropolis kernel over a block of rows (restarts or
 replicas).  Every uniform is a pure function of (master seed, role,
-restart/replica, sweep, variable), exact energies are `einsum`s with a
-fixed per-row order, and a colour class's fields are two exact products (see
-`_exact_split`).  So no row depends on the rows sharing its block or on the
-BLAS: SA results are bit-identical however restarts are split into blocks or
-spread over `jobs` processes.
+restart/replica, sweep, variable).  `[Q; c]` is split onto two power-of-two
+grids (`_exact_split`): a colour class's fields are two exact products, and
+each row carries its energy as an exact pair that never drifts.  Reported
+energies are `einsum`s with a fixed per-row order.  So no row depends on
+the rows sharing its block or on the BLAS: SA results are bit-identical
+however restarts are split into blocks or spread over `jobs` processes.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from .core import (
     ising_to_qubo,
     rounding_gamma,
 )
-
-FULL_REEVAL_FLIPS = 10_000
-DRIFT_TOL = 1e-6
 
 
 class ResourceRefusal(RuntimeError):
@@ -284,20 +282,18 @@ def color_graph(obj: PolynomialObjective) -> ColorClasses:
 
 
 def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Error-free split `a = hi + lo + r` of a (k, w) matrix (after Ozaki,
-    Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).
+    """Error-free split `a = hi + lo + r` of a matrix (after Ozaki, Ogita,
+    Oishi & Rump, Numer. Algorithms 59, 2012).
 
-    hi and lo each lie on a power-of-two grid per column, fine enough that
-    every sum of at most k entries of a column is exact in any order.  So
-    `bits @ hi + bits @ lo` over 0/1 rows has the same bits under any BLAS,
-    row count or summation order.  |r| <= k^2 * max|column| * 2^-104.
+    hi lies on one power-of-two grid g = 2^(e - 52), 2 * sum|a| < 2^e, and lo
+    on the grid chosen the same way for a - hi.  A sum of entries of one part,
+    each taken at most twice, is a multiple of its grid below 2^53 grid steps,
+    so it is exact in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+    2008): `bits @ hi`, `bits @ lo` and energies summed from them have the same
+    bits under any BLAS, row count or order.  |r| <= a.size * sum|a| * 2^-102.
     """
-    k = len(a)
-
     def on_grid(x):
-        # the grid 2^(e - 52), k * max|x| < 2^e: a sum of k rounded entries is
-        # an integer multiple of the grid below 2^53 grid steps
-        _, e = np.frexp(k * np.abs(x).max(axis=0, initial=0.0))
+        _, e = np.frexp(2.0 * np.abs(x).sum())
         grid = np.ldexp(1.0, e - 52)
         return np.rint(x / grid) * grid
 
@@ -331,23 +327,13 @@ class _Compiled:
                 self.Q[j, i] += coeff
         self.colors = color_graph(qubo).classes
         # kernel layout: state column k is variable order[k], so a colour class
-        # is a slice, then a constant 1 for c; per class, the split [Q; c] columns
+        # is a slice, then a constant 1 for c; per class, its columns of the split [Q; c]
         self.order = np.concatenate([np.zeros(0, dtype=np.int64), *self.colors])
         self.inverse = np.argsort(self.order)
-        augmented = np.vstack([self.Q[self.order], self.c[None, :]])
-        ends = np.cumsum([len(cls) for cls in self.colors], dtype=np.int64).tolist()
-        self.blocks = [(slice(end - len(cls), end), *_exact_split(np.ascontiguousarray(augmented[:, cls])))
-                       for end, cls in zip(ends, self.colors)]  # C order: BLAS's fast layout here
-        # float64 rounding bound of the incremental energy, per proposed flip: a
-        # sweep adds the pairwise row sum (~ceil(log2 n) roundings) of its ΔE,
-        # whose |ΔE| add up to at most 2S, to an energy of at most S = |offset| + sum |coefficient|
-        self.flip_rounding = (
-            0.5 * np.finfo(np.float64).eps * (1 + 2 * max(n - 1, 0).bit_length()) / max(n, 1)
-            * (abs(self.offset) + sum(abs(v) for v in qubo.terms.values()))
-        )
-        # the drift check's largest tolerance: a best state is replaced only by
-        # one lower by more than this, so ties do not move on rounding
-        self.best_tol = DRIFT_TOL + (FULL_REEVAL_FLIPS + n) * self.flip_rounding
+        hi, lo = _exact_split(np.vstack([self.Q[self.order], self.c])[:, self.order])
+        ends = np.cumsum([len(cls) for cls in self.colors]).tolist()
+        self.blocks = [(slice(a, b), hi[:, a:b].copy(), lo[:, a:b].copy())  # C order: BLAS's fast layout here
+                       for a, b in zip([0, *ends], ends)]
 
     # einsum, not BLAS @, on C-ordered rows: a fixed reduction order whatever the rows
     def energies(self, bits: np.ndarray) -> np.ndarray:
@@ -403,47 +389,46 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key_state: int, key_var: in
 def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.ndarray, cooling: float):
     """Colour-class Metropolis sweeps over a block of rows (restarts or replicas).
 
-    Yields `(sweep, state, energies)` for the random initial state (as sweep
-    0), then after each sweep; `state[:, comp.inverse]` are the bits.  The
-    arrays are updated in place, so the caller may exchange rows between
-    sweeps.  A class is proposed at once at
-    its entry temperature; temperatures advance by `cooling` per proposed
-    variable (1.0 keeps a fixed ladder).
+    Yields `(sweep, state, pair)` for the random initial state (as sweep 0),
+    then after each sweep; `state[:, comp.inverse]` are the bits, and a row
+    of `pair` is the state's exact energy under the hi and the lo part of the
+    split, so its energy is offset + E_hi + E_lo.  The arrays are updated in
+    place, so the caller may exchange rows between sweeps.  A class is
+    proposed at once at its entry temperature; temperatures advance by
+    `cooling` per proposed variable (1.0 keeps a fixed ladder).
     """
     key_init, key_prop = keys
     n = comp.n
     state = np.ones((len(rows), n + 1))
     state[:, :n] = counter_uniforms(key_init, rows[:, None], comp.order[None, :]) < 0.5
-    energies = comp.energies(state[:, comp.inverse])
-    yield 0, state, energies
+    pair = np.zeros((len(rows), 2))
+    for cls, *parts in comp.blocks:  # a part's energy is x . (fields + c) / 2
+        for k, part in enumerate(parts):
+            pair[:, k] += np.einsum("ri,ri->r", state[:, cls], state @ part + part[-1]) / 2
+    yield 0, state, pair
 
     # the (key, row) and (key, row, sweep) prefixes of the proposal counters
     # are mixed once; a sweep's uniforms are one table keyed by variable
     row_state = _counter_state(key_prop, rows[:, None])
-    flips_since_reeval = 0
+    lo_table = np.empty((len(rows), n))
     for sweep in range(sweeps):
         table = counter_uniforms(_counter_state(row_state, sweep), comp.order[None, :])
         for cls, hi, lo in comp.blocks:
             bits = state[:, cls]
+            sign = 1.0 - 2.0 * bits
             # two products of width |class|, not one of 2|class|: each keeps the
             # M*N*K of the old field update, the size OpenBLAS sets its threads by
-            delta_e = (1.0 - 2.0 * bits) * (state @ lo + state @ hi)
+            d_hi, d_lo = sign * (state @ hi), sign * (state @ lo)  # the two parts of ΔE
             with np.errstate(over="ignore"):
-                accepted = table[:, cls] < np.exp(np.maximum(delta_e, 0.0) / -temps[:, None])
-            np.multiply(delta_e, accepted, out=table[:, cls])  # the spent uniforms hold the accepted ΔE
+                accepted = table[:, cls] < np.exp(np.maximum(d_hi + d_lo, 0.0) / -temps[:, None])
+            # the spent uniforms hold the accepted hi parts, lo_table the lo parts
+            np.multiply(d_hi, accepted, out=table[:, cls])
+            np.multiply(d_lo, accepted, out=lo_table[:, cls])
             state[:, cls] = bits != accepted
             temps = temps * cooling ** (cls.stop - cls.start)
-        energies += table.sum(axis=1)
-        flips_since_reeval += n
-        if flips_since_reeval >= FULL_REEVAL_FLIPS:
-            exact = comp.energies(state[:, comp.inverse])
-            drift = np.abs(exact - energies).max()
-            tol = DRIFT_TOL + flips_since_reeval * comp.flip_rounding
-            if drift > tol:
-                raise AssertionError(f"incremental energy drift {drift} exceeds {tol}")
-            energies[:] = exact
-            flips_since_reeval = 0
-        yield sweep, state, energies
+        pair[:, 0] += table.sum(axis=1)
+        pair[:, 1] += lo_table.sum(axis=1)
+        yield sweep, state, pair
 
 
 def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
@@ -455,20 +440,21 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
                               stable_seed(cfg.seed, "sa-probe"))
 
     keys = (stable_seed(cfg.seed, "sa-init"), stable_seed(cfg.seed, "sa-accept"))
-    best_e = np.full(len(rows), np.inf)
+    best = np.full((len(rows), 2), np.inf)
     best_state = np.zeros((len(rows), n), dtype=np.int8)
     best_sweep = np.zeros(len(rows), dtype=np.int64)
-    for sweep, state, energies in _metropolis(comp, keys, rows, cfg.sweeps, temps, cfg.cooling_rate):
-        improved = energies < best_e - comp.best_tol
-        best_e = np.where(improved, energies, best_e)
+    for sweep, state, pair in _metropolis(comp, keys, rows, cfg.sweeps, temps, cfg.cooling_rate):
+        # an exact energy difference, rounded once: a state within TIE_TOL keeps the first
+        improved = (pair - best).sum(axis=1) < -TIE_TOL
+        best[improved] = pair[improved]
         best_state[improved] = state[improved, :n]
         best_sweep[improved] = sweep
     best_bits = best_state[:, comp.inverse]
-    # report exact energies, free of incremental accumulation error
+    # report the unsplit coefficients' energies; the pair omits the split's residual
     return best_bits.astype(np.uint8), comp.energies(best_bits), best_sweep
 
 
-# a block's kernel state and uniform table hold about this many float64 cells each (8 MB)
+# a block's kernel state, uniform table and lo table hold about this many float64 cells each (8 MB)
 SA_BLOCK_CELLS = 1 << 20
 
 
@@ -548,7 +534,7 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     start = time.perf_counter()
     rows = np.arange(m, dtype=np.int64)
 
-    best_e = np.inf
+    best = np.full(2, np.inf)
     trajectory = np.zeros((cfg.sweeps, m), dtype=np.float32)
     measure_from = cfg.sweeps - cfg.measure_sweeps
     measure_states = np.zeros((cfg.measure_sweeps, n), dtype=np.uint8)
@@ -556,23 +542,23 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     keys = (stable_seed(cfg.seed, "pt-init"), stable_seed(cfg.seed, "pt-accept"))
     kernel = _metropolis(comp, keys, rows, cfg.sweeps, ladder, 1.0)
     next(kernel)  # the initial state is not a record
-    for sweep, state, energies in kernel:
+    for sweep, state, pair in kernel:
         lows = np.arange(sweep % 2, m - 1, 2)  # empty with one temperature
         highs = lows + 1
-        exponent = (energies[lows] - energies[highs]) * (1.0 / ladder[lows] - 1.0 / ladder[highs])
+        exponent = (pair[lows] - pair[highs]).sum(axis=1) * (1.0 / ladder[lows] - 1.0 / ladder[highs])
         with np.errstate(over="ignore"):
             p_swap = np.where(exponent >= 0.0, 1.0, np.exp(exponent))
         u = counter_uniforms(key_swap, np.full(len(lows), sweep), lows)
         do = u < p_swap
         swap_lo, swap_hi = lows[do], highs[do]
-        for arr in (state, energies):
+        for arr in (state, pair):
             arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
 
-        trajectory[sweep] = energies
-        sweep_min = float(energies.min())
-        if sweep_min < best_e - comp.best_tol:  # the rule `_sa_rows` keeps its best by
-            best_e = sweep_min
-            best_state = state[int(np.argmax(energies <= sweep_min + comp.best_tol)), :n].copy()
+        trajectory[sweep] = comp.offset + pair.sum(axis=1)
+        gaps = (pair - best).sum(axis=1)
+        if gaps.min() < -TIE_TOL:  # the rule `_sa_rows` keeps its best by
+            row = int(np.argmax(gaps <= gaps.min() + TIE_TOL))
+            best, best_state = pair[row].copy(), state[row, :n].copy()
         if sweep >= measure_from:
             measure_states[sweep - measure_from] = state[0, :n]
 

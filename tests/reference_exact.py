@@ -7,8 +7,11 @@ substitution, `brute_force` scores every state with a float64 term loop
 `TermAccumulator.add`.  The package's versions use an incremental pair index,
 a blocked matrix product and a direct fill of the term dict; they must return
 the same outputs bit for bit.  `metropolis` keeps a (rows x n) field array
-that every colour class updates with a BLAS product; the package's kernel
-computes each class's fields from the bits, and must visit the same states.
+that every colour class updates with a BLAS product, and a float64 energy
+that it re-evaluates every FULL_REEVAL_FLIPS proposals, failing on a drift
+above its tolerance; the package's kernel computes each class's fields from
+the bits, carries an exact energy pair (`pair_energies`), and must visit the
+same states.
 """
 
 from collections import Counter
@@ -18,7 +21,10 @@ import numpy as np
 
 from latticefold.core import IsingProblem, QuadraticObjective, TermAccumulator
 from latticefold.reduction import QuadratizationResult, resolve_alpha
-from latticefold.solvers import DRIFT_TOL, FULL_REEVAL_FLIPS, _counter_state, counter_uniforms
+from latticefold.solvers import _counter_state, counter_uniforms
+
+FULL_REEVAL_FLIPS = 10_000
+DRIFT_TOL = 1e-6
 
 
 def evaluate_batch(obj, bits):
@@ -170,3 +176,14 @@ def metropolis(comp, keys, rows, sweeps, temps, cooling):
             energies[:] = exact
             flips_since_reeval = 0
         yield sweep, bits, fields, energies
+
+
+def pair_energies(comp, state):
+    """The exact (E_hi, E_lo) of kernel-layout states, c.x + x Q x / 2 for
+    each part of the split `[Q; c]`, as one product and one einsum per part."""
+    x = state[:, :comp.n]
+    pair = []
+    for k in (1, 2):
+        part = np.hstack([block[k] for block in comp.blocks] or [np.zeros((comp.n + 1, 0))])
+        pair.append(x @ part[-1] + 0.5 * np.einsum("ri,ij,rj->r", x, part[:-1], x))
+    return np.stack(pair, axis=1)

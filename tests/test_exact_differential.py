@@ -3,7 +3,7 @@
 reference versions: every output must be identical, down to the dict order
 of the QUBO terms and the repr of the minimum energy.  The Metropolis kernel
 against the incremental-field kernel it replaced: the same state after every
-sweep."""
+sweep, and an energy pair equal to the one recomputed from the state."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from latticefold.core import IsingProblem, TermAccumulator, ising_to_qubo, qubo_
 from latticefold.encoders import encode, get_model
 from latticefold.reduction import quadratize
 from latticefold.solvers import (
-    DRIFT_TOL,
     PtConfig,
     _atiqullah_t0,
     _Compiled,
@@ -196,7 +195,8 @@ def test_brute_force_independent_of_blocking(rng, monkeypatch):
 @pytest.mark.parametrize("solver", ["sa", "pt"])
 def test_metropolis_visits_the_reference_kernels_states(solver):
     # SA: 432 restarts, cooling 0.9998 from Atiqullah start temperatures; PT:
-    # the 400-temperature ladder.  60 sweeps pass one exact re-evaluation.
+    # the 400-temperature ladder.  60 sweeps pass one exact re-evaluation of
+    # the reference kernel.
     comp = _Compiled(encode("coord-tet", "LKDFSAW", get_model("mj")).objective)
     if solver == "sa":
         rows = np.arange(432, dtype=np.int64)
@@ -209,8 +209,9 @@ def test_metropolis_visits_the_reference_kernels_states(solver):
     keys = (stable_seed(11, f"{solver}-init"), stable_seed(11, f"{solver}-accept"))
     new = _metropolis(comp, keys, rows, 60, temps, cooling)
     old = ref.metropolis(comp, keys, rows, 60, temps, cooling)
-    for (sweep, state, e_new), (ref_sweep, bits, _, e_old) in zip(new, old, strict=True):
+    for (sweep, state, pair), (ref_sweep, bits, _, e_old) in zip(new, old, strict=True):
         assert sweep == ref_sweep
         assert np.array_equal(state[:, comp.inverse], bits)
         assert np.all(state[:, -1] == 1.0)
-        assert np.abs(e_new - e_old).max() <= DRIFT_TOL
+        assert np.array_equal(pair, ref.pair_energies(comp, state))
+        assert np.abs(comp.offset + pair.sum(axis=1) - e_old).max() <= ref.DRIFT_TOL
