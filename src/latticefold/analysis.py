@@ -83,6 +83,7 @@ def classify_barriers(hist: SodHistogram, threshold: float = 0.5) -> str:
     """
     if hist.sample_count == 0:
         raise InputError("cannot classify an empty histogram")
+    threshold = finite_float(threshold, "threshold")
     c = hist.counts.astype(np.float64)
     smooth = np.convolve(c, np.ones(3) / 3.0, mode="same")
     centers = hist.bin_centers

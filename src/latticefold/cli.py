@@ -37,6 +37,7 @@ from .core import (
     load_doc,
     load_problem,
     qubo_to_ising,
+    read_lines,
     save_problem,
 )
 from .embedding import (
@@ -132,8 +133,7 @@ def _csv_out(path, manifest: Manifest, header: str):
 
 
 def _read_fasta(path) -> str:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in read_lines(path) if ln.strip()]
     body = [ln for ln in lines if not ln.startswith(">")]
     if not body:
         raise InputError(f"no sequence record in {path}")
@@ -213,6 +213,8 @@ def cmd_reduce(args) -> int:
 def cmd_solve(args) -> int:
     if args.solver in ("sa", "pt") and args.seed is None:
         raise InputError("--seed is mandatory for sa and pt")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     seed = args.seed if args.seed is not None else 0
     manifest = Manifest("solve", args, [args.problem])
     problem, doc = load_problem(args.problem)
@@ -423,6 +425,8 @@ def cmd_unembed(args) -> int:
 def cmd_gen_dataset(args) -> int:
     if args.count < 0 or args.len < 0:
         raise InputError(f"--count and --len must be non-negative, got {args.count} and {args.len}")
+    if args.len < 2:
+        raise InputError(f"--len must be at least 2, the shortest chain a model encodes, got {args.len}")
     manifest = Manifest("gen-dataset", args, [])
     key = stable_seed(args.seed, "dataset")
     records = []
@@ -458,16 +462,14 @@ def _load_config_defaults(argv):
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     defaults = {}
-    if known.config:
-        with open(known.config) as fh:
-            for line in fh:
-                line = line.split("#")[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise InputError(f"config lines look like key = value, got {line!r}")
-                k, v = (s.strip() for s in line.split("=", 1))
-                defaults[k.replace("-", "_")] = v
+    for line in read_lines(known.config) if known.config else ():
+        line = line.split("#")[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"config lines look like key = value, got {line!r}")
+        k, v = (s.strip() for s in line.split("=", 1))
+        defaults[k.replace("-", "_")] = v
     return defaults
 
 
@@ -617,7 +619,7 @@ def main(argv=None) -> int:
     except ResourceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -465,6 +465,15 @@ def save_problem(path, obj) -> None:
         fh.write("\n")
 
 
+def read_lines(path) -> list[str]:
+    """A text file's lines; InputError if its bytes do not decode."""
+    with open(path) as fh:
+        try:
+            return fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not a text file: {exc}") from exc
+
+
 def load_doc(path) -> dict:
     """The JSON object in a file; InputError if the file holds anything else."""
     with open(path) as fh:

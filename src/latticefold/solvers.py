@@ -30,6 +30,7 @@ from .core import (
     code_bits,
     finite_float,
     ising_to_qubo,
+    read_lines,
     rounding_gamma,
 )
 
@@ -191,30 +192,29 @@ def _is_fraction(text: str) -> bool:
 def sample_set_from_csv(path) -> SampleSet:
     """Read a `to_csv` file; InputError names the first malformed line."""
     bits, energies, replicas, sweeps = [], [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("assignment"):
-                continue
-            where = f"{path} line {lineno}"
-            fields = line.split(",")
-            if len(fields) == 5 and _is_fraction(fields[4]):  # `unembed` output; not kept
-                fields.pop()
-            if len(fields) != 4:
-                raise InputError(f"{where}: expected 4 fields assignment,energy,replica,sweep, "
-                                 f"or 5 with a chain_break_fraction in [0, 1], got {line!r}")
-            bs, e, rep, sw = fields
-            if bs.strip("01"):
-                raise InputError(f"{where}: assignment {bs!r} is not a string of 0s and 1s")
-            if bits and len(bs) != len(bits[0]):
-                raise InputError(f"{where}: assignment has {len(bs)} bits, earlier rows have {len(bits[0])}")
-            try:
-                energies.append(float(e))
-                replicas.append(int(rep))
-                sweeps.append(int(sw))
-            except ValueError as exc:
-                raise InputError(f"{where}: {exc}") from exc
-            bits.append(bs)
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("assignment"):
+            continue
+        where = f"{path} line {lineno}"
+        fields = line.split(",")
+        if len(fields) == 5 and _is_fraction(fields[4]):  # `unembed` output; not kept
+            fields.pop()
+        if len(fields) != 4:
+            raise InputError(f"{where}: expected 4 fields assignment,energy,replica,sweep, "
+                             f"or 5 with a chain_break_fraction in [0, 1], got {line!r}")
+        bs, e, rep, sw = fields
+        if bs.strip("01"):
+            raise InputError(f"{where}: assignment {bs!r} is not a string of 0s and 1s")
+        if bits and len(bs) != len(bits[0]):
+            raise InputError(f"{where}: assignment has {len(bs)} bits, earlier rows have {len(bits[0])}")
+        try:
+            energies.append(float(e))
+            replicas.append(int(rep))
+            sweeps.append(int(sw))
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+        bits.append(bs)
     if not bits:
         raise InputError(f"no samples in {path}")
     arr = (np.frombuffer("".join(bits).encode(), dtype=np.uint8) - ord("0")).reshape(len(bits), len(bits[0]))

@@ -319,11 +319,22 @@ class TestMalformedInput:
         (["solve", "three.json", "--solver", "brute", "--out", "b.csv"],
          "problem term 0: an ising term names one or two distinct spins, got [0, 1, 2]"),
         (["reduce", "spins.json", "--out", "r.json"], "quadratize expects a Boolean-space problem"),
+        (["analyze", "sod", "a.csv", "a.csv", "--threshold", "nan", "--out", "sod.csv"],
+         "threshold nan is not finite"),
+        (["solve", "q.json", "--solver", "sa", "--seed", "1", "--jobs", "0", "--out", "s.csv"],
+         "--jobs must be at least 1, got 0"),
+        (["solve", "q.json", "--solver", "sa", "--seed", "1", "--jobs", "-3", "--out", "s.csv"],
+         "--jobs must be at least 1, got -3"),
+        (["gen-dataset", "--len", "0", "--seed", "1", "--out", "d.json"],
+         "--len must be at least 2, the shortest chain a model encodes, got 0"),
+        (["gen-dataset", "--len", "1", "--seed", "1", "--out", "d.json"],
+         "--len must be at least 2, the shortest chain a model encodes, got 1"),
     ], ids=["sod-no-runs", "tts-no-samples", "alpha-not-a-number", "alpha-nan", "alpha-inf",
             "penalty-not-a-number", "penalty-nan", "config-unknown-key", "lambda-global-not-a-number",
             "penalties-not-an-object", "sod-zero-bins", "tau-nan", "tau-inf", "penalty-unknown-name",
             "penalty-not-a-multiplier", "t0-nan", "t0-inf", "reference-energy-nan", "tol-nan",
-            "chain-node-twice", "ising-repeated-spin", "ising-three-spins", "reduce-ising"])
+            "chain-node-twice", "ising-repeated-spin", "ising-three-spins", "reduce-ising",
+            "sod-threshold-nan", "jobs-zero", "jobs-negative", "dataset-len-0", "dataset-len-1"])
     def test_bad_argument_exits_2(self, workdir, capsys, argv, message):
         problem = {
             "num_vars": 3, "offset": 0.0, "space": "boolean",
@@ -356,6 +367,18 @@ class TestMalformedInput:
         assert input_error(["solve", "q.json", "--solver", "pt", "--seed", "1", "--sweeps", "4",
                             "--measure-sweeps", "2", *options, "--out", "s.csv"], capsys) == message
         assert not (workdir / "s.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", ".", "--solver", "brute", "--out", "o.csv"], "[Errno 21] Is a directory: '.'"),
+        (["decode", "p.json", "bin.csv", "--out", "f.json"], "bin.csv is not a text file: "),
+        (["--config", "bin.csv", "gen-dataset", "--seed", "1", "--out", "d.json"], "bin.csv is not a text file: "),
+        (["encode", "turn-tet", "--fasta", "bin.csv", "--out", "t.json"], "bin.csv is not a text file: "),
+    ], ids=["problem-directory", "samples-not-utf8", "config-not-utf8", "fasta-not-utf8"])
+    def test_unreadable_input_exits_2(self, workdir, capsys, argv, message):
+        assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
+        (workdir / "bin.csv").write_bytes(b"# manifest=-\nassignment,energy,replica,sweep\n\xff\xfe01,1.0,0,3\n")
+        assert input_error(argv, capsys).startswith(message)
+        assert not (workdir / argv[-1]).exists()
 
     def test_ragged_samples_csv_exits_2(self, workdir, capsys):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2",
