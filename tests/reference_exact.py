@@ -184,6 +184,6 @@ def pair_energies(comp, state):
     x = state[:, :comp.n]
     pair = []
     for k in (1, 2):
-        part = np.hstack([block[k] for block in comp.blocks] or [np.zeros((comp.n + 1, 0))])
+        part = np.hstack([block[k] for block in comp.blocks])
         pair.append(x @ part[-1] + 0.5 * np.einsum("ri,ij,rj->r", x, part[:-1], x))
     return np.stack(pair, axis=1)

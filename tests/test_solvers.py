@@ -274,19 +274,18 @@ class TestSimulatedAnnealing:
         cfg = SaConfig(0.999, 200, 64, seed=4, t0=0.5)
         rows = np.arange(cfg.restarts, dtype=np.int64)
         kernel = solvers._metropolis
-        seen = {"low": np.zeros(len(rows), bool), "high_first": np.zeros(len(rows), bool)}
+        low, high_first = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
 
         def watched(*args):
             for sweep, state, pair in kernel(*args):
-                bits = state[:, comp.inverse].tolist()
-                high = np.array([b == [1.0, 0.0] for b in bits])
-                seen["high_first"] |= high & ~seen["low"]
-                seen["low"] |= np.array([b == [0.0, 1.0] for b in bits])
+                bits = state[:, comp.inverse]
+                high_first[:] |= (bits == [1.0, 0.0]).all(axis=1) & ~low
+                low[:] |= (bits == [0.0, 1.0]).all(axis=1)
                 yield sweep, state, pair
 
         monkeypatch.setattr(solvers, "_metropolis", watched)
         bits, energies, _ = _sa_rows(comp, cfg, rows)
-        assert seen["low"].all() and (seen["low"] & seen["high_first"]).sum() >= 8
+        assert low.all() and (low & high_first).sum() >= 8
         assert bits.tolist() == [[0, 1]] * len(rows)
         assert energies.tolist() == [-1.001] * len(rows)
 
