@@ -423,8 +423,8 @@ def cmd_unembed(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
-    if args.count < 0 or args.len < 0:
-        raise InputError(f"--count and --len must be non-negative, got {args.count} and {args.len}")
+    if args.count < 0:
+        raise InputError(f"--count must be non-negative, got {args.count}")
     if args.len < 2:
         raise InputError(f"--len must be at least 2, the shortest chain a model encodes, got {args.len}")
     manifest = Manifest("gen-dataset", args, [])
@@ -619,7 +619,7 @@ def main(argv=None) -> int:
     except ResourceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:  # a missing, unreadable or directory path
+    except OSError as exc:  # a missing, unreadable or directory path, or a failed read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -410,7 +410,6 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     # the (key, row) and (key, row, sweep) prefixes of the proposal counters
     # are mixed once; a sweep's uniforms are one table keyed by variable
     row_state = _counter_state(key_prop, rows[:, None])
-    lo_table = np.empty((len(rows), n))
     for sweep in range(sweeps):
         table = counter_uniforms(_counter_state(row_state, sweep), comp.order[None, :])
         for cls, hi, lo in comp.blocks:
@@ -421,13 +420,12 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
             d_hi, d_lo = sign * (state @ hi), sign * (state @ lo)  # the two parts of ΔE
             with np.errstate(over="ignore"):
                 accepted = table[:, cls] < np.exp(np.maximum(d_hi + d_lo, 0.0) / -temps[:, None])
-            # the spent uniforms hold the accepted hi parts, lo_table the lo parts
+            # the spent uniforms hold the accepted hi parts; each part's sums are exact in any order
             np.multiply(d_hi, accepted, out=table[:, cls])
-            np.multiply(d_lo, accepted, out=lo_table[:, cls])
+            pair[:, 1] += np.einsum("ri,ri->r", d_lo, accepted)
             state[:, cls] = bits != accepted
             temps = temps * cooling ** (cls.stop - cls.start)
         pair[:, 0] += table.sum(axis=1)
-        pair[:, 1] += lo_table.sum(axis=1)
         yield sweep, state, pair
 
 
@@ -454,7 +452,7 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
     return best_bits.astype(np.uint8), comp.energies(best_bits), best_sweep
 
 
-# a block's kernel state, uniform table and lo table hold about this many float64 cells each (8 MB)
+# a block's kernel state and uniform table hold about this many float64 cells each (8 MB)
 SA_BLOCK_CELLS = 1 << 20
 
 
@@ -555,9 +553,9 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
             arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
 
         trajectory[sweep] = comp.offset + pair.sum(axis=1)
-        gaps = (pair - best).sum(axis=1)
-        if gaps.min() < -TIE_TOL:  # the rule `_sa_rows` keeps its best by
-            row = int(np.argmax(gaps <= gaps.min() + TIE_TOL))
+        gaps = (pair - pair[0]).sum(axis=1)  # the sweep's lowest row: first within TIE_TOL of its min
+        row = int(np.argmax(gaps <= gaps.min() + TIE_TOL))
+        if (pair[row] - best).sum() < -TIE_TOL:  # the rule `_sa_rows` keeps its best by
             best, best_state = pair[row].copy(), state[row, :n].copy()
         if sweep >= measure_from:
             measure_states[sweep - measure_from] = state[0, :n]

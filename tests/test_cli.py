@@ -657,11 +657,13 @@ class TestDatasetAndConfig:
         assert len(seq) == 8
         assert a["sequences"][0]["prefixes"]["4"] == seq[:4]
 
-    @pytest.mark.parametrize("count, length", [("-1", "8"), ("4", "-1")], ids=["count", "len"])
-    def test_gen_dataset_negative_size_exits_2(self, workdir, capsys, count, length):
+    @pytest.mark.parametrize("count, length, message", [
+        ("-1", "8", "--count must be non-negative, got -1"),
+        ("4", "-1", "--len must be at least 2, the shortest chain a model encodes, got -1"),
+    ], ids=["count", "len"])
+    def test_gen_dataset_negative_size_exits_2(self, workdir, capsys, count, length, message):
         assert input_error(["gen-dataset", "--count", count, "--len", length, "--seed", "9",
-                            "--out", "d.json"], capsys) == (
-            f"--count and --len must be non-negative, got {count} and {length}")
+                            "--out", "d.json"], capsys) == message
         assert not (workdir / "d.json").exists()
 
     def test_input_files_are_closed(self, workdir):

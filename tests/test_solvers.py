@@ -362,6 +362,17 @@ class TestParallelTempering:
         assert np.array_equal(r1.sample_set.bits, r2.sample_set.bits)
         assert np.array_equal(r1.energy_trajectory, r2.energy_trajectory)
 
+    @pytest.mark.parametrize("qubo_seed", [0, 3])
+    def test_first_sweep_keeps_its_lowest_replica(self, qubo_seed):
+        # one sweep, where a replica other than slot 0 holds the lowest state
+        obj = random_qubo(np.random.default_rng(qubo_seed), 12)
+        cfg = PtConfig(num_temps=8, t_min=0.5, t_max=50, sweeps=1, measure_sweeps=1, seed=3)
+        res = parallel_tempering(obj, cfg)
+        sweep = res.energy_trajectory[0].astype(np.float64)
+        assert sweep.argmin() != 0
+        assert res.sample_set.replicas[-1] == -1
+        assert res.sample_set.energies[-1] == pytest.approx(sweep.min(), abs=1e-5)
+
     def test_reaches_ground_coord_tet_n7(self):
         mj = mj_model()
         seq = "LKLKLKL"
