@@ -42,7 +42,7 @@ class TermAccumulator:
     """Mutable builder for polynomial terms.
 
     Accumulates coefficients on sorted, duplicate-free index tuples; exact
-    zeros are dropped at build time.  Products respect Boolean idempotency.
+    zeros are dropped at build time.
     """
 
     def __init__(self) -> None:
@@ -71,12 +71,6 @@ class TermAccumulator:
                 terms[key] = terms.get(key, 0.0) + c
             else:
                 self.offset += c
-
-    def add_product(self, p1: dict[tuple[int, ...], float], p2: dict[tuple[int, ...], float], scale: float = 1.0) -> None:
-        """Add scale * p1 * p2.  Keys () are constants."""
-        for k1, c1 in p1.items():
-            for k2, c2 in p2.items():
-                self.add(set(k1) | set(k2), c1 * c2 * scale)
 
     def build(self, num_vars: int, quadratic: bool = False) -> "PolynomialObjective":
         terms = {k: c for k, c in self.terms.items() if c != 0.0}

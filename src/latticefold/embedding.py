@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, IsingProblem, load_doc
+from .core import InputError, IsingProblem, load_doc, read_lines
 from .solvers import counter_uniforms, stable_seed
 
 
@@ -47,8 +47,7 @@ class HardwareGraph:
     def load(path) -> "HardwareGraph":
         """A JSON object {"edges": [[u, v], ...], "nodes": [...]} or lines of
         "u v" ("#" starts a comment); InputError names a malformed edge."""
-        with open(path) as fh:
-            text = fh.read()
+        text = "\n".join(read_lines(path))
         if not text.lstrip().startswith("{"):
             lines = (line.split("#")[0].split() for line in text.splitlines())
             return HardwareGraph.from_edges(edge for edge in lines if edge)

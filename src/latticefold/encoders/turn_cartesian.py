@@ -136,8 +136,8 @@ def encode_turn_cartesian(
     # H_back
     for t in range(1, n - 1):
         for p_fwd, p_rev in CART_OPPOSITE_PAIRS:
-            acc.add_product(indicators[t][p_fwd], indicators[t + 1][p_rev], lam_back)
-            acc.add_product(indicators[t][p_rev], indicators[t + 1][p_fwd], lam_back)
+            acc.add_poly(poly_product([indicators[t][p_fwd], indicators[t + 1][p_rev]]), lam_back)
+            acc.add_poly(poly_product([indicators[t][p_rev], indicators[t + 1][p_fwd]]), lam_back)
 
     # H_olap: (2^mu - D - alpha)^2 per even pair
     for (j, k), bits in slack_blocks.items():
@@ -153,7 +153,7 @@ def encode_turn_cartesian(
         eps = interaction.energy(sequence[j], sequence[k])
         contact: Poly = {(): 2.0}
         poly_add(contact, squared_distance(j, k), -1.0)
-        acc.add_product({(q,): 1.0}, contact, eps)
+        acc.add_poly(poly_product([{(q,): 1.0}, contact]), eps)
 
     objective = acc.build(num_vars, quadratic=False)
     layout = {

@@ -136,7 +136,7 @@ def encode_turn_tetrahedral(
     # growth constraint: consecutive turns may not repeat a direction
     for t in range(1, n - 1):
         for a in range(4):
-            acc.add_product(literals[t - 1][a], literals[t][a], lam_gc)
+            acc.add_poly(poly_product([literals[t - 1][a], literals[t][a]]), lam_gc)
 
     # gated contact terms with neighborhood overlap penalties
     for (i, j), q in interaction_qubits.items():
@@ -149,7 +149,7 @@ def encode_turn_tetrahedral(
         for m in chain_neighbors(i, n):
             inner[()] += 2.0 * lam2
             poly_add(inner, squared_distance(min(m, j), max(m, j)), -lam2)
-        acc.add_product({(q,): 1.0}, inner)
+        acc.add_poly(poly_product([{(q,): 1.0}, inner]))
 
     objective = acc.build(num_vars, quadratic=False)
     layout = {

@@ -65,7 +65,7 @@ def worst_case_alpha(hubo: PolynomialObjective) -> float:
 
 
 def resolve_alpha(hubo: PolynomialObjective, alpha_policy) -> float:
-    if alpha_policy == WORST_CASE or alpha_policy is None:
+    if alpha_policy == WORST_CASE:
         return worst_case_alpha(hubo)
     if isinstance(alpha_policy, str):
         if not alpha_policy.startswith("fixed:"):

@@ -340,17 +340,16 @@ class _Compiled:
         b = bits.astype(np.float64, order="C")
         return self.offset + np.einsum("ri,i->r", b, self.c) + 0.5 * np.einsum("ri,ij,rj->r", b, self.Q, b)
 
-    def local_fields(self, bits: np.ndarray) -> np.ndarray:
-        return self.c + np.einsum("rn,nm->rm", bits.astype(np.float64, order="C"), self.Q)
-
 
 # ---------------------------------------------------------------------------
 # simulated annealing
 # ---------------------------------------------------------------------------
 
-def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key_state: int, key_var: int):
-    """Per-restart start temperature from max(100, n) greedy probe flips on
-    random states.
+def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key: int):
+    """Per-restart start temperature from every single flip of ceil(100/n)
+    random states, at least max(100, n) energy changes (after Ben-Ameur,
+    Comput. Optim. Appl. 29, 2004): (mean + 3 std) / ln(1/chi), with chi the
+    share of changes <= 0.
 
     With no variable there is nothing to flip; such a run never reads its
     temperature, and every restart gets 1.
@@ -358,26 +357,15 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key_state: int, key_var: in
     n = comp.n
     if not n:
         return np.ones(len(rows))
-    probe_n = max(100, n)
-    bits = (counter_uniforms(key_state, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
-    fields = comp.local_fields(bits)
-    samples = np.empty((len(rows), probe_n))
-    accepted = np.zeros(len(rows))
-    row_state = _counter_state(key_var, rows)
-    for step in range(probe_n):
-        u = counter_uniforms(row_state, step)
-        vars_ = np.minimum((u * n).astype(np.int64), n - 1)
-        picked = bits[np.arange(len(rows)), vars_].astype(np.float64)
-        delta_e = (1.0 - 2.0 * picked) * fields[np.arange(len(rows)), vars_]
-        samples[:, step] = delta_e
-        take = delta_e <= 0.0
-        accepted += take
-        flip = np.where(take, 1.0 - 2.0 * picked, 0.0)
-        bits[np.arange(len(rows)), vars_] = np.where(take, 1 - bits[np.arange(len(rows)), vars_], bits[np.arange(len(rows)), vars_])
-        fields += flip[:, None] * comp.Q[vars_, :]
+    states = -(-100 // n)
+    bits = counter_uniforms(key, rows[:, None, None], np.arange(states)[:, None], np.arange(n)) < 0.5
+    bits = bits.reshape(-1, n).astype(np.float64)
+    # flipping i changes the energy by (1 - 2 b_i)(c_i + (b Q)_i), as Q's diagonal
+    # is 0; einsum, not BLAS @: a fixed order per row, whatever the block
+    samples = ((1.0 - 2.0 * bits) * (comp.c + np.einsum("rn,nm->rm", bits, comp.Q))).reshape(len(rows), -1)
     mean = samples.mean(axis=1)
     std = samples.std(axis=1, ddof=1)
-    chi = accepted / probe_n
+    chi = (samples <= 0.0).mean(axis=1)
     t0 = np.ones(len(rows))
     normal = (chi > 0.0) & (chi < 1.0) & (mean + 3 * std > 0.0)
     t0[normal] = (mean[normal] + 3 * std[normal]) / np.log(1.0 / chi[normal])
@@ -434,8 +422,7 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
     if cfg.t0 is not None:
         temps = np.full(len(rows), float(cfg.t0))
     else:
-        temps = _atiqullah_t0(comp, rows, stable_seed(cfg.seed, "sa-probe-state"),
-                              stable_seed(cfg.seed, "sa-probe"))
+        temps = _atiqullah_t0(comp, rows, stable_seed(cfg.seed, "sa-probe"))
 
     keys = (stable_seed(cfg.seed, "sa-init"), stable_seed(cfg.seed, "sa-accept"))
     best = np.full((len(rows), 2), np.inf)

@@ -46,6 +46,13 @@ def poly_product(polys, scale: float = 1.0) -> Poly:
     return out
 
 
+def add_product(acc: TermAccumulator, p1: Poly, p2: Poly, scale: float = 1.0) -> None:
+    """acc += scale * p1 * p2, one `acc.add` per pair of terms."""
+    for k1, c1 in p1.items():
+        for k2, c2 in p2.items():
+            acc.add(set(k1) | set(k2), c1 * c2 * scale)
+
+
 def _literal(layout_bit) -> Poly:
     """Polynomial for one layout bit: constant or a single variable."""
     if isinstance(layout_bit, str):
@@ -161,8 +168,8 @@ def encode_turn_cartesian(
     # H_back
     for t in range(1, n - 1):
         for p_fwd, p_rev in CART_OPPOSITE_PAIRS:
-            acc.add_product(indicators[t][p_fwd], indicators[t + 1][p_rev], lam_back)
-            acc.add_product(indicators[t][p_rev], indicators[t + 1][p_fwd], lam_back)
+            add_product(acc, indicators[t][p_fwd], indicators[t + 1][p_rev], lam_back)
+            add_product(acc, indicators[t][p_rev], indicators[t + 1][p_fwd], lam_back)
 
     # H_olap: (2^mu - D - alpha)^2 per even pair
     for (j, k), bits in slack_blocks.items():
@@ -178,7 +185,7 @@ def encode_turn_cartesian(
         eps = interaction.energy(sequence[j], sequence[k])
         contact: Poly = {(): 2.0}
         _poly_add(contact, squared_distance(j, k), -1.0)
-        acc.add_product({(q,): 1.0}, contact, eps)
+        add_product(acc, {(q,): 1.0}, contact, eps)
 
     objective = acc.build(num_vars, quadratic=False)
     layout = {
@@ -289,7 +296,7 @@ def encode_turn_tetrahedral(
     # growth constraint: consecutive turns may not repeat a direction
     for t in range(1, n - 1):
         for a in range(4):
-            acc.add_product(literal(t, a), literal(t + 1, a), lam_gc)
+            add_product(acc, literal(t, a), literal(t + 1, a), lam_gc)
 
     # gated contact terms with neighborhood overlap penalties
     for (i, j), q in interaction_qubits.items():
@@ -307,7 +314,7 @@ def encode_turn_tetrahedral(
             inner[()] = inner.get((), 0.0) + 2.0 * lam2
             for key, c in squared_distance(lo, hi).items():
                 inner[key] = inner.get(key, 0.0) - lam2 * c
-        acc.add_product({(q,): 1.0}, inner)
+        add_product(acc, {(q,): 1.0}, inner)
 
     objective = acc.build(num_vars, quadratic=False)
     layout = {

@@ -144,7 +144,7 @@ def metropolis(comp, keys, rows, sweeps, temps, cooling):
         * (abs(comp.offset) + np.abs(comp.c).sum() + np.abs(np.triu(comp.Q)).sum())
     )
     bits = (counter_uniforms(key_init, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
-    fields = comp.local_fields(bits)
+    fields = comp.c + np.einsum("rn,nm->rm", bits.astype(np.float64), comp.Q)
     energies = comp.energies(bits)
     yield 0, bits, fields, energies
 

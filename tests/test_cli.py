@@ -373,10 +373,13 @@ class TestMalformedInput:
         (["decode", "p.json", "bin.csv", "--out", "f.json"], "bin.csv is not a text file: "),
         (["--config", "bin.csv", "gen-dataset", "--seed", "1", "--out", "d.json"], "bin.csv is not a text file: "),
         (["encode", "turn-tet", "--fasta", "bin.csv", "--out", "t.json"], "bin.csv is not a text file: "),
-    ], ids=["problem-directory", "samples-not-utf8", "config-not-utf8", "fasta-not-utf8"])
+        (["embed", "p.json", "--embedding", "emb.json", "--hardware", "bin.csv", "--out", "e.json"],
+         "bin.csv is not a text file: "),
+    ], ids=["problem-directory", "samples-not-utf8", "config-not-utf8", "fasta-not-utf8", "hardware-not-utf8"])
     def test_unreadable_input_exits_2(self, workdir, capsys, argv, message):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
         (workdir / "bin.csv").write_bytes(b"# manifest=-\nassignment,energy,replica,sweep\n\xff\xfe01,1.0,0,3\n")
+        (workdir / "emb.json").write_text('{"0": [0]}')  # embed reads it before the hardware file
         assert input_error(argv, capsys).startswith(message)
         assert not (workdir / argv[-1]).exists()
 

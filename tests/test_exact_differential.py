@@ -200,7 +200,7 @@ def test_metropolis_visits_the_reference_kernels_states(solver):
     comp = _Compiled(encode("coord-tet", "LKDFSAW", get_model("mj")).objective)
     if solver == "sa":
         rows = np.arange(432, dtype=np.int64)
-        temps = _atiqullah_t0(comp, rows, stable_seed(11, "sa-probe-state"), stable_seed(11, "sa-probe"))
+        temps = _atiqullah_t0(comp, rows, stable_seed(11, "sa-probe"))
         cooling = 0.9998
     else:
         temps = temperature_ladder(PtConfig(num_temps=400, t_min=1.0, t_max=1e4))

@@ -208,6 +208,25 @@ class TestSimulatedAnnealing:
             assert ss.best_energy == 0.0
             assert ss.best_bits.tolist() == [0]
 
+    @pytest.mark.parametrize("terms, n", [
+        ({(0,): 1.0}, 1),
+        ({(0,): -1.0, (1,): 2.0, (0, 1): -3.0}, 2),
+        ({}, 3),  # every change is 0: the all-accepted branch
+    ], ids=["one", "two", "three-no-terms"])
+    def test_probe_start_temperature_finite_and_positive(self, monkeypatch, terms, n):
+        probed = []
+
+        def recorded(*args):
+            probed.append(_atiqullah_t0(*args))
+            return probed[-1]
+
+        monkeypatch.setattr(solvers, "_atiqullah_t0", recorded)
+        simulated_annealing(build_poly(terms, n), SaConfig(0.99, 5, 6, seed=3))
+        (t0,) = probed
+        assert t0.shape == (6,) and np.all(np.isfinite(t0)) and np.all(t0 > 0)
+        if not terms:
+            assert t0.tolist() == [1.0] * 6
+
     def test_downhill_always_taken(self):
         # with any temperature, a strictly improving flip is accepted: the
         # final best can never sit above the single-flip floor
@@ -299,7 +318,6 @@ class TestSimulatedAnnealing:
         for copy in copies:
             assert np.array_equal(copy, rows)
             assert comp.energies(copy).tobytes() == comp.energies(rows).tobytes()
-            assert comp.local_fields(copy).tobytes() == comp.local_fields(rows).tobytes()
 
     def test_reaches_ground_on_coordinate_model(self):
         hp = hp_model()
@@ -329,7 +347,7 @@ class TestLargeScaleProblems:
         qubo = quadratize(hubo, "worst_case").qubo
         comp = _Compiled(qubo)
         rows = np.arange(16, dtype=np.int64)
-        temps = _atiqullah_t0(comp, rows, stable_seed(7, "sa-probe-state"), stable_seed(7, "sa-probe"))
+        temps = _atiqullah_t0(comp, rows, stable_seed(7, "sa-probe"))
         for _, state, pair in _metropolis(comp, (1, 2), rows, 300, temps, 0.9998):
             assert np.array_equal(pair, ref.pair_energies(comp, state))
         ss = simulated_annealing(qubo, SaConfig(0.9998, 100, 8, seed=7))
