@@ -10,8 +10,8 @@ CSVs stay byte-identical across reruns and thread counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import json
 import sys
 import time
 from contextlib import contextmanager
@@ -38,7 +38,8 @@ from .core import (
     load_problem,
     qubo_to_ising,
     read_lines,
-    save_problem,
+    save_problem,  # not called here: perfbench's tracer patches this name
+    write_json,
 )
 from .embedding import (
     EmbeddingMap,
@@ -107,18 +108,14 @@ class Manifest:
     def write(self, out_path) -> str:
         self.doc["elapsed_seconds"] = time.perf_counter() - self._t0
         manifest_path = Path(str(out_path) + ".manifest.json")
-        with open(manifest_path, "w") as fh:
-            json.dump(self.doc, fh, indent=1, default=str)
-            fh.write("\n")
+        write_json(manifest_path, self.doc)
         return manifest_path.name
 
 
 def _write_json(path, doc: dict, manifest: Manifest) -> None:
     """Write the manifest, then doc with its name as the last key."""
     doc["manifest"] = manifest.write(path)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 @contextmanager
@@ -210,34 +207,23 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _config(cls, args):
+    """A solver config from the options named as its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def cmd_solve(args) -> int:
     if args.solver in ("sa", "pt") and args.seed is None:
         raise InputError("--seed is mandatory for sa and pt")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    seed = args.seed if args.seed is not None else 0
     manifest = Manifest("solve", args, [args.problem])
     problem, doc = load_problem(args.problem)
 
     if args.solver == "sa":
-        cfg = SaConfig(
-            cooling_rate=args.cooling_rate,
-            sweeps=args.sweeps,
-            restarts=args.restarts,
-            seed=seed,
-            t0=args.t0,
-        )
-        samples = simulated_annealing(problem, cfg, jobs=args.jobs)
+        samples = simulated_annealing(problem, _config(SaConfig, args), jobs=args.jobs)
     elif args.solver == "pt":
-        cfg = PtConfig(
-            num_temps=args.num_temps,
-            t_min=args.t_min,
-            t_max=args.t_max,
-            sweeps=args.sweeps,
-            measure_sweeps=args.measure_sweeps,
-            seed=seed,
-        )
-        samples = parallel_tempering(problem, cfg).sample_set
+        samples = parallel_tempering(problem, _config(PtConfig, args)).sample_set
     else:  # brute
         start = time.perf_counter()
         energy, minimizers = brute_force(problem, free_var_limit=args.brute_limit)
@@ -257,10 +243,7 @@ def cmd_solve(args) -> int:
     samples.to_csv(args.out, manifest_name=name)
     summary = samples.summary()
     summary["manifest"] = name
-    summary_path = Path(args.out).with_suffix(".summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    write_json(Path(args.out).with_suffix(".summary.json"), summary)
     print(f"solver={args.solver} records={len(samples.energies)} "
           f"best_energy={samples.best_energy!r}")
     return 0
@@ -295,10 +278,6 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    return {"sod": _analyze_sod, "tts": _analyze_tts, "scaling": _analyze_scaling}[args.what](args)
-
-
 def _trajectory(path) -> np.ndarray:
     ss = sample_set_from_csv(path)
     rows = ss.replicas == 0
@@ -308,8 +287,6 @@ def _trajectory(path) -> np.ndarray:
 
 
 def _analyze_sod(args) -> int:
-    if None in (args.run1, args.run2):
-        raise InputError("analyze sod needs two PT samples CSVs")
     manifest = Manifest("analyze-sod", args, [args.run1, args.run2])
     t1 = _trajectory(args.run1)
     t2 = _trajectory(args.run2)
@@ -324,10 +301,8 @@ def _analyze_sod(args) -> int:
 
 
 def _analyze_tts(args) -> int:
-    if args.samples is None:
-        raise InputError("analyze tts needs --samples")
-    if args.reference_energy is None:
-        raise InputError("analyze tts needs --reference-energy")
+    if set(args.model) & set(",\r\n"):
+        raise InputError(f"--model {args.model!r} holds a comma or a line break")
     inputs = [args.samples]
     summary = {}
     if args.summary:
@@ -338,15 +313,15 @@ def _analyze_tts(args) -> int:
     tau = args.tau if args.tau is not None else summary.get("tau_seconds")
     if tau is None:
         raise InputError("provide --tau or a solve summary with tau_seconds")
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-        raise InputError(f"{args.summary}: tau_seconds {tau!r} is not a number")
+    seed = summary.get("seed", -1)
+    for key, value, kinds, what in (("tau_seconds", tau, (int, float), "a number"),
+                                    ("seed", seed, int, "an integer")):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise InputError(f"{args.summary}: {key} {value!r} is not {what}")
     p, interval = estimate_p_ground(ss.energies, args.reference_energy, tol=args.tol)
     result = tts(tau, p, interval)
-    model = args.model or summary.get("model", "-")
-    n = args.n if args.n is not None else summary.get("N", -1)
-    seed = summary.get("seed", -1)
     with _csv_out(args.out, manifest, "model,N,seed,tau_s,p_ground,tts_s") as fh:
-        fh.write(f"{model},{n},{seed},{tau!r},{p!r},{result.tts_seconds!r}\n")
+        fh.write(f"{args.model},{args.n},{seed},{tau!r},{p!r},{result.tts_seconds!r}\n")
     print(f"p_ground={p:.4f} interval=({interval[0]:.4f},{interval[1]:.4f}) "
           f"tts={result.tts_seconds!r}")
     return 0
@@ -473,12 +448,21 @@ def _load_config_defaults(argv):
     return defaults
 
 
+def _subparsers(parser):
+    """Every subcommand parser under `parser`, the analyses' too."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sp in action.choices.values():
+                yield sp
+                yield from _subparsers(sp)
+
+
 def _apply_config_defaults(parser, defaults: dict) -> None:
     """Make the config values the subcommands' defaults.  They stay strings:
     argparse parses a string default with its option's type, and exits 2 on
     a bad one.  A flag takes true or false; the repeatable --penalty cannot
     come from a config file, and a key must name some subcommand's option."""
-    subparsers = [sp for action in parser._subparsers._group_actions for sp in action.choices.values()]
+    subparsers = list(_subparsers(parser))
     unknown = sorted(defaults.keys() - {a.dest for sp in subparsers for a in sp._actions})
     if unknown:
         raise InputError(f"config key {', '.join(unknown)} names no option of any subcommand")
@@ -559,26 +543,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("analyze", help="sod | tts | scaling reports")
-    p.add_argument("what", choices=("sod", "tts", "scaling"))
-    p.add_argument("run1", nargs="?", help="sod: first PT samples CSV")
-    p.add_argument("run2", nargs="?", help="sod: second PT samples CSV")
-    p.add_argument("--samples", help="tts: samples CSV")
-    p.add_argument("--summary", help="tts: solve summary JSON")
-    p.add_argument("--reference-energy", type=float)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--model")
-    p.add_argument("--n", type=int, default=None)
+    analyses = sub.add_parser("analyze", help="sod | tts | scaling reports").add_subparsers(
+        dest="what", required=True)
+
+    p = analyses.add_parser("sod", help="spin-overlap distribution of two PT runs")
+    p.add_argument("run1", help="first PT samples CSV")
+    p.add_argument("run2", help="second PT samples CSV")
     p.add_argument("--bins", type=int, default=101)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--models", default="coord-cart,coord-tet",
-                   help="scaling: comma-separated model tags")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_analyze_sod)
+
+    p = analyses.add_parser("tts", help="time to solution of one solve")
+    p.add_argument("--samples", required=True, help="samples CSV")
+    p.add_argument("--summary", help="solve summary JSON")
+    p.add_argument("--reference-energy", type=float, required=True)
+    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--model", default="-")
+    p.add_argument("--n", type=int, default=-1)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_analyze_tts)
+
+    p = analyses.add_parser("scaling", help="post-reduction QUBO metrics per model and N")
+    p.add_argument("--models", default="coord-cart,coord-tet", help="comma-separated model tags")
     p.add_argument("--n-min", type=int, default=8)
     p.add_argument("--n-max", type=int, default=24)
     p.add_argument("--interaction", default="hp", choices=("hp", "mj"))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=_analyze_scaling)
 
     p = sub.add_parser("embed", help="apply a minor embedding to a problem")
     p.add_argument("problem")

@@ -426,37 +426,34 @@ def problem_from_dict(doc: dict):
         raise InputError(
             f"malformed problem document: num_vars={num_vars}, offset={offset}, space={space!r}"
         )
-    terms = _problem_terms(raw_terms, num_vars)
-
-    if space == ISING:
-        fields: dict[int, float] = {}
-        couplings: dict[tuple[int, int], float] = {}
-        for i, (vars_, c) in enumerate(terms):
-            key = tuple(sorted(vars_))
-            if len(key) == 1:
-                fields[key[0]] = fields.get(key[0], 0.0) + c
-            elif len(key) == 2 and key[0] != key[1]:
-                couplings[key] = couplings.get(key, 0.0) + c
-            else:
-                raise InputError(f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
-    else:
-        acc = TermAccumulator()
-        acc.offset = offset
-        for vars_, c in terms:
-            acc.add(vars_, c)
+    acc = TermAccumulator()
+    acc.offset = offset
+    for i, (vars_, c) in enumerate(_problem_terms(raw_terms, num_vars)):
+        if space == ISING and not (len(vars_) in (1, 2) and len(set(vars_)) == len(vars_)):
+            raise InputError(f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
+        acc.add(vars_, c)
     # the constructors' own checks catch what is left: coefficient sums that overflow
     try:
         if space == ISING:
-            return IsingProblem.from_tables(num_vars, fields, couplings, offset)
+            # a stable sort by degree puts fields before couplings, IsingProblem's term order
+            terms = sorted(acc.terms.items(), key=lambda kv: len(kv[0]))
+            return IsingProblem(num_vars=num_vars, terms={k: c for k, c in terms if c != 0.0},
+                                offset=acc.offset)
         return acc.build(num_vars, quadratic=max((len(k) for k in acc.terms), default=0) <= 2)
     except ValueError as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
 
 
-def save_problem(path, obj) -> None:
+def write_json(path, doc) -> None:
+    """Write `doc` as every JSON file of the program is written: indent 1 and
+    a final newline."""
     with open(path, "w") as fh:
-        json.dump(obj.to_dict(), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def save_problem(path, obj) -> None:
+    write_json(path, obj.to_dict())
 
 
 def read_lines(path) -> list[str]:

@@ -23,7 +23,7 @@ import warnings
 from ..core import InputError, TermAccumulator
 from ..lattice import CARTESIAN, LatticeSpec, min_grid, neighbor_sites, site_classes
 from .interactions import InteractionModel
-from .model import MODEL_LATTICE, EncodedModel, merge_penalties
+from .model import MODEL_LATTICE, EncodedModel, check_chain, merge_penalties
 
 DEFAULT_COORD_PENALTIES = {"lambda_1": 18.6, "lambda_2": 14.4, "lambda_3": 18.6}
 
@@ -38,10 +38,8 @@ def encode_coordinate(
 ) -> EncodedModel:
     """The coord-cart or coord-tet model of `sequence` (default L: the minimal grid)."""
     kind = MODEL_LATTICE[model]
+    check_chain(sequence, interaction, gated=False)
     n = len(sequence)
-    if n < 2:
-        raise InputError("sequence must have at least 2 residues")
-    interaction.validate_sequence(sequence)
     if L is None:
         L = min_grid(kind, n)
     spec = LatticeSpec(kind, L)

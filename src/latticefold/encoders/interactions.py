@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from ..core import InputError
+from ..core import InputError, finite_float
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -54,18 +54,21 @@ class InteractionModel:
     def from_dict(doc: dict) -> "InteractionModel":
         """The one pair-table reader: keys of two residue codes, "HP" or
         ("H", "P"), in either order; the alphabet defaults to the residues
-        the table names."""
+        the table names.  InputError for a table that is not an object, a
+        value that is not a finite number or an alphabet that is not a string."""
+        table = doc.get("pair_energies", {})
+        if not isinstance(table, dict):
+            raise InputError(f"interaction pair_energies {table!r} must be an object")
         pairs = {}
-        for key, v in doc.get("pair_energies", {}).items():
+        for key, v in table.items():
             if len(key) != 2:
                 raise InputError(f"pair key {key!r} must be two residue codes")
             a, b = sorted(key)
-            pairs[(a, b)] = float(v)
-        return InteractionModel(
-            kind=doc.get("kind", CUSTOM),
-            pair_energies=pairs,
-            alphabet=doc.get("alphabet", "".join(sorted({c for k in pairs for c in k}))),
-        )
+            pairs[(a, b)] = finite_float(v, f"interaction pair_energies {a}{b}")
+        alphabet = doc.get("alphabet", "".join(sorted({c for k in pairs for c in k})))
+        if not isinstance(alphabet, str):
+            raise InputError(f"interaction alphabet {alphabet!r} must be a string")
+        return InteractionModel(kind=doc.get("kind", CUSTOM), pair_energies=pairs, alphabet=alphabet)
 
 
 def hp_model() -> InteractionModel:

@@ -106,6 +106,17 @@ def squared_distances(steps: dict[int, list[Poly]]):
     return D
 
 
+def check_chain(sequence: str, interaction: InteractionModel, gated: bool) -> None:
+    """InputError unless `sequence` is a chain the encoders take: at least 2
+    residues, each in the interaction's alphabet, and, for the turn models'
+    `gated` interaction terms, no pair energy above 0."""
+    if len(sequence) < 2:
+        raise InputError("sequence must have at least 2 residues")
+    interaction.validate_sequence(sequence)
+    if gated and not interaction.all_nonpositive():
+        raise InputError("turn-based encodings need all pair energies <= 0 (gated interaction terms)")
+
+
 def merge_penalties(defaults: dict, overrides: dict | None) -> dict:
     """`defaults` with `overrides` applied; InputError for an override that names none of the
     multipliers (the defaults with a number value), or a multiplier that is not positive."""

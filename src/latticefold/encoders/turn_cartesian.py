@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import InputError, TermAccumulator, poly_add, poly_product
+from ..core import TermAccumulator, poly_add, poly_product
 from .interactions import InteractionModel
 from .model import (
     CART_FIRST_TURN,
@@ -28,6 +28,7 @@ from .model import (
     TURN_CARTESIAN,
     EncodedModel,
     Poly,
+    check_chain,
     interaction_pair_range,
     merge_penalties,
     pair_key,
@@ -65,14 +66,8 @@ def encode_turn_cartesian(
     interaction: InteractionModel,
     penalties: dict | None = None,
 ) -> EncodedModel:
+    check_chain(sequence, interaction, gated=True)
     n = len(sequence)
-    if n < 2:
-        raise InputError("sequence must have at least 2 residues")
-    interaction.validate_sequence(sequence)
-    if not interaction.all_nonpositive():
-        raise InputError(
-            "turn-based encodings need all pair energies <= 0 (gated interaction terms)"
-        )
     pens = merge_penalties(DEFAULT_TURN_CART_PENALTIES, penalties)
     lam_back, lam_turn, lam_olap = pens["lambda_back"], pens["lambda_turn"], pens["lambda_olap"]
 

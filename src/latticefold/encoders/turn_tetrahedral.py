@@ -28,6 +28,7 @@ from .model import (
     TURN_TETRAHEDRAL,
     EncodedModel,
     Poly,
+    check_chain,
     interaction_pair_range,
     merge_penalties,
     pair_key,
@@ -72,14 +73,8 @@ def encode_turn_tetrahedral(
     penalties: dict | None = None,
     penalty_variant: str = STRICT,
 ) -> EncodedModel:
+    check_chain(sequence, interaction, gated=True)
     n = len(sequence)
-    if n < 2:
-        raise InputError("sequence must have at least 2 residues")
-    interaction.validate_sequence(sequence)
-    if not interaction.all_nonpositive():
-        raise InputError(
-            "turn-based encodings need all pair energies <= 0 (gated interaction terms)"
-        )
     pens = merge_penalties(default_turn_tet_penalties(n, penalty_variant), penalties)
     lam1, lam2 = pens["lambda_1"], pens["lambda_2"]
     lam_turn, lam_gc = pens["lambda_turn"], pens["lambda_gc"]

@@ -43,11 +43,6 @@ class QuadratizationResult:
     def aux_map_doc(self) -> list:
         return [{"aux": a, "pair": [i, j]} for a, (i, j) in self.aux_map]
 
-    def project(self, assignment: np.ndarray) -> np.ndarray:
-        """Drop auxiliary variables, keeping the original block."""
-        n_orig = self.qubo.num_vars - len(self.aux_map)
-        return np.asarray(assignment)[:n_orig]
-
     def lift(self, rows: np.ndarray) -> np.ndarray:
         """(m, num_vars) uint8 rows: the original-variable `rows` followed by
         each auxiliary's consistent value, with contiguous columns (see

@@ -158,10 +158,6 @@ class SampleSet:
     def best_energy(self) -> float:
         return float(self.energies.min()) if len(self.energies) else float("inf")
 
-    @property
-    def best_bits(self) -> np.ndarray:
-        return self.bits[int(np.argmin(self.energies))]
-
     def to_csv(self, path, manifest_name: str = "-") -> None:
         with open(path, "w") as fh:
             fh.write(f"# manifest={manifest_name}\n")

@@ -3,9 +3,11 @@ incremental-field Metropolis kernel, for differential tests.
 
 `quadratize` recounts every pair of every high-degree term after each
 substitution, `brute_force` scores every state with a float64 term loop
-(`evaluate_batch`), and `ising_to_qubo` adds every contribution through
-`TermAccumulator.add`.  The package's versions use an incremental pair index,
-a blocked matrix product and a direct fill of the term dict; they must return
+(`evaluate_batch`), `ising_to_qubo` adds every contribution through
+`TermAccumulator.add`, and `ising_problem_from_dict` sums an Ising document
+into a field table and a coupling table.  The package's versions use an
+incremental pair index, a blocked matrix product, a direct fill of the term
+dict and the one `TermAccumulator` of Boolean documents; they must return
 the same outputs bit for bit.  `metropolis` keeps a (rows x n) field array
 that every colour class updates with a BLAS product, and a float64 energy
 that it re-evaluates every FULL_REEVAL_FLIPS proposals, failing on a drift
@@ -19,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from latticefold.core import IsingProblem, QuadraticObjective, TermAccumulator
+from latticefold.core import IsingProblem, InputError, QuadraticObjective, TermAccumulator, _problem_terms
 from latticefold.reduction import QuadratizationResult, resolve_alpha
 from latticefold.solvers import _counter_state, counter_uniforms
 
@@ -100,6 +102,22 @@ def ising_to_qubo(p):
         acc.add((j,), -2.0 * jij)
         acc.offset += jij
     return acc.build(p.num_vars, quadratic=True)
+
+
+def ising_problem_from_dict(doc):
+    """The Ising branch of `problem_from_dict` with its own field and coupling
+    tables, each summed in document order."""
+    num_vars = int(doc["num_vars"])
+    fields, couplings = {}, {}
+    for i, (vars_, c) in enumerate(_problem_terms(doc["terms"], num_vars)):
+        key = tuple(sorted(vars_))
+        if len(key) == 1:
+            fields[key[0]] = fields.get(key[0], 0.0) + c
+        elif len(key) == 2 and key[0] != key[1]:
+            couplings[key] = couplings.get(key, 0.0) + c
+        else:
+            raise InputError(f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
+    return IsingProblem.from_tables(num_vars, fields, couplings, float(doc.get("offset", 0.0)))
 
 
 def brute_force(obj, tie_tol=1e-9, chunk=1 << 18):

@@ -142,7 +142,8 @@ def test_criterion_2_cross_model_agreement():
             PtConfig(num_temps=64, t_min=0.75, t_max=1e4, sweeps=700, measure_sweeps=50,
                      seed=stable_seed(1000, seq)),
         )
-        best_cc = decode(m_cc, pt_cc.sample_set.best_bits)
+        ss_cc = pt_cc.sample_set
+        best_cc = decode(m_cc, ss_cc.bits[np.argmin(ss_cc.energies)])
         assert best_cc.physical
         geo_cc = geometric_energy(best_cc, mj, seq)
         assert geo_cc == pytest.approx(geo_tc, abs=1e-9)
@@ -158,7 +159,8 @@ def test_criterion_2_cross_model_agreement():
             PtConfig(num_temps=64, t_min=0.75, t_max=1e4, sweeps=700, measure_sweeps=50,
                      seed=stable_seed(2000, seq)),
         )
-        best_ct = decode(m_ct, pt_ct.sample_set.best_bits)
+        ss_ct = pt_ct.sample_set
+        best_ct = decode(m_ct, ss_ct.bits[np.argmin(ss_ct.energies)])
         assert best_ct.physical
         geo_ct = geometric_energy(best_ct, mj, seq)
         assert geo_ct == pytest.approx(saw_tet, abs=1e-9)
@@ -252,7 +254,7 @@ def test_criterion_4_quadratization_soundness():
         e_h, mins_h = brute_force(hubo)
         e_q, mins_q = brute_force(result.qubo, free_var_limit=26)
         assert e_q == pytest.approx(e_h, abs=1e-8)
-        projected = {tuple(result.project(a).tolist()) for a in mins_q}
+        projected = {tuple(a[:hubo.num_vars].tolist()) for a in mins_q}
         assert projected == {tuple(a.tolist()) for a in mins_h}
         checked += 1
 
@@ -265,7 +267,7 @@ def test_criterion_4_quadratization_soundness():
         e_h, mins_h = brute_force(model.objective)
         e_q, mins_q = brute_force(result.qubo, free_var_limit=30)
         assert e_q == pytest.approx(e_h, abs=1e-8)
-        projected = {tuple(result.project(a).tolist()) for a in mins_q}
+        projected = {tuple(a[:model.num_vars].tolist()) for a in mins_q}
         assert projected == {tuple(a.tolist()) for a in mins_h}
 
 

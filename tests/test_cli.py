@@ -231,6 +231,9 @@ class TestMalformedInput:
         ('{"tau_seconds": "abc"}', "sum.json: tau_seconds 'abc' is not a number"),
         ('{"tau_seconds": NaN}', "tau nan is not finite"),
         ('{"tau_seconds": Infinity}', "tau inf is not finite"),
+        ('{"tau_seconds": 0.5, "seed": "1,2\\nx"}', "sum.json: seed '1,2\\nx' is not an integer"),
+        ('{"tau_seconds": 0.5, "seed": 1.5}', "sum.json: seed 1.5 is not an integer"),
+        ('{"tau_seconds": 0.5, "seed": true}', "sum.json: seed True is not an integer"),
     ])
     def test_malformed_tts_summary_exits_2(self, workdir, capsys, text, message):
         (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
@@ -239,11 +242,39 @@ class TestMalformedInput:
         assert input_error(["analyze", "tts", "--samples", "s.csv", "--summary", "sum.json",
                             "--reference-energy", "1.0", "--out", "t.csv"], capsys).startswith(message)
 
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+    def test_tts_model_with_a_separator_exits_2(self, workdir, capsys, label):
+        (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
+                                       "01,1.0,0,3\n")
+        assert input_error(["analyze", "tts", "--samples", "s.csv", "--tau", "0.5", "--reference-energy",
+                            "1.0", "--model", label, "--out", "t.csv"], capsys) == (
+            f"--model {label!r} holds a comma or a line break")
+        assert not (workdir / "t.csv").exists()
+
     def test_tts_without_reference_energy_exits_2(self, workdir, capsys):
         (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
                                        "01,1.0,0,3\n")
-        assert "--reference-energy" in input_error(
-            ["analyze", "tts", "--samples", "s.csv", "--tau", "0.5", "--out", "t.csv"], capsys)
+        assert usage_error(["analyze", "tts", "--samples", "s.csv", "--tau", "0.5", "--out", "t.csv"],
+                           capsys).endswith("the following arguments are required: --reference-energy")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "sod", "--out", "s.csv"], "the following arguments are required: run1, run2"),
+        (["analyze", "tts", "--reference-energy", "1", "--tau", "1", "--out", "t.csv"],
+         "the following arguments are required: --samples"),
+    ], ids=["sod-no-runs", "tts-no-samples"])
+    def test_missing_analysis_input_exits_2(self, workdir, capsys, argv, message):
+        assert usage_error(argv, capsys).endswith(message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "sod", "a.csv", "b.csv", "--tau", "3", "--out", "s.csv"], "--tau 3"),
+        (["analyze", "sod", "a.csv", "b.csv", "--models", "zzz", "--out", "s.csv"], "--models zzz"),
+        (["analyze", "scaling", "--samples", "x.csv", "--out", "s.csv"], "--samples x.csv"),
+        (["analyze", "tts", "--samples", "x.csv", "--reference-energy", "1", "--bins", "7", "--out", "t.csv"],
+         "--bins 7"),
+    ], ids=["sod-tau", "sod-models", "scaling-samples", "tts-bins"])
+    def test_option_of_another_analysis_exits_2(self, workdir, capsys, argv, message):
+        assert usage_error(argv, capsys).endswith(f"unrecognized arguments: {message}")
+        assert not (workdir / argv[-1]).exists()
 
     @pytest.mark.parametrize("model, edit, message", [
         ("coord-tet", lambda doc: doc.pop("sequence"), "no model sequence"),
@@ -261,9 +292,18 @@ class TestMalformedInput:
          "layout bead_blocks[3] is not a block"),
         ("coord-tet", lambda doc: doc["layout"]["bead_blocks"][0].update({"class": 2}),
          "layout bead_blocks[0] is not a block"),
+        ("coord-tet", lambda doc: doc["interaction"].update(pair_energies=[]),
+         "interaction pair_energies [] must be an object"),
+        ("turn-tet", lambda doc: doc["interaction"]["pair_energies"].update(HH="x"),
+         "interaction pair_energies HH 'x' is not a number"),
+        ("turn-tet", lambda doc: doc["interaction"]["pair_energies"].update(HH=float("nan")),
+         "interaction pair_energies HH nan is not finite"),
+        ("coord-tet", lambda doc: doc["interaction"].update(alphabet=5), "interaction alphabet 5 must be a string"),
     ], ids=["no-sequence", "bogus-interaction", "unknown-model", "no-turns", "turn-var-out-of-range",
             "turn-bit-not-a-variable", "turn-block-width", "no-bead-blocks", "grid-side-not-int",
-            "bead-block-no-start", "bead-block-out-of-range", "bead-block-bad-class"])
+            "bead-block-no-start", "bead-block-out-of-range", "bead-block-bad-class",
+            "pair-energies-not-an-object", "pair-energy-not-a-number", "pair-energy-nan",
+            "alphabet-not-a-string"])
     def test_malformed_model_document_decode_exits_2(self, workdir, capsys, model, edit, message):
         assert run(["encode", model, "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
         doc = json.loads((workdir / "p.json").read_text())
@@ -274,9 +314,6 @@ class TestMalformedInput:
         assert message in input_error(["decode", "p.json", "s.csv", "--out", "folds.json"], capsys)
 
     @pytest.mark.parametrize("argv, message", [
-        (["analyze", "sod", "--out", "s.csv"], "analyze sod needs two PT samples CSVs"),
-        (["analyze", "tts", "--reference-energy", "1", "--tau", "1", "--out", "t.csv"],
-         "analyze tts needs --samples"),
         (["reduce", "h.json", "--alpha", "fixed:abc", "--out", "q.json"],
          "penalty strength 'abc' is not a number"),
         (["reduce", "h.json", "--alpha", "fixed:nan", "--out", "q.json"],
@@ -329,7 +366,7 @@ class TestMalformedInput:
          "--len must be at least 2, the shortest chain a model encodes, got 0"),
         (["gen-dataset", "--len", "1", "--seed", "1", "--out", "d.json"],
          "--len must be at least 2, the shortest chain a model encodes, got 1"),
-    ], ids=["sod-no-runs", "tts-no-samples", "alpha-not-a-number", "alpha-nan", "alpha-inf",
+    ], ids=["alpha-not-a-number", "alpha-nan", "alpha-inf",
             "penalty-not-a-number", "penalty-nan", "config-unknown-key", "lambda-global-not-a-number",
             "penalties-not-an-object", "sod-zero-bins", "tau-nan", "tau-inf", "penalty-unknown-name",
             "penalty-not-a-multiplier", "t0-nan", "t0-inf", "reference-energy-nan", "tol-nan",
@@ -457,6 +494,15 @@ class TestAnalyze:
                     "--reference-energy", "-1.0", "--out", "t.csv"]) == 0
         row = (workdir / "t.csv").read_text().splitlines()[-1]
         assert row.endswith(",1.0,2.5")  # p_ground=1 -> tts = tau
+
+    def test_tts_labels_come_from_options_only(self, workdir):
+        (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n01,-1.0,0,0\n")
+        (workdir / "sum.json").write_text('{"tau_seconds": 2.5, "seed": 7, "model": "a,b", "N": 9}')
+        argv = ["analyze", "tts", "--samples", "s.csv", "--summary", "sum.json", "--reference-energy", "-1.0"]
+        assert run([*argv, "--out", "t.csv"]) == 0
+        assert run([*argv, "--model", "coord-tet", "--n", "4", "--out", "u.csv"]) == 0
+        assert (workdir / "t.csv").read_text().splitlines()[-1] == "-,-1,7,2.5,1.0,2.5"
+        assert (workdir / "u.csv").read_text().splitlines()[-1] == "coord-tet,4,7,2.5,1.0,2.5"
 
     def test_scaling_csv_schema(self, workdir):
         assert run(["analyze", "scaling", "--models", "coord-tet",
@@ -688,6 +734,13 @@ class TestDatasetAndConfig:
         rows = (workdir / "s.csv").read_text().splitlines()
         assert len(rows) == 2 + 6  # restarts from the config file
 
+    def test_config_sets_an_analysis_option(self, workdir):
+        (workdir / "conf.txt").write_text("bins = 7\n")
+        (workdir / "a.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
+                                       "011,-1.0,0,3\n110,-2.0,0,4\n")
+        assert run(["--config", "conf.txt", "analyze", "sod", "a.csv", "a.csv", "--out", "sod.csv"]) == 0
+        assert len((workdir / "sod.csv").read_text().splitlines()) == 2 + 7
+
     def test_config_value_of_wrong_type_exits_2(self, workdir, capsys):
         (workdir / "conf.txt").write_text("sweeps = abc\n")
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
@@ -719,3 +772,14 @@ class TestDatasetAndConfig:
         assert input_error(["--config", "conf.txt", "encode", "turn-tet", "--seq", "HHHHHH",
                             "--out", "t.json"], capsys) == (
             "config key penalty is repeatable; give it on the command line")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["encode"], ["reduce"], ["solve"], ["decode"], ["analyze"], ["analyze", "sod"], ["analyze", "tts"],
+    ["analyze", "scaling"], ["embed"], ["unembed"], ["gen-dataset"],
+], ids=lambda argv: "-".join(argv) or "top")
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: latticefold")

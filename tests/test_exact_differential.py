@@ -1,9 +1,10 @@
 """The blocked brute force, the incremental quadratizer, the contiguous
-`evaluate_batch` and the direct `ising_to_qubo` against their term-by-term
-reference versions: every output must be identical, down to the dict order
-of the QUBO terms and the repr of the minimum energy.  The Metropolis kernel
-against the incremental-field kernel it replaced: the same state after every
-sweep, and an energy pair equal to the one recomputed from the state."""
+`evaluate_batch`, the direct `ising_to_qubo` and the one term accumulator of
+`problem_from_dict` against their term-by-term reference versions: every
+output must be identical, down to the dict order of the QUBO terms and the
+repr of the minimum energy.  The Metropolis kernel against the
+incremental-field kernel it replaced: the same state after every sweep, and
+an energy pair equal to the one recomputed from the state."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference_exact as ref
 from conftest import all_assignments, build_poly, random_qubo
-from latticefold.core import IsingProblem, TermAccumulator, ising_to_qubo, qubo_to_ising
+from latticefold.core import IsingProblem, TermAccumulator, ising_to_qubo, problem_from_dict, qubo_to_ising
 from latticefold.encoders import encode, get_model
 from latticefold.reduction import quadratize
 from latticefold.solvers import (
@@ -89,6 +90,29 @@ def ising_problems(draw):
     pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
     couplings = draw(st.dictionaries(pairs, coeff, max_size=12)) if n > 1 else {}
     return IsingProblem.from_tables(n, fields, couplings, draw(st.floats(-1e3, 1e3)))
+
+
+@st.composite
+def ising_documents(draw):
+    """Ising documents whose fields and couplings come in any order, with
+    repeated keys and a coupling's spins in either order.  No coefficient is
+    0.0: such an entry places no key in the term order, as in a Boolean
+    document, and the program writes none."""
+    n = draw(st.integers(1, 6))
+    spins = st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)
+    coeff = st.one_of(st.sampled_from([-1.0, -0.5, 0.5, 1.0]), st.floats(-1e3, 1e3).filter(bool))
+    terms = draw(st.lists(st.fixed_dictionaries({"vars": spins, "coeff": coeff}), max_size=16))
+    return {"num_vars": n, "offset": draw(st.floats(-1e3, 1e3)), "space": "ising", "terms": terms}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=ising_documents())
+def test_ising_documents_load_identically(doc):
+    new, old = problem_from_dict(doc), ref.ising_problem_from_dict(doc)
+    assert type(new) is IsingProblem and new.num_vars == old.num_vars
+    assert list(new.terms) == list(old.terms)
+    assert [repr(c) for c in new.terms.values()] == [repr(c) for c in old.terms.values()]
+    assert repr(new.offset) == repr(old.offset)
 
 
 @pytest.mark.parametrize("tag, n", [("turn-tet", 8), ("turn-tet", 9), ("turn-tet", 10),

@@ -206,7 +206,7 @@ class TestSimulatedAnnealing:
         for zeta in (0.5, 0.99):
             ss = simulated_annealing(obj, SaConfig(zeta, 30, 4, seed=3))
             assert ss.best_energy == 0.0
-            assert ss.best_bits.tolist() == [0]
+            assert ss.bits[np.argmin(ss.energies)].tolist() == [0]
 
     @pytest.mark.parametrize("terms, n", [
         ({(0,): 1.0}, 1),
