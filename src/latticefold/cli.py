@@ -461,11 +461,19 @@ def _apply_config_defaults(parser, defaults: dict) -> None:
     """Make the config values the subcommands' defaults.  They stay strings:
     argparse parses a string default with its option's type, and exits 2 on
     a bad one.  A flag takes true or false; the repeatable --penalty cannot
-    come from a config file, and a key must name some subcommand's option."""
+    come from a config file, and a key must name an option other than --help
+    that some subcommand does not require: argparse ignores the default of a
+    positional or required argument."""
     subparsers = list(_subparsers(parser))
-    unknown = sorted(defaults.keys() - {a.dest for sp in subparsers for a in sp._actions})
+    options = [a for sp in subparsers for a in sp._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    unknown = sorted(defaults.keys() - {a.dest for a in options})
     if unknown:
         raise InputError(f"config key {', '.join(unknown)} names no option of any subcommand")
+    required = sorted(defaults.keys() - {a.dest for a in options if not a.required})
+    if required:
+        raise InputError(f"config key {', '.join(required)} names only required arguments; "
+                         "give it on the command line")
     for sp in subparsers:
         for a in sp._actions:
             raw = defaults.get(a.dest)

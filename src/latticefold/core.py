@@ -389,30 +389,13 @@ def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
 # JSON problem files: the interchange format for every CLI stage.
 # ---------------------------------------------------------------------------
 
-def _problem_terms(raw_terms, num_vars: int) -> list[tuple[list[int], float]]:
-    """(variables, coefficient) of each document term; InputError names a bad one."""
-    if not isinstance(raw_terms, list):
-        raise InputError("problem terms must be a list")
-    terms = []
-    for i, t in enumerate(raw_terms):
-        try:
-            vars_ = [int(v) for v in t["vars"]]
-            coeff = float(t["coeff"])
-        except KeyError as exc:
-            raise InputError(f"problem term {i} has no {exc} key") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed problem term {i}: {exc}") from exc
-        if not all(0 <= v < num_vars for v in vars_):
-            raise InputError(f"problem term {i}: variables {vars_} out of range for {num_vars} vars")
-        if not np.isfinite(coeff):
-            raise InputError(f"problem term {i}: coefficient {coeff} is not finite")
-        terms.append((vars_, coeff))
-    return terms
-
-
 def problem_from_dict(doc: dict):
     """Load a problem from its JSON dict; returns the matching problem type.
 
+    One pass over the document terms: each term's vars are read with int and
+    its coeff with float, and a term adds to the sum of its sorted,
+    duplicate-free key in document order.  An exact-zero coeff adds nothing,
+    an empty key adds to offset, and a sum that cancels to 0.0 is dropped.
     Any malformed document raises InputError.
     """
     try:
@@ -426,20 +409,47 @@ def problem_from_dict(doc: dict):
         raise InputError(
             f"malformed problem document: num_vars={num_vars}, offset={offset}, space={space!r}"
         )
-    acc = TermAccumulator()
-    acc.offset = offset
-    for i, (vars_, c) in enumerate(_problem_terms(raw_terms, num_vars)):
-        if space == ISING and not (len(vars_) in (1, 2) and len(set(vars_)) == len(vars_)):
-            raise InputError(f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
-        acc.add(vars_, c)
+    if not isinstance(raw_terms, list):
+        raise InputError("problem terms must be a list")
+    ising = space == ISING
+    terms: dict[tuple[int, ...], float] = {}
+    get = terms.get
+    arity_error = None
+    for i, t in enumerate(raw_terms):
+        try:
+            vars_ = list(map(int, t["vars"]))
+            coeff = float(t["coeff"])
+        except KeyError as exc:
+            raise InputError(f"problem term {i} has no {exc} key") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed problem term {i}: {exc}") from exc
+        key = tuple(sorted(set(vars_)))
+        if key and not (key[0] >= 0 and key[-1] < num_vars):
+            raise InputError(f"problem term {i}: variables {vars_} out of range for {num_vars} vars")
+        if not math.isfinite(coeff):
+            raise InputError(f"problem term {i}: coefficient {coeff} is not finite")
+        if ising and not (0 < len(key) == len(vars_) < 3):
+            # raised after the loop: a fault above in any term is named first
+            arity_error = arity_error or InputError(
+                f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
+        elif coeff == 0.0:
+            continue
+        elif key:
+            terms[key] = get(key, 0.0) + coeff
+        else:
+            offset += coeff
+    if arity_error:
+        raise arity_error
     # the constructors' own checks catch what is left: coefficient sums that overflow
     try:
-        if space == ISING:
+        if ising:
             # a stable sort by degree puts fields before couplings, IsingProblem's term order
-            terms = sorted(acc.terms.items(), key=lambda kv: len(kv[0]))
-            return IsingProblem(num_vars=num_vars, terms={k: c for k, c in terms if c != 0.0},
-                                offset=acc.offset)
-        return acc.build(num_vars, quadratic=max((len(k) for k in acc.terms), default=0) <= 2)
+            ordered = sorted(terms.items(), key=lambda kv: len(kv[0]))
+            return IsingProblem(num_vars=num_vars, terms={k: c for k, c in ordered if c != 0.0},
+                                offset=offset)
+        # the class counts the degree of a key whose sum cancelled, too
+        cls = QuadraticObjective if max(map(len, terms), default=0) <= 2 else PolynomialObjective
+        return cls(num_vars=num_vars, terms={k: c for k, c in terms.items() if c != 0.0}, offset=offset)
     except ValueError as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
 

@@ -218,16 +218,6 @@ def load_embedded(path) -> tuple[EmbeddingMap, list]:
     return emb, node_order
 
 
-def chain_lift(logical_bits, emb: EmbeddingMap, node_order) -> np.ndarray:
-    """Chain-consistent physical assignment from a logical one (bit space)."""
-    idx = {p: i for i, p in enumerate(node_order)}
-    out = np.zeros(len(node_order), dtype=np.uint8)
-    for logical, chain in emb.chains.items():
-        for p in chain:
-            out[idx[p]] = logical_bits[logical]
-    return out
-
-
 def unembed(
     physical_bits,
     emb: EmbeddingMap,
@@ -235,7 +225,8 @@ def unembed(
     seed: int = 0,
     sample_index: int = 0,
 ):
-    """Majority-vote chain collapse; ties break by a seeded coin flip.
+    """Majority-vote chain collapse; ties break by a seeded coin flip, all of
+    a sample's coins drawn in one call.
 
     Returns (logical bits, chain_break_fraction).
     """
@@ -244,20 +235,19 @@ def unembed(
         raise InputError(
             f"sample covers {bits.shape} nodes, embedding uses {len(node_order)}"
         )
-    idx = {p: i for i, p in enumerate(node_order)}
-    n_logical = max(emb.chains) + 1
-    logical = np.zeros(n_logical, dtype=np.uint8)
+    node_bits = dict(zip(node_order, bits.tolist()))
+    logical = np.zeros(max(emb.chains) + 1, dtype=np.uint8)
     broken = 0
-    key = stable_seed(seed, "unembed-ties")
+    ties = []
     for var, chain in sorted(emb.chains.items()):
-        votes = [int(bits[idx[p]]) for p in chain]
-        ones = sum(votes)
-        if 0 < ones < len(votes):
+        ones = sum(int(node_bits[p]) for p in chain)
+        if 0 < ones < len(chain):
             broken += 1
-        if ones * 2 > len(votes):
+        if ones * 2 > len(chain):
             logical[var] = 1
-        elif ones * 2 < len(votes):
-            logical[var] = 0
-        else:
-            logical[var] = counter_uniforms(key, sample_index, var) < 0.5
+        elif ones * 2 == len(chain):
+            ties.append(var)
+    if ties:
+        coins = counter_uniforms(stable_seed(seed, "unembed-ties"), sample_index, np.array(ties))
+        logical[ties] = coins < 0.5
     return logical, broken / len(emb.chains)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import time
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,18 +234,6 @@ class ColorClasses:
 
     classes: list
 
-    def verify(self, obj: PolynomialObjective) -> bool:
-        member = {}
-        for ci, cls in enumerate(self.classes):
-            for v in cls:
-                member[v] = ci
-        for key in obj.terms:
-            for a_i in range(len(key)):
-                for b_i in range(a_i + 1, len(key)):
-                    if member[key[a_i]] == member[key[b_i]]:
-                        return False
-        return True
-
 
 def color_graph(obj: PolynomialObjective) -> ColorClasses:
     """Greedy independence partition of the objective's conflict graph.
@@ -312,15 +299,14 @@ class _Compiled:
         n = qubo.num_vars
         self.n = n
         self.offset = qubo.offset
-        self.c = np.zeros(n)
-        self.Q = np.zeros((n, n))
-        for key, coeff in qubo.terms.items():
-            if len(key) == 1:
-                self.c[key[0]] += coeff
-            else:
-                i, j = key
-                self.Q[i, j] += coeff
-                self.Q[j, i] += coeff
+        # one cell per term, a field (i,) on the diagonal: the keys are unique, so
+        # no cell sums two terms
+        cells = np.array([(key[0], key[-1]) for key in qubo.terms], dtype=np.int64).reshape(-1, 2)
+        upper = np.zeros((n, n))
+        upper[cells[:, 0], cells[:, 1]] = np.fromiter(qubo.terms.values(), np.float64, len(cells))
+        self.c = upper.diagonal().copy()
+        np.fill_diagonal(upper, 0.0)
+        self.Q = upper + upper.T
         self.colors = color_graph(qubo).classes
         # kernel layout: state column k is variable order[k], so a colour class
         # is a slice, then a constant 1 for c; per class, its columns of the split [Q; c]
@@ -464,6 +450,9 @@ def simulated_annealing(problem, cfg: SaConfig, jobs: int = 1) -> SampleSet:
     if workers == 1 or len(chunks) == 1:
         parts = [_sa_rows(comp, cfg, rows) for rows in chunks]
     else:
+        # imported here: the pool's modules cost every other process ~6 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             parts = list(pool.map(_sa_rows, [comp] * len(chunks), [cfg] * len(chunks), chunks))
     bits, energies, sweeps = (np.concatenate(column) for column in zip(*parts))

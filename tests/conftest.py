@@ -23,6 +23,22 @@ def random_qubo(rng, n, n_quad=None):
     return acc.build(n, quadratic=True)
 
 
+def chain_lift(logical_bits, emb, node_order):
+    """Chain-consistent physical assignment from a logical one (bit space)."""
+    idx = {p: i for i, p in enumerate(node_order)}
+    out = np.zeros(len(node_order), dtype=np.uint8)
+    for logical, chain in emb.chains.items():
+        for p in chain:
+            out[idx[p]] = logical_bits[logical]
+    return out
+
+
+def classes_independent(classes, obj):
+    """True when no term of `obj` has two variables in one colour class."""
+    member = {int(v): ci for ci, cls in enumerate(classes) for v in cls}
+    return all(len({member[v] for v in key}) == len(key) for key in obj.terms)
+
+
 def all_assignments(n):
     return code_bits(np.arange(1 << n), n)
 

@@ -1,19 +1,22 @@
-"""Reference copies of the term-by-term exact solvers and of the
-incremental-field Metropolis kernel, for differential tests.
+"""Reference copies of the term-by-term exact solvers, of the two-stage
+problem loader, of the per-chain unembedding and of the incremental-field
+Metropolis kernel, for differential tests.
 
 `quadratize` recounts every pair of every high-degree term after each
 substitution, `brute_force` scores every state with a float64 term loop
 (`evaluate_batch`), `ising_to_qubo` adds every contribution through
-`TermAccumulator.add`, and `ising_problem_from_dict` sums an Ising document
-into a field table and a coupling table.  The package's versions use an
+`TermAccumulator.add`, `problem_from_dict` checks every document term
+before it sums them through `TermAccumulator.add`, `ising_problem_from_dict`
+sums an Ising document into a field table and a coupling table, and
+`unembed` draws one tie coin per chain.  The package's versions use an
 incremental pair index, a blocked matrix product, a direct fill of the term
-dict and the one `TermAccumulator` of Boolean documents; they must return
-the same outputs bit for bit.  `metropolis` keeps a (rows x n) field array
-that every colour class updates with a BLAS product, and a float64 energy
-that it re-evaluates every FULL_REEVAL_FLIPS proposals, failing on a drift
-above its tolerance; the package's kernel computes each class's fields from
-the bits, carries an exact energy pair (`pair_energies`), and must visit the
-same states.
+dict, one pass over the document terms and one coin draw per sample; they
+must return the same outputs bit for bit.  `metropolis` keeps a (rows x n)
+field array that every colour class updates with a BLAS product, and a
+float64 energy that it re-evaluates every FULL_REEVAL_FLIPS proposals,
+failing on a drift above its tolerance; the package's kernel computes each
+class's fields from the bits, carries an exact energy pair
+(`pair_energies`), and must visit the same states.
 """
 
 from collections import Counter
@@ -21,9 +24,9 @@ from itertools import combinations
 
 import numpy as np
 
-from latticefold.core import IsingProblem, InputError, QuadraticObjective, TermAccumulator, _problem_terms
+from latticefold.core import BOOLEAN, ISING, IsingProblem, InputError, QuadraticObjective, TermAccumulator
 from latticefold.reduction import QuadratizationResult, resolve_alpha
-from latticefold.solvers import _counter_state, counter_uniforms
+from latticefold.solvers import _counter_state, counter_uniforms, stable_seed
 
 FULL_REEVAL_FLIPS = 10_000
 DRIFT_TOL = 1e-6
@@ -104,12 +107,63 @@ def ising_to_qubo(p):
     return acc.build(p.num_vars, quadratic=True)
 
 
+def problem_terms(raw_terms, num_vars):
+    """(variables, coefficient) of each document term; InputError names a bad one."""
+    if not isinstance(raw_terms, list):
+        raise InputError("problem terms must be a list")
+    terms = []
+    for i, t in enumerate(raw_terms):
+        try:
+            vars_ = [int(v) for v in t["vars"]]
+            coeff = float(t["coeff"])
+        except KeyError as exc:
+            raise InputError(f"problem term {i} has no {exc} key") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed problem term {i}: {exc}") from exc
+        if not all(0 <= v < num_vars for v in vars_):
+            raise InputError(f"problem term {i}: variables {vars_} out of range for {num_vars} vars")
+        if not np.isfinite(coeff):
+            raise InputError(f"problem term {i}: coefficient {coeff} is not finite")
+        terms.append((vars_, coeff))
+    return terms
+
+
+def problem_from_dict(doc):
+    """The two-stage loader: every term checked by `problem_terms`, then
+    summed through `TermAccumulator.add`."""
+    try:
+        num_vars = int(doc["num_vars"])
+        offset = float(doc.get("offset", 0.0))
+        space = doc.get("space", BOOLEAN)
+        raw_terms = doc.get("terms", [])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed problem document: {exc}") from exc
+    if num_vars < 0 or not np.isfinite(offset) or space not in (BOOLEAN, ISING):
+        raise InputError(
+            f"malformed problem document: num_vars={num_vars}, offset={offset}, space={space!r}"
+        )
+    acc = TermAccumulator()
+    acc.offset = offset
+    for i, (vars_, c) in enumerate(problem_terms(raw_terms, num_vars)):
+        if space == ISING and not (len(vars_) in (1, 2) and len(set(vars_)) == len(vars_)):
+            raise InputError(f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
+        acc.add(vars_, c)
+    try:
+        if space == ISING:
+            terms = sorted(acc.terms.items(), key=lambda kv: len(kv[0]))
+            return IsingProblem(num_vars=num_vars, terms={k: c for k, c in terms if c != 0.0},
+                                offset=acc.offset)
+        return acc.build(num_vars, quadratic=max((len(k) for k in acc.terms), default=0) <= 2)
+    except ValueError as exc:
+        raise InputError(f"malformed problem document: {exc}") from exc
+
+
 def ising_problem_from_dict(doc):
     """The Ising branch of `problem_from_dict` with its own field and coupling
     tables, each summed in document order."""
     num_vars = int(doc["num_vars"])
     fields, couplings = {}, {}
-    for i, (vars_, c) in enumerate(_problem_terms(doc["terms"], num_vars)):
+    for i, (vars_, c) in enumerate(problem_terms(doc["terms"], num_vars)):
         key = tuple(sorted(vars_))
         if len(key) == 1:
             fields[key[0]] = fields.get(key[0], 0.0) + c
@@ -118,6 +172,30 @@ def ising_problem_from_dict(doc):
         else:
             raise InputError(f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
     return IsingProblem.from_tables(num_vars, fields, couplings, float(doc.get("offset", 0.0)))
+
+
+def unembed(physical_bits, emb, node_order, seed=0, sample_index=0):
+    """Majority vote per chain, a tie broken by its own coin,
+    counter_uniforms(key, sample_index, var)."""
+    bits = np.asarray(physical_bits)
+    if bits.shape != (len(node_order),):
+        raise InputError(f"sample covers {bits.shape} nodes, embedding uses {len(node_order)}")
+    idx = {p: i for i, p in enumerate(node_order)}
+    logical = np.zeros(max(emb.chains) + 1, dtype=np.uint8)
+    broken = 0
+    key = stable_seed(seed, "unembed-ties")
+    for var, chain in sorted(emb.chains.items()):
+        votes = [int(bits[idx[p]]) for p in chain]
+        ones = sum(votes)
+        if 0 < ones < len(votes):
+            broken += 1
+        if ones * 2 > len(votes):
+            logical[var] = 1
+        elif ones * 2 < len(votes):
+            logical[var] = 0
+        else:
+            logical[var] = counter_uniforms(key, sample_index, var) < 0.5
+    return logical, broken / len(emb.chains)
 
 
 def brute_force(obj, tie_tol=1e-9, chunk=1 << 18):

@@ -33,7 +33,6 @@ from latticefold.embedding import (
     EmbeddingMap,
     HardwareGraph,
     apply_embedding,
-    chain_lift,
     default_chain_strength,
     unembed,
     validate_embedding,
@@ -61,6 +60,8 @@ from latticefold.solvers import (
     simulated_annealing,
     stable_seed,
 )
+
+from conftest import chain_lift
 
 
 def report(criterion: int, label: str):

@@ -2,11 +2,16 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticefold
 from latticefold.cli import main
 from latticefold.core import QuadraticObjective, load_problem
 from latticefold.reduction import QuadratizationResult, quadratize
@@ -767,6 +772,28 @@ class TestDatasetAndConfig:
                             "--L", "3", "--out", "c.json"], capsys) == (
             "config flag efficient_h3 takes true or false, got 'yes'")
 
+    @pytest.mark.parametrize("line, message", [
+        ("help = true", "config key help names no option of any subcommand"),
+        ("what = sod", "config key what names no option of any subcommand"),
+        ("problem = p.json", "config key problem names only required arguments; give it on the command line"),
+        ("out = x.json", "config key out names only required arguments; give it on the command line"),
+    ], ids=["help", "what", "problem", "out"])
+    def test_config_key_without_a_default_exits_2(self, workdir, capsys, line, message):
+        """help, the analysis chooser, a positional (and unembed's required
+        --problem) and the required --out take no default from a config file."""
+        (workdir / "conf.txt").write_text(line + "\n")
+        assert input_error(["--config", "conf.txt", "gen-dataset", "--seed", "1", "--out", "d.json"],
+                           capsys) == message
+        assert not (workdir / "d.json").exists()
+
+    def test_config_sets_an_option_that_a_positional_shares(self, workdir):
+        """model is encode's positional and analyze tts's --model label."""
+        (workdir / "conf.txt").write_text("model = from-config\n")
+        (workdir / "a.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n011,-1.0,0,3\n")
+        assert run(["--config", "conf.txt", "analyze", "tts", "--samples", "a.csv",
+                    "--reference-energy", "-1", "--tau", "0.5", "--out", "t.csv"]) == 0
+        assert "from-config" in (workdir / "t.csv").read_text()
+
     def test_config_repeatable_key_exits_2(self, workdir, capsys):
         (workdir / "conf.txt").write_text("penalty = lambda_1=30\n")
         assert input_error(["--config", "conf.txt", "encode", "turn-tet", "--seq", "HHHHHH",
@@ -783,3 +810,14 @@ def test_help_exits_0(argv, capsys):
         main([*argv, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: latticefold")
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only `solve --jobs` > 1 uses the process pool: a fresh interpreter
+    that imports the CLI has loaded neither of its modules."""
+    code = ("import sys, latticefold.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(latticefold.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -6,14 +6,13 @@ from latticefold.embedding import (
     EmbeddingMap,
     HardwareGraph,
     apply_embedding,
-    chain_lift,
     default_chain_strength,
     unembed,
     validate_embedding,
 )
 from latticefold.solvers import brute_force
 
-from conftest import all_assignments, build_poly, random_qubo
+from conftest import all_assignments, build_poly, chain_lift, random_qubo
 
 
 def complete_graph(n):

@@ -1,19 +1,27 @@
 """The blocked brute force, the incremental quadratizer, the contiguous
-`evaluate_batch`, the direct `ising_to_qubo` and the one term accumulator of
-`problem_from_dict` against their term-by-term reference versions: every
-output must be identical, down to the dict order of the QUBO terms and the
-repr of the minimum energy.  The Metropolis kernel against the
+`evaluate_batch`, the direct `ising_to_qubo`, the one-pass `problem_from_dict`
+and the one-draw `unembed` against their term-by-term reference versions:
+every output must be identical, down to the dict order of the QUBO terms and
+the repr of the minimum energy.  The Metropolis kernel against the
 incremental-field kernel it replaced: the same state after every sweep, and
 an energy pair equal to the one recomputed from the state."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_exact as ref
 from conftest import all_assignments, build_poly, random_qubo
-from latticefold.core import IsingProblem, TermAccumulator, ising_to_qubo, problem_from_dict, qubo_to_ising
+from latticefold.core import (
+    InputError,
+    IsingProblem,
+    TermAccumulator,
+    ising_to_qubo,
+    problem_from_dict,
+    qubo_to_ising,
+)
+from latticefold.embedding import EmbeddingMap, unembed
 from latticefold.encoders import encode, get_model
 from latticefold.reduction import quadratize
 from latticefold.solvers import (
@@ -113,6 +121,121 @@ def test_ising_documents_load_identically(doc):
     assert list(new.terms) == list(old.terms)
     assert [repr(c) for c in new.terms.values()] == [repr(c) for c in old.terms.values()]
     assert repr(new.offset) == repr(old.offset)
+
+
+# (where, value): value replaces a term's vars or coeff, a whole term or a
+# header field; _MISSING deletes the key
+_MISSING = object()
+DOCUMENT_FAULTS = [
+    ("vars", [-1]), ("vars", [99]), ("vars", 3), ("vars", ["a"]), ("vars", [None]),
+    ("vars", [float("nan")]), ("vars", [float("inf")]), ("vars", _MISSING),
+    ("coeff", "x"), ("coeff", None), ("coeff", float("nan")), ("coeff", float("inf")),
+    ("coeff", 10 ** 400), ("coeff", _MISSING), ("term", [0, 1]), ("term", "t"), ("term", None),
+    ("vars", []), ("vars", [0, 0]), ("vars", [0, 1, 2]),  # faults in an ising document only
+    ("num_vars", -1), ("num_vars", "x"), ("num_vars", _MISSING), ("offset", float("nan")),
+    ("offset", "x"), ("space", "qubo"), ("terms", {"vars": [0]}),
+]
+
+
+def with_fault(doc, i, where, value):
+    """`doc` with one of DOCUMENT_FAULTS, a term fault in term i; the
+    document's own dicts and term list are not changed."""
+    doc = dict(doc)
+    if where in ("vars", "coeff", "term"):
+        if not isinstance(doc["terms"], list):
+            return doc
+        terms = doc["terms"] = list(doc["terms"])
+        if where == "term":
+            terms[i] = value
+            return doc
+        if not isinstance(terms[i], dict):
+            return doc
+        target = terms[i] = dict(terms[i])
+    else:
+        target = doc
+    if value is _MISSING:
+        target.pop(where, None)
+    else:
+        target[where] = value
+    return doc
+
+
+@st.composite
+def problem_documents(draw):
+    """Boolean and Ising documents as another writer could give them: vars
+    unsorted, repeated or as strings, keys repeated, zero coefficients, sums
+    that cancel or overflow, and integer coefficients; then up to two faults
+    from DOCUMENT_FAULTS."""
+    space = draw(st.sampled_from(["boolean", "ising"]))
+    n = draw(st.integers(1, 5))
+    var = st.one_of(st.integers(0, n - 1), st.integers(0, n - 1).map(str))
+    coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e308, -1e308]),
+                      st.floats(-1e3, 1e3), st.integers(-3, 3))
+    spins = st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)
+    pool = draw(st.lists(spins if space == "ising" else st.lists(var, max_size=4), min_size=1, max_size=3))
+    vars_ = st.sampled_from(pool).flatmap(st.permutations)  # few keys, so sums repeat and cancel
+    terms = draw(st.lists(st.fixed_dictionaries({"vars": vars_, "coeff": coeff}), min_size=1, max_size=10))
+    doc = {"num_vars": n, "offset": draw(coeff), "space": space, "terms": terms}
+    for where, value in draw(st.lists(st.sampled_from(DOCUMENT_FAULTS), max_size=2)):
+        doc = with_fault(doc, draw(st.integers(0, len(terms) - 1)), where, value)
+    return doc
+
+
+def loaded(loader, doc):
+    """The class, key order and coefficient and offset reprs of a loaded
+    document, or its InputError message."""
+    try:
+        p = loader(doc)
+    except InputError as exc:
+        return str(exc)
+    return type(p), p.num_vars, list(p.terms), [repr(c) for c in p.terms.values()], repr(p.offset)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=problem_documents())
+@example(doc={"num_vars": 3, "terms": [{"vars": [2, 0, 1], "coeff": 1.0}, {"vars": [0, 1], "coeff": 2.0},
+                                       {"vars": [1, 2, 0], "coeff": -1.0}]})  # a degree-3 sum cancels
+@example(doc={"num_vars": 2, "space": "ising", "terms": [{"vars": [0, 0], "coeff": 1.0},
+                                                         {"vars": [5], "coeff": 1.0}]})  # two faults
+def test_problem_documents_load_identically(doc):
+    assert loaded(problem_from_dict, doc) == loaded(ref.problem_from_dict, doc)
+
+
+@pytest.mark.parametrize("space", ["boolean", "ising"])
+@pytest.mark.parametrize("where, value", DOCUMENT_FAULTS,
+                         ids=[f"{where}{i}" for i, (where, _) in enumerate(DOCUMENT_FAULTS)])
+def test_single_fault_documents_fail_identically(space, where, value):
+    """Each fault alone, in the second term of a valid document: both
+    loaders raise the same InputError message, or accept it alike."""
+    terms = [{"vars": [1], "coeff": 0.5}, {"vars": [0, 1], "coeff": -1.0}, {"vars": [2], "coeff": 2.0}]
+    doc = with_fault({"num_vars": 3, "offset": 1.0, "space": space, "terms": terms}, 1, where, value)
+    assert loaded(problem_from_dict, doc) == loaded(ref.problem_from_dict, doc)
+
+
+@st.composite
+def embedded_samples(draw):
+    """Chains of one to four nodes, two- and four-node ones often, so that
+    votes tie; chain keys in any order, nodes in a shuffled node order, and
+    samples of random bits."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 2, 3, 4, 4]), min_size=1, max_size=8))
+    ends = np.cumsum(sizes).tolist()
+    chains = {v: tuple(range(end - size, end)) for v, (size, end) in enumerate(zip(sizes, ends))}
+    chains = dict(draw(st.permutations(list(chains.items()))))
+    node_order = draw(st.permutations(range(ends[-1])))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=ends[-1], max_size=ends[-1]),
+                         min_size=1, max_size=6))
+    return EmbeddingMap(chains=chains), node_order, np.array(rows, dtype=np.uint8), draw(st.integers(0, 2**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=embedded_samples())
+def test_unembed_draws_the_per_chain_coins(case):
+    emb, node_order, rows, seed = case
+    for idx, row in enumerate(rows):
+        (new, new_cbf), (old, old_cbf) = (f(row, emb, node_order, seed=seed, sample_index=idx)
+                                          for f in (unembed, ref.unembed))
+        assert new.dtype == old.dtype == np.uint8 and new.tolist() == old.tolist()
+        assert repr(new_cbf) == repr(old_cbf)
 
 
 @pytest.mark.parametrize("tag, n", [("turn-tet", 8), ("turn-tet", 9), ("turn-tet", 10),
