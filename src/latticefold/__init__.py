@@ -7,7 +7,6 @@ from .core import (
     InputError,
     IsingProblem,
     PolynomialObjective,
-    QuadraticObjective,
     coefficient_stats,
     ising_to_qubo,
     load_problem,

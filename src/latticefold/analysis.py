@@ -209,7 +209,7 @@ def scaling_report(model_tags, n_values, interaction=None) -> ScalingReport:
             model = encode(tag, "H" * n, interaction)
             L = model.layout.get("L")
             qubo = model.objective if tag.startswith("coord") else quadratize(model.objective).qubo
-            n_quad = len(qubo.quadratic)
+            n_quad = sum(len(key) == 2 for key in qubo.terms)
             nv = qubo.num_vars
             _, _, resolution = coefficient_stats(qubo)
             rows.append(

@@ -1,9 +1,10 @@
 """Sparse pseudo-Boolean objectives, the QUBO/Ising pair, and file interchange.
 
-Every encoder in this package produces a :class:`PolynomialObjective` (or its
-degree-<=2 restriction :class:`QuadraticObjective`), and every solver consumes
-one.  Variables are 0-indexed integers; Boolean variables take values in
-{0, 1}, spins in {-1, +1}, related by ``b = (1 + s) / 2``.
+Every encoder in this package produces a :class:`PolynomialObjective`, and
+every solver consumes one; a QUBO is one of degree <= 2, and
+:class:`IsingProblem` is its spin-space twin.  Variables are 0-indexed
+integers; Boolean variables take values in {0, 1}, spins in {-1, +1}, related
+by ``b = (1 + s) / 2``.
 """
 
 from __future__ import annotations
@@ -72,10 +73,8 @@ class TermAccumulator:
             else:
                 self.offset += c
 
-    def build(self, num_vars: int, quadratic: bool = False) -> "PolynomialObjective":
-        terms = {k: c for k, c in self.terms.items() if c != 0.0}
-        cls = QuadraticObjective if quadratic else PolynomialObjective
-        return cls(num_vars=num_vars, terms=terms, offset=self.offset)
+    def build(self, num_vars: int) -> "PolynomialObjective":
+        return PolynomialObjective(num_vars, {k: c for k, c in self.terms.items() if c != 0.0}, self.offset)
 
 
 def poly_add(dst: dict[tuple[int, ...], float], src: dict[tuple[int, ...], float], scale: float = 1.0) -> None:
@@ -187,7 +186,8 @@ class PolynomialObjective:
     """Arbitrary-degree pseudo-Boolean objective as a sparse term table.
 
     ``terms`` maps sorted, duplicate-free variable-index tuples (degree >= 1)
-    to nonzero real coefficients; ``offset`` carries the constant part.
+    to finite nonzero coefficients; ``offset`` carries the constant part and
+    is finite too.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -213,6 +213,8 @@ class PolynomialObjective:
         if not (np.isfinite(coeffs).all() and coeffs.all()):
             key = next(k for k, c in self.terms.items() if not (np.isfinite(c) and c != 0.0))
             raise ValueError(f"coefficient for {key} must be finite and nonzero")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset {self.offset} is not finite")
 
     @property
     def degree(self) -> int:
@@ -290,33 +292,18 @@ class PolynomialObjective:
         }
 
 
-@dataclass(frozen=True)
-class QuadraticObjective(PolynomialObjective):
-    """Degree-<=2 restriction of :class:`PolynomialObjective` (a QUBO)."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.degree > 2:
-            raise ValueError(f"QuadraticObjective requires degree <= 2, got {self.degree}")
-
-    @property
-    def quadratic(self) -> dict[tuple[int, int], float]:
-        return {(k[0], k[1]): c for k, c in self.terms.items() if len(k) == 2}
-
-
-class IsingProblem(QuadraticObjective):
+class IsingProblem(PolynomialObjective):
     """Spin-space twin of a QUBO: H = sum J_ij s_i s_j + sum h_i s_i + offset,
     as a term table over spins in {-1, +1}: fields (i,) first, then couplings
-    (i, j).  `evaluate_batch` reads rows of spins."""
+    (i, j), each in the order given.  `evaluate_batch` reads rows of spins."""
 
     space = ISING
 
-    @classmethod
-    def from_tables(cls, num_vars: int, fields: dict, couplings: dict, offset: float) -> "IsingProblem":
-        """Fields {i: h_i} first, then couplings {(i, j): J_ij}, each in table order; zeros dropped."""
-        terms = {(i,): h for i, h in fields.items() if h != 0.0}
-        terms.update((key, jij) for key, jij in couplings.items() if jij != 0.0)
-        return cls(num_vars=num_vars, terms=terms, offset=offset)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", dict(sorted(self.terms.items(), key=lambda kv: len(kv[0]))))
+        super().__post_init__()
+        if self.degree > 2:
+            raise ValueError(f"IsingProblem requires degree <= 2, got {self.degree}")
 
     @property
     def fields(self) -> dict[int, float]:
@@ -337,24 +324,22 @@ def qubo_to_ising(q: PolynomialObjective) -> IsingProblem:
         raise InputError("qubo_to_ising expects a Boolean-space problem")
     if q.degree > 2:
         raise InputError(f"cannot convert degree-{q.degree} objective to Ising form")
-    fields: dict[int, float] = {}
-    couplings: dict[tuple[int, int], float] = {}
+    terms: dict[tuple[int, ...], float] = {}
     offset = q.offset
     for key, c in q.terms.items():
         if len(key) == 1:
-            i = key[0]
-            fields[i] = fields.get(i, 0.0) + c / 2.0
+            terms[key] = terms.get(key, 0.0) + c / 2.0
             offset += c / 2.0
         else:
             i, j = key
-            couplings[(i, j)] = couplings.get((i, j), 0.0) + c / 4.0
-            fields[i] = fields.get(i, 0.0) + c / 4.0
-            fields[j] = fields.get(j, 0.0) + c / 4.0
+            terms[key] = terms.get(key, 0.0) + c / 4.0
+            terms[(i,)] = terms.get((i,), 0.0) + c / 4.0
+            terms[(j,)] = terms.get((j,), 0.0) + c / 4.0
             offset += c / 4.0
-    return IsingProblem.from_tables(q.num_vars, fields, couplings, offset)
+    return IsingProblem(q.num_vars, {k: c for k, c in terms.items() if c != 0.0}, offset)
 
 
-def ising_to_qubo(p: IsingProblem) -> QuadraticObjective:
+def ising_to_qubo(p: IsingProblem) -> PolynomialObjective:
     """Inverse substitution s_i = 2 b_i - 1; round trip is the identity.  Adds
     in `TermAccumulator.add`'s order and drops a sum that cancels to 0.0."""
     terms: dict[tuple[int, ...], float] = {}
@@ -368,7 +353,7 @@ def ising_to_qubo(p: IsingProblem) -> QuadraticObjective:
         terms[(j,)] = terms.get((j,), 0.0) - 2.0 * jij
         offset += jij
     terms = {k: c for k, c in terms.items() if c != 0.0}
-    return QuadraticObjective(num_vars=p.num_vars, terms=terms, offset=offset)
+    return PolynomialObjective(num_vars=p.num_vars, terms=terms, offset=offset)
 
 
 def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
@@ -440,15 +425,9 @@ def problem_from_dict(doc: dict):
             offset += coeff
     if arity_error:
         raise arity_error
-    # the constructors' own checks catch what is left: coefficient sums that overflow
+    # the constructors' own checks catch what is left: a term or offset sum that overflows
     try:
-        if ising:
-            # a stable sort by degree puts fields before couplings, IsingProblem's term order
-            ordered = sorted(terms.items(), key=lambda kv: len(kv[0]))
-            return IsingProblem(num_vars=num_vars, terms={k: c for k, c in ordered if c != 0.0},
-                                offset=offset)
-        # the class counts the degree of a key whose sum cancelled, too
-        cls = QuadraticObjective if max(map(len, terms), default=0) <= 2 else PolynomialObjective
+        cls = IsingProblem if ising else PolynomialObjective
         return cls(num_vars=num_vars, terms={k: c for k, c in terms.items() if c != 0.0}, offset=offset)
     except ValueError as exc:
         raise InputError(f"malformed problem document: {exc}") from exc

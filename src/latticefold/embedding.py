@@ -19,6 +19,14 @@ from .core import InputError, IsingProblem, load_doc, read_lines
 from .solvers import counter_uniforms, stable_seed
 
 
+def _int_ids(values, what: str) -> tuple:
+    """`values` read as integer ids; InputError(what) if one is not."""
+    try:
+        return tuple(int(x) for x in values)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(what) from None
+
+
 @dataclass(frozen=True)
 class HardwareGraph:
     nodes: frozenset
@@ -27,12 +35,13 @@ class HardwareGraph:
     @staticmethod
     def from_edges(edges, extra_nodes=()) -> "HardwareGraph":
         norm = set()
-        nodes = set(extra_nodes)
+        nodes = set(_int_ids(extra_nodes, "hardware nodes must be integers"))
         for edge in edges:
-            try:
-                u, v = (int(x) for x in edge)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"hardware edge {edge!r} is not two integers") from exc
+            what = f"hardware edge {edge!r} is not two integers"
+            ids = _int_ids(edge, what)
+            if len(ids) != 2:
+                raise InputError(what)
+            u, v = ids
             if u == v:
                 raise InputError(f"self-loop on node {u}")
             norm.add((min(u, v), max(u, v)))
@@ -71,12 +80,12 @@ class EmbeddingMap:
         for k, v in doc.items():
             if not isinstance(v, list):
                 raise InputError(f"{where}: chain {k!r} is {v!r}, not a list of nodes")
-            try:
-                chains[int(k)] = tuple(int(x) for x in v)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"{where}: malformed chain {k!r}: {exc}") from exc
-            if len(set(chains[int(k)])) != len(v):
+            if not v:
+                raise InputError(f"{where}: chain {k!r} is empty")
+            logical, *nodes = _int_ids([k, *v], f"{where}: malformed chain {k!r}: not all integers")
+            if len(set(nodes)) != len(nodes):
                 raise InputError(f"{where}: chain {k!r} names a node twice")
+            chains[logical] = tuple(nodes)
         return EmbeddingMap(chains=chains)
 
     @staticmethod
@@ -89,8 +98,6 @@ class EmbeddingMap:
 
 def _chain_connected(chain, hw: HardwareGraph) -> bool:
     chain = set(chain)
-    if not chain:
-        return False
     seen = {next(iter(chain))}
     frontier = list(seen)
     while frontier:
@@ -162,40 +169,36 @@ def apply_embedding(
 
     node_order = tuple(emb.physical_nodes())
     idx = {p: i for i, p in enumerate(node_order)}
-    fields: dict[int, float] = {}
-    couplings: dict[tuple[int, int], float] = {}
+    terms: dict[tuple[int, ...], float] = {}
 
-    def add_coupling(u: int, v: int, value: float) -> None:
-        key = (min(u, v), max(u, v))
-        couplings[key] = couplings.get(key, 0.0) + value
+    def add(key: tuple, value: float) -> None:
+        terms[key] = terms.get(key, 0.0) + value
 
-    for logical, h in ising.fields.items():
-        chain = emb.chains[logical]
-        share = h / len(chain)
-        for p in chain:
-            fields[idx[p]] = fields.get(idx[p], 0.0) + share
+    for key, c in ising.terms.items():
+        if len(key) == 1:
+            chain = emb.chains[key[0]]
+            for p in chain:
+                add((idx[p],), c / len(chain))
+        else:
+            i, j = key
+            add(min((min(idx[u], idx[v]), max(idx[u], idx[v]))
+                    for u in emb.chains[i] for v in emb.chains[j] if hw.has_edge(u, v)), c)
 
-    for (i, j), jij in ising.couplings.items():
-        connecting = sorted(
-            (min(idx[u], idx[v]), max(idx[u], idx[v]))
-            for u in emb.chains[i]
-            for v in emb.chains[j]
-            if hw.has_edge(u, v)
-        )
-        add_coupling(*connecting[0], jij)
-
+    # node_order is sorted, so idx keeps each sorted chain's node pairs in order
     chain_edges = 0
     for chain in emb.chains.values():
         chain = sorted(chain)
         for a in range(len(chain)):
             for b in range(a + 1, len(chain)):
                 if hw.has_edge(chain[a], chain[b]):
-                    add_coupling(idx[chain[a]], idx[chain[b]], -abs(chain_strength))
+                    add((idx[chain[a]], idx[chain[b]]), -abs(chain_strength))
                     chain_edges += 1
 
     offset = ising.offset + abs(chain_strength) * chain_edges
+    if not np.isfinite(offset):
+        raise InputError(f"chain strength {chain_strength!r} makes the embedded offset {offset}")
     return EmbeddedProblem(
-        ising=IsingProblem.from_tables(len(node_order), fields, couplings, offset),
+        ising=IsingProblem(len(node_order), {k: c for k, c in terms.items() if c != 0.0}, offset),
         node_order=node_order,
         chain_strength=abs(chain_strength),
         chain_edge_count=chain_edges,

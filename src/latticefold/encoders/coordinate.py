@@ -127,7 +127,7 @@ def encode_coordinate(
             for r0, r1 in adjacent_pairs:
                 acc.add((var(even_bead, r0), var(odd_bead, r1)), eps)
 
-    objective = acc.build(num_vars, quadratic=True)
+    objective = acc.build(num_vars)
     layout = {
         "type": "coordinate",
         "L": L,

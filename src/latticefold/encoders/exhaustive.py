@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core import TIE_TOL, InputError
 from .model import (
+    CART_OPPOSITE_PAIRS,
     CART_PATTERN_TO_STEP,
     TURN_CARTESIAN,
     TURN_TETRAHEDRAL,
@@ -31,12 +32,6 @@ from .model import (
 from .turn_tetrahedral import chain_neighbors
 
 MAX_CONFIGS = 1 << 24
-
-# the Cartesian turn alphabet of `model`, indexed: direction d has pattern
-# CART_DIR_PATTERNS[d], step CART_DIR_STEPS[d] and reverse CART_OPPOSITE[d]
-CART_DIR_PATTERNS = tuple(CART_PATTERN_TO_STEP)
-CART_DIR_STEPS = tuple(CART_PATTERN_TO_STEP.values())
-CART_OPPOSITE = tuple(CART_DIR_STEPS.index(tuple(-x for x in step)) for step in CART_DIR_STEPS)
 
 
 def turn_tet_block_energies(blocks: np.ndarray, model: EncodedModel) -> np.ndarray:
@@ -209,8 +204,11 @@ def _cart_pieces(model: EncodedModel):
         j, k = parse_pair_key(key)
         gates[(j, k)] = (q, model.interaction.energy(model.sequence[j], model.sequence[k]))
     slack_of = {parse_pair_key(k): v for k, v in model.layout["slack_blocks"].items()}
-    steps = np.array(CART_DIR_STEPS, dtype=np.int16)
-    opp = np.array(CART_OPPOSITE, dtype=np.int8)
+    # direction d is the d-th pattern of the turn table: its step and the index of its reverse
+    patterns = tuple(CART_PATTERN_TO_STEP)
+    reverse = {p: q for pair in CART_OPPOSITE_PAIRS for p, q in (pair, pair[::-1])}
+    steps = np.array(list(CART_PATTERN_TO_STEP.values()), dtype=np.int16)
+    opp = np.array([patterns.index(reverse[p]) for p in patterns], dtype=np.int8)
     # the first turn is +x; the second turn's free bit is 0 (+z) or 1 (+x)
     choices = ([0], [4, 0], *[range(6)] * (n - 3))[: n - 1]
 
@@ -231,7 +229,7 @@ def _cart_pieces(model: EncodedModel):
         return energies, dists
 
     def build(row, dists):
-        a = _turn_bits(model, row, CART_DIR_PATTERNS)
+        a = _turn_bits(model, row, patterns)
         for pair, (q, _) in gates.items():
             if dists[pair] == 1:
                 a[q] = 1

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
 
 import numpy as np
 
@@ -36,12 +37,12 @@ CART_PATTERN_TO_STEP = {
     (0, 0, 1): (0, 0, 1),
     (1, 1, 1): (0, 0, -1),
 }
-CART_OPPOSITE_PAIRS = (
-    ((1, 0, 1), (0, 1, 1)),
-    ((1, 0, 0), (0, 1, 0)),
-    ((0, 0, 1), (1, 1, 1)),
+# each pattern before the one of its reverse step, and the patterns of no step
+CART_OPPOSITE_PAIRS = tuple(
+    (p, q) for p, q in combinations(CART_PATTERN_TO_STEP, 2)
+    if CART_PATTERN_TO_STEP[q] == tuple(-x for x in CART_PATTERN_TO_STEP[p])
 )
-CART_INVALID_PATTERNS = ((0, 0, 0), (1, 1, 0))
+CART_INVALID_PATTERNS = tuple(p for p in product((0, 1), repeat=3) if p not in CART_PATTERN_TO_STEP)
 
 # Fixed symmetry-breaking prefix: first turn +x, second turn in {+x, +z}.
 CART_FIRST_TURN = (1, 0, 1)

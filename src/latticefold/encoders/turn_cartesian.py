@@ -150,7 +150,7 @@ def encode_turn_cartesian(
         poly_add(contact, squared_distance(j, k), -1.0)
         acc.add_poly(poly_product([{(q,): 1.0}, contact]), eps)
 
-    objective = acc.build(num_vars, quadratic=False)
+    objective = acc.build(num_vars)
     layout = {
         "type": "turn-cartesian",
         "L": None,

@@ -146,7 +146,7 @@ def encode_turn_tetrahedral(
             poly_add(inner, squared_distance(min(m, j), max(m, j)), -lam2)
         acc.add_poly(poly_product([{(q,): 1.0}, inner]))
 
-    objective = acc.build(num_vars, quadratic=False)
+    objective = acc.build(num_vars)
     layout = {
         "type": "turn-tetrahedral",
         "L": None,

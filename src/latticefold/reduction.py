@@ -23,7 +23,6 @@ from .core import (
     BOOLEAN,
     InputError,
     PolynomialObjective,
-    QuadraticObjective,
     TermAccumulator,
     code_bits,
     finite_float,
@@ -36,7 +35,7 @@ VERIFY_SAMPLES = 100_000
 
 @dataclass(frozen=True)
 class QuadratizationResult:
-    qubo: QuadraticObjective
+    qubo: PolynomialObjective  # of degree <= 2
     aux_map: list  # (aux index, (i, j)) in creation order
     alpha: float
 
@@ -78,7 +77,7 @@ def scaled_alpha(lambda_global: float) -> float:
 
 
 def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> QuadratizationResult:
-    """Reduce to degree <= 2; degree <= 2 input passes through unchanged.
+    """Reduce to degree <= 2; degree <= 2 input is returned as it is.
 
     Each round substitutes the pair held by the most terms of degree > 2
     (ties to the smallest pair), found by a pair -> terms index and a heap on
@@ -94,10 +93,7 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
         raise InputError("quadratize expects a Boolean-space problem")
     alpha = resolve_alpha(hubo, alpha_policy)
     if hubo.degree <= 2:
-        qubo = QuadraticObjective(
-            num_vars=hubo.num_vars, terms=dict(hubo.terms), offset=hubo.offset
-        )
-        return QuadratizationResult(qubo=qubo, aux_map=[], alpha=alpha)
+        return QuadratizationResult(qubo=hubo, aux_map=[], alpha=alpha)
 
     keys = [set(k) for k in hubo.terms]
     holders: dict[tuple[int, int], set[int]] = {}  # pair -> terms of degree > 2 holding it
@@ -146,7 +142,7 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
         acc.add((i, aux), -2.0 * alpha)
         acc.add((j, aux), -2.0 * alpha)
         acc.add((aux,), 3.0 * alpha)
-    qubo = acc.build(hubo.num_vars + len(aux_map), quadratic=True)
+    qubo = acc.build(hubo.num_vars + len(aux_map))
     return QuadratizationResult(qubo=qubo, aux_map=aux_map, alpha=alpha)
 
 

@@ -4,12 +4,12 @@ import pytest
 from latticefold.core import TermAccumulator, code_bits
 
 
-def build_poly(terms, num_vars, offset=0.0, quadratic=False):
+def build_poly(terms, num_vars, offset=0.0):
     acc = TermAccumulator()
     acc.offset = offset
     for key, coeff in terms.items():
         acc.add(key, coeff)
-    return acc.build(num_vars, quadratic=quadratic)
+    return acc.build(num_vars)
 
 
 def random_qubo(rng, n, n_quad=None):
@@ -20,7 +20,7 @@ def random_qubo(rng, n, n_quad=None):
     for _ in range(n_quad):
         i, j = sorted(rng.choice(n, 2, replace=False))
         acc.add((int(i), int(j)), float(rng.normal()))
-    return acc.build(n, quadratic=True)
+    return acc.build(n)
 
 
 def chain_lift(logical_bits, emb, node_order):

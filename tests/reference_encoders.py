@@ -17,8 +17,6 @@ from latticefold.encoders.exhaustive import MAX_CONFIGS, _expand_gates
 from latticefold.encoders.interactions import InteractionModel
 from latticefold.encoders.model import (
     CART_FIRST_TURN,
-    CART_INVALID_PATTERNS,
-    CART_OPPOSITE_PAIRS,
     CART_PATTERN_TO_STEP,
     TET_FIRST_TURN_DIR,
     TET_MIRROR_FIXED_DIR,
@@ -32,6 +30,15 @@ from latticefold.encoders.turn_cartesian import DEFAULT_TURN_CART_PENALTIES, sla
 from latticefold.encoders.turn_tetrahedral import STRICT, chain_neighbors, default_turn_tet_penalties
 
 Poly = dict[tuple[int, ...], float]
+
+# the package derives these two tables from CART_PATTERN_TO_STEP; these are
+# the literal tables they replaced
+CART_OPPOSITE_PAIRS = (
+    ((1, 0, 1), (0, 1, 1)),
+    ((1, 0, 0), (0, 1, 0)),
+    ((0, 0, 1), (1, 1, 1)),
+)
+CART_INVALID_PATTERNS = ((0, 0, 0), (1, 1, 0))
 
 
 def poly_product(polys, scale: float = 1.0) -> Poly:
@@ -187,7 +194,7 @@ def encode_turn_cartesian(
         _poly_add(contact, squared_distance(j, k), -1.0)
         add_product(acc, {(q,): 1.0}, contact, eps)
 
-    objective = acc.build(num_vars, quadratic=False)
+    objective = acc.build(num_vars)
     layout = {
         "type": "turn-cartesian",
         "L": None,
@@ -316,7 +323,7 @@ def encode_turn_tetrahedral(
                 inner[key] = inner.get(key, 0.0) - lam2 * c
         add_product(acc, {(q,): 1.0}, inner)
 
-    objective = acc.build(num_vars, quadratic=False)
+    objective = acc.build(num_vars)
     layout = {
         "type": "turn-tetrahedral",
         "L": None,

@@ -1,17 +1,19 @@
 """Reference copies of the term-by-term exact solvers, of the two-stage
-problem loader, of the per-chain unembedding and of the incremental-field
-Metropolis kernel, for differential tests.
+problem loader, of the field and coupling table builders, of the per-chain
+unembedding and of the incremental-field Metropolis kernel, for differential
+tests.
 
 `quadratize` recounts every pair of every high-degree term after each
 substitution, `brute_force` scores every state with a float64 term loop
 (`evaluate_batch`), `ising_to_qubo` adds every contribution through
 `TermAccumulator.add`, `problem_from_dict` checks every document term
-before it sums them through `TermAccumulator.add`, `ising_problem_from_dict`
-sums an Ising document into a field table and a coupling table, and
-`unembed` draws one tie coin per chain.  The package's versions use an
-incremental pair index, a blocked matrix product, a direct fill of the term
-dict, one pass over the document terms and one coin draw per sample; they
-must return the same outputs bit for bit.  `metropolis` keeps a (rows x n)
+before it sums them through `TermAccumulator.add`, `ising_problem_from_dict`,
+`qubo_to_ising` and `apply_embedding` sum into a field table and a coupling
+table that `ising_from_tables` joins, and `unembed` draws one tie coin per
+chain.  The package's versions use an incremental pair index, a blocked
+matrix product, a direct fill of the term dict, one pass over the document
+terms, one term dict that `IsingProblem` orders fields first, and one coin
+draw per sample; they must return the same outputs bit for bit.  `metropolis` keeps a (rows x n)
 field array that every colour class updates with a BLAS product, and a
 float64 energy that it re-evaluates every FULL_REEVAL_FLIPS proposals,
 failing on a drift above its tolerance; the package's kernel computes each
@@ -24,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from latticefold.core import BOOLEAN, ISING, IsingProblem, InputError, QuadraticObjective, TermAccumulator
+from latticefold.core import BOOLEAN, ISING, IsingProblem, InputError, PolynomialObjective, TermAccumulator
 from latticefold.reduction import QuadratizationResult, resolve_alpha
 from latticefold.solvers import _counter_state, counter_uniforms, stable_seed
 
@@ -46,7 +48,7 @@ def evaluate_batch(obj, bits):
 def quadratize(hubo, alpha_policy="worst_case"):
     alpha = resolve_alpha(hubo, alpha_policy)
     if hubo.degree <= 2:
-        qubo = QuadraticObjective(
+        qubo = PolynomialObjective(
             num_vars=hubo.num_vars, terms=dict(hubo.terms), offset=hubo.offset
         )
         return QuadratizationResult(qubo=qubo, aux_map=[], alpha=alpha)
@@ -89,7 +91,7 @@ def quadratize(hubo, alpha_policy="worst_case"):
         acc.add((i, aux), -2.0 * alpha)
         acc.add((j, aux), -2.0 * alpha)
         acc.add((aux,), 3.0 * alpha)
-    qubo = acc.build(next_var, quadratic=True)
+    qubo = acc.build(next_var)
     return QuadratizationResult(qubo=qubo, aux_map=aux_map, alpha=alpha)
 
 
@@ -104,7 +106,66 @@ def ising_to_qubo(p):
         acc.add((i,), -2.0 * jij)
         acc.add((j,), -2.0 * jij)
         acc.offset += jij
-    return acc.build(p.num_vars, quadratic=True)
+    return acc.build(p.num_vars)
+
+
+def ising_from_tables(num_vars, fields, couplings, offset):
+    """Fields {i: h_i} first, then couplings {(i, j): J_ij}, each in table
+    order; zeros dropped."""
+    terms = {(i,): h for i, h in fields.items() if h != 0.0}
+    terms.update((key, jij) for key, jij in couplings.items() if jij != 0.0)
+    return IsingProblem(num_vars=num_vars, terms=terms, offset=offset)
+
+
+def qubo_to_ising(q):
+    fields, couplings = {}, {}
+    offset = q.offset
+    for key, c in q.terms.items():
+        if len(key) == 1:
+            i = key[0]
+            fields[i] = fields.get(i, 0.0) + c / 2.0
+            offset += c / 2.0
+        else:
+            i, j = key
+            couplings[(i, j)] = couplings.get((i, j), 0.0) + c / 4.0
+            fields[i] = fields.get(i, 0.0) + c / 4.0
+            fields[j] = fields.get(j, 0.0) + c / 4.0
+            offset += c / 4.0
+    return ising_from_tables(q.num_vars, fields, couplings, offset)
+
+
+def apply_embedding(ising, emb, hw, chain_strength):
+    """(embedded Ising problem, node order, chain edge count) of a valid
+    embedding."""
+    node_order = tuple(emb.physical_nodes())
+    idx = {p: i for i, p in enumerate(node_order)}
+    fields, couplings = {}, {}
+
+    def add_coupling(u, v, value):
+        key = (min(u, v), max(u, v))
+        couplings[key] = couplings.get(key, 0.0) + value
+
+    for logical, h in ising.fields.items():
+        chain = emb.chains[logical]
+        share = h / len(chain)
+        for p in chain:
+            fields[idx[p]] = fields.get(idx[p], 0.0) + share
+    for (i, j), jij in ising.couplings.items():
+        connecting = sorted(
+            (min(idx[u], idx[v]), max(idx[u], idx[v]))
+            for u in emb.chains[i] for v in emb.chains[j] if hw.has_edge(u, v)
+        )
+        add_coupling(*connecting[0], jij)
+    chain_edges = 0
+    for chain in emb.chains.values():
+        chain = sorted(chain)
+        for a in range(len(chain)):
+            for b in range(a + 1, len(chain)):
+                if hw.has_edge(chain[a], chain[b]):
+                    add_coupling(idx[chain[a]], idx[chain[b]], -abs(chain_strength))
+                    chain_edges += 1
+    offset = ising.offset + abs(chain_strength) * chain_edges
+    return ising_from_tables(len(node_order), fields, couplings, offset), node_order, chain_edges
 
 
 def problem_terms(raw_terms, num_vars):
@@ -130,7 +191,8 @@ def problem_terms(raw_terms, num_vars):
 
 def problem_from_dict(doc):
     """The two-stage loader: every term checked by `problem_terms`, then
-    summed through `TermAccumulator.add`."""
+    summed through `TermAccumulator.add`.  A sum that overflows, of a term or
+    of the offset, is named by the constructor's check, as in the package."""
     try:
         num_vars = int(doc["num_vars"])
         offset = float(doc.get("offset", 0.0))
@@ -153,7 +215,7 @@ def problem_from_dict(doc):
             terms = sorted(acc.terms.items(), key=lambda kv: len(kv[0]))
             return IsingProblem(num_vars=num_vars, terms={k: c for k, c in terms if c != 0.0},
                                 offset=acc.offset)
-        return acc.build(num_vars, quadratic=max((len(k) for k in acc.terms), default=0) <= 2)
+        return acc.build(num_vars)
     except ValueError as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
 
@@ -171,7 +233,7 @@ def ising_problem_from_dict(doc):
             couplings[key] = couplings.get(key, 0.0) + c
         else:
             raise InputError(f"problem term {i}: an ising term names one or two distinct spins, got {vars_}")
-    return IsingProblem.from_tables(num_vars, fields, couplings, float(doc.get("offset", 0.0)))
+    return ising_from_tables(num_vars, fields, couplings, float(doc.get("offset", 0.0)))
 
 
 def unembed(physical_bits, emb, node_order, seed=0, sample_index=0):

@@ -392,7 +392,7 @@ def test_criterion_8_embedding_algebra():
         acc.add((i,), float(np.round(rng.normal(), 3)))
     for i, j in itertools.combinations(range(5), 2):
         acc.add((i, j), float(np.round(rng.normal(), 3)))
-    qubo = acc.build(5, quadratic=True)
+    qubo = acc.build(5)
     ising = qubo_to_ising(qubo)
 
     chains = {0: (0, 1), 1: (2,), 2: (3, 4, 5), 3: (6,), 4: (7,)}

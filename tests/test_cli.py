@@ -13,7 +13,7 @@ import pytest
 
 import latticefold
 from latticefold.cli import main
-from latticefold.core import QuadraticObjective, load_problem
+from latticefold.core import PolynomialObjective, load_problem
 from latticefold.reduction import QuadratizationResult, quadratize
 from latticefold.solvers import color_graph
 
@@ -121,7 +121,7 @@ class TestReduce:
             result = quadratize(problem, policy)
             terms = dict(result.qubo.terms)
             del terms[min(terms, key=lambda k: abs(terms[k]))]
-            qubo = QuadraticObjective(result.qubo.num_vars, terms, result.qubo.offset)
+            qubo = PolynomialObjective(result.qubo.num_vars, terms, result.qubo.offset)
             return QuadratizationResult(qubo, result.aux_map, result.alpha)
 
         monkeypatch.setattr(cli, "quadratize", drop_smallest)
@@ -224,6 +224,13 @@ class TestMalformedInput:
         }))
         assert message in input_error(["solve", "bad.json", "--solver", "sa", "--seed", "1",
                                        "--out", "s.csv"], capsys)
+
+    def test_constant_terms_that_overflow_exit_2(self, workdir, capsys):
+        (workdir / "big.json").write_text(json.dumps({"num_vars": 1, "offset": 1e308, "terms": [
+            {"vars": [], "coeff": 1e308}, {"vars": [0], "coeff": 1.0}]}))
+        assert input_error(["solve", "big.json", "--solver", "brute", "--out", "b.csv"], capsys) == (
+            "malformed problem document: offset inf is not finite")
+        assert not (workdir / "b.csv").exists()
 
     def test_non_json_problem_exits_2(self, workdir, capsys):
         (workdir / "bad.json").write_text('{"num_vars": 3, "terms": [')
@@ -607,7 +614,9 @@ class TestEmbedCli:
         ('{"0": [0, "a"], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
         ('{"0": [0, 1], "one": [2], "2": [3]}', "emb.json: malformed chain 'one'"),
         ('{"0": [0, 1], ', "emb.json is not a JSON document"),
-    ], ids=["chain-x", "node-not-int", "logical-not-int", "not-json"])
+        ('{"0": [0, Infinity], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
+        ('{"0": [], "1": [2], "2": [3]}', "emb.json: chain '0' is empty"),
+    ], ids=["chain-x", "node-not-int", "logical-not-int", "not-json", "node-infinite", "empty-chain"])
     def test_malformed_embedding_exits_2(self, workdir, capsys, text, message):
         self._fixture(workdir)
         (workdir / "emb.json").write_text(text)
@@ -620,7 +629,11 @@ class TestEmbedCli:
         ("hw.json", '{"edges": 5}', "hw.json: edges and nodes must be lists"),
         ("hw.json", '{"edges": [[0, 1], [2]]}', "hardware edge [2] is not two integers"),
         ("hw.json", '{"edges": [[0, 1]', "hw.json is not a JSON document"),
-    ], ids=["edge-not-int", "edge-three-nodes", "edges-not-list", "edge-one-node", "not-json"])
+        ("hw.json", '{"edges": [[Infinity, 1]]}', "hardware edge [inf, 1] is not two integers"),
+        ("hw.json", '{"edges": [[0, 1]], "nodes": [[0]]}', "hardware nodes must be integers"),
+        ("hw.json", '{"edges": [[0, 1]], "nodes": ["a"]}', "hardware nodes must be integers"),
+    ], ids=["edge-not-int", "edge-three-nodes", "edges-not-list", "edge-one-node", "not-json",
+            "edge-infinite", "node-list", "node-not-int"])
     def test_malformed_hardware_exits_2(self, workdir, capsys, name, text, message):
         self._fixture(workdir)
         (workdir / name).write_text(text)
@@ -638,6 +651,14 @@ class TestEmbedCli:
         (workdir / "conf.txt").write_text("chain-strength = 2.5\n")
         assert run(["--config", "conf.txt", *argv]) == 0
         assert json.loads((workdir / "e.json").read_text())["embedding"]["chain_strength"] == 2.5
+
+    def test_chain_strength_that_overflows_the_offset_exits_2(self, workdir, capsys):
+        self._fixture(workdir)
+        (workdir / "emb.json").write_text('{"0": [0, 1, 2], "1": [3], "2": [4]}')
+        assert input_error(["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt",
+                            "--chain-strength", "1e308", "--out", "e.json"], capsys) == (
+            "chain strength 1e+308 makes the embedded offset inf")
+        assert not (workdir / "e.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_chain_strength_not_finite_exits_2(self, workdir, capsys, value):
@@ -685,7 +706,10 @@ class TestEmbedCli:
         (lambda emb: emb["chains"].update({"1": "x"}), "e.json embedding: chain '1' is 'x'"),
         (lambda emb: emb["chains"].update({"1": [9]}), "e.json: chain nodes [9] are missing from node_order"),
         (lambda emb: emb.update(chains={}), "e.json embedding: chains must be a non-empty object"),
-    ], ids=["no-node-order", "node-not-int", "no-chains", "chain-x", "unplaced-node", "empty-chains"])
+        (lambda emb: emb["chains"].update({"1": []}), "e.json embedding: chain '1' is empty"),
+        (lambda emb: emb["chains"].update({"1": [float("inf")]}), "e.json embedding: malformed chain '1'"),
+    ], ids=["no-node-order", "node-not-int", "no-chains", "chain-x", "unplaced-node", "empty-chains",
+            "empty-chain", "node-infinite"])
     def test_malformed_embedded_document_unembed_exits_2(self, workdir, capsys, edit, message):
         self._fixture(workdir)
         assert run(["embed", "p.json", "--embedding", "emb.json",

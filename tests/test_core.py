@@ -15,7 +15,6 @@ from latticefold.core import (
     InputError,
     IsingProblem,
     PolynomialObjective,
-    QuadraticObjective,
     TermAccumulator,
     coefficient_stats,
     ising_to_qubo,
@@ -107,7 +106,7 @@ def cancelling_qubos(draw):
     var = st.integers(0, n - 1)
     for i, j, c in draw(st.lists(st.tuples(var, var, coeff), max_size=24)):
         acc.add((i, j), c)  # i == j is a linear term
-    return acc.build(n, quadratic=True)
+    return acc.build(n)
 
 
 class TestPolyProduct:
@@ -165,18 +164,18 @@ class TestInvariants:
         assert obj.terms == {}
 
     def test_quadratic_rejects_degree_3(self):
-        with pytest.raises(ValueError):
-            QuadraticObjective(num_vars=3, terms={(0, 1, 2): 1.0})
+        with pytest.raises(ValueError, match="IsingProblem requires degree <= 2, got 3"):
+            IsingProblem(num_vars=3, terms={(0,): 1.0, (0, 1, 2): 1.0})
 
 
 class TestQuboIsing:
     def test_linear_term(self):
-        ising = qubo_to_ising(build_poly({(0,): 1.0}, 1, quadratic=True))
+        ising = qubo_to_ising(build_poly({(0,): 1.0}, 1))
         assert ising.fields == {0: 0.5}
         assert ising.offset == 0.5
 
     def test_quadratic_term(self):
-        ising = qubo_to_ising(build_poly({(0, 1): 4.0}, 2, quadratic=True))
+        ising = qubo_to_ising(build_poly({(0, 1): 4.0}, 2))
         assert ising.couplings == {(0, 1): 1.0}
         assert ising.fields == {0: 1.0, 1: 1.0}
         assert ising.offset == 1.0
@@ -203,12 +202,12 @@ class TestQuboIsing:
         assert np.argmin(e_q) == np.argmin(e_i)
 
     def test_roundtrip_zero(self):
-        zero = build_poly({}, 3, quadratic=True)
+        zero = build_poly({}, 3)
         back = ising_to_qubo(qubo_to_ising(zero))
         assert back.terms == {} and back.offset == 0.0
 
     def test_roundtrip_small(self):
-        q = build_poly({(0,): 1.0, (0, 1): -2.0}, 2, quadratic=True)
+        q = build_poly({(0,): 1.0, (0, 1): -2.0}, 2)
         back = ising_to_qubo(qubo_to_ising(q))
         assert back.terms.keys() == q.terms.keys()
         for key in q.terms:
@@ -232,17 +231,20 @@ class TestQuboIsing:
             qubo_to_ising(build_poly({(0, 1, 2): 1.0}, 3))
 
     def test_ising_input_rejected(self):
-        ising = qubo_to_ising(build_poly({(0,): 1.0, (0, 1): 2.0}, 2, quadratic=True))
+        ising = qubo_to_ising(build_poly({(0,): 1.0, (0, 1): 2.0}, 2))
         with pytest.raises(InputError, match="Boolean-space"):
             qubo_to_ising(ising)
 
     def test_spin_tables_are_the_term_table(self):
-        ising = IsingProblem.from_tables(3, {2: 1.0, 0: 0.0, 1: -0.5}, {(1, 2): 0.0, (0, 1): -1.0}, 1.5)
-        assert list(ising.terms.items()) == [((2,), 1.0), ((1,), -0.5), ((0, 1), -1.0)]
-        assert ising.fields == {2: 1.0, 1: -0.5}
-        assert ising.couplings == {(0, 1): -1.0}
+        # interleaved terms: fields first, then couplings, each in the order given
+        terms = {(1, 2): 2.0, (2,): 1.0, (0, 1): -1.0, (1,): -0.5}
+        ising = IsingProblem(3, terms, 1.5)
+        assert list(ising.terms.items()) == [((2,), 1.0), ((1,), -0.5), ((1, 2), 2.0), ((0, 1), -1.0)]
+        assert list(terms) == [(1, 2), (2,), (0, 1), (1,)]  # the caller's dict is not reordered
+        assert list(ising.fields.items()) == [(2, 1.0), (1, -0.5)]
+        assert list(ising.couplings.items()) == [((1, 2), 2.0), ((0, 1), -1.0)]
         assert ising.space == ISING and ising.to_dict()["space"] == ISING
-        assert ising.evaluate([1, -1, 1]) == 1.5 + 1.0 + 0.5 + 1.0
+        assert ising.evaluate([1, -1, 1]) == 1.5 + 1.0 + 0.5 - 2.0 + 1.0
 
     @settings(max_examples=150, deadline=None)
     @given(q=cancelling_qubos())
@@ -264,17 +266,17 @@ class TestQuboIsing:
 
 class TestCoefficientStats:
     def test_direct_arithmetic(self):
-        q = build_poly({(0,): 1.0, (1,): -2.0, (0, 1): 0.5}, 2, quadratic=True)
+        q = build_poly({(0,): 1.0, (1,): -2.0, (0, 1): 0.5}, 2)
         j_max, j_min, resolution = coefficient_stats(q)
         assert (j_max, j_min, resolution) == (2.0, 0.5, 4.0)
 
     def test_degenerate_equal_coeffs(self):
-        q = build_poly({(0,): 3.0, (1,): -3.0}, 2, quadratic=True)
+        q = build_poly({(0,): 3.0, (1,): -3.0}, 2)
         assert coefficient_stats(q)[2] == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            coefficient_stats(build_poly({}, 2, quadratic=True))
+            coefficient_stats(build_poly({}, 2))
 
     def test_relabel_invariance(self, rng):
         q = random_qubo(rng, 7)
@@ -282,7 +284,6 @@ class TestCoefficientStats:
         relabeled = build_poly(
             {tuple(sorted(int(perm[i]) for i in key)): c for key, c in q.terms.items()},
             7,
-            quadratic=True,
         )
         assert coefficient_stats(q) == coefficient_stats(relabeled)
         assert q.density == relabeled.density
@@ -296,7 +297,7 @@ class TestDensity:
     def test_qubo_share_of_nonzero_couplings(self, rng):
         for n in (2, 7, 12):
             q = random_qubo(rng, n)
-            assert q.density == len(q.quadratic) / (n * (n - 1) / 2)
+            assert q.density == sum(len(key) == 2 for key in q.terms) / (n * (n - 1) / 2)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_variables(self, n):
@@ -314,7 +315,7 @@ class TestProblemFiles:
         assert loaded.offset == q.offset
 
     def test_ising_document(self, tmp_path):
-        ising = IsingProblem.from_tables(2, {0: 0.5}, {(0, 1): -1.0}, 2.0)
+        ising = IsingProblem(2, {(0,): 0.5, (0, 1): -1.0}, 2.0)
         path = tmp_path / "i.json"
         save_problem(path, ising)
         loaded, doc = load_problem(path)

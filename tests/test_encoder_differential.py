@@ -25,6 +25,7 @@ from latticefold.encoders import (
     turn_ground_states,
 )
 from latticefold.encoders import exhaustive
+from latticefold.encoders import model as model_module
 from latticefold.lattice import min_grid
 
 MJ_SEQUENCES = ("LKKKKLKKKKL", "LKDFSAW", "AGCDEFGHIK", "WYVLIMFKRA")
@@ -70,11 +71,20 @@ def test_turn_tet_ground_states_identical(seq, interaction, variant):
     assert [a.tolist() for a in m_new] == [a.tolist() for a in m_old]
 
 
-def model_digest(model):
+def model_digest(model, class_name="PolynomialObjective"):
+    """sha256 of the objective's terms, offset and size, a class name and the
+    layout.  The class name stands where the digests hashed the objective's
+    class: the coordinate encoders built a `QuadraticObjective` then, a class
+    that has since been folded into `PolynomialObjective`."""
     obj = model.objective
     doc = [[[list(k), float(c).hex()] for k, c in obj.terms.items()],
-           float(obj.offset).hex(), obj.num_vars, type(obj).__name__, model.layout]
+           float(obj.offset).hex(), obj.num_vars, class_name, model.layout]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def test_cart_turn_tables_derive_as_the_literals():
+    assert model_module.CART_OPPOSITE_PAIRS == ref.CART_OPPOSITE_PAIRS
+    assert model_module.CART_INVALID_PATTERNS == ref.CART_INVALID_PATTERNS
 
 
 # digests of the encoders before the shared algebra and layout reader
@@ -90,7 +100,7 @@ def model_digest(model):
 def test_coordinate_encodes_as_pinned(tag, seq, interaction, kwargs, digest):
     kind = "tetrahedral" if tag.endswith("tet") else "cartesian"
     model = encode(tag, seq, get_model(interaction), L=min_grid(kind, len(seq)), **kwargs)
-    assert model_digest(model) == digest
+    assert model_digest(model, "QuadraticObjective") == digest
 
 
 # digests taken before the bit-mask products; these hold the largest products

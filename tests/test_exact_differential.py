@@ -1,10 +1,13 @@
 """The blocked brute force, the incremental quadratizer, the contiguous
-`evaluate_batch`, the direct `ising_to_qubo`, the one-pass `problem_from_dict`
-and the one-draw `unembed` against their term-by-term reference versions:
+`evaluate_batch`, the direct `ising_to_qubo`, the one-dict `qubo_to_ising`
+and `apply_embedding`, the one-pass `problem_from_dict` and the one-draw
+`unembed` against their term-by-term reference versions:
 every output must be identical, down to the dict order of the QUBO terms and
 the repr of the minimum energy.  The Metropolis kernel against the
 incremental-field kernel it replaced: the same state after every sweep, and
 an energy pair equal to the one recomputed from the state."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from latticefold.core import (
     problem_from_dict,
     qubo_to_ising,
 )
-from latticefold.embedding import EmbeddingMap, unembed
+from latticefold.embedding import EmbeddingMap, HardwareGraph, apply_embedding, unembed
 from latticefold.encoders import encode, get_model
 from latticefold.reduction import quadratize
 from latticefold.solvers import (
@@ -97,7 +100,7 @@ def ising_problems(draw):
     fields = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=n))
     pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
     couplings = draw(st.dictionaries(pairs, coeff, max_size=12)) if n > 1 else {}
-    return IsingProblem.from_tables(n, fields, couplings, draw(st.floats(-1e3, 1e3)))
+    return ref.ising_from_tables(n, fields, couplings, draw(st.floats(-1e3, 1e3)))
 
 
 @st.composite
@@ -261,6 +264,69 @@ def test_ising_to_qubo_identical(ising):
     assert [(k, repr(c)) for k, c in new.terms.items()] == [(k, repr(c)) for k, c in old.terms.items()]
     assert repr(new.offset) == repr(old.offset)
     assert new.num_vars == old.num_vars
+
+
+# nonzero coefficients from a small alphabet, so that sums cancel to 0.0, and
+# subnormals, whose halves, quarters and chain shares round or underflow to 0.0
+SPIN_COEFFS = st.one_of(st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0, -2.0, 4.0, 5e-324, -5e-324, 1e-310]),
+                        st.floats(-1e3, 1e3).filter(bool))
+
+
+def assert_same_ising(new, old):
+    assert type(new) is type(old) is IsingProblem and new.num_vars == old.num_vars
+    assert [(k, repr(c)) for k, c in new.terms.items()] == [(k, repr(c)) for k, c in old.terms.items()]
+    assert repr(new.offset) == repr(old.offset)
+
+
+@st.composite
+def spin_qubos(draw):
+    """QUBOs over at most 6 variables, linear and quadratic terms interleaved."""
+    n = draw(st.integers(1, 6))
+    acc = TermAccumulator()
+    acc.offset = draw(SPIN_COEFFS)
+    var = st.integers(0, n - 1)
+    for i, j, c in draw(st.lists(st.tuples(var, var, SPIN_COEFFS), max_size=16)):
+        acc.add((i, j), c)  # i == j is a linear term
+    return acc.build(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=spin_qubos())
+@example(q=build_poly({(0, 1): -2.0, (0,): 1.0}, 2))  # the field of 0 cancels
+@example(q=build_poly({(0, 1): 5e-324, (1,): 1.0}, 2))  # the quarters underflow
+def test_qubo_to_ising_identical(q):
+    assert_same_ising(qubo_to_ising(q), ref.qubo_to_ising(q))
+
+
+@st.composite
+def embedded_isings(draw):
+    """A logical Ising problem given couplings and fields interleaved, chains
+    of one to three nodes under shuffled node ids, and a hardware graph with
+    each chain as a path, random other edges and one edge per logical
+    coupling; then a chain strength."""
+    n = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    nodes = [3 * p + 1 for p in draw(st.permutations(range(sum(sizes))))]
+    ends = np.cumsum(sizes).tolist()
+    chains = {v: tuple(nodes[end - size:end]) for v, (size, end) in enumerate(zip(sizes, ends))}
+    spins = st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True).map(sorted).map(tuple)
+    ising = IsingProblem(n, draw(st.dictionaries(spins, SPIN_COEFFS, max_size=12)), draw(st.floats(-1e3, 1e3)))
+    edges = {pair for chain in chains.values() for pair in zip(chain, chain[1:])}
+    if len(nodes) > 1:
+        edges.update(draw(st.lists(st.sampled_from(list(combinations(nodes, 2))), max_size=12)))
+    edges.update((draw(st.sampled_from(chains[i])), draw(st.sampled_from(chains[j]))) for i, j in ising.couplings)
+    strength = draw(st.one_of(st.sampled_from([0.5, 1.0, 5e-324]), st.floats(1e-3, 1e3)))
+    return ising, EmbeddingMap(chains=chains), HardwareGraph.from_edges(edges, nodes), strength
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=embedded_isings())
+def test_apply_embedding_identical(case):
+    ising, emb, hw, strength = case
+    new = apply_embedding(ising, emb, hw, strength)
+    old, node_order, chain_edges = ref.apply_embedding(ising, emb, hw, strength)
+    assert_same_ising(new.ising, old)
+    assert new.node_order == node_order and new.chain_edge_count == chain_edges
 
 
 @pytest.mark.parametrize("tag, seq", [("turn-tet", "HHHHHH"), ("turn-cart", "HPHPH"),

@@ -43,7 +43,7 @@ def small_hubos(draw):
 
 class TestQuadratize:
     def test_ising_input_rejected(self):
-        ising = qubo_to_ising(build_poly({(0,): 1.0, (0, 1): 2.0}, 2, quadratic=True))
+        ising = qubo_to_ising(build_poly({(0,): 1.0, (0, 1): 2.0}, 2))
         with pytest.raises(InputError, match="Boolean-space"):
             quadratize(ising)
 
@@ -105,6 +105,7 @@ class TestQuadratize:
     @given(hubo=small_hubos())
     def test_argmin_set_preserved(self, hubo):
         res = quadratize(hubo)
+        assert res.qubo.degree <= 2
         bits = all_assignments(hubo.num_vars)
         # every consistent lift scores its HUBO energy ...
         assert res.qubo.evaluate_batch(res.lift(bits)).tolist() == hubo.evaluate_batch(bits).tolist()

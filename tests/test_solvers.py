@@ -194,7 +194,7 @@ class TestBruteForce:
         assert len(minimizers) == 3  # everything except 11
 
     def test_ising_input(self):
-        ising = IsingProblem.from_tables(2, {}, {(0, 1): 1.0}, 0.0)
+        ising = IsingProblem(2, {(0, 1): 1.0}, 0.0)
         energy, minimizers = brute_force(ising)
         assert energy == -1.0
         assert len(minimizers) == 2  # the two antiparallel states
