@@ -336,7 +336,7 @@ def qubo_to_ising(q: PolynomialObjective) -> IsingProblem:
             terms[(i,)] = terms.get((i,), 0.0) + c / 4.0
             terms[(j,)] = terms.get((j,), 0.0) + c / 4.0
             offset += c / 4.0
-    return IsingProblem(q.num_vars, {k: c for k, c in terms.items() if c != 0.0}, offset)
+    return _from_sums(IsingProblem, q.num_vars, terms, offset, "cannot convert to Ising form")
 
 
 def ising_to_qubo(p: IsingProblem) -> PolynomialObjective:
@@ -352,8 +352,15 @@ def ising_to_qubo(p: IsingProblem) -> PolynomialObjective:
         terms[(i,)] = terms.get((i,), 0.0) - 2.0 * jij
         terms[(j,)] = terms.get((j,), 0.0) - 2.0 * jij
         offset += jij
-    terms = {k: c for k, c in terms.items() if c != 0.0}
-    return PolynomialObjective(num_vars=p.num_vars, terms=terms, offset=offset)
+    return _from_sums(PolynomialObjective, p.num_vars, terms, offset, "cannot convert to Boolean form")
+
+
+def _from_sums(cls, num_vars: int, terms: dict, offset: float, what: str):
+    """`cls` without the sums that cancelled to 0.0; InputError(what: ...) for one that overflowed."""
+    try:
+        return cls(num_vars, {k: c for k, c in terms.items() if c != 0.0}, offset)
+    except ValueError as exc:
+        raise InputError(f"{what}: {exc}") from exc
 
 
 def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
@@ -426,11 +433,8 @@ def problem_from_dict(doc: dict):
     if arity_error:
         raise arity_error
     # the constructors' own checks catch what is left: a term or offset sum that overflows
-    try:
-        cls = IsingProblem if ising else PolynomialObjective
-        return cls(num_vars=num_vars, terms={k: c for k, c in terms.items() if c != 0.0}, offset=offset)
-    except ValueError as exc:
-        raise InputError(f"malformed problem document: {exc}") from exc
+    cls = IsingProblem if ising else PolynomialObjective
+    return _from_sums(cls, num_vars, terms, offset, "malformed problem document")
 
 
 def write_json(path, doc) -> None:

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..core import TIE_TOL, InputError
 from .model import (
-    CART_OPPOSITE_PAIRS,
     CART_PATTERN_TO_STEP,
     TURN_CARTESIAN,
     TURN_TETRAHEDRAL,
@@ -204,11 +203,10 @@ def _cart_pieces(model: EncodedModel):
         j, k = parse_pair_key(key)
         gates[(j, k)] = (q, model.interaction.energy(model.sequence[j], model.sequence[k]))
     slack_of = {parse_pair_key(k): v for k, v in model.layout["slack_blocks"].items()}
-    # direction d is the d-th pattern of the turn table: its step and the index of its reverse
-    patterns = tuple(CART_PATTERN_TO_STEP)
-    reverse = {p: q for pair in CART_OPPOSITE_PAIRS for p, q in (pair, pair[::-1])}
-    steps = np.array(list(CART_PATTERN_TO_STEP.values()), dtype=np.int16)
-    opp = np.array([patterns.index(reverse[p]) for p in patterns], dtype=np.int8)
+    # direction d is the d-th entry of the turn table; opp[d] is the direction of its negated step
+    dir_steps = tuple(CART_PATTERN_TO_STEP.values())
+    steps = np.array(dir_steps, dtype=np.int16)
+    opp = np.array([dir_steps.index(tuple(-x for x in s)) for s in dir_steps], dtype=np.int8)
     # the first turn is +x; the second turn's free bit is 0 (+z) or 1 (+x)
     choices = ([0], [4, 0], *[range(6)] * (n - 3))[: n - 1]
 
@@ -229,7 +227,7 @@ def _cart_pieces(model: EncodedModel):
         return energies, dists
 
     def build(row, dists):
-        a = _turn_bits(model, row, patterns)
+        a = _turn_bits(model, row, tuple(CART_PATTERN_TO_STEP))
         for pair, (q, _) in gates.items():
             if dists[pair] == 1:
                 a[q] = 1

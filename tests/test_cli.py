@@ -660,6 +660,24 @@ class TestEmbedCli:
             "chain strength 1e+308 makes the embedded offset inf")
         assert not (workdir / "e.json").exists()
 
+    @pytest.mark.parametrize("space, coeff, argv, message", [
+        ("boolean", 1.5e308, ["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt",
+                              "--out", "e.json"], "cannot convert to Ising form: offset inf is not finite"),
+        ("ising", 8e307, ["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt",
+                          "--out", "e.json"], "cannot convert to Boolean form: offset -inf is not finite"),
+        ("ising", 8e307, ["solve", "p.json", "--solver", "brute", "--out", "e.json"],
+         "cannot convert to Boolean form: offset -inf is not finite"),
+    ], ids=["embed-boolean", "embed-ising-auto-strength", "solve-ising"])
+    def test_conversion_that_overflows_the_offset_exits_2(self, workdir, capsys, space, coeff, argv,
+                                                          message):
+        # the document's offset is 0.0; the three fields, moved into the other space's
+        # offset, sum beyond the largest float
+        self._fixture(workdir)
+        (workdir / "p.json").write_text(json.dumps({"num_vars": 3, "offset": 0.0, "space": space,
+                                                    "terms": [{"vars": [i], "coeff": coeff} for i in range(3)]}))
+        assert input_error(argv, capsys) == message
+        assert not (workdir / "e.json").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_chain_strength_not_finite_exits_2(self, workdir, capsys, value):
         self._fixture(workdir)
