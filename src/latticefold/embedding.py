@@ -11,6 +11,7 @@ assignment has exactly the logical energy.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,20 @@ import numpy as np
 from .core import InputError, IsingProblem, load_doc, read_lines
 from .solvers import counter_uniforms, stable_seed
 
+DECIMAL = re.compile(r"[+-]?[0-9]+")
 
-def _int_ids(values, what: str) -> tuple:
-    """`values` read as integer ids; InputError(what) if one is not."""
-    try:
-        return tuple(int(x) for x in values)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(what) from None
+
+def _int_ids(values, what: str, numerals: bool = False) -> tuple:
+    """`values` read as integer ids: integers (a JSON number must be one; not
+    a boolean) and, with `numerals`, decimal strings (the words of a text
+    hardware line, a JSON object key); InputError(what) for anything else."""
+    ids = []
+    for x in values:
+        if not (isinstance(x, int) and not isinstance(x, bool)
+                or numerals and isinstance(x, str) and DECIMAL.fullmatch(x)):
+            raise InputError(what)
+        ids.append(int(x))
+    return tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -33,15 +41,16 @@ class HardwareGraph:
     edges: frozenset  # of (u, v) with u < v
 
     @staticmethod
-    def from_edges(edges, extra_nodes=()) -> "HardwareGraph":
+    def from_edges(edges, extra_nodes=(), numerals: bool = False) -> "HardwareGraph":
+        """The graph of integer edges (u, v) and nodes; with `numerals`, an
+        edge's nodes may also be decimal strings (the words of a text line)."""
         norm = set()
         nodes = set(_int_ids(extra_nodes, "hardware nodes must be integers"))
         for edge in edges:
             what = f"hardware edge {edge!r} is not two integers"
-            ids = _int_ids(edge, what)
-            if len(ids) != 2:
+            if not isinstance(edge, (list, tuple)) or len(edge) != 2:
                 raise InputError(what)
-            u, v = ids
+            u, v = _int_ids(edge, what, numerals)
             if u == v:
                 raise InputError(f"self-loop on node {u}")
             norm.add((min(u, v), max(u, v)))
@@ -59,7 +68,7 @@ class HardwareGraph:
         text = "\n".join(read_lines(path))
         if not text.lstrip().startswith("{"):
             lines = (line.split("#")[0].split() for line in text.splitlines())
-            return HardwareGraph.from_edges(edge for edge in lines if edge)
+            return HardwareGraph.from_edges((edge for edge in lines if edge), numerals=True)
         doc = load_doc(path)
         if not isinstance(doc.get("edges"), list) or not isinstance(doc.get("nodes", []), list):
             raise InputError(f"{path}: edges and nodes must be lists")
@@ -82,7 +91,9 @@ class EmbeddingMap:
                 raise InputError(f"{where}: chain {k!r} is {v!r}, not a list of nodes")
             if not v:
                 raise InputError(f"{where}: chain {k!r} is empty")
-            logical, *nodes = _int_ids([k, *v], f"{where}: malformed chain {k!r}: not all integers")
+            what = f"{where}: malformed chain {k!r}: not all integers"
+            logical = _int_ids([k], what, numerals=True)[0]
+            nodes = _int_ids(v, what)
             if len(set(nodes)) != len(nodes):
                 raise InputError(f"{where}: chain {k!r} names a node twice")
             chains[logical] = tuple(nodes)
@@ -212,8 +223,10 @@ def load_embedded(path) -> tuple[EmbeddingMap, list]:
     if not isinstance(info, dict):
         raise InputError(f"{path} is not an embed output")
     node_order = info.get("node_order")
-    if not isinstance(node_order, list) or not all(isinstance(p, int) for p in node_order):
-        raise InputError(f"{path}: embedding node_order must be a list of node ids")
+    what = f"{path}: embedding node_order must be a list of node ids"
+    if not isinstance(node_order, list):
+        raise InputError(what)
+    node_order = list(_int_ids(node_order, what))
     emb = EmbeddingMap.from_doc(info.get("chains"), f"{path} embedding")
     unplaced = set(emb.physical_nodes()) - set(node_order)
     if unplaced:

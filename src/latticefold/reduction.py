@@ -14,6 +14,7 @@ pair).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,6 +32,8 @@ from .core import (
 WORST_CASE = "worst_case"
 # random assignments `verify_quadratization` checks when it is not exhaustive
 VERIFY_SAMPLES = 100_000
+# rows per chunk of the sampled scans: bounds their memory
+VERIFY_CHUNK = 32_768
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,76 @@ class VerificationReport:
     checked: int
     max_discrepancy: float
     min_inconsistency_gap: float
+    lift_residual: float  # bound on |QUBO(x, lift(x)) - HUBO(x)| over every x
     tolerance: float  # bound on max_discrepancy of a sound reduction
 
     @property
     def ok(self) -> bool:
-        return self.max_discrepancy <= self.tolerance and self.min_inconsistency_gap > 0.0
+        return (self.max_discrepancy <= self.tolerance and self.lift_residual <= self.tolerance
+                and self.min_inconsistency_gap > 0.0)
+
+
+def lift_residual(hubo: PolynomialObjective, result: QuadratizationResult) -> float:
+    """Sum |r_M| over the monomials M of QUBO(x, lift(x)) - HUBO(x), offset
+    included: a bound on |QUBO(x, lift(x)) - HUBO(x)| over all 2^n x.
+
+    Each auxiliary stands for the product of the original variables it
+    expands to, recursively, so a QUBO term is the monomial over the union of
+    its variables' expansions (x^2 = x).  Each residual coefficient and the
+    total are `math.fsum`s, correctly rounded: a sound reduction gives 0.
+    """
+    stands_for = {v: frozenset((v,)) for v in range(hubo.num_vars)}
+    for aux, (i, j) in result.aux_map:
+        stands_for[aux] = stands_for[i] | stands_for[j]
+    parts: dict[tuple[int, ...], list[float]] = {(): [result.qubo.offset, -hubo.offset]}
+    for key, c in result.qubo.terms.items():
+        monomial = tuple(sorted(frozenset().union(*(stands_for[v] for v in key))))
+        parts.setdefault(monomial, []).append(c)
+    for key, c in hubo.terms.items():
+        parts.setdefault(key, []).append(-c)
+    return math.fsum(abs(math.fsum(cs)) for cs in parts.values())
+
+
+def _flip_terms(result: QuadratizationResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The QUBO terms holding each auxiliary, in term order: (K, n_aux) tables
+    of the coefficient, the term's other variable (the auxiliary itself for
+    its field) and 1 for its field, padded with zero coefficients to the K
+    terms of the auxiliary held most."""
+    n = result.qubo.num_vars - len(result.aux_map)
+    held: list[list] = [[] for _ in result.aux_map]
+    for key, c in result.qubo.terms.items():
+        for v in key:
+            if v >= n:
+                held[v - n].append((c, key[0] + key[-1] - v, len(key) == 1))
+    k = max(map(len, held), default=0)
+    coeff = np.zeros((k, len(held)))
+    other = np.tile(np.arange(n, n + len(held)), (k, 1))
+    field = np.zeros((k, len(held)), dtype=np.uint8)
+    for a, terms in enumerate(held):
+        for p, (c, v, f) in enumerate(terms):
+            coeff[p, a], other[p, a], field[p, a] = c, v, f
+    return coeff, other, field
+
+
+def _flip_gap(terms, joint: np.ndarray, flip_at: np.ndarray) -> float:
+    """Least energy change when row r of `joint` (consistent lifts) flips
+    auxiliary number flip_at[r].
+
+    Flipping a changes the energy by (1 - 2a) * sum over the terms T holding a
+    of c_T * (the product of T's other variables), summed in term order; a
+    zero padding coefficient leaves a sum as it is.
+    """
+    coeff, other, field = terms
+    n_aux = coeff.shape[1]
+    cols = joint.T  # contiguous, one row per variable (see `QuadratizationResult.lift`)
+    r = np.arange(len(flip_at))
+    change = np.zeros(len(flip_at))
+    for p in range(len(coeff)):
+        x = cols[other[p][flip_at], r]
+        x |= field[p][flip_at]
+        change += coeff[p][flip_at] * x
+    flipped = cols[joint.shape[1] - n_aux + flip_at, r]
+    return float(np.where(flipped, -change, change).min())
 
 
 def verify_quadratization(
@@ -164,39 +232,49 @@ def verify_quadratization(
     result: QuadratizationResult,
     budget: int = 20,
 ) -> VerificationReport:
-    """Check energy agreement on consistent extensions and that every
-    inconsistent auxiliary setting costs energy.
+    """Check energy agreement on consistent extensions, prove it for every
+    assignment, and check that every inconsistent auxiliary setting costs
+    energy.
 
     Exhaustive over the original variables when their count fits the budget
     (the inconsistency scan is exhaustive over joint assignments when
     originals + auxiliaries fit); otherwise VERIFY_SAMPLES random
-    assignments from a fixed seed, and as many one-auxiliary flips.  Energies on
-    both sides are float64 sums, so the discrepancy of a sound reduction is
-    only rounding: the report passes it up to 1e-9 plus the rounding bounds
-    of both sums (`PolynomialObjective.rounding_bound`), which grow with the
-    penalty strength alpha.
+    assignments from a fixed seed, and as many other ones with one random
+    auxiliary flipped each.  Both sampled scans run in VERIFY_CHUNK-row
+    chunks, so memory does not grow with VERIFY_SAMPLES, and a flip's cost is
+    summed from the terms holding the flipped auxiliary (`_flip_gap`), not
+    taken as the difference of two full energies.  Energies on both sides are
+    float64 sums, so the discrepancy of a sound reduction is only rounding:
+    the report passes it up to 1e-9 plus the rounding bounds of both sums
+    (`PolynomialObjective.rounding_bound`), which grow with the penalty
+    strength alpha.  `lift_residual` must be within the same tolerance: it
+    extends the agreement from the checked assignments to all of them.
     """
     n = hubo.num_vars
     n_aux = len(result.aux_map)
     exhaustive = n <= budget
+    count = 1 << n if exhaustive else VERIFY_SAMPLES
+    if not exhaustive:
+        drawn = np.random.default_rng(0).integers(0, 2, size=(count, n), dtype=np.uint8)
 
-    if exhaustive:
-        bits = code_bits(np.arange(1 << n), n)
-    else:
-        rng = np.random.default_rng(0)
-        bits = rng.integers(0, 2, size=(VERIFY_SAMPLES, n), dtype=np.uint8)
-
-    lifted = result.lift(bits)
-    hubo_e = hubo.evaluate_batch(bits)
-    qubo_e = result.qubo.evaluate_batch(lifted)
-    max_disc = float(np.abs(hubo_e - qubo_e).max()) if len(bits) else 0.0
+    max_disc = 0.0
+    qubo_parts = []  # consistent-lift energies, kept for the exhaustive inconsistency scan
+    for lo in range(0, count, VERIFY_CHUNK):
+        hi = min(lo + VERIFY_CHUNK, count)
+        bits = code_bits(np.arange(lo, hi), n) if exhaustive else drawn[lo:hi]
+        qubo_e = result.qubo.evaluate_batch(result.lift(bits))
+        max_disc = max(max_disc, float(np.abs(hubo.evaluate_batch(bits) - qubo_e).max()))
+        if exhaustive:
+            qubo_parts.append(qubo_e)
+    if not exhaustive:
+        del drawn
 
     # inconsistency gap: cheapest violation relative to the consistent lift
     gap = float("inf")
-    checked = len(bits)
+    checked = count
     if n_aux:
         if exhaustive and n + n_aux <= 30:
-            # qubo_e holds the consistent lift of every original code
+            qubo_e = np.concatenate(qubo_parts)  # the consistent lift of every original code
             total = 1 << (n + n_aux)
             mask = (1 << n) - 1
             for lo in range(0, total, 1 << 20):
@@ -215,19 +293,17 @@ def verify_quadratization(
             rng = np.random.default_rng(1)
             m = VERIFY_SAMPLES
             sample_bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-            joint = result.lift(sample_bits)
-            base = result.qubo.evaluate_batch(joint)
-            # each row flips one auxiliary, drawn uniformly
-            flip_at = rng.integers(0, n_aux, size=m)
-            broken = joint.T.copy()
-            aux_vars = np.array([aux for aux, _ in result.aux_map])
-            broken[aux_vars[flip_at], np.arange(m)] ^= 1
-            gap = float((result.qubo.evaluate_batch(broken.T) - base).min())
+            flip_at = rng.integers(0, n_aux, size=m)  # each row flips one auxiliary
+            terms = _flip_terms(result)
+            for lo in range(0, m, VERIFY_CHUNK):
+                joint = result.lift(sample_bits[lo:lo + VERIFY_CHUNK])
+                gap = min(gap, _flip_gap(terms, joint, flip_at[lo:lo + VERIFY_CHUNK]))
             checked = m
     return VerificationReport(
         exhaustive=exhaustive,
         checked=int(checked),
         max_discrepancy=max_disc,
         min_inconsistency_gap=float(gap),
+        lift_residual=lift_residual(hubo, result),
         tolerance=1e-9 + hubo.rounding_bound + result.qubo.rounding_bound,
     )

@@ -274,14 +274,20 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so it is exact in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
     2008): `bits @ hi`, `bits @ lo` and energies summed from them have the same
     bits under any BLAS, row count or order.  |r| <= a.size * sum|a| * 2^-102.
+    Each part is rounded and scaled in place, so no step makes a full-size
+    temporary beyond |x|.
     """
-    def on_grid(x):
+    def on_grid(x, out=None):
         _, e = np.frexp(2.0 * np.abs(x).sum())
         grid = np.ldexp(1.0, e - 52)
-        return np.rint(x / grid) * grid
+        out = np.divide(x, grid, out=out)
+        np.rint(out, out=out)
+        out *= grid
+        return out
 
     hi = on_grid(a)
-    return hi, on_grid(a - hi)  # a - hi is exact: |a - hi| <= grid / 2
+    lo = np.subtract(a, hi)  # exact: |a - hi| <= grid / 2
+    return hi, on_grid(lo, out=lo)
 
 
 class _Compiled:
@@ -307,6 +313,7 @@ class _Compiled:
         self.c = upper.diagonal().copy()
         np.fill_diagonal(upper, 0.0)
         self.Q = upper + upper.T
+        del upper
         self.colors = color_graph(qubo).classes
         # kernel layout: state column k is variable order[k], so a colour class
         # is a slice, then a constant 1 for c; per class, its columns of the split [Q; c]
@@ -647,3 +654,21 @@ def brute_force(obj, free_var_limit: int = 30):
     best = float(exact.min())
     minimizers = np.ascontiguousarray(code_bits(codes[exact <= best + TIE_TOL], n))
     return best, list(minimizers)
+
+
+def brute_force_samples(obj, free_var_limit: int = 30) -> SampleSet:
+    """`brute_force` as a SampleSet: one record per minimizer, each at the
+    least energy; run and tau seconds are the enumeration's."""
+    start = time.perf_counter()
+    energy, minimizers = brute_force(obj, free_var_limit=free_var_limit)
+    wall = time.perf_counter() - start
+    return SampleSet(
+        space=obj.space,
+        bits=np.array(minimizers, dtype=np.uint8),
+        energies=np.full(len(minimizers), energy),
+        replicas=np.arange(len(minimizers)),
+        sweeps=np.zeros(len(minimizers), dtype=np.int64),
+        run_seconds=wall,
+        tau_seconds=wall,
+        meta={"solver": "brute", "minimizers": len(minimizers)},
+    )

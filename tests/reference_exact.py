@@ -1,6 +1,7 @@
 """Reference copies of the term-by-term exact solvers, of the two-stage
 problem loader, of the field and coupling table builders, of the per-chain
-unembedding and of the incremental-field Metropolis kernel, for differential
+unembedding, of the incremental-field Metropolis kernel, of the allocating
+exact split and of the whole-table reduction check, for differential
 tests.
 
 `quadratize` recounts every pair of every high-degree term after each
@@ -18,7 +19,13 @@ field array that every colour class updates with a BLAS product, and a
 float64 energy that it re-evaluates every FULL_REEVAL_FLIPS proposals,
 failing on a drift above its tolerance; the package's kernel computes each
 class's fields from the bits, carries an exact energy pair
-(`pair_energies`), and must visit the same states.
+(`pair_energies`), and must visit the same states.  `exact_split` makes a
+new array at each step where the package's split rounds and scales in
+place; the parts must be equal bit for bit.  `verify_quadratization` holds
+all rows of both sampled scans at once and takes a flip's cost as the
+difference of two full energies; the package's scans run in chunks and sum
+a flip's cost from the terms holding the flipped auxiliary, so the rows,
+the discrepancy and the count must be equal and the gap within rounding.
 """
 
 from collections import Counter
@@ -26,8 +33,16 @@ from itertools import combinations
 
 import numpy as np
 
-from latticefold.core import BOOLEAN, ISING, IsingProblem, InputError, PolynomialObjective, TermAccumulator
-from latticefold.reduction import QuadratizationResult, resolve_alpha
+from latticefold.core import (
+    BOOLEAN,
+    ISING,
+    IsingProblem,
+    InputError,
+    PolynomialObjective,
+    TermAccumulator,
+    code_bits,
+)
+from latticefold.reduction import VERIFY_SAMPLES, QuadratizationResult, resolve_alpha
 from latticefold.solvers import _counter_state, counter_uniforms, stable_seed
 
 FULL_REEVAL_FLIPS = 10_000
@@ -345,3 +360,60 @@ def pair_energies(comp, state):
         part = np.hstack([block[k] for block in comp.blocks])
         pair.append(x @ part[-1] + 0.5 * np.einsum("ri,ij,rj->r", x, part[:-1], x))
     return np.stack(pair, axis=1)
+
+
+def exact_split(a):
+    """`solvers._exact_split` as it was before its rounding went in place:
+    each step on the grid makes a new array."""
+    def on_grid(x):
+        _, e = np.frexp(2.0 * np.abs(x).sum())
+        grid = np.ldexp(1.0, e - 52)
+        return np.rint(x / grid) * grid
+
+    hi = on_grid(a)
+    return hi, on_grid(a - hi)
+
+
+def verify_quadratization(hubo, result, budget=20):
+    """`reduction.verify_quadratization` before its scans ran in chunks:
+    (exhaustive, checked, max_discrepancy, min_inconsistency_gap), each
+    sampled flip's cost taken as the difference of two full energies."""
+    n = hubo.num_vars
+    n_aux = len(result.aux_map)
+    exhaustive = n <= budget
+    if exhaustive:
+        bits = code_bits(np.arange(1 << n), n)
+    else:
+        bits = np.random.default_rng(0).integers(0, 2, size=(VERIFY_SAMPLES, n), dtype=np.uint8)
+    hubo_e = hubo.evaluate_batch(bits)
+    qubo_e = result.qubo.evaluate_batch(result.lift(bits))
+    max_disc = float(np.abs(hubo_e - qubo_e).max()) if len(bits) else 0.0
+    gap = float("inf")
+    checked = len(bits)
+    if n_aux:
+        if exhaustive and n + n_aux <= 30:
+            total = 1 << (n + n_aux)
+            mask = (1 << n) - 1
+            for lo in range(0, total, 1 << 20):
+                codes = np.arange(lo, min(lo + (1 << 20), total))
+                joint = code_bits(codes, n + n_aux)
+                aux_ok = np.ones(len(codes), dtype=bool)
+                for aux, (i, j) in result.aux_map:
+                    aux_ok &= joint[:, aux] == (joint[:, i] & joint[:, j])
+                bad = ~aux_ok
+                if bad.any():
+                    e = result.qubo.evaluate_batch(joint[bad])
+                    gap = min(gap, float((e - qubo_e[codes[bad] & mask]).min()))
+            checked = total
+        else:
+            rng = np.random.default_rng(1)
+            m = VERIFY_SAMPLES
+            joint = result.lift(rng.integers(0, 2, size=(m, n), dtype=np.uint8))
+            base = result.qubo.evaluate_batch(joint)
+            flip_at = rng.integers(0, n_aux, size=m)
+            broken = joint.T.copy()
+            aux_vars = np.array([aux for aux, _ in result.aux_map])
+            broken[aux_vars[flip_at], np.arange(m)] ^= 1
+            gap = float((result.qubo.evaluate_batch(broken.T) - base).min())
+            checked = m
+    return exhaustive, int(checked), max_disc, float(gap)

@@ -112,7 +112,16 @@ class TestReduce:
                     "--out", "tt.json"]) == 0
         assert run(["reduce", "tt.json", "--alpha", "worst_case", "--out", "ttq.json"]) == 0
         assert "verification FAILED" not in capsys.readouterr().err
-        assert json.loads((workdir / "ttq.json").read_text())["verification"]["max_discrepancy"] > 1e-9
+        verification = json.loads((workdir / "ttq.json").read_text())["verification"]
+        assert verification["max_discrepancy"] > 1e-9
+        # sampled scans: the lift proof covers the other assignments, up to rounding
+        assert verification["checked"] == 100_000 and 0.0 <= verification["lift_residual"] < 1e-5
+
+    def test_exhaustive_check_writes_no_lift_residual(self, workdir):
+        assert run(["encode", "turn-tet", "--seq", "LKKLKK", "--interaction", "mj", "--out", "tt.json"]) == 0
+        assert run(["reduce", "tt.json", "--alpha", "worst_case", "--out", "ttq.json"]) == 0
+        verification = json.loads((workdir / "ttq.json").read_text())["verification"]
+        assert verification["exhaustive"] and "lift_residual" not in verification
 
     def test_dropped_qubo_term_still_fails(self, workdir, monkeypatch):
         import latticefold.cli as cli
@@ -524,6 +533,10 @@ class TestAnalyze:
         assert len(lines) == 2 + 3
 
 
+# the fixture's hardware graph as JSON, with one more edge in place of %s
+HW_JSON = '{"edges": [[0, 1], [1, 2], [0, 2], [2, 3], [3, 4], %s]}'
+
+
 class TestEmbedCli:
     def _fixture(self, workdir):
         (workdir / "hw.txt").write_text("0 1\n1 2\n0 2\n2 3\n3 4\n")
@@ -616,7 +629,11 @@ class TestEmbedCli:
         ('{"0": [0, 1], ', "emb.json is not a JSON document"),
         ('{"0": [0, Infinity], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
         ('{"0": [], "1": [2], "2": [3]}', "emb.json: chain '0' is empty"),
-    ], ids=["chain-x", "node-not-int", "logical-not-int", "not-json", "node-infinite", "empty-chain"])
+        ('{"0": [0.9, 1.2], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
+        ('{"0": [0, true], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
+        ('{"0": [0, "1"], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
+    ], ids=["chain-x", "node-not-int", "logical-not-int", "not-json", "node-infinite", "empty-chain",
+            "node-fraction", "node-bool", "node-numeral-string"])
     def test_malformed_embedding_exits_2(self, workdir, capsys, text, message):
         self._fixture(workdir)
         (workdir / "emb.json").write_text(text)
@@ -632,8 +649,16 @@ class TestEmbedCli:
         ("hw.json", '{"edges": [[Infinity, 1]]}', "hardware edge [inf, 1] is not two integers"),
         ("hw.json", '{"edges": [[0, 1]], "nodes": [[0]]}', "hardware nodes must be integers"),
         ("hw.json", '{"edges": [[0, 1]], "nodes": ["a"]}', "hardware nodes must be integers"),
+        ("hw.json", HW_JSON % '"34"', "hardware edge '34' is not two integers"),
+        ("hw.json", HW_JSON % "[3, 4.5]", "hardware edge [3, 4.5] is not two integers"),
+        ("hw.json", HW_JSON % '["3", "4"]', "hardware edge ['3', '4'] is not two integers"),
+        ("hw.json", HW_JSON % "[3, true]", "hardware edge [3, True] is not two integers"),
+        ("hw.json", HW_JSON % "34", "hardware edge 34 is not two integers"),
+        ("hw.json", '{"edges": [[0, 1], [1, 2], [0, 2], [2, 3], [3, 4]], "nodes": [true]}',
+         "hardware nodes must be integers"),
     ], ids=["edge-not-int", "edge-three-nodes", "edges-not-list", "edge-one-node", "not-json",
-            "edge-infinite", "node-list", "node-not-int"])
+            "edge-infinite", "node-list", "node-not-int", "edge-string", "edge-fraction",
+            "edge-numeral-strings", "edge-bool", "edge-number", "node-bool"])
     def test_malformed_hardware_exits_2(self, workdir, capsys, name, text, message):
         self._fixture(workdir)
         (workdir / name).write_text(text)
@@ -726,8 +751,10 @@ class TestEmbedCli:
         (lambda emb: emb.update(chains={}), "e.json embedding: chains must be a non-empty object"),
         (lambda emb: emb["chains"].update({"1": []}), "e.json embedding: chain '1' is empty"),
         (lambda emb: emb["chains"].update({"1": [float("inf")]}), "e.json embedding: malformed chain '1'"),
+        (lambda emb: emb["chains"].update({"1": [2.0]}), "e.json embedding: malformed chain '1'"),
+        (lambda emb: emb["node_order"].__setitem__(0, True), "e.json: embedding node_order must be"),
     ], ids=["no-node-order", "node-not-int", "no-chains", "chain-x", "unplaced-node", "empty-chains",
-            "empty-chain", "node-infinite"])
+            "empty-chain", "node-infinite", "node-fraction", "node-order-bool"])
     def test_malformed_embedded_document_unembed_exits_2(self, workdir, capsys, edit, message):
         self._fixture(workdir)
         assert run(["embed", "p.json", "--embedding", "emb.json",

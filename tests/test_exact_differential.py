@@ -5,8 +5,12 @@ and `apply_embedding`, the one-pass `problem_from_dict` and the one-draw
 every output must be identical, down to the dict order of the QUBO terms and
 the repr of the minimum energy.  The Metropolis kernel against the
 incremental-field kernel it replaced: the same state after every sweep, and
-an energy pair equal to the one recomputed from the state."""
+an energy pair equal to the one recomputed from the state.  The in-place
+exact split against the allocating one: equal parts bit for bit.  The
+chunked reduction check against the whole-table one: the same rows, count
+and discrepancy, and a gap within rounding."""
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -24,13 +28,14 @@ from latticefold.core import (
     problem_from_dict,
     qubo_to_ising,
 )
-from latticefold.embedding import EmbeddingMap, HardwareGraph, apply_embedding, unembed
+from latticefold.embedding import EmbeddingMap, HardwareGraph, apply_embedding, default_chain_strength, unembed
 from latticefold.encoders import encode, get_model
-from latticefold.reduction import quadratize
+from latticefold.reduction import quadratize, verify_quadratization
 from latticefold.solvers import (
     PtConfig,
     _atiqullah_t0,
     _Compiled,
+    _exact_split,
     _metropolis,
     brute_force,
     stable_seed,
@@ -428,3 +433,86 @@ def test_metropolis_visits_the_reference_kernels_states(solver):
         assert np.all(state[:, -1] == 1.0)
         assert np.array_equal(pair, ref.pair_energies(comp, state))
         assert np.abs(comp.offset + pair.sum(axis=1) - e_old).max() <= ref.DRIFT_TOL
+
+
+def cli_embedded_problem():
+    """The README pipeline's embedded problem: coord-tet HPPPPHPPPPH (L = 3,
+    HP; 297 variables) on 594 qubits, two shuffled nodes per chain, one
+    hardware edge per coupling between random ends of its chains."""
+    qubo = encode("coord-tet", "HPPPPHPPPPH", get_model("hp"), L=3).objective
+    n = qubo.num_vars
+    rng = random.Random(5)
+    labels = list(range(2 * n))
+    rng.shuffle(labels)
+    chains = {i: (labels[2 * i], labels[2 * i + 1]) for i in range(n)}
+    edges = {tuple(sorted(c)) for c in chains.values()}
+    for i, j in sorted(k for k in qubo.terms if len(k) == 2):
+        edges.add(tuple(sorted((chains[i][rng.randrange(2)], chains[j][rng.randrange(2)]))))
+    embedded = apply_embedding(qubo_to_ising(qubo), EmbeddingMap(chains), HardwareGraph.from_edges(edges),
+                               default_chain_strength(qubo))
+    return embedded.ising
+
+
+def assert_same_split(a):
+    before = a.copy()
+    (hi, lo), (ref_hi, ref_lo) = _exact_split(a), ref.exact_split(a)
+    assert a.tobytes() == before.tobytes()  # the input is left as it was
+    assert hi.tobytes() == ref_hi.tobytes() and lo.tobytes() == ref_lo.tobytes()
+
+
+@pytest.mark.parametrize("problem", ["coord-tet-LKDFSAW", "cli-embedded"])
+def test_exact_split_identical_on_solver_inputs(problem):
+    if problem == "cli-embedded":
+        comp = _Compiled(cli_embedded_problem())
+        assert comp.n == 594
+    else:
+        comp = _Compiled(encode("coord-tet", "LKDFSAW", get_model("mj")).objective)
+    assert_same_split(np.vstack([comp.Q[comp.order], comp.c])[:, comp.order])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 12)),
+    entries=st.lists(st.one_of(st.just(0.0), st.just(4.78e7), st.floats(1e-6, 1e8),
+                               st.floats(1e-200, 1e200)), min_size=360, max_size=360),
+    signs=st.lists(st.booleans(), min_size=360, max_size=360),
+)
+@example(shape=(3, 2), entries=[0.0] * 360, signs=[False] * 360)
+def test_exact_split_identical_on_matrices(shape, entries, signs):
+    k, w = shape
+    assert_same_split(np.array([-x if neg else x for x, neg in zip(entries, signs)])[: k * w].reshape(k, w))
+
+
+@pytest.mark.parametrize("case, budget", [
+    ("three-variable", 20), ("three-variable", 0),
+    ("halved-alpha", 20), ("halved-alpha", 0),
+    ("turn-tet-HHHHHH", 14), ("turn-tet-HHHHHH", 0),
+    ("turn-cart-HPPHHP", 0),
+    ("cli", 20),
+])
+def test_verify_quadratization_matches_the_whole_table_check(case, budget):
+    """Exhaustive (budget above the originals) and sampled (budget 0) checks
+    of the reduction cases of `test_reduction.py` and of the README
+    pipeline's turn-tet LKKKKLKKKKL at the worst-case alpha.  A sampled flip's
+    cost was the difference of two energies, each within the QUBO's rounding
+    bound of its exact value, and is now a sum of at most len(terms) of the
+    same products, within that bound too: the gaps differ by at most three
+    bounds."""
+    policy = "worst_case"
+    if case in ("three-variable", "halved-alpha"):
+        hubo = build_poly({(0, 1, 2): 1.0 if case == "three-variable" else -8.0}, 3)
+        policy = "worst_case" if case == "three-variable" else "fixed:0.5"
+    elif case == "cli":
+        hubo = encode("turn-tet", "LKKKKLKKKKL", get_model("mj")).objective
+    else:
+        tag, seq = case.rsplit("-", 1)
+        hubo = encode(tag, seq, get_model("hp")).objective
+    res = quadratize(hubo, policy)
+    new = verify_quadratization(hubo, res, budget=budget)
+    exhaustive, checked, max_disc, gap = ref.verify_quadratization(hubo, res, budget=budget)
+    assert (new.exhaustive, new.checked) == (exhaustive, checked)
+    assert repr(new.max_discrepancy) == repr(max_disc)
+    if exhaustive:
+        assert repr(new.min_inconsistency_gap) == repr(gap)
+    else:
+        assert abs(new.min_inconsistency_gap - gap) <= 3 * res.qubo.rounding_bound

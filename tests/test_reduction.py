@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefold.core import InputError, TermAccumulator, qubo_to_ising
-from latticefold.encoders import encode_turn_tetrahedral, hp_model
+from latticefold import reduction
+from latticefold.core import InputError, PolynomialObjective, TermAccumulator, qubo_to_ising
+from latticefold.encoders import encode, encode_turn_tetrahedral, get_model, hp_model
 from latticefold.reduction import (
     QuadratizationResult,
+    lift_residual,
     quadratize,
     scaled_alpha,
     verify_quadratization,
@@ -18,6 +22,32 @@ from conftest import all_assignments, build_poly
 
 # sums of these are exact in float64, so energies compare with ==
 EXACT_COEFFS = [-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
+
+
+@pytest.fixture(scope="module")
+def cli_reduction():
+    """The README pipeline's reduction: turn-tet LKKKKLKKKKL under MJ at the
+    worst-case alpha (43 originals, 102 auxiliaries, 1,670 QUBO terms)."""
+    hubo = encode("turn-tet", "LKKKKLKKKKL", get_model("mj")).objective
+    return hubo, quadratize(hubo, "worst_case")
+
+
+def edited(result, edit):
+    """`result` with `edit` applied to a copy of its QUBO terms."""
+    terms = dict(result.qubo.terms)
+    edit(terms, result)
+    return QuadratizationResult(PolynomialObjective(result.qubo.num_vars, terms, result.qubo.offset),
+                                result.aux_map, result.alpha)
+
+
+def drop_smallest(terms, result):
+    del terms[min(terms, key=lambda k: abs(terms[k]))]
+
+
+def flip_penalty_sign(terms, result):
+    """The first auxiliary's -2 alpha on (i, aux) becomes +2 alpha."""
+    aux, (i, _) = result.aux_map[0]
+    terms[(i, aux)] += 4.0 * result.alpha
 
 
 @st.composite
@@ -155,3 +185,77 @@ class TestVerify:
         for row, lifted in zip(bits, res.lift(bits)):
             assert np.array_equal(lifted[:hubo.num_vars], row)
             assert res.qubo.evaluate(lifted) == pytest.approx(hubo.evaluate(row), abs=1e-9)
+
+    def test_halved_alpha_fails_through_the_sampled_gap(self):
+        hubo = build_poly({(0, 1, 2): -8.0}, 3)
+        report = verify_quadratization(hubo, quadratize(hubo, "fixed:0.5"), budget=0)
+        assert not report.exhaustive and report.checked == reduction.VERIFY_SAMPLES
+        assert report.max_discrepancy <= report.tolerance and report.lift_residual == 0.0
+        assert report.min_inconsistency_gap < 0 and not report.ok
+
+    def test_weak_alpha_on_the_cli_problem_fails_through_the_gap(self, cli_reduction):
+        hubo, _ = cli_reduction
+        report = verify_quadratization(hubo, quadratize(hubo, "fixed:1"))
+        assert report.max_discrepancy <= report.tolerance and report.lift_residual <= report.tolerance
+        assert report.min_inconsistency_gap <= 0.0 and not report.ok
+
+    def test_cli_problem_verifies_with_an_exact_lift(self, cli_reduction):
+        hubo, res = cli_reduction
+        report = verify_quadratization(hubo, res)
+        assert not report.exhaustive and report.checked == 100_000
+        assert report.ok and report.lift_residual == 0.0
+
+    @pytest.mark.parametrize("edit", [drop_smallest, flip_penalty_sign], ids=["dropped-term", "penalty-sign"])
+    @pytest.mark.parametrize("case", ["exhaustive", "cli"])
+    def test_broken_reduction_fails_the_proof_and_the_scans(self, cli_reduction, edit, case):
+        if case == "cli":
+            hubo, res = cli_reduction
+        else:
+            hubo = build_poly({(0, 1, 2): 1.0, (1, 2, 3): -2.0, (0, 3): 0.5}, 4)
+            res = quadratize(hubo)
+        report = verify_quadratization(hubo, edited(res, edit))
+        assert report.exhaustive == (case == "exhaustive")
+        assert report.lift_residual > report.tolerance
+        assert report.max_discrepancy > report.tolerance
+        assert not report.ok
+
+    def test_lift_residual_is_the_size_of_the_fault(self):
+        hubo = build_poly({(0, 1, 2): 1.0, (1, 2, 3): -2.0, (0, 3): 0.5}, 4, offset=1.5)
+        res = quadratize(hubo)
+        assert lift_residual(hubo, res) == 0.0
+        assert lift_residual(hubo, edited(res, flip_penalty_sign)) == 4.0 * res.alpha
+        shifted = QuadratizationResult(PolynomialObjective(res.qubo.num_vars, res.qubo.terms, 2.0),
+                                       res.aux_map, res.alpha)
+        assert lift_residual(hubo, shifted) == 0.5
+
+    @pytest.mark.parametrize("chunk", [200_000, 25_000, 33_333, reduction.VERIFY_CHUNK],
+                             ids=["below-one-chunk", "4-chunks", "3-chunks-plus-1", "module-chunk"])
+    def test_sampled_report_does_not_depend_on_the_chunk(self, cli_reduction, monkeypatch, chunk):
+        # each scan's 100,000 rows as one chunk, then as rows below one chunk,
+        # exactly k chunks and k chunks plus one row
+        hubo, res = cli_reduction
+        monkeypatch.setattr(reduction, "VERIFY_CHUNK", reduction.VERIFY_SAMPLES)
+        whole = verify_quadratization(hubo, res)
+        monkeypatch.setattr(reduction, "VERIFY_CHUNK", chunk)
+        assert verify_quadratization(hubo, res) == whole
+
+    @pytest.mark.parametrize("chunk", [1 << 13, 1 << 10, (1 << 12) - 1, 5],
+                             ids=["below-one-chunk", "4-chunks", "1-chunk-plus-1", "many-chunks"])
+    def test_exhaustive_report_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        hubo = encode_turn_tetrahedral("HHHHHH", hp_model()).objective  # 12 originals: 4,096 codes
+        res = quadratize(hubo)
+        monkeypatch.setattr(reduction, "VERIFY_CHUNK", 1 << 12)
+        whole = verify_quadratization(hubo, res, budget=14)
+        monkeypatch.setattr(reduction, "VERIFY_CHUNK", chunk)
+        assert verify_quadratization(hubo, res, budget=14) == whole
+
+    def test_sampled_scans_stay_in_bounded_memory(self, cli_reduction):
+        # the whole-table check peaked at 54 MB here; the chunked one near 19 MB
+        hubo, res = cli_reduction
+        tracemalloc.start()
+        try:
+            verify_quadratization(hubo, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6

@@ -24,6 +24,7 @@ from latticefold.solvers import (
     _sa_blocks,
     _sa_rows,
     brute_force,
+    brute_force_samples,
     color_graph,
     counter_uniforms,
     parallel_tempering,
@@ -198,6 +199,18 @@ class TestBruteForce:
         energy, minimizers = brute_force(ising)
         assert energy == -1.0
         assert len(minimizers) == 2  # the two antiparallel states
+
+    def test_samples_hold_every_minimizer(self):
+        ising = IsingProblem(2, {(0, 1): 1.0}, 0.0)
+        samples = brute_force_samples(ising, free_var_limit=2)
+        assert samples.space == ising.space
+        assert samples.bits.dtype == np.uint8 and samples.bits.tolist() == [[1, 0], [0, 1]]
+        assert samples.energies.tolist() == [-1.0, -1.0]
+        assert samples.replicas.tolist() == [0, 1] and samples.sweeps.tolist() == [0, 0]
+        assert samples.run_seconds == samples.tau_seconds >= 0.0
+        assert samples.meta == {"solver": "brute", "minimizers": 2}
+        with pytest.raises(ResourceRefusal):
+            brute_force_samples(ising, free_var_limit=1)
 
 
 class TestSimulatedAnnealing:
