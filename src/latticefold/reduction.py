@@ -263,7 +263,8 @@ def verify_quadratization(
         hi = min(lo + VERIFY_CHUNK, count)
         bits = code_bits(np.arange(lo, hi), n) if exhaustive else drawn[lo:hi]
         qubo_e = result.qubo.evaluate_batch(result.lift(bits))
-        max_disc = max(max_disc, float(np.abs(hubo.evaluate_batch(bits) - qubo_e).max()))
+        # np.maximum and np.minimum keep a NaN (an overflowing energy), which fails the report
+        max_disc = float(np.maximum(max_disc, np.abs(hubo.evaluate_batch(bits) - qubo_e).max()))
         if exhaustive:
             qubo_parts.append(qubo_e)
     if not exhaustive:
@@ -287,7 +288,7 @@ def verify_quadratization(
                 if bad.any():
                     e = result.qubo.evaluate_batch(joint[bad])
                     refs = qubo_e[codes[bad] & mask]
-                    gap = min(gap, float((e - refs).min()))
+                    gap = float(np.minimum(gap, (e - refs).min()))
             checked = total
         else:
             rng = np.random.default_rng(1)
@@ -297,7 +298,7 @@ def verify_quadratization(
             terms = _flip_terms(result)
             for lo in range(0, m, VERIFY_CHUNK):
                 joint = result.lift(sample_bits[lo:lo + VERIFY_CHUNK])
-                gap = min(gap, _flip_gap(terms, joint, flip_at[lo:lo + VERIFY_CHUNK]))
+                gap = float(np.minimum(gap, _flip_gap(terms, joint, flip_at[lo:lo + VERIFY_CHUNK])))
             checked = m
     return VerificationReport(
         exhaustive=exhaustive,

@@ -290,6 +290,17 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, on_grid(lo, out=lo)
 
 
+def _aligned_copy(x: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of `x` (BLAS's fast layout for the class products)
+    whose data starts on a 64-byte boundary, so the kernel's speed does not
+    depend on where earlier allocations left the heap."""
+    buf = np.empty(x.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start:start + x.nbytes].view(x.dtype).reshape(x.shape)
+    out[...] = x
+    return out
+
+
 class _Compiled:
     """Dense symmetric form of a quadratic problem in Boolean space."""
 
@@ -321,7 +332,7 @@ class _Compiled:
         self.inverse = np.argsort(self.order)
         hi, lo = _exact_split(np.vstack([self.Q[self.order], self.c])[:, self.order])
         ends = np.cumsum([len(cls) for cls in self.colors]).tolist()
-        self.blocks = [(slice(a, b), hi[:, a:b].copy(), lo[:, a:b].copy())  # C order: BLAS's fast layout here
+        self.blocks = [(slice(a, b), _aligned_copy(hi[:, a:b]), _aligned_copy(lo[:, a:b]))
                        for a, b in zip([0, *ends], ends)]
 
     # einsum, not BLAS @, on C-ordered rows: a fixed reduction order whatever the rows

@@ -219,6 +219,14 @@ class TestVerify:
         assert report.max_discrepancy > report.tolerance
         assert not report.ok
 
+    @pytest.mark.parametrize("budget", [20, 0], ids=["exhaustive", "sampled"])
+    def test_overflowing_energies_fail_as_nan(self, budget):
+        # 2e308 overflows on both sides: inf - inf is NaN, and the report must keep it
+        hubo = build_poly({(0, 1, 2): 1e308, (0, 1, 3): 1e308}, 4)
+        with np.errstate(all="ignore"):
+            report = verify_quadratization(hubo, quadratize(hubo, "fixed:1"), budget=budget)
+        assert np.isnan(report.max_discrepancy) and not report.ok
+
     def test_lift_residual_is_the_size_of_the_fault(self):
         hubo = build_poly({(0, 1, 2): 1.0, (1, 2, 3): -2.0, (0, 3): 0.5}, 4, offset=1.5)
         res = quadratize(hubo)

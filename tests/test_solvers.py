@@ -148,6 +148,12 @@ class TestExactSplit:
         for cls, hi, lo in comp.blocks:
             assert np.array_equal(hi + lo, augmented[:, comp.order[cls]])
 
+    def test_blocks_are_c_ordered_on_64_byte_boundaries(self):
+        comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
+        for _, hi, lo in comp.blocks:
+            for part in (hi, lo):
+                assert part.flags.c_contiguous and part.ctypes.data % 64 == 0
+
 
 class TestColoring:
     def test_no_quadratic_terms_single_class(self):
