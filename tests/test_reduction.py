@@ -258,7 +258,7 @@ class TestVerify:
         assert verify_quadratization(hubo, res, budget=14) == whole
 
     def test_sampled_scans_stay_in_bounded_memory(self, cli_reduction):
-        # the whole-table check peaked at 54 MB here; the chunked one near 19 MB
+        # on this problem the whole-table check peaks at 54 MB under tracemalloc, the chunked one near 19 MB
         hubo, res = cli_reduction
         tracemalloc.start()
         try:
