@@ -192,14 +192,7 @@ def cmd_reduce(args) -> int:
     out_doc["aux_map"] = result.aux_map_doc()
     out_doc["original_num_vars"] = problem.num_vars
     out_doc["alpha"] = result.alpha
-    out_doc["verification"] = {
-        "exhaustive": report.exhaustive,
-        "checked": report.checked,
-        "max_discrepancy": report.max_discrepancy,
-        "min_inconsistency_gap": report.min_inconsistency_gap,
-    }
-    if not report.exhaustive:  # the proof covers the assignments the scans did not check
-        out_doc["verification"]["lift_residual"] = report.lift_residual
+    out_doc["verification"] = dataclasses.asdict(report)
     _write_json(args.out, out_doc, manifest)
     print(f"aux={len(result.aux_map)} alpha={result.alpha} "
           f"discrepancy={report.max_discrepancy:.3g} gap={report.min_inconsistency_gap:.6g}")

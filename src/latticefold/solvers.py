@@ -5,10 +5,10 @@ SA and PT share one Metropolis kernel over a block of rows (restarts or
 replicas).  Every uniform is a pure function of (master seed, role,
 restart/replica, sweep, variable).  `[Q; c]` is split onto two power-of-two
 grids (`_exact_split`): a colour class's fields are two exact products, and
-each row carries its energy as an exact pair that never drifts.  Reported
-energies are `einsum`s with a fixed per-row order.  So no row depends on
-the rows sharing its block or on the BLAS: SA results are bit-identical
-however restarts are split into blocks or spread over `jobs` processes.
+each row carries its energy as an exact pair that never drifts; a reported
+energy is offset + E_hi + E_lo.  So no row depends on the rows sharing its
+block or on the BLAS: SA results are bit-identical however restarts are
+split into blocks or spread over `jobs` processes.
 """
 
 from __future__ import annotations
@@ -269,17 +269,20 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Oishi & Rump, Numer. Algorithms 59, 2012).
 
     hi lies on one power-of-two grid g = 2^(e - 52), 2 * sum|a| < 2^e, and lo
-    on the grid chosen the same way for a - hi.  A sum of entries of one part,
-    each taken at most twice, is a multiple of its grid below 2^53 grid steps,
-    so it is exact in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
-    2008): `bits @ hi`, `bits @ lo` and energies summed from them have the same
-    bits under any BLAS, row count or order.  |r| <= a.size * sum|a| * 2^-102.
+    on the grid chosen the same way for a - hi.  No grid is below 2^-1074, the
+    least subnormal, of which every float64 is a multiple: the parts of tiny
+    entries are exact, not divided by a grid that underflowed to 0.  A sum of
+    entries of one part, each taken at most twice, is a multiple of its grid
+    below 2^53 grid steps, so it is exact in any order (Rump, Ogita & Oishi,
+    SIAM J. Sci. Comput. 31, 2008): `bits @ hi`, `bits @ lo` and energies
+    summed from them have the same bits under any BLAS, row count or order.
+    |r| <= a.size * sum|a| * 2^-102.
     Each part is rounded and scaled in place, so no step makes a full-size
     temporary beyond |x|.
     """
     def on_grid(x, out=None):
         _, e = np.frexp(2.0 * np.abs(x).sum())
-        grid = np.ldexp(1.0, e - 52)
+        grid = np.ldexp(1.0, max(int(e) - 52, -1074))
         out = np.divide(x, grid, out=out)
         np.rint(out, out=out)
         out *= grid
@@ -302,7 +305,8 @@ def _aligned_copy(x: np.ndarray) -> np.ndarray:
 
 
 class _Compiled:
-    """Dense symmetric form of a quadratic problem in Boolean space."""
+    """A quadratic problem in Boolean space in the kernel's layout: the exact
+    split of its `[Q; c]`, one block of columns per colour class."""
 
     def __init__(self, problem):
         if not isinstance(problem, PolynomialObjective):
@@ -316,29 +320,24 @@ class _Compiled:
         n = qubo.num_vars
         self.n = n
         self.offset = qubo.offset
-        # one cell per term, a field (i,) on the diagonal: the keys are unique, so
-        # no cell sums two terms
-        cells = np.array([(key[0], key[-1]) for key in qubo.terms], dtype=np.int64).reshape(-1, 2)
-        upper = np.zeros((n, n))
-        upper[cells[:, 0], cells[:, 1]] = np.fromiter(qubo.terms.values(), np.float64, len(cells))
-        self.c = upper.diagonal().copy()
-        np.fill_diagonal(upper, 0.0)
-        self.Q = upper + upper.T
-        del upper
         self.colors = color_graph(qubo).classes
         # kernel layout: state column k is variable order[k], so a colour class
         # is a slice, then a constant 1 for c; per class, its columns of the split [Q; c]
         self.order = np.concatenate([np.zeros(0, dtype=np.int64), *self.colors])
         self.inverse = np.argsort(self.order)
-        hi, lo = _exact_split(np.vstack([self.Q[self.order], self.c])[:, self.order])
+        # [Q; c] in kernel order: a coupling in its two cells, a field (i,) in the c
+        # row; the keys are unique, so no cell sums two terms
+        cells = np.array([(key[0], key[-1]) for key in qubo.terms], dtype=np.int64).reshape(-1, 2)
+        i, j = self.inverse[cells].T
+        coeffs = np.fromiter(qubo.terms.values(), np.float64, len(i))
+        qc = np.zeros((n + 1, n))
+        qc[np.where(i == j, n, i), j] = coeffs
+        qc[j[i != j], i[i != j]] = coeffs[i != j]
+        hi, lo = _exact_split(qc)
+        del qc
         ends = np.cumsum([len(cls) for cls in self.colors]).tolist()
         self.blocks = [(slice(a, b), _aligned_copy(hi[:, a:b]), _aligned_copy(lo[:, a:b]))
                        for a, b in zip([0, *ends], ends)]
-
-    # einsum, not BLAS @, on C-ordered rows: a fixed reduction order whatever the rows
-    def energies(self, bits: np.ndarray) -> np.ndarray:
-        b = bits.astype(np.float64, order="C")
-        return self.offset + np.einsum("ri,i->r", b, self.c) + 0.5 * np.einsum("ri,ij,rj->r", b, self.Q, b)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +357,16 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key: int):
     if not n:
         return np.ones(len(rows))
     states = -(-100 // n)
-    bits = counter_uniforms(key, rows[:, None, None], np.arange(states)[:, None], np.arange(n)) < 0.5
-    bits = bits.reshape(-1, n).astype(np.float64)
-    # flipping i changes the energy by (1 - 2 b_i)(c_i + (b Q)_i), as Q's diagonal
-    # is 0; einsum, not BLAS @: a fixed order per row, whatever the block
-    samples = ((1.0 - 2.0 * bits) * (comp.c + np.einsum("rn,nm->rm", bits, comp.Q))).reshape(len(rows), -1)
+    # in the kernel's layout, as `_metropolis` holds a state: a class's fields are
+    # the exact products `state @ hi` and `state @ lo`, and only their sum rounds
+    state = np.ones((len(rows) * states, n + 1))
+    state[:, :n] = (counter_uniforms(key, rows[:, None, None], np.arange(states)[:, None], comp.order)
+                    < 0.5).reshape(-1, n)
+    # flipping i changes the energy by (1 - 2 b_i)(c_i + (b Q)_i), as Q's diagonal is 0
+    samples = np.empty((len(state), n))
+    for cls, hi, lo in comp.blocks:
+        samples[:, cls] = (1.0 - 2.0 * state[:, cls]) * (state @ hi + state @ lo)
+    samples = samples[:, comp.inverse].reshape(len(rows), -1)  # per row, in variable order
     mean = samples.mean(axis=1)
     std = samples.std(axis=1, ddof=1)
     chi = (samples <= 0.0).mean(axis=1)
@@ -434,9 +438,7 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
         best[improved] = pair[improved]
         best_state[improved] = state[improved, :n]
         best_sweep[improved] = sweep
-    best_bits = best_state[:, comp.inverse]
-    # report the unsplit coefficients' energies; the pair omits the split's residual
-    return best_bits.astype(np.uint8), comp.energies(best_bits), best_sweep
+    return best_state[:, comp.inverse].astype(np.uint8), comp.offset + best.sum(axis=1), best_sweep
 
 
 # a block's kernel state and uniform table hold about this many float64 cells each (8 MB)
@@ -502,8 +504,9 @@ class PtResult:
 def _problem_fingerprint(comp: _Compiled) -> str:
     h = hashlib.sha256()
     h.update(np.int64(comp.n).tobytes())
-    h.update(np.round(comp.c, 12).tobytes())
-    h.update(np.round(comp.Q, 12).tobytes())
+    for _, *parts in comp.blocks:
+        for part in parts:
+            h.update(part.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -526,6 +529,7 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     trajectory = np.zeros((cfg.sweeps, m), dtype=np.float32)
     measure_from = cfg.sweeps - cfg.measure_sweeps
     measure_states = np.zeros((cfg.measure_sweeps, n), dtype=np.uint8)
+    measure_energies = np.zeros(cfg.measure_sweeps)
 
     keys = (stable_seed(cfg.seed, "pt-init"), stable_seed(cfg.seed, "pt-accept"))
     kernel = _metropolis(comp, keys, rows, cfg.sweeps, ladder, 1.0)
@@ -542,23 +546,21 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
         for arr in (state, pair):
             arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
 
-        trajectory[sweep] = comp.offset + pair.sum(axis=1)
+        energies = comp.offset + pair.sum(axis=1)
+        trajectory[sweep] = energies
         gaps = (pair - pair[0]).sum(axis=1)  # the sweep's lowest row: first within TIE_TOL of its min
         row = int(np.argmax(gaps <= gaps.min() + TIE_TOL))
         if (pair[row] - best).sum() < -TIE_TOL:  # the rule `_sa_rows` keeps its best by
             best, best_state = pair[row].copy(), state[row, :n].copy()
         if sweep >= measure_from:
             measure_states[sweep - measure_from] = state[0, :n]
+            measure_energies[sweep - measure_from] = energies[0]
 
     wall = time.perf_counter() - start
-    measure_states = measure_states[:, comp.inverse]
-    best_bits = best_state[comp.inverse]
-    measure_energies = comp.energies(measure_states)
-    best_e = float(comp.energies(best_bits[None, :])[0])
     ss = SampleSet(
         space=comp.space,
-        bits=np.vstack([measure_states, best_bits[None, :]]).astype(np.uint8),
-        energies=np.concatenate([measure_energies, [best_e]]),
+        bits=np.vstack([measure_states[:, comp.inverse], best_state[None, comp.inverse]]).astype(np.uint8),
+        energies=np.append(measure_energies, comp.offset + best.sum()),
         replicas=np.concatenate([np.zeros(cfg.measure_sweeps, dtype=np.int64), [-1]]),
         sweeps=np.concatenate([np.arange(measure_from, cfg.sweeps), [cfg.sweeps]]),
         run_seconds=wall,

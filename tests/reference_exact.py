@@ -19,7 +19,10 @@ field array that every colour class updates with a BLAS product, and a
 float64 energy that it re-evaluates every FULL_REEVAL_FLIPS proposals,
 failing on a drift above its tolerance; the package's kernel computes each
 class's fields from the bits, carries an exact energy pair
-(`pair_energies`), and must visit the same states.  `exact_split` makes a
+(`pair_energies`), and must visit the same states.  `dense_form` builds the
+dense Q and c that `_Compiled` held before it built its split straight from
+the term cells, `kernel_matrix` the `[Q; c]` it split, and `dense_energies`
+the einsum evaluator it reported energies with.  `exact_split` makes a
 new array at each step where the package's split rounds and scales in
 place; the parts must be equal bit for bit.  `verify_quadratization` holds
 all rows of both sampled scans at once and takes a flip's cost as the
@@ -33,6 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
+from latticefold import core
 from latticefold.core import (
     BOOLEAN,
     ISING,
@@ -307,21 +311,48 @@ def brute_force(obj, tie_tol=1e-9, chunk=1 << 18):
     return best, assignments
 
 
-def metropolis(comp, keys, rows, sweeps, temps, cooling):
+def dense_form(problem):
+    """(Q, c) of a quadratic problem in Boolean space: Q dense and symmetric
+    with a zero diagonal, c its fields, filled from one cell per term."""
+    qubo = core.ising_to_qubo(problem) if problem.space == ISING else problem
+    n = qubo.num_vars
+    cells = np.array([(key[0], key[-1]) for key in qubo.terms], dtype=np.int64).reshape(-1, 2)
+    upper = np.zeros((n, n))
+    upper[cells[:, 0], cells[:, 1]] = np.fromiter(qubo.terms.values(), np.float64, len(cells))
+    c = upper.diagonal().copy()
+    np.fill_diagonal(upper, 0.0)
+    return upper + upper.T, c
+
+
+def kernel_matrix(comp, Q, c):
+    """`[Q; c]` in the kernel's order, rows and columns permuted by
+    `comp.order`, c the last row: the matrix `_Compiled` used to split."""
+    return np.vstack([Q[comp.order], c])[:, comp.order]
+
+
+def dense_energies(offset, Q, c, bits):
+    """offset + c.x + x Q x / 2 per row, as einsums with a fixed order per row."""
+    b = bits.astype(np.float64, order="C")
+    return offset + np.einsum("ri,i->r", b, c) + 0.5 * np.einsum("ri,ij,rj->r", b, Q, b)
+
+
+def metropolis(comp, dense, keys, rows, sweeps, temps, cooling):
     """Yields `(sweep, bits, fields, energies)` for the random initial state
-    (as sweep 0), then after each sweep; bits are in variable order."""
+    (as sweep 0), then after each sweep; bits are in variable order, and
+    `dense` is the `dense_form` of comp's problem."""
     key_init, key_prop = keys
     n = comp.n
+    Q, c = dense
     flip_rounding = (
         0.5 * np.finfo(np.float64).eps * len(comp.colors) / max(n, 1)
-        * (abs(comp.offset) + np.abs(comp.c).sum() + np.abs(np.triu(comp.Q)).sum())
+        * (abs(comp.offset) + np.abs(c).sum() + np.abs(np.triu(Q)).sum())
     )
     bits = (counter_uniforms(key_init, rows[:, None], np.arange(n)[None, :]) < 0.5).astype(np.int8)
-    fields = comp.c + np.einsum("rn,nm->rm", bits.astype(np.float64), comp.Q)
-    energies = comp.energies(bits)
+    fields = c + np.einsum("rn,nm->rm", bits.astype(np.float64), Q)
+    energies = dense_energies(comp.offset, Q, c, bits)
     yield 0, bits, fields, energies
 
-    q_classes = [comp.Q[cls, :] for cls in comp.colors]
+    q_classes = [Q[cls, :] for cls in comp.colors]
     row_state = _counter_state(key_prop, rows[:, None])
     flips_since_reeval = 0
     for sweep in range(sweeps):
@@ -341,7 +372,7 @@ def metropolis(comp, keys, rows, sweeps, temps, cooling):
             temps = temps * cooling ** len(cls)
             flips_since_reeval += len(cls)
         if flips_since_reeval >= FULL_REEVAL_FLIPS:
-            exact = comp.energies(bits)
+            exact = dense_energies(comp.offset, Q, c, bits)
             drift = np.abs(exact - energies).max()
             tol = DRIFT_TOL + flips_since_reeval * flip_rounding
             if drift > tol:

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline: file interchange, exit codes, reproducibility."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import latticefold
 from latticefold.cli import main
 from latticefold.core import PolynomialObjective, load_problem
-from latticefold.reduction import QuadratizationResult, quadratize
+from latticefold.reduction import QuadratizationResult, VerificationReport, quadratize
 from latticefold.solvers import color_graph
 
 
@@ -117,11 +118,14 @@ class TestReduce:
         # sampled scans: the lift proof covers the other assignments, up to rounding
         assert verification["checked"] == 100_000 and 0.0 <= verification["lift_residual"] < 1e-5
 
-    def test_exhaustive_check_writes_no_lift_residual(self, workdir):
+    def test_exhaustive_check_writes_the_whole_report(self, workdir):
         assert run(["encode", "turn-tet", "--seq", "LKKLKK", "--interaction", "mj", "--out", "tt.json"]) == 0
         assert run(["reduce", "tt.json", "--alpha", "worst_case", "--out", "ttq.json"]) == 0
         verification = json.loads((workdir / "ttq.json").read_text())["verification"]
-        assert verification["exhaustive"] and "lift_residual" not in verification
+        assert list(verification) == [f.name for f in dataclasses.fields(VerificationReport)]
+        assert verification["exhaustive"] and verification["checked"] > 0
+        assert 0.0 <= verification["lift_residual"] <= verification["tolerance"]
+        assert verification["max_discrepancy"] <= verification["tolerance"]
 
     def test_dropped_qubo_term_still_fails(self, workdir, monkeypatch):
         import latticefold.cli as cli

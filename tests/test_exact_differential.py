@@ -6,7 +6,8 @@ every output must be identical, down to the dict order of the QUBO terms and
 the repr of the minimum energy.  The Metropolis kernel against the
 incremental-field kernel it replaced: the same state after every sweep, and
 an energy pair equal to the one recomputed from the state.  The in-place
-exact split against the allocating one: equal parts bit for bit.  The
+exact split against the allocating one, and the split built from the term
+cells against the split of the dense `[Q; c]`: equal parts bit for bit.  The
 chunked reduction check against the whole-table one: the same rows, count
 and discrepancy, and a gap within rounding."""
 
@@ -415,7 +416,8 @@ def test_metropolis_visits_the_reference_kernels_states(solver):
     # SA: 432 restarts, cooling 0.9998 from Atiqullah start temperatures; PT:
     # the 400-temperature ladder.  60 sweeps pass one exact re-evaluation of
     # the reference kernel.
-    comp = _Compiled(encode("coord-tet", "LKDFSAW", get_model("mj")).objective)
+    obj = encode("coord-tet", "LKDFSAW", get_model("mj")).objective
+    comp = _Compiled(obj)
     if solver == "sa":
         rows = np.arange(432, dtype=np.int64)
         temps = _atiqullah_t0(comp, rows, stable_seed(11, "sa-probe"))
@@ -426,7 +428,7 @@ def test_metropolis_visits_the_reference_kernels_states(solver):
         cooling = 1.0
     keys = (stable_seed(11, f"{solver}-init"), stable_seed(11, f"{solver}-accept"))
     new = _metropolis(comp, keys, rows, 60, temps, cooling)
-    old = ref.metropolis(comp, keys, rows, 60, temps, cooling)
+    old = ref.metropolis(comp, ref.dense_form(obj), keys, rows, 60, temps, cooling)
     for (sweep, state, pair), (ref_sweep, bits, _, e_old) in zip(new, old, strict=True):
         assert sweep == ref_sweep
         assert np.array_equal(state[:, comp.inverse], bits)
@@ -462,12 +464,20 @@ def assert_same_split(a):
 
 @pytest.mark.parametrize("problem", ["coord-tet-LKDFSAW", "cli-embedded"])
 def test_exact_split_identical_on_solver_inputs(problem):
+    """The blocks split from `[Q; c]` filled straight from the term cells in
+    kernel order equal, column for column, the split of the dense `[Q; c]`
+    permuted into kernel order, on both bench problems."""
     if problem == "cli-embedded":
-        comp = _Compiled(cli_embedded_problem())
-        assert comp.n == 594
+        obj = cli_embedded_problem()
     else:
-        comp = _Compiled(encode("coord-tet", "LKDFSAW", get_model("mj")).objective)
-    assert_same_split(np.vstack([comp.Q[comp.order], comp.c])[:, comp.order])
+        obj = encode("coord-tet", "LKDFSAW", get_model("mj")).objective
+    comp = _Compiled(obj)
+    assert comp.n == (594 if problem == "cli-embedded" else 189)
+    dense = ref.kernel_matrix(comp, *ref.dense_form(obj))
+    assert_same_split(dense)
+    ref_hi, ref_lo = ref.exact_split(dense)
+    for cls, hi, lo in comp.blocks:
+        assert hi.tobytes() == ref_hi[:, cls].tobytes() and lo.tobytes() == ref_lo[:, cls].tobytes()
 
 
 @settings(max_examples=100, deadline=None)

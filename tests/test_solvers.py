@@ -1,11 +1,13 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefold import solvers
+from latticefold import core, solvers
 from latticefold.core import InputError, IsingProblem, TermAccumulator, qubo_to_ising
 from latticefold.encoders import encode, hp_model, mj_model, optimal_fold_energy
 from latticefold.reduction import quadratize
@@ -143,10 +145,34 @@ class TestExactSplit:
             assert np.all(np.abs(want[r] - exact) <= np.spacing(np.abs(want[r])) + residual)
 
     def test_split_drops_nothing_on_the_bench_problem(self):
-        comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
-        augmented = np.vstack([comp.Q[comp.order], comp.c])
+        obj = encode("coord-tet", "LKDFSAW", mj_model()).objective
+        comp = _Compiled(obj)
+        augmented = ref.kernel_matrix(comp, *ref.dense_form(obj))
         for cls, hi, lo in comp.blocks:
-            assert np.array_equal(hi + lo, augmented[:, comp.order[cls]])
+            assert np.array_equal(hi + lo, augmented[:, cls])
+
+    @pytest.mark.parametrize("a", [[[1e-300], [-3e-300]], [[5e-324, -5e-324], [0.0, 2.5e-310]]],
+                             ids=["normal", "subnormal"])
+    def test_tiny_entries_split_exactly(self, a):
+        # below sum |a| ~ 1e-292 the lo grid 2^(e - 52) would underflow to 0
+        a = np.array(a)
+        with np.errstate(all="raise"):
+            hi, lo = _exact_split(a)
+        assert np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))
+        assert np.array_equal(hi + lo, a)
+
+    def test_tiny_coefficients_solve_without_warnings(self, tmp_path, monkeypatch):
+        from latticefold.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        obj = build_poly({(0,): 1e-300, (1,): -3e-300}, 2)
+        (tmp_path / "p.json").write_text(json.dumps(obj.to_dict()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "p.json", "--solver", "sa", "--seed", "1", "--restarts", "8",
+                         "--sweeps", "20", "--out", "s.csv"]) == 0
+        ss = sample_set_from_csv(tmp_path / "s.csv")
+        assert np.array_equal(ss.energies, obj.evaluate_batch(ss.bits))
 
     def test_blocks_are_c_ordered_on_64_byte_boundaries(self):
         comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
@@ -288,7 +314,9 @@ class TestSimulatedAnnealing:
 
     def test_best_picks_ignore_last_bit_energy_changes(self, monkeypatch):
         # energy pairs that differ by a jitter of 1e-12, far below TIE_TOL,
-        # must not move a kept state or its sweep: ties keep the first
+        # must not move a kept state or its sweep: ties keep the first.  The
+        # energy is the kept pair's, so it moves by at most the jitter of
+        # its two parts and the rounding of their sum
         comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
         cfg = SaConfig(0.999, 100, 64, seed=3)
         rows = np.arange(cfg.restarts, dtype=np.int64)
@@ -301,8 +329,9 @@ class TestSimulatedAnnealing:
                 yield (*head, pair + 1e-12 * jitter.uniform(-1.0, 1.0, pair.shape))
 
         monkeypatch.setattr(solvers, "_metropolis", jittered)
-        for got, expected in zip(_sa_rows(comp, cfg, rows), want):
-            assert np.array_equal(got, expected)
+        bits, energies, sweeps = _sa_rows(comp, cfg, rows)
+        assert bits.tobytes() == want[0].tobytes() and sweeps.tobytes() == want[2].tobytes()
+        assert np.all(np.abs(energies - want[1]) <= 2e-12 + 4 * np.spacing(np.abs(want[1])))
 
     def test_best_pick_resolves_a_gap_below_the_rounding_of_large_coefficients(self, monkeypatch):
         # sum |coefficient| ~ 1e10 and two low states 1e-3 apart: 01 (-1.001)
@@ -327,17 +356,6 @@ class TestSimulatedAnnealing:
         assert bits.tolist() == [[0, 1]] * len(rows)
         assert energies.tolist() == [-1.001] * len(rows)
 
-    def test_energies_independent_of_row_layout(self):
-        # einsum's summation order follows the strides: a Fortran-ordered or
-        # column-sliced copy of the rows must still give the same bytes
-        comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
-        rows = np.random.default_rng(3).integers(0, 2, size=(200, comp.n), dtype=np.int8)
-        copies = [np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2],
-                  np.concatenate([rows, rows], axis=1)[:, comp.n:]]
-        for copy in copies:
-            assert np.array_equal(copy, rows)
-            assert comp.energies(copy).tobytes() == comp.energies(rows).tobytes()
-
     def test_reaches_ground_on_coordinate_model(self):
         hp = hp_model()
         m = encode("coord-tet", "HHHHHH", hp, L=3)
@@ -349,6 +367,26 @@ class TestSimulatedAnnealing:
         hubo = build_poly({(0, 1, 2): 1.0}, 3)
         with pytest.raises(InputError):
             simulated_annealing(hubo, SaConfig(0.9, 10, 2, seed=1))
+
+    @pytest.mark.parametrize("problem", ["boolean", "ising"])
+    def test_energies_are_the_exact_pair(self, problem):
+        # each reported energy is offset + E_hi + E_lo of its state, and lies
+        # within the rounding of evaluate_batch and of that sum
+        obj = encode("coord-tet", "LKDFSAW", mj_model()).objective
+        if problem == "ising":
+            obj = qubo_to_ising(obj)
+        comp = _Compiled(obj)
+        qubo = obj if problem == "boolean" else core.ising_to_qubo(obj)
+        sa = simulated_annealing(obj, SaConfig(0.999, 40, 24, seed=9))
+        pt = parallel_tempering(obj, PtConfig(num_temps=12, t_max=1e3, sweeps=40, measure_sweeps=15, seed=9))
+        bound = core.rounding_gamma(len(qubo.terms) + 3) * (
+            abs(qubo.offset) + sum(abs(c) for c in qubo.terms.values()))
+        for ss in (sa, pt.sample_set):
+            state = np.ones((len(ss.bits), comp.n + 1))
+            state[:, :comp.n] = ss.bits[:, comp.order]
+            pair = ref.pair_energies(comp, state)
+            assert ss.energies.tobytes() == (comp.offset + pair.sum(axis=1)).tobytes()
+            assert np.all(np.abs(ss.energies - qubo.evaluate_batch(ss.bits)) <= bound)
 
     def test_sample_energies_match_evaluate(self, rng):
         obj = random_qubo(rng, 15)
