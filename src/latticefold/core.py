@@ -83,79 +83,39 @@ def poly_add(dst: dict[tuple[int, ...], float], src: dict[tuple[int, ...], float
         dst[key] = dst.get(key, 0.0) + coeff * scale
 
 
-# products of at least this many coefficient pairs (the product of the factor
-# lengths) run on bit masks.  The mask path costs ~90 us more per call and
-# overtakes the dict loop at ~128 pairs (2-CPU Xeon, numpy 2.4); the margin
-# keeps the small products of the turn-tet encoder on the dict loop.
-MASK_PRODUCT_PAIRS = 256
-# variables a uint64 mask holds; bit 63 stays clear, so every mask is also a
-# non-negative int64
-MASK_BITS = 63
-
-
 def poly_product(polys) -> dict[tuple[int, ...], float]:
     """Product of linear-combination dicts {index-tuple: coeff}, idempotent.
 
     Keys come out sorted and duplicate-free, in the order in which the loop
     over (running product term, factor term) pairs first meets them; each
     coefficient is 0.0 plus that key's pair products, added in loop order.
-    Large products run on bit masks (`_mask_product`), with the same keys,
-    order and float sums.
+    The loop keys each monomial by an int whose bit v is variable v, so a
+    pair's key is one OR; indices must be non-negative.
     """
-    polys = list(polys)
-    if math.prod(len(p) for p in polys) >= MASK_PRODUCT_PAIRS:
-        labels = sorted({v for p in polys for k in p for v in k})
-        if len(labels) <= MASK_BITS:
-            return _mask_product(polys, labels)
-    out: dict[tuple[int, ...], float] = {(): 1.0}
+    out: dict[int, float] = {0: 1.0}
     for poly in polys:
-        nxt: dict[tuple[int, ...], float] = {}
-        for k1, c1 in out.items():
-            for k2, c2 in poly.items():
-                key = tuple(sorted(set(k1) | set(k2)))
-                nxt[key] = nxt.get(key, 0.0) + c1 * c2
+        factor = []
+        for key, c in poly.items():
+            mask = 0
+            for v in key:
+                mask |= 1 << v
+            factor.append((mask, c))
+        nxt: dict[int, float] = {}
+        get = nxt.get
+        for m1, c1 in out.items():
+            for m2, c2 in factor:
+                m = m1 | m2
+                nxt[m] = get(m, 0.0) + c1 * c2
         out = nxt
-    return out
-
-
-def _mask_product(polys, labels: list[int]) -> dict[tuple[int, ...], float]:
-    """`poly_product` with each monomial a uint64 mask over `labels`.
-
-    Per factor: the outer OR of the masks and the outer product of the
-    coefficients, both raveled in C order (the dict loop's pair order).
-    An unstable argsort groups equal keys, whose least position is their first
-    index in that order; `np.add.at`, unbuffered and in index order, adds each
-    key's products to 0.0 in that order too.  Sorting the keys by first index
-    restores the dict's insertion order.
-    """
-    local = {v: i for i, v in enumerate(labels)}
-    masks = np.zeros(1, dtype=np.uint64)
-    coeffs = np.ones(1)
-    for poly in polys:
-        pm = np.array([sum(1 << local[v] for v in set(k)) for k in poly], dtype=np.uint64)
-        pc = np.fromiter(poly.values(), dtype=np.float64, count=len(poly))
-        ored = np.bitwise_or.outer(masks, pm).ravel()
-        perm = np.argsort(ored)
-        ranked = ored[perm]
-        new_key = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-        starts = np.flatnonzero(new_key)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.cumsum(new_key) - 1
-        sums = np.zeros(len(starts))
-        np.add.at(sums, inverse, np.multiply.outer(coeffs, pc).ravel())
-        order = np.argsort(np.minimum.reduceat(perm, starts))
-        masks, coeffs = ranked[starts][order], sums[order]
-    # mask -> index tuple: bit i (column i) is labels[i], so each row's set
-    # bits, read in ascending order, are its sorted variables
-    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    flat = np.asarray(labels)[np.nonzero(bits)[1]].tolist()
-    ends = np.cumsum(bits.sum(axis=1)).tolist()
-    out = {}
-    start = 0
-    for end, c in zip(ends, coeffs.tolist()):
-        out[tuple(flat[start:end])] = c
-        start = end
-    return out
+    result = {}
+    for mask, c in out.items():
+        key = []  # the set bits, lowest first
+        while mask:
+            low = mask & -mask
+            key.append(low.bit_length() - 1)
+            mask ^= low
+        result[tuple(key)] = c
+    return result
 
 
 def rounding_gamma(k: int) -> float:
@@ -384,22 +344,23 @@ def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
 def problem_from_dict(doc: dict):
     """Load a problem from its JSON dict; returns the matching problem type.
 
-    One pass over the document terms: each term's vars are read with int and
-    its coeff with float, and a term adds to the sum of its sorted,
-    duplicate-free key in document order.  An exact-zero coeff adds nothing,
-    an empty key adds to offset, and a sum that cancels to 0.0 is dropped.
+    One pass over the document terms: num_vars must be a JSON integer (not a
+    boolean) and each term's vars a list of them, each coeff is read with
+    float, and a term adds to the sum of its sorted, duplicate-free key in
+    document order.  An exact-zero coeff adds nothing, an empty key adds to
+    offset, and a sum that cancels to 0.0 is dropped.
     Any malformed document raises InputError.
     """
     try:
-        num_vars = int(doc["num_vars"])
+        num_vars = doc["num_vars"]
         offset = float(doc.get("offset", 0.0))
         space = doc.get("space", BOOLEAN)
         raw_terms = doc.get("terms", [])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
-    if num_vars < 0 or not np.isfinite(offset) or space not in (BOOLEAN, ISING):
+    if type(num_vars) is not int or num_vars < 0 or not np.isfinite(offset) or space not in (BOOLEAN, ISING):
         raise InputError(
-            f"malformed problem document: num_vars={num_vars}, offset={offset}, space={space!r}"
+            f"malformed problem document: num_vars={num_vars!r}, offset={offset}, space={space!r}"
         )
     if not isinstance(raw_terms, list):
         raise InputError("problem terms must be a list")
@@ -409,7 +370,9 @@ def problem_from_dict(doc: dict):
     arity_error = None
     for i, t in enumerate(raw_terms):
         try:
-            vars_ = list(map(int, t["vars"]))
+            vars_ = t["vars"]
+            if type(vars_) is not list or not all(type(v) is int for v in vars_):
+                raise TypeError(f"variables {vars_!r} are not a list of integers")
             coeff = float(t["coeff"])
         except KeyError as exc:
             raise InputError(f"problem term {i} has no {exc} key") from exc

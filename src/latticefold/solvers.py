@@ -203,8 +203,8 @@ def sample_set_from_csv(path) -> SampleSet:
             raise InputError(f"{where}: assignment {bs!r} is not a string of 0s and 1s")
         if bits and len(bs) != len(bits[0]):
             raise InputError(f"{where}: assignment has {len(bs)} bits, earlier rows have {len(bits[0])}")
+        energies.append(finite_float(e, f"{where}: energy"))
         try:
-            energies.append(float(e))
             replicas.append(int(rep))
             sweeps.append(int(sw))
         except ValueError as exc:

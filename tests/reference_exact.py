@@ -194,7 +194,9 @@ def problem_terms(raw_terms, num_vars):
     terms = []
     for i, t in enumerate(raw_terms):
         try:
-            vars_ = [int(v) for v in t["vars"]]
+            vars_ = t["vars"]
+            if not (isinstance(vars_, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in vars_)):
+                raise TypeError(f"variables {vars_!r} are not a list of integers")
             coeff = float(t["coeff"])
         except KeyError as exc:
             raise InputError(f"problem term {i} has no {exc} key") from exc
@@ -213,15 +215,16 @@ def problem_from_dict(doc):
     summed through `TermAccumulator.add`.  A sum that overflows, of a term or
     of the offset, is named by the constructor's check, as in the package."""
     try:
-        num_vars = int(doc["num_vars"])
+        num_vars = doc["num_vars"]
         offset = float(doc.get("offset", 0.0))
         space = doc.get("space", BOOLEAN)
         raw_terms = doc.get("terms", [])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
-    if num_vars < 0 or not np.isfinite(offset) or space not in (BOOLEAN, ISING):
+    if (not isinstance(num_vars, int) or isinstance(num_vars, bool) or num_vars < 0
+            or not np.isfinite(offset) or space not in (BOOLEAN, ISING)):
         raise InputError(
-            f"malformed problem document: num_vars={num_vars}, offset={offset}, space={space!r}"
+            f"malformed problem document: num_vars={num_vars!r}, offset={offset}, space={space!r}"
         )
     acc = TermAccumulator()
     acc.offset = offset

@@ -230,6 +230,10 @@ class TestMalformedInput:
         ({"vars": [0, 1], "coeff": float("nan")}, "not finite"),
         ({"vars": [0, 1]}, "no 'coeff' key"),
         ({"coeff": 1.0}, "no 'vars' key"),
+        ({"vars": [0.9, 1.7], "coeff": -1.0}, "variables [0.9, 1.7] are not a list of integers"),
+        ({"vars": ["1"], "coeff": 1.0}, "variables ['1'] are not a list of integers"),
+        ({"vars": [True], "coeff": 1.0}, "variables [True] are not a list of integers"),
+        ({"vars": "", "coeff": 1.0}, "variables '' are not a list of integers"),
     ])
     def test_bad_problem_term_exits_2(self, workdir, capsys, space, term, message):
         (workdir / "bad.json").write_text(json.dumps({
@@ -391,12 +395,17 @@ class TestMalformedInput:
          "--len must be at least 2, the shortest chain a model encodes, got 0"),
         (["gen-dataset", "--len", "1", "--seed", "1", "--out", "d.json"],
          "--len must be at least 2, the shortest chain a model encodes, got 1"),
+        (["solve", "fractional.json", "--solver", "brute", "--out", "b.csv"],
+         "malformed problem document: num_vars=2.9, offset=0.0, space='boolean'"),
+        (["solve", "true.json", "--solver", "brute", "--out", "b.csv"],
+         "malformed problem document: num_vars=True, offset=0.0, space='boolean'"),
     ], ids=["alpha-not-a-number", "alpha-nan", "alpha-inf",
             "penalty-not-a-number", "penalty-nan", "config-unknown-key", "lambda-global-not-a-number",
             "penalties-not-an-object", "sod-zero-bins", "tau-nan", "tau-inf", "penalty-unknown-name",
             "penalty-not-a-multiplier", "t0-nan", "t0-inf", "reference-energy-nan", "tol-nan",
             "chain-node-twice", "ising-repeated-spin", "ising-three-spins", "reduce-ising",
-            "sod-threshold-nan", "jobs-zero", "jobs-negative", "dataset-len-0", "dataset-len-1"])
+            "sod-threshold-nan", "jobs-zero", "jobs-negative", "dataset-len-0", "dataset-len-1",
+            "num-vars-fractional", "num-vars-boolean"])
     def test_bad_argument_exits_2(self, workdir, capsys, argv, message):
         problem = {
             "num_vars": 3, "offset": 0.0, "space": "boolean",
@@ -411,6 +420,8 @@ class TestMalformedInput:
             (workdir / f"{name}.json").write_text(json.dumps(doc))
         (workdir / "scaled.json").write_text(json.dumps({**problem, "penalties": {"lambda_global": "abc"}}))
         (workdir / "listed.json").write_text(json.dumps({**problem, "penalties": [20.0]}))
+        (workdir / "fractional.json").write_text(json.dumps({**problem, "num_vars": 2.9}))
+        (workdir / "true.json").write_text(json.dumps({**problem, "num_vars": True}))
         (workdir / "a.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
                                        "011,-1.0,0,3\n110,-2.0,0,4\n")
         (workdir / "conf.txt").write_text("restart = 6\n")
@@ -437,10 +448,16 @@ class TestMalformedInput:
         (["encode", "turn-tet", "--fasta", "bin.csv", "--out", "t.json"], "bin.csv is not a text file: "),
         (["embed", "p.json", "--embedding", "emb.json", "--hardware", "bin.csv", "--out", "e.json"],
          "bin.csv is not a text file: "),
-    ], ids=["problem-directory", "samples-not-utf8", "config-not-utf8", "fasta-not-utf8", "hardware-not-utf8"])
+        (["decode", "p.json", "nan.csv", "--out", "f.json"], "nan.csv line 3: energy 'nan' is not finite"),
+        (["analyze", "tts", "--samples", "inf.csv", "--reference-energy", "1", "--tau", "1", "--out", "t.csv"],
+         "inf.csv line 3: energy 'inf' is not finite"),
+    ], ids=["problem-directory", "samples-not-utf8", "config-not-utf8", "fasta-not-utf8", "hardware-not-utf8",
+            "samples-energy-nan", "samples-energy-inf"])
     def test_unreadable_input_exits_2(self, workdir, capsys, argv, message):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
         (workdir / "bin.csv").write_bytes(b"# manifest=-\nassignment,energy,replica,sweep\n\xff\xfe01,1.0,0,3\n")
+        for energy in ("nan", "inf"):
+            (workdir / f"{energy}.csv").write_text(f"# manifest=-\nassignment,energy,replica,sweep\n01,{energy},0,3\n")
         (workdir / "emb.json").write_text('{"0": [0]}')  # embed reads it before the hardware file
         assert input_error(argv, capsys).startswith(message)
         assert not (workdir / argv[-1]).exists()

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_encoders as ref
-from latticefold import core
 from latticefold.core import (
     BOOLEAN,
     ISING,
-    MASK_BITS,
-    MASK_PRODUCT_PAIRS,
     InputError,
     IsingProblem,
     PolynomialObjective,
@@ -82,14 +79,14 @@ COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -0.5, 2.0, -0.0]),
 
 @st.composite
 def product_factors(draw):
-    """Factor lists below and above MASK_PRODUCT_PAIRS, over a small or a
-    large variable pool (the large one gives products of more than
-    MASK_BITS variables); keys may be (), unsorted or repeat a variable."""
-    if draw(st.booleans()):  # at least MASK_PRODUCT_PAIRS pairs
+    """Short and long factor lists, over a small or a large variable pool
+    (the large one gives masks beyond 63 bits); keys may be (), unsorted or
+    repeat a variable."""
+    if draw(st.booleans()):  # at least 256 coefficient pairs
         lengths = draw(st.sampled_from([[32, 48], [40, 40], [11, 11, 11], [1, 36, 36]]))
     else:
         lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
-    pool = draw(st.sampled_from([6, 2 * MASK_BITS]))
+    pool = draw(st.sampled_from([6, 126]))
     key = st.lists(st.integers(0, pool - 1), max_size=3).map(tuple)
     return [draw(st.dictionaries(key, COEFFS, min_size=n, max_size=n)) for n in lengths]
 
@@ -117,9 +114,7 @@ class TestPolyProduct:
         assert list(got) == list(want)
         assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
 
-    @pytest.mark.parametrize("mask_pairs", [1, MASK_PRODUCT_PAIRS])
-    def test_cancelled_key_is_kept(self, monkeypatch, mask_pairs):
-        monkeypatch.setattr(core, "MASK_PRODUCT_PAIRS", mask_pairs)
+    def test_cancelled_key_is_kept(self):
         x, y = {(0,): 1.0, (1,): -1.0}, {(1,): 1.0, (0,): 1.0}
         got = poly_product([x, y])
         assert list(got.items()) == [((0, 1), 0.0), ((0,), 1.0), ((1,), -1.0)]

@@ -143,6 +143,8 @@ DOCUMENT_FAULTS = [
     ("vars", []), ("vars", [0, 0]), ("vars", [0, 1, 2]),  # faults in an ising document only
     ("num_vars", -1), ("num_vars", "x"), ("num_vars", _MISSING), ("offset", float("nan")),
     ("offset", "x"), ("space", "qubo"), ("terms", {"vars": [0]}),
+    ("vars", ["1"]), ("vars", [0.9]), ("vars", [True]), ("num_vars", 2.9), ("num_vars", True),
+    ("num_vars", "3"), ("vars", ""), ("vars", {}),
 ]
 
 
@@ -172,12 +174,12 @@ def with_fault(doc, i, where, value):
 @st.composite
 def problem_documents(draw):
     """Boolean and Ising documents as another writer could give them: vars
-    unsorted, repeated or as strings, keys repeated, zero coefficients, sums
-    that cancel or overflow, and integer coefficients; then up to two faults
-    from DOCUMENT_FAULTS."""
+    unsorted or repeated, keys repeated, zero coefficients, sums that cancel
+    or overflow, and integer coefficients; then up to two faults from
+    DOCUMENT_FAULTS (which hold vars as strings)."""
     space = draw(st.sampled_from(["boolean", "ising"]))
     n = draw(st.integers(1, 5))
-    var = st.one_of(st.integers(0, n - 1), st.integers(0, n - 1).map(str))
+    var = st.integers(0, n - 1)
     coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e308, -1e308]),
                       st.floats(-1e3, 1e3), st.integers(-3, 3))
     spins = st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)

@@ -552,7 +552,7 @@ class TestSampleSetCsv:
         ("0a1,1.0,1,0", "not a string of 0s and 1s"),
         ("011,1.0,1", "expected 4 fields"),
         ("011,1.0,1,0,7", "expected 4 fields"),
-        ("011,low,1,0", "could not convert"),
+        ("011,low,1,0", "energy 'low' is not a number"),
         ("011,1.0,one,0", "invalid literal"),
         ("011,1.0,1,0.5", "invalid literal"),
     ])
