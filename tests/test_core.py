@@ -114,10 +114,12 @@ class TestPolyProduct:
         assert list(got) == list(want)
         assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
 
-    def test_cancelled_key_is_kept(self):
-        x, y = {(0,): 1.0, (1,): -1.0}, {(1,): 1.0, (0,): 1.0}
+    # the second variable's index: 256 puts its bit past a machine word
+    @pytest.mark.parametrize("hi", [1, 256])
+    def test_cancelled_key_is_kept(self, hi):
+        x, y = {(0,): 1.0, (hi,): -1.0}, {(hi,): 1.0, (0,): 1.0}
         got = poly_product([x, y])
-        assert list(got.items()) == [((0, 1), 0.0), ((0,), 1.0), ((1,), -1.0)]
+        assert list(got.items()) == [((0, hi), 0.0), ((0,), 1.0), ((hi,), -1.0)]
 
 
 class TestInvariants:
