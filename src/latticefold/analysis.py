@@ -34,11 +34,6 @@ class SodHistogram:
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
-    def to_rows(self):
-        return [
-            (float(c), int(n)) for c, n in zip(self.bin_centers, self.counts)
-        ]
-
 
 def spin_overlap_values(states1: np.ndarray, states2: np.ndarray) -> np.ndarray:
     """Per-sweep overlap q of two equally shaped 0/1 state trajectories.
@@ -186,12 +181,8 @@ class ScalingReport:
 
     def to_csv_rows(self):
         header = ("model", "N", "L", "qubits", "density", "couplers_per_qubit", "resolution")
-        data = [
-            (r.model, r.n, "" if r.L is None else r.L, r.qubits,
-             repr(r.density), repr(r.couplers_per_qubit), repr(r.resolution))
-            for r in self.rows
-        ]
-        return header, data
+        return header, [(r.model, r.n, "" if r.L is None else r.L, r.qubits, r.density,
+                         r.couplers_per_qubit, r.resolution) for r in self.rows]
 
 
 def scaling_report(model_tags, n_values, interaction=None) -> ScalingReport:

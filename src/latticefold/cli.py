@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import sys
 import time
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,13 +31,16 @@ from .analysis import (
 from .core import (
     ISING,
     InputError,
+    assignment_strings,
     finite_float,
+    is_int,
     ising_to_qubo,
     load_doc,
     load_problem,
     qubo_to_ising,
     read_lines,
     save_problem,  # not called here: perfbench's tracer patches this name
+    write_csv,
     write_json,
 )
 from .embedding import (
@@ -116,17 +118,6 @@ def _write_json(path, doc: dict, manifest: Manifest) -> None:
     """Write the manifest, then doc with its name as the last key."""
     doc["manifest"] = manifest.write(path)
     write_json(path, doc)
-
-
-@contextmanager
-def _csv_out(path, manifest: Manifest, header: str):
-    """Write the manifest, then open path for rows under the manifest comment
-    and the header line."""
-    name = manifest.write(path)
-    with open(path, "w") as fh:
-        fh.write(f"# manifest={name}\n")
-        fh.write(header + "\n")
-        yield fh
 
 
 def _read_fasta(path) -> str:
@@ -224,9 +215,7 @@ def cmd_solve(args) -> int:
 
     name = manifest.write(args.out)
     samples.to_csv(args.out, manifest_name=name)
-    summary = samples.summary()
-    summary["manifest"] = name
-    write_json(Path(args.out).with_suffix(".summary.json"), summary)
+    write_json(Path(args.out).with_suffix(".summary.json"), {**samples.summary(), "manifest": name})
     print(f"solver={args.solver} records={len(samples.energies)} "
           f"best_energy={samples.best_energy!r}")
     return 0
@@ -276,9 +265,8 @@ def _analyze_sod(args) -> int:
     q = spin_overlap_values(t1, t2)
     hist = overlap_histogram(q, bins=args.bins)
     label = classify_barriers(hist, threshold=args.threshold)
-    with _csv_out(args.out, manifest, "q_bin_center,count") as fh:
-        for center, count in hist.to_rows():
-            fh.write(f"{center!r},{count}\n")
+    write_csv(args.out, manifest.write(args.out), ("q_bin_center", "count"),
+              zip(hist.bin_centers.tolist(), hist.counts.tolist()))
     print(f"samples={hist.sample_count} classification={label}")
     return 0
 
@@ -297,14 +285,14 @@ def _analyze_tts(args) -> int:
     if tau is None:
         raise InputError("provide --tau or a solve summary with tau_seconds")
     seed = summary.get("seed", -1)
-    for key, value, kinds, what in (("tau_seconds", tau, (int, float), "a number"),
-                                    ("seed", seed, int, "an integer")):
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise InputError(f"{args.summary}: {key} {value!r} is not {what}")
+    if not (is_int(tau) or isinstance(tau, float)):
+        raise InputError(f"{args.summary}: tau_seconds {tau!r} is not a number")
+    if not is_int(seed):
+        raise InputError(f"{args.summary}: seed {seed!r} is not an integer")
     p, interval = estimate_p_ground(ss.energies, args.reference_energy, tol=args.tol)
     result = tts(tau, p, interval)
-    with _csv_out(args.out, manifest, "model,N,seed,tau_s,p_ground,tts_s") as fh:
-        fh.write(f"{args.model},{args.n},{seed},{tau!r},{p!r},{result.tts_seconds!r}\n")
+    write_csv(args.out, manifest.write(args.out), ("model", "N", "seed", "tau_s", "p_ground", "tts_s"),
+              [(args.model, args.n, seed, tau, p, result.tts_seconds)])
     print(f"p_ground={p:.4f} interval=({interval[0]:.4f},{interval[1]:.4f}) "
           f"tts={result.tts_seconds!r}")
     return 0
@@ -323,9 +311,7 @@ def _analyze_scaling(args) -> int:
         interaction=interaction,
     )
     header, rows = report.to_csv_rows()
-    with _csv_out(args.out, manifest, ",".join(header)) as fh:
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+    write_csv(args.out, manifest.write(args.out), header, rows)
     print(f"rows={len(rows)}")
     return 0
 
@@ -372,10 +358,9 @@ def cmd_unembed(args) -> int:
     ))
     rows = np.array(logical, dtype=np.int64)
     energies = problem.evaluate_batch(2 * rows - 1 if problem.space == ISING else rows).tolist()
-    with _csv_out(args.out, manifest, "assignment,energy,replica,sweep,chain_break_fraction") as fh:
-        for bits, energy, rep, sweep, cbf in zip(logical, energies, samples.replicas, samples.sweeps, breaks):
-            bitstring = "".join("1" if b else "0" for b in bits)
-            fh.write(f"{bitstring},{energy!r},{int(rep)},{int(sweep)},{cbf!r}\n")
+    header = ("assignment", "energy", "replica", "sweep", "chain_break_fraction")
+    write_csv(args.out, manifest.write(args.out), header,
+              zip(assignment_strings(rows), energies, samples.replicas.tolist(), samples.sweeps.tolist(), breaks))
     print(f"samples={len(breaks)} mean_chain_break_fraction={float(np.mean(breaks)):.4f}")
     return 0
 

@@ -28,6 +28,11 @@ class InputError(ValueError):
     """Invalid user-facing input (bad assignment length, bad file, ...)."""
 
 
+def is_int(value) -> bool:
+    """Whether `value` is an integer as a JSON document gives one: not a bool."""
+    return type(value) is int
+
+
 def finite_float(value, what: str) -> float:
     """`value` as a finite float; InputError naming `what` otherwise."""
     try:
@@ -139,6 +144,12 @@ def code_bits(codes, num_vars: int) -> np.ndarray:
     for i in range(num_vars):
         np.bitwise_and(codes >> i, 1, out=cols[i], casting="unsafe")
     return cols.T
+
+
+def assignment_strings(bits) -> list[str]:
+    """Each row of a 0/1 array as a string of "0"s and "1"s: a CSV assignment."""
+    chars = np.asarray(bits, dtype=np.uint8) + ord("0")
+    return [row.tobytes().decode() for row in chars]
 
 
 @dataclass(frozen=True)
@@ -358,7 +369,7 @@ def problem_from_dict(doc: dict):
         raw_terms = doc.get("terms", [])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
-    if type(num_vars) is not int or num_vars < 0 or not np.isfinite(offset) or space not in (BOOLEAN, ISING):
+    if not is_int(num_vars) or num_vars < 0 or not np.isfinite(offset) or space not in (BOOLEAN, ISING):
         raise InputError(
             f"malformed problem document: num_vars={num_vars!r}, offset={offset}, space={space!r}"
         )
@@ -371,7 +382,7 @@ def problem_from_dict(doc: dict):
     for i, t in enumerate(raw_terms):
         try:
             vars_ = t["vars"]
-            if type(vars_) is not list or not all(type(v) is int for v in vars_):
+            if type(vars_) is not list or not all(map(is_int, vars_)):
                 raise TypeError(f"variables {vars_!r} are not a list of integers")
             coeff = float(t["coeff"])
         except KeyError as exc:
@@ -406,6 +417,14 @@ def write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def write_csv(path, manifest_name: str, header, rows) -> None:
+    """Write a CSV file as the program writes every one: a `# manifest=` line,
+    the header, then the rows, each value as `str` gives it (a float's repr)."""
+    with open(path, "w") as fh:
+        fh.write(f"# manifest={manifest_name}\n{','.join(header)}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def save_problem(path, obj) -> None:

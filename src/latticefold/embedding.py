@@ -16,20 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, IsingProblem, load_doc, read_lines
+from .core import InputError, IsingProblem, is_int, load_doc, read_lines
 from .solvers import counter_uniforms, stable_seed
 
 DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _int_ids(values, what: str, numerals: bool = False) -> tuple:
-    """`values` read as integer ids: integers (a JSON number must be one; not
-    a boolean) and, with `numerals`, decimal strings (the words of a text
-    hardware line, a JSON object key); InputError(what) for anything else."""
+    """`values` as integer ids: `is_int` integers and, with `numerals`, decimal
+    strings (a text hardware line's words, JSON object keys); else InputError(what)."""
     ids = []
     for x in values:
-        if not (isinstance(x, int) and not isinstance(x, bool)
-                or numerals and isinstance(x, str) and DECIMAL.fullmatch(x)):
+        if not (is_int(x) or numerals and isinstance(x, str) and DECIMAL.fullmatch(x)):
             raise InputError(what)
         ids.append(int(x))
     return tuple(ids)

@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ..core import InputError, PolynomialObjective, poly_add, poly_product, problem_from_dict
+from ..core import InputError, PolynomialObjective, is_int, poly_add, poly_product, problem_from_dict
 from ..lattice import CARTESIAN, ORIGIN, TETRAHEDRAL, LatticeSpec, Site, cartesian_site, neighbor_sites, site_classes
 from .folds import Fold
 from .interactions import InteractionModel
@@ -202,13 +202,13 @@ def _check_layout(model: str, layout: dict, num_vars: int) -> None:
     kind = MODEL_LATTICE[model]
     if model in (COORD_CARTESIAN, COORD_TETRAHEDRAL):
         L, blocks = layout.get("L"), layout.get("bead_blocks")
-        if not isinstance(L, int) or L < 2 or not isinstance(blocks, list):
+        if not is_int(L) or L < 2 or not isinstance(blocks, list):
             raise InputError("coordinate layout needs an integer L >= 2 and a bead_blocks list")
         sizes = [len(c) for c in site_classes(LatticeSpec(kind, L))]
         for i, b in enumerate(blocks):
             bead, cls, start, count = (b.get(k) if isinstance(b, dict) else None
                                        for k in ("bead", "class", "start", "count"))
-            if not (all(isinstance(v, int) for v in (bead, cls, start, count)) and cls in (0, 1)
+            if not (all(map(is_int, (bead, cls, start, count))) and cls in (0, 1)
                     and 0 <= count <= sizes[cls] and 0 <= start <= num_vars - count):
                 raise InputError(f"layout bead_blocks[{i}] is not a block of integer bead, class, start "
                                  f"and count within the lattice and {num_vars} variables")
@@ -219,8 +219,8 @@ def _check_layout(model: str, layout: dict, num_vars: int) -> None:
         raise InputError("turn layout needs a turns list")
     for t, block in enumerate(turns):
         if not (isinstance(block, list) and len(block) == width and all(
-                bit in (0, 1) if not isinstance(bit, str)
-                else bit[:1] == "v" and bit[1:].isdecimal() and int(bit[1:]) < num_vars
+                is_int(bit) and bit in (0, 1) or isinstance(bit, str)
+                and bit[:1] == "v" and bit[1:].isdecimal() and int(bit[1:]) < num_vars
                 for bit in block)):
             raise InputError(f"layout turns[{t}] {block!r} is not {width} bits of 0, 1 or "
                              f"\"v<i>\" with i < {num_vars}")

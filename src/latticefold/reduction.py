@@ -32,7 +32,7 @@ from .core import (
 WORST_CASE = "worst_case"
 # random assignments `verify_quadratization` checks when it is not exhaustive
 VERIFY_SAMPLES = 100_000
-# rows per chunk of the sampled scans: bounds their memory
+# rows per chunk of every verification scan: bounds their memory
 VERIFY_CHUNK = 32_768
 
 
@@ -240,8 +240,8 @@ def verify_quadratization(
     (the inconsistency scan is exhaustive over joint assignments when
     originals + auxiliaries fit); otherwise VERIFY_SAMPLES random
     assignments from a fixed seed, and as many other ones with one random
-    auxiliary flipped each.  Both sampled scans run in VERIFY_CHUNK-row
-    chunks, so memory does not grow with VERIFY_SAMPLES, and a flip's cost is
+    auxiliary flipped each.  Every scan runs in VERIFY_CHUNK-row chunks, so
+    none holds more rows of bits at once, and a flip's cost is
     summed from the terms holding the flipped auxiliary (`_flip_gap`), not
     taken as the difference of two full energies.  Energies on both sides are
     float64 sums, so the discrepancy of a sound reduction is only rounding:
@@ -278,8 +278,8 @@ def verify_quadratization(
             qubo_e = np.concatenate(qubo_parts)  # the consistent lift of every original code
             total = 1 << (n + n_aux)
             mask = (1 << n) - 1
-            for lo in range(0, total, 1 << 20):
-                codes = np.arange(lo, min(lo + (1 << 20), total))
+            for lo in range(0, total, VERIFY_CHUNK):
+                codes = np.arange(lo, min(lo + VERIFY_CHUNK, total))
                 joint = code_bits(codes, n + n_aux)
                 aux_ok = np.ones(len(codes), dtype=bool)
                 for aux, (i, j) in result.aux_map:

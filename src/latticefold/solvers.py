@@ -26,11 +26,14 @@ from .core import (
     TIE_TOL,
     InputError,
     PolynomialObjective,
+    assignment_strings,
     code_bits,
     finite_float,
+    is_int,
     ising_to_qubo,
     read_lines,
     rounding_gamma,
+    write_csv,
 )
 
 
@@ -100,6 +103,8 @@ class SaConfig:
     t0: float | None = None  # None selects the automatic probe
 
     def __post_init__(self) -> None:
+        if not is_int(self.seed):  # stable_seed hashes its text: True and 1 name two streams
+            raise InputError(f"seed {self.seed!r} is not an integer")
         if not (0.0 < self.cooling_rate < 1.0):
             raise InputError("cooling_rate must lie strictly inside (0, 1)")
         if self.sweeps < 1 or self.restarts < 1:
@@ -118,6 +123,8 @@ class PtConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not is_int(self.seed):
+            raise InputError(f"seed {self.seed!r} is not an integer")
         if self.num_temps < 1:
             raise InputError("need at least one temperature")
         if finite_float(self.t_min, "t_min") <= 0:
@@ -158,12 +165,9 @@ class SampleSet:
         return float(self.energies.min()) if len(self.energies) else float("inf")
 
     def to_csv(self, path, manifest_name: str = "-") -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# manifest={manifest_name}\n")
-            fh.write("assignment,energy,replica,sweep\n")
-            for row, e, rep, sw in zip(self.bits, self.energies, self.replicas, self.sweeps):
-                bitstring = "".join("1" if b else "0" for b in row)
-                fh.write(f"{bitstring},{float(e)!r},{int(rep)},{int(sw)}\n")
+        write_csv(path, manifest_name, ("assignment", "energy", "replica", "sweep"), zip(
+            assignment_strings(self.bits), self.energies.astype(np.float64).tolist(),
+            self.replicas.astype(np.int64).tolist(), self.sweeps.astype(np.int64).tolist()))
 
     def summary(self) -> dict:
         return {
@@ -463,9 +467,11 @@ def simulated_annealing(problem, cfg: SaConfig, jobs: int = 1) -> SampleSet:
     restart index and no row's arithmetic depends on its block, so results
     are bit-identical however restarts are split or spread over processes.
     """
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     comp = _Compiled(problem)
     start = time.perf_counter()
-    workers = max(1, min(jobs, os.cpu_count() or 1))
+    workers = min(jobs, os.cpu_count() or 1)
     chunks = _sa_blocks(cfg.restarts, comp.n, workers)
     if workers == 1 or len(chunks) == 1:
         parts = [_sa_rows(comp, cfg, rows) for rows in chunks]

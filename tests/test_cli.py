@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -321,6 +322,14 @@ class TestMalformedInput:
          "layout bead_blocks[3] is not a block"),
         ("coord-tet", lambda doc: doc["layout"]["bead_blocks"][0].update({"class": 2}),
          "layout bead_blocks[0] is not a block"),
+        ("coord-tet", lambda doc: doc["layout"]["bead_blocks"][0].update({"class": True}),
+         "layout bead_blocks[0] is not a block"),
+        ("coord-tet", lambda doc: doc["layout"]["bead_blocks"][0].update(start=False),
+         "layout bead_blocks[0] is not a block"),
+        ("turn-tet", lambda doc: doc["layout"]["turns"][2].__setitem__(0, 1.0), "layout turns[2]"),
+        ("turn-tet", lambda doc: doc["layout"]["turns"][2].__setitem__(0, 0.0), "layout turns[2]"),
+        ("turn-cart", lambda doc: doc["layout"]["turns"][1].__setitem__(0, True), "layout turns[1]"),
+        ("turn-cart", lambda doc: doc["layout"]["turns"][1].__setitem__(0, False), "layout turns[1]"),
         ("coord-tet", lambda doc: doc["interaction"].update(pair_energies=[]),
          "interaction pair_energies [] must be an object"),
         ("turn-tet", lambda doc: doc["interaction"]["pair_energies"].update(HH="x"),
@@ -331,6 +340,8 @@ class TestMalformedInput:
     ], ids=["no-sequence", "bogus-interaction", "unknown-model", "no-turns", "turn-var-out-of-range",
             "turn-bit-not-a-variable", "turn-block-width", "no-bead-blocks", "grid-side-not-int",
             "bead-block-no-start", "bead-block-out-of-range", "bead-block-bad-class",
+            "bead-block-class-true", "bead-block-start-false", "turn-bit-float-one", "turn-bit-float-zero",
+            "turn-bit-true", "turn-bit-false",
             "pair-energies-not-an-object", "pair-energy-not-a-number", "pair-energy-nan",
             "alphabet-not-a-string"])
     def test_malformed_model_document_decode_exits_2(self, workdir, capsys, model, edit, message):
@@ -399,13 +410,19 @@ class TestMalformedInput:
          "malformed problem document: num_vars=2.9, offset=0.0, space='boolean'"),
         (["solve", "true.json", "--solver", "brute", "--out", "b.csv"],
          "malformed problem document: num_vars=True, offset=0.0, space='boolean'"),
+        (["encode", "coord-tet", "--L", "2", "--out", "p.json"], "provide exactly one of --seq or --fasta"),
+        (["encode", "coord-tet", "--seq", "HHHH", "--fasta", "none.fa", "--L", "2", "--out", "p.json"],
+         "provide exactly one of --seq or --fasta"),
+        (["solve", "q.json", "--solver", "sa", "--out", "s.csv"], "--seed is mandatory for sa and pt"),
+        (["solve", "q.json", "--solver", "pt", "--out", "s.csv"], "--seed is mandatory for sa and pt"),
     ], ids=["alpha-not-a-number", "alpha-nan", "alpha-inf",
             "penalty-not-a-number", "penalty-nan", "config-unknown-key", "lambda-global-not-a-number",
             "penalties-not-an-object", "sod-zero-bins", "tau-nan", "tau-inf", "penalty-unknown-name",
             "penalty-not-a-multiplier", "t0-nan", "t0-inf", "reference-energy-nan", "tol-nan",
             "chain-node-twice", "ising-repeated-spin", "ising-three-spins", "reduce-ising",
             "sod-threshold-nan", "jobs-zero", "jobs-negative", "dataset-len-0", "dataset-len-1",
-            "num-vars-fractional", "num-vars-boolean"])
+            "num-vars-fractional", "num-vars-boolean", "encode-no-sequence", "encode-seq-and-fasta",
+            "sa-no-seed", "pt-no-seed"])
     def test_bad_argument_exits_2(self, workdir, capsys, argv, message):
         problem = {
             "num_vars": 3, "offset": 0.0, "space": "boolean",
@@ -545,6 +562,19 @@ class TestAnalyze:
         assert run([*argv, "--model", "coord-tet", "--n", "4", "--out", "u.csv"]) == 0
         assert (workdir / "t.csv").read_text().splitlines()[-1] == "-,-1,7,2.5,1.0,2.5"
         assert (workdir / "u.csv").read_text().splitlines()[-1] == "coord-tet,4,7,2.5,1.0,2.5"
+
+    @pytest.mark.parametrize("tau, energies, row", [
+        ("2", "-1.0", "-,-1,7,2,1.0,2"),
+        ("0.1", "-1.0,0.0", f"-,-1,7,0.1,0.5,{0.1 * math.log(1.0 - 0.99) / math.log(1.0 - 0.5)!r}"),
+        ("2.5", "0.0", "-,-1,7,2.5,0.0,inf"),
+    ], ids=["integer-tau", "float-tau", "never-succeeds"])
+    def test_tts_writes_tau_and_tts_as_read(self, workdir, tau, energies, row):
+        (workdir / "s.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
+                                       + "".join(f"01,{e},0,0\n" for e in energies.split(",")))
+        (workdir / "sum.json").write_text(f'{{"tau_seconds": {tau}, "seed": 7}}')
+        assert run(["analyze", "tts", "--samples", "s.csv", "--summary", "sum.json",
+                    "--reference-energy", "-1.0", "--out", "t.csv"]) == 0
+        assert (workdir / "t.csv").read_text().splitlines()[1:] == ["model,N,seed,tau_s,p_ground,tts_s", row]
 
     def test_scaling_csv_schema(self, workdir):
         assert run(["analyze", "scaling", "--models", "coord-tet",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -285,6 +286,20 @@ class TestSimulatedAnnealing:
         with pytest.raises(InputError):
             SaConfig(cooling_rate=0.5, sweeps=0, restarts=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, "7", 1.5, True, np.int64(7)],
+                             ids=["none", "text", "float", "bool", "numpy"])
+    def test_seed_must_be_an_integer(self, seed):
+        # the seed is hashed as text ("7" and True name other streams than 7 and 1)
+        # and written to the summary JSON, which takes no numpy integer
+        for make in (lambda: SaConfig(0.99, 5, 2, seed=seed), lambda: PtConfig(seed=seed)):
+            with pytest.raises(InputError, match=re.escape(f"seed {seed!r} is not an integer")):
+                make()
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(InputError, match=f"jobs must be at least 1, got {jobs}"):
+            simulated_annealing(build_poly({(0,): 1.0}, 1), SaConfig(0.99, 5, 2, seed=0), jobs=jobs)
+
     def test_bit_identical_across_jobs(self, rng):
         obj = random_qubo(rng, 20, n_quad=50)
         # with 130 restarts and jobs 4 or 8 on two or more CPUs the restarts
@@ -536,6 +551,10 @@ class TestSampleSetCsv:
         fractions = data.draw(column(st.floats(0.0, 1.0)), label="chain break fractions")
         four = tmp_path_factory.mktemp("csv") / "four.csv"
         ss.to_csv(four, manifest_name="m.json")
+        # the bytes of the per-value loop that wrote samples before `core.write_csv`
+        assert four.read_text() == "# manifest=m.json\nassignment,energy,replica,sweep\n" + "".join(
+            "".join("1" if b else "0" for b in row) + f",{float(e)!r},{int(r)},{int(s)}\n"
+            for row, e, r, s in zip(ss.bits, ss.energies, ss.replicas, ss.sweeps))
         head, *rows = four.read_text().splitlines(keepends=True)[1:]
         five = four.with_name("five.csv")
         five.write_text("# manifest=m.json\n" + head.rstrip("\n") + ",chain_break_fraction\n"
