@@ -94,6 +94,15 @@ def counter_uniforms(key, *counters) -> np.ndarray:
 # configs and results
 # ---------------------------------------------------------------------------
 
+def _check_ints(cfg, *names: str) -> None:
+    """InputError unless each named field is an int, not a bool: the seed is hashed
+    as text (True and 1 name two streams), and the summary writes a count as given."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not is_int(value):
+            raise InputError(f"{name} {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SaConfig:
     cooling_rate: float
@@ -103,8 +112,7 @@ class SaConfig:
     t0: float | None = None  # None selects the automatic probe
 
     def __post_init__(self) -> None:
-        if not is_int(self.seed):  # stable_seed hashes its text: True and 1 name two streams
-            raise InputError(f"seed {self.seed!r} is not an integer")
+        _check_ints(self, "seed", "sweeps", "restarts")
         if not (0.0 < self.cooling_rate < 1.0):
             raise InputError("cooling_rate must lie strictly inside (0, 1)")
         if self.sweeps < 1 or self.restarts < 1:
@@ -123,8 +131,7 @@ class PtConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not is_int(self.seed):
-            raise InputError(f"seed {self.seed!r} is not an integer")
+        _check_ints(self, "seed", "num_temps", "sweeps", "measure_sweeps")
         if self.num_temps < 1:
             raise InputError("need at least one temperature")
         if finite_float(self.t_min, "t_min") <= 0:
@@ -325,8 +332,8 @@ class _Compiled:
         self.n = n
         self.offset = qubo.offset
         self.colors = color_graph(qubo).classes
-        # kernel layout: state column k is variable order[k], so a colour class
-        # is a slice, then a constant 1 for c; per class, its columns of the split [Q; c]
+        # kernel layout: state row k is variable order[k], so a colour class is a
+        # slice, then a row of ones for c; per class, its columns of the split [Q; c]
         self.order = np.concatenate([np.zeros(0, dtype=np.int64), *self.colors])
         self.inverse = np.argsort(self.order)
         # [Q; c] in kernel order: a coupling in its two cells, a field (i,) in the c
@@ -340,7 +347,9 @@ class _Compiled:
         hi, lo = _exact_split(qc)
         del qc
         ends = np.cumsum([len(cls) for cls in self.colors]).tolist()
-        self.blocks = [(slice(a, b), _aligned_copy(hi[:, a:b]), _aligned_copy(lo[:, a:b]))
+        # a block is an (n + 1, |class|) view whose transpose is C-ordered: the
+        # kernel's products are `block.T @ state` on a variable-major state
+        self.blocks = [(slice(a, b), _aligned_copy(hi[:, a:b].T).T, _aligned_copy(lo[:, a:b].T).T)
                        for a, b in zip([0, *ends], ends)]
 
 
@@ -361,16 +370,17 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key: int):
     if not n:
         return np.ones(len(rows))
     states = -(-100 // n)
-    # in the kernel's layout, as `_metropolis` holds a state: a class's fields are
-    # the exact products `state @ hi` and `state @ lo`, and only their sum rounds
-    state = np.ones((len(rows) * states, n + 1))
-    state[:, :n] = (counter_uniforms(key, rows[:, None, None], np.arange(states)[:, None], comp.order)
-                    < 0.5).reshape(-1, n)
+    # in the kernel's layout, as `_metropolis` holds a state: variable-major, and a
+    # class's fields are the exact C-ordered products `hi.T @ state` and
+    # `lo.T @ state`, of which only the sum rounds
+    state = np.ones((n + 1, len(rows) * states))
+    state[:n] = (counter_uniforms(key, rows[None, :, None], np.arange(states)[None, None, :],
+                                  comp.order[:, None, None]) < 0.5).reshape(n, -1)
     # flipping i changes the energy by (1 - 2 b_i)(c_i + (b Q)_i), as Q's diagonal is 0
-    samples = np.empty((len(state), n))
+    samples = np.empty((n, state.shape[1]))
     for cls, hi, lo in comp.blocks:
-        samples[:, cls] = (1.0 - 2.0 * state[:, cls]) * (state @ hi + state @ lo)
-    samples = samples[:, comp.inverse].reshape(len(rows), -1)  # per row, in variable order
+        samples[cls] = (1.0 - 2.0 * state[cls]) * (hi.T @ state + lo.T @ state)
+    samples = samples[comp.inverse].T.reshape(len(rows), -1)  # per row, in variable order
     mean = samples.mean(axis=1)
     std = samples.std(axis=1, ddof=1)
     chi = (samples <= 0.0).mean(axis=1)
@@ -392,37 +402,40 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     place, so the caller may exchange rows between sweeps.  A class is
     proposed at once at its entry temperature; temperatures advance by
     `cooling` per proposed variable (1.0 keeps a fixed ladder).
+    The state is held variable-major, (n + 1, rows), so a class's bits and
+    uniforms are contiguous blocks and its fields two C-ordered products;
+    the yielded `state` is its (rows, n + 1) transposed view.
     """
     key_init, key_prop = keys
     n = comp.n
-    state = np.ones((len(rows), n + 1))
-    state[:, :n] = counter_uniforms(key_init, rows[:, None], comp.order[None, :]) < 0.5
+    state = np.ones((n + 1, len(rows)))
+    state[:n] = counter_uniforms(key_init, rows[None, :], comp.order[:, None]) < 0.5
     pair = np.zeros((len(rows), 2))
     for cls, *parts in comp.blocks:  # a part's energy is x . (fields + c) / 2
         for k, part in enumerate(parts):
-            pair[:, k] += np.einsum("ri,ri->r", state[:, cls], state @ part + part[-1]) / 2
-    yield 0, state, pair
+            pair[:, k] += np.einsum("ir,ir->r", state[cls], part.T @ state + part[-1][:, None]) / 2
+    yield 0, state.T, pair
 
     # the (key, row) and (key, row, sweep) prefixes of the proposal counters
     # are mixed once; a sweep's uniforms are one table keyed by variable
-    row_state = _counter_state(key_prop, rows[:, None])
+    row_state = _counter_state(key_prop, rows[None, :])
     for sweep in range(sweeps):
-        table = counter_uniforms(_counter_state(row_state, sweep), comp.order[None, :])
+        table = counter_uniforms(_counter_state(row_state, sweep), comp.order[:, None])
         for cls, hi, lo in comp.blocks:
-            bits = state[:, cls]
+            bits = state[cls]
             sign = 1.0 - 2.0 * bits
-            # two products of width |class|, not one of 2|class|: each keeps the
-            # M*N*K of the old field update, the size OpenBLAS sets its threads by
-            d_hi, d_lo = sign * (state @ hi), sign * (state @ lo)  # the two parts of ΔE
+            # two C-ordered products of width |class|, not one of 2|class|: OpenBLAS
+            # picks its threads by size and layout, and a wider or F-ordered product wakes them
+            d_hi, d_lo = sign * (hi.T @ state), sign * (lo.T @ state)  # the two parts of ΔE
             with np.errstate(over="ignore"):
-                accepted = table[:, cls] < np.exp(np.maximum(d_hi + d_lo, 0.0) / -temps[:, None])
+                accepted = table[cls] < np.exp(np.maximum(d_hi + d_lo, 0.0) / -temps)
             # the spent uniforms hold the accepted hi parts; each part's sums are exact in any order
-            np.multiply(d_hi, accepted, out=table[:, cls])
-            pair[:, 1] += np.einsum("ri,ri->r", d_lo, accepted)
-            state[:, cls] = bits != accepted
+            np.multiply(d_hi, accepted, out=table[cls])
+            pair[:, 1] += np.einsum("ir,ir->r", d_lo, accepted)
+            state[cls] = bits != accepted
             temps = temps * cooling ** (cls.stop - cls.start)
-        pair[:, 0] += table.sum(axis=1)
-        yield sweep, state, pair
+        pair[:, 0] += table.sum(axis=0)
+        yield sweep, state.T, pair
 
 
 def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):

@@ -413,24 +413,29 @@ def test_brute_force_independent_of_blocking(rng, monkeypatch):
     assert [a.tolist() for a in minimizers] == [a.tolist() for a in expected[1]]
 
 
-@pytest.mark.parametrize("solver", ["sa", "pt"])
-def test_metropolis_visits_the_reference_kernels_states(solver):
-    # SA: 432 restarts, cooling 0.9998 from Atiqullah start temperatures; PT:
-    # the 400-temperature ladder.  60 sweeps pass one exact re-evaluation of
-    # the reference kernel.
-    obj = encode("coord-tet", "LKDFSAW", get_model("mj")).objective
-    comp = _Compiled(obj)
-    if solver == "sa":
-        rows = np.arange(432, dtype=np.int64)
-        temps = _atiqullah_t0(comp, rows, stable_seed(11, "sa-probe"))
-        cooling = 0.9998
+@pytest.mark.parametrize("solver, problem, restarts, sweeps, cooling", [
+    ("sa", "coord-tet-LKDFSAW", 432, 60, 0.9998),
+    ("pt", "coord-tet-LKDFSAW", 400, 60, 1.0),
+    ("sa", "cli-embedded", 32, 10, 0.9999),
+], ids=["sa", "pt", "sa-cli-embedded"])
+def test_metropolis_visits_the_reference_kernels_states(solver, problem, restarts, sweeps, cooling):
+    # SA: cooling from Atiqullah start temperatures; PT: the 400-temperature
+    # ladder.  On LKDFSAW, 60 sweeps pass one exact re-evaluation of the
+    # reference kernel.  The embedded problem (594 variables) runs as the
+    # physical `solve` does: 32 restarts at the CLI's default cooling.
+    if problem == "cli-embedded":
+        obj = cli_embedded_problem()
     else:
-        temps = temperature_ladder(PtConfig(num_temps=400, t_min=1.0, t_max=1e4))
-        rows = np.arange(400, dtype=np.int64)
-        cooling = 1.0
+        obj = encode("coord-tet", "LKDFSAW", get_model("mj")).objective
+    comp = _Compiled(obj)
+    rows = np.arange(restarts, dtype=np.int64)
+    if solver == "sa":
+        temps = _atiqullah_t0(comp, rows, stable_seed(11, "sa-probe"))
+    else:
+        temps = temperature_ladder(PtConfig(num_temps=restarts, t_min=1.0, t_max=1e4))
     keys = (stable_seed(11, f"{solver}-init"), stable_seed(11, f"{solver}-accept"))
-    new = _metropolis(comp, keys, rows, 60, temps, cooling)
-    old = ref.metropolis(comp, ref.dense_form(obj), keys, rows, 60, temps, cooling)
+    new = _metropolis(comp, keys, rows, sweeps, temps, cooling)
+    old = ref.metropolis(comp, ref.dense_form(obj), keys, rows, sweeps, temps, cooling)
     for (sweep, state, pair), (ref_sweep, bits, _, e_old) in zip(new, old, strict=True):
         assert sweep == ref_sweep
         assert np.array_equal(state[:, comp.inverse], bits)

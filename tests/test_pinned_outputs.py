@@ -13,7 +13,8 @@ sum is exact in any order (the split products and the energy pair), so no
 SIMD level or BLAS kernel can move it; `np.exp` in the accept test and the
 start-temperature probe's mean and std follow numpy's own code, which
 `test_digests_do_not_depend_on_simd_or_blas_kernels` runs under each x86
-dispatch level of this numpy and two OpenBLAS core types.  It does not cover
+dispatch level of this numpy, two OpenBLAS core types and one OpenBLAS
+thread (so the BLAS thread count cannot move a digest).  It does not cover
 ARM, another numpy version or another BLAS.  A declared output change
 updates the moved values in the same commit and says which moved and why; a
 failure lists each moved value as a PINNED entry, with the pinned digest
@@ -134,8 +135,8 @@ def test_pipeline_output_bytes_are_pinned(tmp_path, monkeypatch):
 
 
 # a child runs the chain in its working directory and prints its digests, the
-# dispatch features it reads and OpenBLAS's core type (None where the library
-# names none)
+# dispatch features it reads and OpenBLAS's core type and thread count (None
+# where the library names none)
 CHILD = """
 import ctypes, glob, json, os
 from pathlib import Path
@@ -143,21 +144,27 @@ import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 import test_pinned_outputs as t
 
-corename = None
+corename = threads = None
 for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")):
-    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+    blas = ctypes.CDLL(lib)
+    get = getattr(blas, "scipy_openblas_get_corename64_", None)
     if get is not None:
         get.argtypes, get.restype = [], ctypes.c_char_p
         corename = get().decode()
+    get = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_int
+        threads = get()
 print(json.dumps({"digests": t.chain_digests(Path.cwd()), "features": __cpu_features__,
-                  "corename": corename}))
+                  "corename": corename, "threads": threads}))
 """
 
 
 def dispatch_settings():
     """The environments to run the chain under: numpy's dispatch targets above
     X86_V3 that this CPU has switched off, then X86_V3 too, then two OpenBLAS
-    core types; empty off x86 or where numpy names no X86_V3 target."""
+    core types, then one OpenBLAS thread; empty off x86 or where numpy names
+    no X86_V3 target."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     if platform.machine().lower() not in ("x86_64", "amd64") or "X86_V3" not in __cpu_dispatch__:
@@ -166,7 +173,8 @@ def dispatch_settings():
     return [{"NPY_DISABLE_CPU_FEATURES": " ".join(t for t in had if t != "X86_V3")},
             {"NPY_DISABLE_CPU_FEATURES": " ".join(had)},
             {"OPENBLAS_CORETYPE": "Haswell"},
-            {"OPENBLAS_CORETYPE": "Sandybridge"}]
+            {"OPENBLAS_CORETYPE": "Sandybridge"},
+            {"OPENBLAS_NUM_THREADS": "1"}]
 
 
 def test_digests_do_not_depend_on_simd_or_blas_kernels(tmp_path):
@@ -193,4 +201,6 @@ def test_digests_do_not_depend_on_simd_or_blas_kernels(tmp_path):
             assert not report["features"][name], (setting, name)
         if "OPENBLAS_CORETYPE" in setting and report["corename"] is not None:
             assert report["corename"] == setting["OPENBLAS_CORETYPE"]
+        if "OPENBLAS_NUM_THREADS" in setting and report["threads"] is not None:
+            assert report["threads"] == 1
         assert_pinned(report["digests"])

@@ -179,7 +179,8 @@ class TestExactSplit:
         comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
         for _, hi, lo in comp.blocks:
             for part in (hi, lo):
-                assert part.flags.c_contiguous and part.ctypes.data % 64 == 0
+                # stored as its transpose, the (|class|, n + 1) left factor of `part.T @ state`
+                assert part.T.flags.c_contiguous and part.T.ctypes.data % 64 == 0
 
 
 class TestColoring:
@@ -294,6 +295,22 @@ class TestSimulatedAnnealing:
         for make in (lambda: SaConfig(0.99, 5, 2, seed=seed), lambda: PtConfig(seed=seed)):
             with pytest.raises(InputError, match=re.escape(f"seed {seed!r} is not an integer")):
                 make()
+
+    COUNTS = [(SaConfig, "restarts", 2.5), (SaConfig, "sweeps", True), (SaConfig, "sweeps", 2.5),
+              (SaConfig, "restarts", "3"), (SaConfig, "sweeps", np.int64(3)),
+              (PtConfig, "num_temps", 4.0), (PtConfig, "num_temps", None), (PtConfig, "sweeps", True),
+              (PtConfig, "sweeps", 10.0), (PtConfig, "measure_sweeps", 5.5)]
+
+    @pytest.mark.parametrize("cls, name, value", COUNTS,
+                             ids=[f"{cls.__name__}-{name}-{value!r}" for cls, name, value in COUNTS])
+    def test_counts_must_be_integers(self, cls, name, value):
+        # a float count would run as its ceiling or scale tau, and be written to the
+        # summary as given; the seed's rule holds for every count
+        valid = {SaConfig: dict(cooling_rate=0.9, sweeps=3, restarts=2, seed=1),
+                 PtConfig: dict(num_temps=4, sweeps=10, measure_sweeps=5, seed=1)}[cls]
+        cls(**valid)
+        with pytest.raises(InputError, match=re.escape(f"{name} {value!r} is not an integer")):
+            cls(**{**valid, name: value})
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
