@@ -51,16 +51,34 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / (1 << 53)
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _M1
-    x = (x ^ (x >> np.uint64(27))) * _M2
-    return x ^ (x >> np.uint64(31))
+# `counter_uniforms` mixes and converts about this many cells at a time (whole
+# entries of the first axis: variables in the kernel's table), so a chunk and
+# the shift buffer stay in cache
+_MIX_CELLS = 1 << 15
+
+
+def _mix(x, shift=None):
+    """The splitmix64 finaliser (Steele, Lea & Flood, OOPSLA 2014), in place on
+    a uint64 array; `shift`, an array of x's shape, holds the shifted copies."""
+    for bits, mult in ((30, _M1), (27, _M2), (31, None)):
+        x ^= np.right_shift(x, np.uint64(bits), out=shift)
+        if mult is not None:
+            x *= mult
+    return x
 
 
 def stable_seed(seed: int, role: str) -> int:
     """Deterministic sub-seed for a named role."""
     digest = hashlib.sha256(f"{seed}:{role}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _absorbed(c):
+    """A counter's term of the chain, (c + 1) * M0 mod 2^64."""
+    term = np.asarray(c, dtype=np.int64).astype(np.uint64)
+    term += np.uint64(1)  # in place, so a 0-d term stays an array, which wraps silently
+    term *= _M0
+    return term
 
 
 def _counter_state(key, *counters) -> np.ndarray:
@@ -76,18 +94,34 @@ def _counter_state(key, *counters) -> np.ndarray:
         else:
             x = _mix(np.asarray(np.uint64(key & 0xFFFFFFFFFFFFFFFF) + _M0, dtype=np.uint64))
         for c in counters:
-            arr = (np.asarray(c, dtype=np.int64).astype(np.uint64) + np.uint64(1)) * _M0
-            x = _mix(np.bitwise_xor(x, arr))
+            x = _mix(np.bitwise_xor(x, _absorbed(c)))
         return x
 
 
-def counter_uniforms(key, *counters) -> np.ndarray:
+def counter_uniforms(key, *counters, out=None) -> np.ndarray:
     """Uniforms in [0,1) indexed by broadcastable integer counters.
 
     `key` is an int seed or a `_counter_state` that already holds a prefix of
-    the counters.
+    the counters.  With `out`, a float64 array of the counters' broadcast
+    shape, the last counter is absorbed, mixed and converted in `out`'s own
+    memory, which is returned: no full-size temporary.
     """
-    return (_counter_state(key, *counters) >> np.uint64(11)).astype(np.float64) * _INV53
+    x = _counter_state(key, *counters[:-1])
+    term = _absorbed(counters[-1]) if counters else np.uint64(0)
+    bits = np.asarray(np.bitwise_xor(x, term, out=None if out is None else out.view(np.uint64)))
+    cells = bits.view(np.float64)
+    chunks, floats = np.atleast_1d(bits, cells)
+    step = max(1, _MIX_CELLS // max(1, chunks[:1].size))
+    shift = np.empty_like(chunks[:step])
+    for a in range(0, len(chunks), step):
+        chunk = chunks[a:a + step]
+        buf = shift[:len(chunk)]
+        if counters:
+            _mix(chunk, buf)
+        chunk >>= np.uint64(11)
+        # through the shift buffer: numpy copies an operand that overlaps its output
+        floats[a:a + step] = np.multiply(chunk, _INV53, out=buf.view(np.float64))
+    return cells[()] if out is None else out  # all-scalar counters give a scalar, as numpy does
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +338,16 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, on_grid(lo, out=lo)
 
 
-def _aligned_copy(x: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of `x` (BLAS's fast layout for the class products)
-    whose data starts on a 64-byte boundary, so the kernel's speed does not
-    depend on where earlier allocations left the heap."""
-    buf = np.empty(x.nbytes + 64, dtype=np.uint8)
+def _aligned_empty(shape, fill=None) -> np.ndarray:
+    """A C-ordered float64 array whose data starts on a 64-byte boundary, so
+    the kernel's speed does not depend on where earlier allocations left the
+    heap; filled from `fill` (broadcast) if given."""
+    nbytes = 8 * int(np.prod(shape))
+    buf = np.empty(nbytes + 64, dtype=np.uint8)
     start = -buf.ctypes.data % 64
-    out = buf[start:start + x.nbytes].view(x.dtype).reshape(x.shape)
-    out[...] = x
+    out = buf[start:start + nbytes].view(np.float64).reshape(shape)
+    if fill is not None:
+        out[...] = fill
     return out
 
 
@@ -349,7 +385,8 @@ class _Compiled:
         ends = np.cumsum([len(cls) for cls in self.colors]).tolist()
         # a block is an (n + 1, |class|) view whose transpose is C-ordered: the
         # kernel's products are `block.T @ state` on a variable-major state
-        self.blocks = [(slice(a, b), _aligned_copy(hi[:, a:b].T).T, _aligned_copy(lo[:, a:b].T).T)
+        self.blocks = [(slice(a, b), _aligned_empty((b - a, n + 1), hi[:, a:b].T).T,
+                        _aligned_empty((b - a, n + 1), lo[:, a:b].T).T)
                        for a, b in zip([0, *ends], ends)]
 
 
@@ -373,7 +410,7 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key: int):
     # in the kernel's layout, as `_metropolis` holds a state: variable-major, and a
     # class's fields are the exact C-ordered products `hi.T @ state` and
     # `lo.T @ state`, of which only the sum rounds
-    state = np.ones((n + 1, len(rows) * states))
+    state = _aligned_empty((n + 1, len(rows) * states), 1.0)
     state[:n] = (counter_uniforms(key, rows[None, :, None], np.arange(states)[None, None, :],
                                   comp.order[:, None, None]) < 0.5).reshape(n, -1)
     # flipping i changes the energy by (1 - 2 b_i)(c_i + (b Q)_i), as Q's diagonal is 0
@@ -408,8 +445,16 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     """
     key_init, key_prop = keys
     n = comp.n
-    state = np.ones((n + 1, len(rows)))
-    state[:n] = counter_uniforms(key_init, rows[None, :], comp.order[:, None]) < 0.5
+    table = _aligned_empty((n, len(rows)))  # refilled in place by every sweep
+    state = _aligned_empty((n + 1, len(rows)), 1.0)
+    # the class step's buffers (sign, the two parts of ΔE, exponent, signed
+    # flips) at the widest class's width, and each class's views of them
+    width = max((cls.stop - cls.start for cls, _, _ in comp.blocks), default=0)
+    buffers = _aligned_empty((5, width, len(rows)))
+    steps = [(hi, lo, state[cls], table[cls], *buffers[:, :cls.stop - cls.start], cooling ** (cls.stop - cls.start))
+             for cls, hi, lo in comp.blocks]
+    neg_temps = -temps  # -(t * c) is -t * c exactly, so cooling it matches cooling temps
+    np.less(counter_uniforms(key_init, rows[None, :], comp.order[:, None], out=table), 0.5, out=state[:n])
     pair = np.zeros((len(rows), 2))
     for cls, *parts in comp.blocks:  # a part's energy is x . (fields + c) / 2
         for k, part in enumerate(parts):
@@ -420,20 +465,29 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     # are mixed once; a sweep's uniforms are one table keyed by variable
     row_state = _counter_state(key_prop, rows[None, :])
     for sweep in range(sweeps):
-        table = counter_uniforms(_counter_state(row_state, sweep), comp.order[:, None])
-        for cls, hi, lo in comp.blocks:
-            bits = state[cls]
-            sign = 1.0 - 2.0 * bits
+        counter_uniforms(_counter_state(row_state, sweep), comp.order[:, None], out=table)
+        for hi, lo, bits, spent, sign, d_hi, d_lo, expo, flips, cool in steps:
+            np.subtract(1.0, bits, out=sign)
+            sign -= bits
             # two C-ordered products of width |class|, not one of 2|class|: OpenBLAS
             # picks its threads by size and layout, and a wider or F-ordered product wakes them
-            d_hi, d_lo = sign * (hi.T @ state), sign * (lo.T @ state)  # the two parts of ΔE
+            np.matmul(hi.T, state, out=d_hi)
+            np.matmul(lo.T, state, out=d_lo)
+            np.add(d_hi, d_lo, out=expo)
+            expo *= sign  # ΔE, as sign * d_hi + sign * d_lo rounds: sign is ±1
+            np.maximum(expo, 0.0, out=expo)
+            np.divide(expo, neg_temps, out=expo)
             with np.errstate(over="ignore"):
-                accepted = table[cls] < np.exp(np.maximum(d_hi + d_lo, 0.0) / -temps)
-            # the spent uniforms hold the accepted hi parts; each part's sums are exact in any order
-            np.multiply(d_hi, accepted, out=table[cls])
-            pair[:, 1] += np.einsum("ir,ir->r", d_lo, accepted)
-            state[cls] = bits != accepted
-            temps = temps * cooling ** (cls.stop - cls.start)
+                np.exp(expo, out=expo)
+            # float 0/1, not bool: numpy casts a bool operand of a float op element by element
+            np.less(spent, expo, out=flips)
+            flips *= sign  # +1 sets a bit, -1 clears it
+            # the spent uniforms hold the accepted hi parts of ΔE; each part's sums are exact in any order
+            np.multiply(d_hi, flips, out=spent)
+            d_lo *= flips
+            pair[:, 1] += d_lo.sum(axis=0)
+            bits += flips
+            neg_temps *= cool
         pair[:, 0] += table.sum(axis=0)
         yield sweep, state.T, pair
 

@@ -314,6 +314,22 @@ def brute_force(obj, tie_tol=1e-9, chunk=1 << 18):
     return best, assignments
 
 
+def splitmix_uniforms(key, *counters):
+    """`solvers.counter_uniforms` as it was before its chain went in place:
+    each splitmix64 step on whole arrays, then one conversion."""
+    def mix(x):
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+    m0 = np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        x = mix(np.asarray(np.uint64(key & 0xFFFFFFFFFFFFFFFF) + m0, dtype=np.uint64))
+        for c in counters:
+            x = mix(x ^ ((np.asarray(c, dtype=np.int64).astype(np.uint64) + np.uint64(1)) * m0))
+    return (x >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
+
 def dense_form(problem):
     """(Q, c) of a quadratic problem in Boolean space: Q dense and symmetric
     with a zero diagonal, c its fields, filled from one cell per term."""
@@ -391,7 +407,7 @@ def pair_energies(comp, state):
     x = state[:, :comp.n]
     pair = []
     for k in (1, 2):
-        part = np.hstack([block[k] for block in comp.blocks])
+        part = np.hstack([np.zeros((comp.n + 1, 0))] + [block[k] for block in comp.blocks])
         pair.append(x @ part[-1] + 0.5 * np.einsum("ri,ij,rj->r", x, part[:-1], x))
     return np.stack(pair, axis=1)
 

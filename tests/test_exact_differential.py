@@ -417,14 +417,22 @@ def test_brute_force_independent_of_blocking(rng, monkeypatch):
     ("sa", "coord-tet-LKDFSAW", 432, 60, 0.9998),
     ("pt", "coord-tet-LKDFSAW", 400, 60, 1.0),
     ("sa", "cli-embedded", 32, 10, 0.9999),
-], ids=["sa", "pt", "sa-cli-embedded"])
+    ("sa", "zero-variables", 8, 5, 0.99),
+    ("sa", "one-variable", 8, 20, 0.99),
+    ("pt", "coord-tet-LKDFSAW", 1, 20, 1.0),
+], ids=["sa", "pt", "sa-cli-embedded", "sa-zero-variables", "sa-one-variable", "pt-one-temperature"])
 def test_metropolis_visits_the_reference_kernels_states(solver, problem, restarts, sweeps, cooling):
     # SA: cooling from Atiqullah start temperatures; PT: the 400-temperature
     # ladder.  On LKDFSAW, 60 sweeps pass one exact re-evaluation of the
     # reference kernel.  The embedded problem (594 variables) runs as the
-    # physical `solve` does: 32 restarts at the CLI's default cooling.
+    # physical `solve` does: 32 restarts at the CLI's default cooling.  The
+    # edge shapes give the kernel's class buffers widths 0 and 1, and one row.
     if problem == "cli-embedded":
         obj = cli_embedded_problem()
+    elif problem == "zero-variables":
+        obj = build_poly({}, 0, offset=0.25)
+    elif problem == "one-variable":
+        obj = build_poly({(0,): 1.5}, 1, offset=-0.5)
     else:
         obj = encode("coord-tet", "LKDFSAW", get_model("mj")).objective
     comp = _Compiled(obj)
@@ -433,6 +441,7 @@ def test_metropolis_visits_the_reference_kernels_states(solver, problem, restart
         temps = _atiqullah_t0(comp, rows, stable_seed(11, "sa-probe"))
     else:
         temps = temperature_ladder(PtConfig(num_temps=restarts, t_min=1.0, t_max=1e4))
+    given_temps = temps.copy()
     keys = (stable_seed(11, f"{solver}-init"), stable_seed(11, f"{solver}-accept"))
     new = _metropolis(comp, keys, rows, sweeps, temps, cooling)
     old = ref.metropolis(comp, ref.dense_form(obj), keys, rows, sweeps, temps, cooling)
@@ -442,6 +451,8 @@ def test_metropolis_visits_the_reference_kernels_states(solver, problem, restart
         assert np.all(state[:, -1] == 1.0)
         assert np.array_equal(pair, ref.pair_energies(comp, state))
         assert np.abs(comp.offset + pair.sum(axis=1) - e_old).max() <= ref.DRIFT_TOL
+    # PT passes its ladder and reads it again for the swap exponents
+    assert temps.tobytes() == given_temps.tobytes()
 
 
 def cli_embedded_problem():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticefold import core, solvers
@@ -60,6 +60,9 @@ class TestCounterRng:
                               [0.4544897710529917, 0.8437367083009601],
                               [0.9337913894358153, 0.0262155808325355]]
         assert counter_uniforms(-1, 2**40) == 0.7134044326688244
+        buf = np.empty((3, 2))
+        assert counter_uniforms(42, np.arange(3)[:, None], 7, np.array([[0, 5]]), out=buf) is buf
+        assert buf.tolist() == u.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -87,6 +90,37 @@ class TestCounterRng:
         got = counter_uniforms(state, *counters[steps:])
         assert got.shape == want.shape == (rows, cols)
         assert np.array_equal(got, want)
+        buf = np.full((rows, cols), np.nan)
+        assert counter_uniforms(state, *counters[steps:], out=buf) is buf
+        assert np.array_equal(buf, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        key=st.integers(-(2**63), 2**64 - 1),
+        width=st.integers(1, 600),
+        chunks=st.integers(0, 2),
+        offset=st.integers(-1, 1),
+        sweep=st.integers(0, 2**40),
+        shuffle=st.integers(0, 2**32 - 1),
+    )
+    @example(key=3, width=432, chunks=1, offset=0, sweep=5, shuffle=0)  # the anneal table
+    @example(key=3, width=432, chunks=2, offset=1, sweep=5, shuffle=0)
+    @example(key=-1, width=1, chunks=1, offset=1, sweep=0, shuffle=1)
+    def test_out_gives_the_allocating_draw(self, key, width, chunks, offset, sweep, shuffle):
+        # the kernel's draw: a (key, row, sweep) prefix state and a column of
+        # variables, whose count is 0, or below, at or across a chunk's
+        step = max(1, solvers._MIX_CELLS // width)
+        n = max(0, chunks * step + offset)
+        order = np.random.default_rng(shuffle).permutation(n)[:, None]
+        rows = np.arange(width)[None, :]
+        state = _counter_state(_counter_state(key, rows), sweep)
+        before = state.copy()
+        want = ref.splitmix_uniforms(key, rows, sweep, order)
+        buf = np.full((n, width), np.nan)
+        assert counter_uniforms(state, order, out=buf) is buf
+        assert np.array_equal(buf, want)
+        assert np.array_equal(counter_uniforms(state, order), want)
+        assert np.array_equal(state, before)  # the prefix state is not mixed in place
 
 
 class TestBlockPlan:
