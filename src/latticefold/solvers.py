@@ -353,7 +353,7 @@ def _aligned_empty(shape, fill=None) -> np.ndarray:
 
 class _Compiled:
     """A quadratic problem in Boolean space in the kernel's layout: the exact
-    split of its `[Q; c]`, one block of columns per colour class."""
+    split of its `[Q; c]`, one fused block of rows per colour class."""
 
     def __init__(self, problem):
         if not isinstance(problem, PolynomialObjective):
@@ -383,11 +383,37 @@ class _Compiled:
         hi, lo = _exact_split(qc)
         del qc
         ends = np.cumsum([len(cls) for cls in self.colors]).tolist()
-        # a block is an (n + 1, |class|) view whose transpose is C-ordered: the
-        # kernel's products are `block.T @ state` on a variable-major state
-        self.blocks = [(slice(a, b), _aligned_empty((b - a, n + 1), hi[:, a:b].T).T,
-                        _aligned_empty((b - a, n + 1), lo[:, a:b].T).T)
-                       for a, b in zip([0, *ends], ends)]
+        self.slices = [slice(a, b) for a, b in zip([0, *ends], ends)]
+        # a class's columns of both parts, transposed and stacked: the C-ordered
+        # (2|class|, n + 1) left factor of its products [hi.T; lo.T] @ state
+        self.fused = [_aligned_empty((2 * (s.stop - s.start), n + 1), np.hstack([hi[:, s], lo[:, s]]).T)
+                      for s in self.slices]
+
+    @property
+    def blocks(self):
+        """Per class, (slice, hi, lo): (n + 1, |class|) views of its fused block's halves."""
+        return [(s, *(half.T for half in np.split(f, 2))) for s, f in zip(self.slices, self.fused)]
+
+
+# a product of at most this many multiply-adds stays on OpenBLAS's small-matrix path: at
+# n + 1 = 190 and 432 rows, 12 rows (0.98 M) took 35.0 us and 13 rows 50.8 us, as threads woke
+SMALL_PRODUCT = 10**6
+
+
+def _products(comp: _Compiled, state: np.ndarray) -> list:
+    """Per class, `(slice, d, pieces)`: `np.matmul(piece, state, out=part)` for each
+    `(piece, part)` fills `d`, a view of one aligned buffer, with [hi.T; lo.T] @ state.
+    A piece has at most max(|class|, b) rows, b = SMALL_PRODUCT // state.size cut
+    to a multiple of 4: one product per class where that stays on the small path,
+    and never more than two.  OpenBLAS takes rows 4 at a time: at n + 1 = 298 and
+    216 rows, pieces of 15 and 1 rows took 45.7 us, of 12 and 4 rows 36.5 us."""
+    most = SMALL_PRODUCT // max(1, state.size) // 4 * 4
+    out = _aligned_empty((max(map(len, comp.fused), default=0), state.shape[1]))
+    steps = []
+    for cls, f in zip(comp.slices, comp.fused):
+        size, d = max(len(f) // 2, most), out[:len(f)]
+        steps.append((cls, d, [(f[a:a + size], d[a:a + size]) for a in range(0, len(f), size)]))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +434,17 @@ def _atiqullah_t0(comp: _Compiled, rows: np.ndarray, key: int):
         return np.ones(len(rows))
     states = -(-100 // n)
     # in the kernel's layout, as `_metropolis` holds a state: variable-major, and a
-    # class's fields are the exact C-ordered products `hi.T @ state` and
-    # `lo.T @ state`, of which only the sum rounds
+    # class's fields are its exact products d_hi and d_lo, of which only the sum rounds
     state = _aligned_empty((n + 1, len(rows) * states), 1.0)
     state[:n] = (counter_uniforms(key, rows[None, :, None], np.arange(states)[None, None, :],
                                   comp.order[:, None, None]) < 0.5).reshape(n, -1)
     # flipping i changes the energy by (1 - 2 b_i)(c_i + (b Q)_i), as Q's diagonal is 0
     samples = np.empty((n, state.shape[1]))
-    for cls, hi, lo in comp.blocks:
-        samples[cls] = (1.0 - 2.0 * state[cls]) * (hi.T @ state + lo.T @ state)
+    for cls, d, pieces in _products(comp, state):
+        for piece, part in pieces:
+            np.matmul(piece, state, out=part)
+        d_hi, d_lo = np.split(d, 2)
+        samples[cls] = (1.0 - 2.0 * state[cls]) * (d_hi + d_lo)
     samples = samples[comp.inverse].T.reshape(len(rows), -1)  # per row, in variable order
     mean = samples.mean(axis=1)
     std = samples.std(axis=1, ddof=1)
@@ -435,61 +463,66 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     Yields `(sweep, state, pair)` for the random initial state (as sweep 0),
     then after each sweep; `state[:, comp.inverse]` are the bits, and a row
     of `pair` is the state's exact energy under the hi and the lo part of the
-    split, so its energy is offset + E_hi + E_lo.  The arrays are updated in
-    place, so the caller may exchange rows between sweeps.  A class is
+    split, so its energy is offset + E_hi + E_lo.  Row r's labels, its counter
+    id and temperature, start as `rows[r]` and `temps[r]` (copied); sending
+    `(a, b)`, two arrays of rows, makes rows a[i] and b[i] trade labels.  A class is
     proposed at once at its entry temperature; temperatures advance by
     `cooling` per proposed variable (1.0 keeps a fixed ladder).
     The state is held variable-major, (n + 1, rows), so a class's bits and
-    uniforms are contiguous blocks and its fields two C-ordered products;
+    uniforms are contiguous blocks and its fields the products of `_products`;
     the yielded `state` is its (rows, n + 1) transposed view.
     """
     key_init, key_prop = keys
     n = comp.n
+    ids = np.array(rows)
+    neg_temps = -temps  # -(t * c) is -t * c exactly, so cooling it matches cooling temps
     table = _aligned_empty((n, len(rows)))  # refilled in place by every sweep
     state = _aligned_empty((n + 1, len(rows)), 1.0)
-    # the class step's buffers (sign, the two parts of ΔE, exponent, signed
-    # flips) at the widest class's width, and each class's views of them
-    width = max((cls.stop - cls.start for cls, _, _ in comp.blocks), default=0)
-    buffers = _aligned_empty((5, width, len(rows)))
-    steps = [(hi, lo, state[cls], table[cls], *buffers[:, :cls.stop - cls.start], cooling ** (cls.stop - cls.start))
-             for cls, hi, lo in comp.blocks]
-    neg_temps = -temps  # -(t * c) is -t * c exactly, so cooling it matches cooling temps
     np.less(counter_uniforms(key_init, rows[None, :], comp.order[:, None], out=table), 0.5, out=state[:n])
+    products = _products(comp, state)
     pair = np.zeros((len(rows), 2))
-    for cls, *parts in comp.blocks:  # a part's energy is x . (fields + c) / 2
-        for k, part in enumerate(parts):
-            pair[:, k] += np.einsum("ir,ir->r", state[cls], part.T @ state + part[-1][:, None]) / 2
+    for cls, d, pieces in products:  # a part's energy is x . (fields + c) / 2
+        for piece, part in pieces:
+            np.matmul(piece, state, out=part)
+            part += piece[:, -1:]
+        for k, fields in enumerate(np.split(d, 2)):
+            pair[:, k] += np.einsum("ir,ir->r", state[cls], fields) / 2
     yield 0, state.T, pair
 
-    # the (key, row) and (key, row, sweep) prefixes of the proposal counters
-    # are mixed once; a sweep's uniforms are one table keyed by variable
-    row_state = _counter_state(key_prop, rows[None, :])
+    # per class, views of the step's buffers (sign, exponent, signed flips) and of d_hi and d_lo
+    buffers = _aligned_empty((3, max((len(d) for _, d, _ in products), default=0) // 2, len(rows)))
+    steps = [(pieces, state[cls], table[cls], *buffers[:, :len(d) // 2], *np.split(d, 2), cooling ** (len(d) // 2))
+             for cls, d, pieces in products]
     for sweep in range(sweeps):
-        counter_uniforms(_counter_state(row_state, sweep), comp.order[:, None], out=table)
-        for hi, lo, bits, spent, sign, d_hi, d_lo, expo, flips, cool in steps:
-            np.subtract(1.0, bits, out=sign)
-            sign -= bits
-            # two C-ordered products of width |class|, not one of 2|class|: OpenBLAS
-            # picks its threads by size and layout, and a wider or F-ordered product wakes them
-            np.matmul(hi.T, state, out=d_hi)
-            np.matmul(lo.T, state, out=d_lo)
-            np.add(d_hi, d_lo, out=expo)
-            expo *= sign  # ΔE, as sign * d_hi + sign * d_lo rounds: sign is ±1
-            np.maximum(expo, 0.0, out=expo)
-            np.divide(expo, neg_temps, out=expo)
-            with np.errstate(over="ignore"):
+        # a sweep's uniforms are one table keyed by variable, after the (key, id, sweep) prefix
+        counter_uniforms(_counter_state(key_prop, ids[None, :], sweep), comp.order[:, None], out=table)
+        # -ΔE/T overflows at a tiny T, and is ±inf or 0/0 = NaN at a T cooled to 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for pieces, bits, spent, sign, expo, flips, d_hi, d_lo, cool in steps:
+                np.subtract(1.0, bits, out=sign)
+                sign -= bits
+                for piece, part in pieces:
+                    np.matmul(piece, state, out=part)
+                np.add(d_hi, d_lo, out=expo)
+                expo *= sign  # ΔE, as sign * d_hi + sign * d_lo rounds: sign is ±1
+                # -ΔE/T; where ΔE <= 0, exp gives at least 1, above every uniform
+                np.divide(expo, neg_temps, out=expo)
                 np.exp(expo, out=expo)
-            # float 0/1, not bool: numpy casts a bool operand of a float op element by element
-            np.less(spent, expo, out=flips)
-            flips *= sign  # +1 sets a bit, -1 clears it
-            # the spent uniforms hold the accepted hi parts of ΔE; each part's sums are exact in any order
-            np.multiply(d_hi, flips, out=spent)
-            d_lo *= flips
-            pair[:, 1] += d_lo.sum(axis=0)
-            bits += flips
-            neg_temps *= cool
+                # float 0/1, not bool: numpy casts a bool operand of a float op element by element
+                np.less(spent, expo, out=flips)
+                flips *= sign  # +1 sets a bit, -1 clears it
+                # the spent uniforms hold the accepted hi parts of ΔE; each part's sums are exact in any order
+                np.multiply(d_hi, flips, out=spent)
+                d_lo *= flips
+                pair[:, 1] += d_lo.sum(axis=0)
+                bits += flips
+                neg_temps *= cool
         pair[:, 0] += table.sum(axis=0)
-        yield sweep, state.T, pair
+        exchange = yield sweep, state.T, pair
+        if exchange is not None:
+            a, b = exchange
+            for label in (ids, neg_temps):
+                label[a], label[b] = label[b], label[a]
 
 
 def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
@@ -588,7 +621,8 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
 
     Every sweep performs coloring-parallel Metropolis in all replicas, then
     attempts swaps on alternating even/odd adjacent ladder pairs.  Slots are
-    pinned to temperatures; a swap exchanges configurations.
+    pinned to temperatures; a swap trades two kernel rows' labels (counter id
+    and temperature), and `where[slot]` is the row holding the slot's state.
     """
     comp = _Compiled(problem)
     ladder = temperature_ladder(cfg)
@@ -596,7 +630,7 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     n = comp.n
     key_swap = stable_seed(cfg.seed, "pt-swap")
     start = time.perf_counter()
-    rows = np.arange(m, dtype=np.int64)
+    where = np.arange(m, dtype=np.int64)
 
     best = np.full(2, np.inf)
     trajectory = np.zeros((cfg.sweeps, m), dtype=np.float32)
@@ -605,28 +639,31 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     measure_energies = np.zeros(cfg.measure_sweeps)
 
     keys = (stable_seed(cfg.seed, "pt-init"), stable_seed(cfg.seed, "pt-accept"))
-    kernel = _metropolis(comp, keys, rows, cfg.sweeps, ladder, 1.0)
+    kernel = _metropolis(comp, keys, where, cfg.sweeps, ladder, 1.0)
     next(kernel)  # the initial state is not a record
-    for sweep, state, pair in kernel:
+    exchange = None
+    for sweep in range(cfg.sweeps):
+        _, state, pair = kernel.send(exchange)
         lows = np.arange(sweep % 2, m - 1, 2)  # empty with one temperature
         highs = lows + 1
-        exponent = (pair[lows] - pair[highs]).sum(axis=1) * (1.0 / ladder[lows] - 1.0 / ladder[highs])
-        with np.errstate(over="ignore"):
+        # 1/T overflows near T = 1e-308, and NaN (inf - inf, 0 * inf) never swaps
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = (pair[where[lows]] - pair[where[highs]]).sum(axis=1)
+            exponent = diff * (1.0 / ladder[lows] - 1.0 / ladder[highs])
             p_swap = np.where(exponent >= 0.0, 1.0, np.exp(exponent))
         u = counter_uniforms(key_swap, np.full(len(lows), sweep), lows)
         do = u < p_swap
-        swap_lo, swap_hi = lows[do], highs[do]
-        for arr in (state, pair):
-            arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
-
-        energies = comp.offset + pair.sum(axis=1)
+        exchange = where[lows[do]], where[highs[do]]
+        where[lows[do]], where[highs[do]] = exchange[1], exchange[0]
+        slots = pair[where]  # the energy pairs in slot order
+        energies = comp.offset + slots.sum(axis=1)
         trajectory[sweep] = energies
-        gaps = (pair - pair[0]).sum(axis=1)  # the sweep's lowest row: first within TIE_TOL of its min
-        row = int(np.argmax(gaps <= gaps.min() + TIE_TOL))
-        if (pair[row] - best).sum() < -TIE_TOL:  # the rule `_sa_rows` keeps its best by
-            best, best_state = pair[row].copy(), state[row, :n].copy()
+        gaps = (slots - slots[0]).sum(axis=1)  # the sweep's lowest slot: first within TIE_TOL of its min
+        slot = int(np.argmax(gaps <= gaps.min() + TIE_TOL))
+        if (slots[slot] - best).sum() < -TIE_TOL:  # the rule `_sa_rows` keeps its best by
+            best, best_state = slots[slot], state[where[slot], :n].copy()
         if sweep >= measure_from:
-            measure_states[sweep - measure_from] = state[0, :n]
+            measure_states[sweep - measure_from] = state[where[0], :n]
             measure_energies[sweep - measure_from] = energies[0]
 
     wall = time.perf_counter() - start

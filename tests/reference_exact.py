@@ -1,8 +1,8 @@
 """Reference copies of the term-by-term exact solvers, of the two-stage
 problem loader, of the field and coupling table builders, of the per-chain
 unembedding, of the incremental-field Metropolis kernel, of the allocating
-exact split and of the whole-table reduction check, for differential
-tests.
+exact split, of the whole-table reduction check and of the
+configuration-exchange parallel tempering, for differential tests.
 
 `quadratize` recounts every pair of every high-degree term after each
 substitution, `brute_force` scores every state with a float64 term loop
@@ -29,8 +29,13 @@ all rows of both sampled scans at once and takes a flip's cost as the
 difference of two full energies; the package's scans run in chunks and sum
 a flip's cost from the terms holding the flipped auxiliary, so the rows,
 the discrepancy and the count must be equal and the gap within rounding.
+`parallel_tempering` exchanges whole configurations and energy pairs between
+the kernel's rows, so each row keeps its counter id and temperature; the
+package's PT exchanges the two rows' labels instead and must return the same
+records, trajectory and fingerprint byte for byte.
 """
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -40,6 +45,7 @@ from latticefold import core
 from latticefold.core import (
     BOOLEAN,
     ISING,
+    TIE_TOL,
     IsingProblem,
     InputError,
     PolynomialObjective,
@@ -47,7 +53,16 @@ from latticefold.core import (
     code_bits,
 )
 from latticefold.reduction import VERIFY_SAMPLES, QuadratizationResult, resolve_alpha
-from latticefold.solvers import _counter_state, counter_uniforms, stable_seed
+from latticefold.solvers import (
+    PtResult,
+    SampleSet,
+    _Compiled,
+    _counter_state,
+    _metropolis,
+    counter_uniforms,
+    stable_seed,
+    temperature_ladder,
+)
 
 FULL_REEVAL_FLIPS = 10_000
 DRIFT_TOL = 1e-6
@@ -467,3 +482,68 @@ def verify_quadratization(hubo, result, budget=20):
             gap = float((result.qubo.evaluate_batch(broken.T) - base).min())
             checked = m
     return exhaustive, int(checked), max_disc, float(gap)
+
+
+def problem_fingerprint(comp):
+    """sha256 of n and each class's hi and lo columns, in class order."""
+    h = hashlib.sha256()
+    h.update(np.int64(comp.n).tobytes())
+    for _, *parts in comp.blocks:
+        for part in parts:
+            h.update(part.tobytes())
+    return h.hexdigest()[:16]
+
+
+def parallel_tempering(problem, cfg):
+    """`solvers.parallel_tempering` with each slot pinned to one kernel row:
+    a swap copies the two rows' states and energy pairs, and the kernel's
+    counter ids and temperatures never move."""
+    comp = _Compiled(problem)
+    ladder = temperature_ladder(cfg)
+    m = cfg.num_temps
+    n = comp.n
+    key_swap = stable_seed(cfg.seed, "pt-swap")
+    rows = np.arange(m, dtype=np.int64)
+
+    best = np.full(2, np.inf)
+    trajectory = np.zeros((cfg.sweeps, m), dtype=np.float32)
+    measure_from = cfg.sweeps - cfg.measure_sweeps
+    measure_states = np.zeros((cfg.measure_sweeps, n), dtype=np.uint8)
+    measure_energies = np.zeros(cfg.measure_sweeps)
+
+    keys = (stable_seed(cfg.seed, "pt-init"), stable_seed(cfg.seed, "pt-accept"))
+    kernel = _metropolis(comp, keys, rows, cfg.sweeps, ladder, 1.0)
+    next(kernel)
+    for sweep, state, pair in kernel:
+        lows = np.arange(sweep % 2, m - 1, 2)
+        highs = lows + 1
+        exponent = (pair[lows] - pair[highs]).sum(axis=1) * (1.0 / ladder[lows] - 1.0 / ladder[highs])
+        with np.errstate(over="ignore"):
+            p_swap = np.where(exponent >= 0.0, 1.0, np.exp(exponent))
+        u = counter_uniforms(key_swap, np.full(len(lows), sweep), lows)
+        do = u < p_swap
+        swap_lo, swap_hi = lows[do], highs[do]
+        for arr in (state, pair):
+            arr[swap_lo], arr[swap_hi] = arr[swap_hi].copy(), arr[swap_lo].copy()
+
+        energies = comp.offset + pair.sum(axis=1)
+        trajectory[sweep] = energies
+        gaps = (pair - pair[0]).sum(axis=1)
+        row = int(np.argmax(gaps <= gaps.min() + TIE_TOL))
+        if (pair[row] - best).sum() < -TIE_TOL:
+            best, best_state = pair[row].copy(), state[row, :n].copy()
+        if sweep >= measure_from:
+            measure_states[sweep - measure_from] = state[0, :n]
+            measure_energies[sweep - measure_from] = energies[0]
+
+    ss = SampleSet(
+        space=comp.space,
+        bits=np.vstack([measure_states[:, comp.inverse], best_state[None, comp.inverse]]).astype(np.uint8),
+        energies=np.append(measure_energies, comp.offset + best.sum()),
+        replicas=np.concatenate([np.zeros(cfg.measure_sweeps, dtype=np.int64), [-1]]),
+        sweeps=np.concatenate([np.arange(measure_from, cfg.sweeps), [cfg.sweeps]]),
+        run_seconds=0.0,
+        tau_seconds=0.0,
+        meta={"problem_fingerprint": problem_fingerprint(comp)},
+    )
+    return PtResult(ss, trajectory)

@@ -9,9 +9,13 @@ an energy pair equal to the one recomputed from the state.  The in-place
 exact split against the allocating one, and the split built from the term
 cells against the split of the dense `[Q; c]`: equal parts bit for bit.  The
 chunked reduction check against the whole-table one: the same rows, count
-and discrepancy, and a gap within rounding."""
+and discrepancy, and a gap within rounding.  PT that exchanges row labels
+against PT that exchanges configurations: the same records, trajectory and
+fingerprint byte for byte.  A class's fused product pieces against its two
+split products: equal fields byte for byte."""
 
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 
 import reference_exact as ref
 from conftest import all_assignments, build_poly, random_qubo
+from latticefold import solvers
 from latticefold.core import (
     InputError,
     IsingProblem,
@@ -33,12 +38,15 @@ from latticefold.embedding import EmbeddingMap, HardwareGraph, apply_embedding, 
 from latticefold.encoders import encode, get_model
 from latticefold.reduction import quadratize, verify_quadratization
 from latticefold.solvers import (
+    SMALL_PRODUCT,
     PtConfig,
     _atiqullah_t0,
     _Compiled,
     _exact_split,
     _metropolis,
+    _products,
     brute_force,
+    parallel_tempering,
     stable_seed,
     temperature_ladder,
 )
@@ -427,14 +435,7 @@ def test_metropolis_visits_the_reference_kernels_states(solver, problem, restart
     # reference kernel.  The embedded problem (594 variables) runs as the
     # physical `solve` does: 32 restarts at the CLI's default cooling.  The
     # edge shapes give the kernel's class buffers widths 0 and 1, and one row.
-    if problem == "cli-embedded":
-        obj = cli_embedded_problem()
-    elif problem == "zero-variables":
-        obj = build_poly({}, 0, offset=0.25)
-    elif problem == "one-variable":
-        obj = build_poly({(0,): 1.5}, 1, offset=-0.5)
-    else:
-        obj = encode("coord-tet", "LKDFSAW", get_model("mj")).objective
+    obj = solver_problem(problem)
     comp = _Compiled(obj)
     rows = np.arange(restarts, dtype=np.int64)
     if solver == "sa":
@@ -473,6 +474,114 @@ def cli_embedded_problem():
     return embedded.ising
 
 
+def solver_problem(name):
+    """A solver test problem by name; any other name is coord-tet `LKDFSAW` (MJ)."""
+    if name == "cli-embedded":
+        return cli_embedded_problem()
+    if name == "cli-coord-tet":  # the README pipeline's logical problem
+        return encode("coord-tet", "HPPPPHPPPPH", get_model("hp"), L=3).objective
+    if name == "zero-variables":
+        return build_poly({}, 0, offset=0.25)
+    if name == "one-variable":
+        return build_poly({(0,): 1.5}, 1, offset=-0.5)
+    return encode("coord-tet", "LKDFSAW", get_model("mj")).objective
+
+
+@pytest.mark.parametrize("problem, rows", [
+    ("coord-tet-LKDFSAW", 432), ("coord-tet-LKDFSAW", 400), ("cli-coord-tet", 216),
+    ("cli-embedded", 32), ("cli-embedded", 216),
+])
+def test_class_products_are_the_split_products(problem, rows):
+    """Each class's fields come from at most two pieces of its fused block, a
+    piece has at most max(|class|, SMALL_PRODUCT / ((n + 1)·rows)) rows (that
+    bound cut to a multiple of 4), and the pieces give `hi.T @ state` and
+    `lo.T @ state` byte for byte."""
+    comp = _Compiled(solver_problem(problem))
+    assert comp.n == {"coord-tet-LKDFSAW": 189, "cli-coord-tet": 297, "cli-embedded": 594}[problem]
+    state = np.ones((comp.n + 1, rows))
+    state[:comp.n] = np.random.default_rng(rows).integers(0, 2, size=(comp.n, rows))
+    bound = SMALL_PRODUCT // ((comp.n + 1) * rows) // 4 * 4
+    products = _products(comp, state)
+    assert len(products) == len(comp.blocks)
+    fused = 0
+    for (cls, d, pieces), (block_cls, hi, lo) in zip(products, comp.blocks):
+        width = cls.stop - cls.start
+        assert cls == block_cls and d.shape == (2 * width, rows)
+        assert 1 <= len(pieces) <= 2 and all(len(piece) <= max(width, bound) for piece, _ in pieces)
+        assert sum(len(piece) for piece, _ in pieces) == 2 * width
+        fused += len(pieces) == 1
+        for piece, part in pieces:
+            np.matmul(piece, state, out=part)
+        assert d[:width].tobytes() == (hi.T @ state).tobytes()
+        assert d[width:].tobytes() == (lo.T @ state).tobytes()
+    # exactly the classes whose fused block fits the bound take one product
+    assert fused == sum(2 * (cls.stop - cls.start) <= bound for cls, _, _ in comp.blocks)
+
+
+@pytest.mark.parametrize("problem, temps, sweeps", [
+    ("coord-tet-LKDFSAW", 400, 60),
+    ("coord-tet-LKDFSAW", 1, 20),
+    ("coord-tet-LKDFSAW", 2, 20),
+    ("zero-variables", 4, 5),
+    ("cli-embedded", 32, 100),
+], ids=["ladder-400", "one-temperature", "two-temperatures", "zero-variables", "cli-embedded"])
+def test_pt_label_exchange_matches_the_configuration_exchange(monkeypatch, problem, temps, sweeps):
+    """PT that swaps two rows' counter ids and temperatures returns the
+    records, trajectory and fingerprint of PT that swaps their states, and
+    leaves its ladder as `temperature_ladder` made it."""
+    obj = solver_problem(problem)
+    cfg = PtConfig(num_temps=temps, t_min=1.0, t_max=1e4, sweeps=sweeps, measure_sweeps=sweeps // 2, seed=11)
+    ladders = []
+    monkeypatch.setattr(solvers, "temperature_ladder", lambda c: ladders.append(temperature_ladder(c)) or ladders[-1])
+    new, old = parallel_tempering(obj, cfg), ref.parallel_tempering(obj, cfg)
+    for name in ("bits", "energies", "replicas", "sweeps"):
+        assert getattr(new.sample_set, name).tobytes() == getattr(old.sample_set, name).tobytes(), name
+    assert new.energy_trajectory.tobytes() == old.energy_trajectory.tobytes()
+    assert new.sample_set.meta["problem_fingerprint"] == old.sample_set.meta["problem_fingerprint"]
+    (ladder,) = ladders
+    assert ladder.tobytes() == temperature_ladder(cfg).tobytes()
+
+
+PROBE_PROBLEM = {(0,): 1e10, (1,): -2.0, (0, 2): 3e12}
+
+
+def test_sa_kernel_at_a_tiny_temperature_raises_no_float_warning():
+    """t0 = 1e-300 overflows ΔE/T: the kernel decides as the reference kernel
+    does, and no float warning leaves it or `simulated_annealing`."""
+    obj = build_poly(PROBE_PROBLEM, 3)
+    comp = _Compiled(obj)
+    rows = np.arange(8, dtype=np.int64)
+    keys = (stable_seed(1, "sa-init"), stable_seed(1, "sa-accept"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [(sweep, state[:, comp.inverse].copy(), pair.copy())
+               for sweep, state, pair in _metropolis(comp, keys, rows, 30, np.full(8, 1e-300), 0.99)]
+        ss = solvers.simulated_annealing(obj, solvers.SaConfig(0.99, 30, 8, seed=1, t0=1e-300))
+    want = ref.metropolis(comp, ref.dense_form(obj), keys, rows, 30, np.full(8, 1e-300), 0.99)
+    for (sweep, bits, pair), (ref_sweep, ref_bits, _, energies) in zip(got, want, strict=True):
+        assert sweep == ref_sweep and np.array_equal(bits, ref_bits)
+        assert np.array_equal(comp.offset + pair.sum(axis=1), energies)
+    assert np.array_equal(ss.energies, obj.evaluate_batch(ss.bits))
+
+
+@pytest.mark.parametrize("t_min", [1e-300, 1e-310])
+def test_pt_at_a_tiny_temperature_raises_no_float_warning(t_min):
+    """t_min = 1e-300 overflows ΔE/T in the kernel, and 1e-310 overflows 1/T
+    in the swap exponent as well: PT returns the reference PT's output, and
+    no float warning leaves it."""
+    obj = build_poly(PROBE_PROBLEM, 3)
+    cfg = PtConfig(num_temps=8, t_min=t_min, t_max=1e3, sweeps=30, measure_sweeps=10, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new = parallel_tempering(obj, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        old = ref.parallel_tempering(obj, cfg)
+    assert new.sample_set.bits.tobytes() == old.sample_set.bits.tobytes()
+    assert new.sample_set.energies.tobytes() == old.sample_set.energies.tobytes()
+    assert new.energy_trajectory.tobytes() == old.energy_trajectory.tobytes()
+
+
 def assert_same_split(a):
     before = a.copy()
     (hi, lo), (ref_hi, ref_lo) = _exact_split(a), ref.exact_split(a)
@@ -485,10 +594,7 @@ def test_exact_split_identical_on_solver_inputs(problem):
     """The blocks split from `[Q; c]` filled straight from the term cells in
     kernel order equal, column for column, the split of the dense `[Q; c]`
     permuted into kernel order, on both bench problems."""
-    if problem == "cli-embedded":
-        obj = cli_embedded_problem()
-    else:
-        obj = encode("coord-tet", "LKDFSAW", get_model("mj")).objective
+    obj = solver_problem(problem)
     comp = _Compiled(obj)
     assert comp.n == (594 if problem == "cli-embedded" else 189)
     dense = ref.kernel_matrix(comp, *ref.dense_form(obj))

@@ -211,10 +211,13 @@ class TestExactSplit:
 
     def test_blocks_are_c_ordered_on_64_byte_boundaries(self):
         comp = _Compiled(encode("coord-tet", "LKDFSAW", mj_model()).objective)
-        for _, hi, lo in comp.blocks:
-            for part in (hi, lo):
-                # stored as its transpose, the (|class|, n + 1) left factor of `part.T @ state`
-                assert part.T.flags.c_contiguous and part.T.ctypes.data % 64 == 0
+        for (cls, hi, lo), fused in zip(comp.blocks, comp.fused):
+            # [hiᵀ; loᵀ], the (2|class|, n + 1) left factor of the class's products
+            assert fused.flags.c_contiguous and fused.ctypes.data % 64 == 0
+            assert fused.shape == (2 * (cls.stop - cls.start), comp.n + 1)
+            # the blocks are views of it, not copies
+            assert np.shares_memory(hi, fused) and np.shares_memory(lo, fused)
+            assert hi.T.tobytes() + lo.T.tobytes() == fused.tobytes()
 
 
 class TestColoring:
@@ -314,6 +317,15 @@ class TestSimulatedAnnealing:
         obj = build_poly({(0,): 5.0, (1,): 7.0}, 2)
         ss = simulated_annealing(obj, SaConfig(0.5, 5, 8, seed=0, t0=1e-9))
         assert ss.best_energy == 0.0
+
+    def test_downhill_taken_at_a_temperature_cooled_to_zero(self):
+        # t0 = 5e-324 cools to 0 after the first class: ΔE / -0 is +inf for a
+        # downhill flip, so every restart still reaches the ground state
+        obj = build_poly({(0, 1): 1e-3, (1,): -1.0, (0,): 0.5}, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ss = simulated_annealing(obj, SaConfig(0.4, 5, 16, seed=1, t0=5e-324))
+        assert ss.energies.tolist() == [-1.0] * 16
 
     def test_config_validation(self):
         with pytest.raises(InputError):
