@@ -186,7 +186,7 @@ def cmd_reduce(args) -> int:
     out_doc["verification"] = dataclasses.asdict(report)
     _write_json(args.out, out_doc, manifest)
     print(f"aux={len(result.aux_map)} alpha={result.alpha} "
-          f"discrepancy={report.max_discrepancy:.3g} gap={report.min_inconsistency_gap:.6g}")
+          f"discrepancy={report.lift_residual:.3g} gap={report.gap_bound:.6g}")
     if not report.ok:
         print("verification FAILED", file=sys.stderr)
         return EXIT_VERIFY
@@ -491,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--alpha", default="worst_case",
                    help="worst_case | fixed:VALUE | scaled")
-    p.add_argument("--verify-budget", type=int, default=20)
+    p.add_argument("--verify-budget", type=int, default=20,
+                   help="most original variables for an exhaustive gap scan, which "
+                   "runs only where the gap certificate is not positive")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)
 

@@ -5,10 +5,11 @@ One auxiliary variable b_aux stands in for a product b_i*b_j; the penalty
     alpha * (b_i b_j - 2 b_aux (b_i + b_j) + 3 b_aux)
 
 is zero exactly when b_aux = b_i*b_j and at least alpha otherwise, so any
-alpha above the total coefficient mass preserves the minimum and the set of
-original-variable minimizers.  Pairs are chosen greedily by how many
-high-order terms they appear in (ties to the lexicographically smallest
-pair).
+alpha above the mass of the substituted terms, sum |c_T| over the terms of
+degree > 2, preserves the minimum and the set of original-variable
+minimizers (`verify_quadratization` proves it).  Pairs are chosen greedily
+by how many high-order terms they appear in (ties to the lexicographically
+smallest pair).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
 )
 
 WORST_CASE = "worst_case"
-# random assignments `verify_quadratization` checks when it is not exhaustive
+# rows of the sampled gap scan, each with one auxiliary flipped
 VERIFY_SAMPLES = 100_000
 # rows per chunk of every verification scan: bounds their memory
 VERIFY_CHUNK = 32_768
@@ -151,17 +152,15 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
 
 @dataclass(frozen=True)
 class VerificationReport:
-    exhaustive: bool
-    checked: int
-    max_discrepancy: float
-    min_inconsistency_gap: float
+    gap_bound: float  # least extra cost of an inconsistent auxiliary setting: proven or scanned
+    gap_source: str  # "certificate", "exhaustive" or "sampled"
+    checked: int  # rows the gap scan ran over; 0 under the certificate
     lift_residual: float  # bound on |QUBO(x, lift(x)) - HUBO(x)| over every x
-    tolerance: float  # bound on max_discrepancy of a sound reduction
+    tolerance: float  # bound on lift_residual of a sound reduction
 
     @property
     def ok(self) -> bool:
-        return (self.max_discrepancy <= self.tolerance and self.lift_residual <= self.tolerance
-                and self.min_inconsistency_gap > 0.0)
+        return self.lift_residual <= self.tolerance and self.gap_bound > 0.0
 
 
 def lift_residual(hubo: PolynomialObjective, result: QuadratizationResult) -> float:
@@ -227,84 +226,82 @@ def _flip_gap(terms, joint: np.ndarray, flip_at: np.ndarray) -> float:
     return float(np.where(flipped, -change, change).min())
 
 
-def verify_quadratization(
-    hubo: PolynomialObjective,
-    result: QuadratizationResult,
-    budget: int = 20,
-) -> VerificationReport:
-    """Check energy agreement on consistent extensions, prove it for every
-    assignment, and check that every inconsistent auxiliary setting costs
-    energy.
+def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResult,
+                          budget: int = 20) -> VerificationReport:
+    """Prove that `result`, which `quadratize` made of `hubo`, keeps its
+    minimizers.
 
-    Exhaustive over the original variables when their count fits the budget
-    (the inconsistency scan is exhaustive over joint assignments when
-    originals + auxiliaries fit); otherwise VERIFY_SAMPLES random
-    assignments from a fixed seed, and as many other ones with one random
-    auxiliary flipped each.  Every scan runs in VERIFY_CHUNK-row chunks, so
-    none holds more rows of bits at once, and a flip's cost is
-    summed from the terms holding the flipped auxiliary (`_flip_gap`), not
-    taken as the difference of two full energies.  Energies on both sides are
-    float64 sums, so the discrepancy of a sound reduction is only rounding:
-    the report passes it up to 1e-9 plus the rounding bounds of both sums
-    (`PolynomialObjective.rounding_bound`), which grow with the penalty
-    strength alpha.  `lift_residual` must be within the same tolerance: it
-    extends the agreement from the checked assignments to all of them.
+    `lift_residual` proves QUBO(x, lift(x)) = HUBO(x) for all 2^n x, within
+    the tolerance: 1e-9 plus the rounding bounds of both objectives
+    (`PolynomialObjective.rounding_bound`), which grow with alpha.  The gap
+    certificate proves QUBO(x, a) - QUBO(x, lift(x)) >= gap_bound = alpha - M
+    - tolerance for every inconsistent auxiliary setting a, with M = sum |c_T|
+    over the HUBO terms of degree > 2.
+
+    Proof: the QUBO is the HUBO with each substituted pair replaced by its
+    auxiliary, plus alpha times each auxiliary's penalty, 0 when it equals
+    the product of its pair and at least 1 otherwise.  Let b be the first
+    auxiliary, in creation order, where a differs from the lift.  Its pair
+    holds originals and earlier auxiliaries, which equal the lift, so b's
+    penalty costs at least alpha; no penalty costs less than 0.  Only the
+    substituted terms, of degree > 2, hold an auxiliary, and each moves by at
+    most |c_T|.
+
+    The margin covers, to first order in u = eps / 2, the rounding of
+    - M, a float64 sum of at most len(hubo.terms) magnitudes: within the
+      HUBO's rounding bound, which leaves u * sum |c_T| over;
+    - the merges: no term keeps a variable of a pair it gave up, so only a
+      substituted pair's alpha merges into a HUBO coefficient; that sum and
+      3 * alpha are one rounding each, u * sum |c_T| + 4 u alpha n_aux in all;
+    - the bound's two subtractions, 2 u alpha when it is positive;
+    - a float64 QUBO(x, a): b's penalty switches off terms of 2 alpha or
+      more, so its error is at most the QUBO's rounding bound less
+      2 alpha gamma_k, k = len(QUBO terms) > 3 n_aux, and that rest,
+      (6 n_aux + 2) u alpha or more, pays for the alpha parts above.
+    The lift's energy is exact here; a scan rounds a float64 one too, by up
+    to one more QUBO rounding bound, which the margin does not hold (the
+    differential tests check every exhaustive gap against the bound).
+    Python floats make an overflow inf or NaN, not positive, where
+    `math.fsum` would raise.
+
+    Where the bound is not positive, the gap is scanned and gap_bound is the
+    least cost found: over every joint assignment, against the lift of each
+    original code, when n <= budget and n + n_aux <= 30; otherwise over
+    VERIFY_SAMPLES random assignments, each with one random auxiliary
+    flipped, its cost summed from the terms holding it (`_flip_gap`), not
+    taken as the difference of two energies.  A scan runs in VERIFY_CHUNK-row
+    chunks, so none holds more rows of bits at once.
     """
     n = hubo.num_vars
     n_aux = len(result.aux_map)
-    exhaustive = n <= budget
-    count = 1 << n if exhaustive else VERIFY_SAMPLES
-    if not exhaustive:
-        drawn = np.random.default_rng(0).integers(0, 2, size=(count, n), dtype=np.uint8)
-
-    max_disc = 0.0
-    qubo_parts = []  # consistent-lift energies, kept for the exhaustive inconsistency scan
-    for lo in range(0, count, VERIFY_CHUNK):
-        hi = min(lo + VERIFY_CHUNK, count)
-        bits = code_bits(np.arange(lo, hi), n) if exhaustive else drawn[lo:hi]
-        qubo_e = result.qubo.evaluate_batch(result.lift(bits))
-        # np.maximum and np.minimum keep a NaN (an overflowing energy), which fails the report
-        max_disc = float(np.maximum(max_disc, np.abs(hubo.evaluate_batch(bits) - qubo_e).max()))
-        if exhaustive:
-            qubo_parts.append(qubo_e)
-    if not exhaustive:
-        del drawn
-
-    # inconsistency gap: cheapest violation relative to the consistent lift
-    gap = float("inf")
-    checked = count
-    if n_aux:
-        if exhaustive and n + n_aux <= 30:
-            qubo_e = np.concatenate(qubo_parts)  # the consistent lift of every original code
-            total = 1 << (n + n_aux)
-            mask = (1 << n) - 1
-            for lo in range(0, total, VERIFY_CHUNK):
-                codes = np.arange(lo, min(lo + VERIFY_CHUNK, total))
-                joint = code_bits(codes, n + n_aux)
-                aux_ok = np.ones(len(codes), dtype=bool)
-                for aux, (i, j) in result.aux_map:
-                    aux_ok &= joint[:, aux] == (joint[:, i] & joint[:, j])
-                bad = ~aux_ok
-                if bad.any():
-                    e = result.qubo.evaluate_batch(joint[bad])
-                    refs = qubo_e[codes[bad] & mask]
-                    gap = float(np.minimum(gap, (e - refs).min()))
-            checked = total
-        else:
-            rng = np.random.default_rng(1)
-            m = VERIFY_SAMPLES
-            sample_bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-            flip_at = rng.integers(0, n_aux, size=m)  # each row flips one auxiliary
-            terms = _flip_terms(result)
-            for lo in range(0, m, VERIFY_CHUNK):
-                joint = result.lift(sample_bits[lo:lo + VERIFY_CHUNK])
-                gap = float(np.minimum(gap, _flip_gap(terms, joint, flip_at[lo:lo + VERIFY_CHUNK])))
-            checked = m
-    return VerificationReport(
-        exhaustive=exhaustive,
-        checked=int(checked),
-        max_discrepancy=max_disc,
-        min_inconsistency_gap=float(gap),
-        lift_residual=lift_residual(hubo, result),
-        tolerance=1e-9 + hubo.rounding_bound + result.qubo.rounding_bound,
-    )
+    tolerance = 1e-9 + float(hubo.rounding_bound) + float(result.qubo.rounding_bound)
+    mass = sum(abs(float(c)) for key, c in hubo.terms.items() if len(key) > 2)
+    gap, source, checked = result.alpha - mass - tolerance, "certificate", 0
+    if not n_aux:
+        gap = float("inf")
+    elif not gap > 0.0 and n <= budget and n + n_aux <= 30:
+        gap, source, checked = float("inf"), "exhaustive", 1 << (n + n_aux)
+        mask = (1 << n) - 1
+        refs = np.concatenate([  # the lift's energy of each original code
+            result.qubo.evaluate_batch(result.lift(code_bits(np.arange(lo, min(lo + VERIFY_CHUNK, mask + 1)), n)))
+            for lo in range(0, mask + 1, VERIFY_CHUNK)])
+        for lo in range(0, checked, VERIFY_CHUNK):
+            codes = np.arange(lo, min(lo + VERIFY_CHUNK, checked))
+            joint = code_bits(codes, n + n_aux)
+            aux_ok = np.ones(len(codes), dtype=bool)
+            for aux, (i, j) in result.aux_map:
+                aux_ok &= joint[:, aux] == (joint[:, i] & joint[:, j])
+            bad = ~aux_ok
+            if bad.any():  # np.minimum keeps a NaN (an overflowing energy), which fails the report
+                e = result.qubo.evaluate_batch(joint[bad])
+                gap = float(np.minimum(gap, (e - refs[codes[bad] & mask]).min()))
+    elif not gap > 0.0:
+        gap, source, checked = float("inf"), "sampled", VERIFY_SAMPLES
+        rng = np.random.default_rng(1)
+        sample_bits = rng.integers(0, 2, size=(checked, n), dtype=np.uint8)
+        flip_at = rng.integers(0, n_aux, size=checked)  # each row flips one auxiliary
+        terms = _flip_terms(result)
+        for lo in range(0, checked, VERIFY_CHUNK):
+            joint = result.lift(sample_bits[lo:lo + VERIFY_CHUNK])
+            gap = float(np.minimum(gap, _flip_gap(terms, joint, flip_at[lo:lo + VERIFY_CHUNK])))
+    return VerificationReport(gap, source, checked, lift_residual(hubo, result), tolerance)

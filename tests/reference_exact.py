@@ -24,11 +24,13 @@ dense Q and c that `_Compiled` held before it built its split straight from
 the term cells, `kernel_matrix` the `[Q; c]` it split, and `dense_energies`
 the einsum evaluator it reported energies with.  `exact_split` makes a
 new array at each step where the package's split rounds and scales in
-place; the parts must be equal bit for bit.  `verify_quadratization` holds
-all rows of both sampled scans at once and takes a flip's cost as the
-difference of two full energies; the package's scans run in chunks and sum
-a flip's cost from the terms holding the flipped auxiliary, so the rows,
-the discrepancy and the count must be equal and the gap within rounding.
+place; the parts must be equal bit for bit.  `verify_quadratization` scans
+every case, holds all rows of both sampled scans at once and takes a flip's
+cost as the difference of two full energies; the package proves the gap
+where its certificate holds, and otherwise scans in chunks and sums a
+flip's cost from the terms holding the flipped auxiliary, so the verdicts
+must be equal, a certificate at most the scanned gap, and a scanned gap
+equal, within rounding when sampled.
 `parallel_tempering` exchanges whole configurations and energy pairs between
 the kernel's rows, so each row keeps its counter id and temperature; the
 package's PT exchanges the two rows' labels instead and must return the same

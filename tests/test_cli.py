@@ -96,8 +96,8 @@ class TestReduce:
         assert run(["encode", "turn-tet", "--seq", "HHHHHH", "--out", "h.json"]) == 0
         assert run(["reduce", "h.json", "--verify-budget", "14", "--out", "hq.json"]) == 0
         doc = json.loads((workdir / "hq.json").read_text())
-        assert doc["verification"]["exhaustive"]
-        assert doc["verification"]["max_discrepancy"] <= 1e-9
+        assert doc["verification"]["gap_source"] == "certificate"
+        assert doc["verification"]["lift_residual"] <= 1e-9
 
     def test_weak_alpha_fails_verification(self, workdir):
         (workdir / "h.json").write_text(json.dumps({
@@ -108,25 +108,26 @@ class TestReduce:
 
 
     def test_worst_case_alpha_passes_with_rounding(self, workdir, capsys):
-        """alpha = 4.78e7: the discrepancy is float64 rounding (~7e-6), within
-        the derived tolerance, so the reduction verifies."""
+        """alpha = 4.78e7: the certificate proves the gap with no scan, and the
+        lift residual is float64 rounding at most, within the derived
+        tolerance, so the reduction verifies."""
         assert run(["encode", "turn-tet", "--seq", "LKKKKLKKKKL", "--interaction", "mj",
                     "--out", "tt.json"]) == 0
         assert run(["reduce", "tt.json", "--alpha", "worst_case", "--out", "ttq.json"]) == 0
         assert "verification FAILED" not in capsys.readouterr().err
         verification = json.loads((workdir / "ttq.json").read_text())["verification"]
-        assert verification["max_discrepancy"] > 1e-9
-        # sampled scans: the lift proof covers the other assignments, up to rounding
-        assert verification["checked"] == 100_000 and 0.0 <= verification["lift_residual"] < 1e-5
+        assert verification["gap_source"] == "certificate" and verification["checked"] == 0
+        assert verification["gap_bound"] > 1e7 and 0.0 <= verification["lift_residual"] < 1e-5
 
     def test_exhaustive_check_writes_the_whole_report(self, workdir):
+        # alpha 40,000 is below M = 90,460, so the certificate fails and the exhaustive scan decides
         assert run(["encode", "turn-tet", "--seq", "LKKLKK", "--interaction", "mj", "--out", "tt.json"]) == 0
-        assert run(["reduce", "tt.json", "--alpha", "worst_case", "--out", "ttq.json"]) == 0
+        assert run(["reduce", "tt.json", "--alpha", "fixed:40000", "--out", "ttq.json"]) == 0
         verification = json.loads((workdir / "ttq.json").read_text())["verification"]
         assert list(verification) == [f.name for f in dataclasses.fields(VerificationReport)]
-        assert verification["exhaustive"] and verification["checked"] > 0
+        assert verification["gap_source"] == "exhaustive" and verification["checked"] == 1 << 19
         assert 0.0 <= verification["lift_residual"] <= verification["tolerance"]
-        assert verification["max_discrepancy"] <= verification["tolerance"]
+        assert verification["gap_bound"] > 0.0
 
     def test_dropped_qubo_term_still_fails(self, workdir, monkeypatch):
         import latticefold.cli as cli
@@ -147,8 +148,8 @@ class TestReduce:
         assert run(["encode", "turn-tet", "--seq", "LKKKKLKKKKL", "--interaction", "mj",
                     "--out", "tt.json"]) == 0
         assert run(["reduce", "tt.json", "--alpha", "fixed:1", "--out", "ttq.json"]) == 3
-        gap = json.loads((workdir / "ttq.json").read_text())["verification"]["min_inconsistency_gap"]
-        assert gap <= 0.0
+        verification = json.loads((workdir / "ttq.json").read_text())["verification"]
+        assert verification["gap_source"] == "sampled" and verification["gap_bound"] <= 0.0
 
 
 class TestSolve:

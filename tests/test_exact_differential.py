@@ -8,10 +8,10 @@ incremental-field kernel it replaced: the same state after every sweep, and
 an energy pair equal to the one recomputed from the state.  The in-place
 exact split against the allocating one, and the split built from the term
 cells against the split of the dense `[Q; c]`: equal parts bit for bit.  The
-chunked reduction check against the whole-table one: the same rows, count
-and discrepancy, and a gap within rounding.  PT that exchanges row labels
-against PT that exchanges configurations: the same records, trajectory and
-fingerprint byte for byte.  A class's fused product pieces against its two
+reduction check against the whole-table one: the same verdict, a gap
+certificate at most the scanned gap, and a scanned gap equal to it.  PT that
+exchanges row labels against PT that exchanges configurations: the same
+records, trajectory and fingerprint byte for byte.  A class's fused product pieces against its two
 split products: equal fields byte for byte."""
 
 import random
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import reference_exact as ref
 from conftest import all_assignments, build_poly, random_qubo
+from test_reduction import small_hubos
 from latticefold import solvers
 from latticefold.core import (
     InputError,
@@ -617,6 +618,28 @@ def test_exact_split_identical_on_matrices(shape, entries, signs):
     assert_same_split(np.array([-x if neg else x for x, neg in zip(entries, signs)])[: k * w].reshape(k, w))
 
 
+def assert_same_verdict(hubo, res, budget=20):
+    """`verify_quadratization` against the whole-table check, which scans
+    every case: the same `ok` as its verdict (discrepancy and lift residual
+    within the tolerance, gap positive).  A certificate is at most the
+    scanned gap.  A scanned gap is the same: exhaustive, bit for bit; sampled,
+    within three QUBO rounding bounds (a sampled flip's cost was the
+    difference of two energies, each within the bound of its exact value,
+    and is now a sum of at most len(terms) of the same products, within the
+    bound too)."""
+    new = verify_quadratization(hubo, res, budget=budget)
+    exhaustive, checked, max_disc, gap = ref.verify_quadratization(hubo, res, budget=budget)
+    assert new.ok == (max_disc <= new.tolerance and new.lift_residual <= new.tolerance and gap > 0.0)
+    if new.gap_source == "certificate":
+        assert new.checked == 0 and gap >= new.gap_bound
+    elif new.gap_source == "exhaustive":
+        assert exhaustive and new.checked == checked and repr(new.gap_bound) == repr(gap)
+    else:
+        assert not exhaustive and new.checked == checked
+        assert abs(new.gap_bound - gap) <= 3 * res.qubo.rounding_bound
+    return new
+
+
 @pytest.mark.parametrize("case, budget", [
     ("three-variable", 20), ("three-variable", 0),
     ("halved-alpha", 20), ("halved-alpha", 0),
@@ -625,13 +648,9 @@ def test_exact_split_identical_on_matrices(shape, entries, signs):
     ("cli", 20),
 ])
 def test_verify_quadratization_matches_the_whole_table_check(case, budget):
-    """Exhaustive (budget above the originals) and sampled (budget 0) checks
-    of the reduction cases of `test_reduction.py` and of the README
-    pipeline's turn-tet LKKKKLKKKKL at the worst-case alpha.  A sampled flip's
-    cost was the difference of two energies, each within the QUBO's rounding
-    bound of its exact value, and is now a sum of at most len(terms) of the
-    same products, within that bound too: the gaps differ by at most three
-    bounds."""
+    """The reduction cases of `test_reduction.py` and the README pipeline's
+    turn-tet LKKKKLKKKKL at the worst-case alpha, with the scans exhaustive
+    (budget above the originals) and sampled (budget 0)."""
     policy = "worst_case"
     if case in ("three-variable", "halved-alpha"):
         hubo = build_poly({(0, 1, 2): 1.0 if case == "three-variable" else -8.0}, 3)
@@ -641,12 +660,18 @@ def test_verify_quadratization_matches_the_whole_table_check(case, budget):
     else:
         tag, seq = case.rsplit("-", 1)
         hubo = encode(tag, seq, get_model("hp")).objective
-    res = quadratize(hubo, policy)
-    new = verify_quadratization(hubo, res, budget=budget)
-    exhaustive, checked, max_disc, gap = ref.verify_quadratization(hubo, res, budget=budget)
-    assert (new.exhaustive, new.checked) == (exhaustive, checked)
-    assert repr(new.max_discrepancy) == repr(max_disc)
-    if exhaustive:
-        assert repr(new.min_inconsistency_gap) == repr(gap)
-    else:
-        assert abs(new.min_inconsistency_gap - gap) <= 3 * res.qubo.rounding_bound
+    new = assert_same_verdict(hubo, quadratize(hubo, policy), budget)
+    assert new.gap_source == ("certificate" if policy == "worst_case" else "exhaustive" if budget else "sampled")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hubo=small_hubos())
+def test_verify_quadratization_matches_the_whole_table_check_around_the_mass(hubo):
+    """Random HUBOs at alphas on both sides of M, the mass of the terms of
+    degree > 2: the certificate holds from just above M, and the scan decides
+    below it."""
+    mass = sum(abs(c) for key, c in hubo.terms.items() if len(key) > 2)
+    for factor in (*((0.25, 0.5, 0.9, 1.0, 1.1, 2.0) if mass else ()), None):
+        res = quadratize(hubo, "worst_case" if factor is None else f"fixed:{factor * mass!r}")
+        new = assert_same_verdict(hubo, res)
+        assert (new.gap_source == "certificate") == (factor is None or factor > 1.0)

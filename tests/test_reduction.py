@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ def cli_reduction():
     worst-case alpha (43 originals, 102 auxiliaries, 1,670 QUBO terms)."""
     hubo = encode("turn-tet", "LKKKKLKKKKL", get_model("mj")).objective
     return hubo, quadratize(hubo, "worst_case")
+
+
+@pytest.fixture(scope="module")
+def weak_cli_reduction(cli_reduction):
+    """The same problem at alpha 1, where the certificate fails and the
+    sampled gap scan runs."""
+    hubo, _ = cli_reduction
+    return hubo, quadratize(hubo, "fixed:1")
 
 
 def edited(result, edit):
@@ -160,22 +169,23 @@ class TestVerify:
         hubo = build_poly({(0, 1, 2): 1.0}, 3)
         res = quadratize(hubo)
         report = verify_quadratization(hubo, res)
-        assert report.exhaustive
-        assert report.max_discrepancy <= 1e-9
-        assert report.min_inconsistency_gap > 0
+        # alpha 2 against the one substituted term's mass 1: no scan runs
+        assert (report.gap_source, report.checked) == ("certificate", 0)
+        assert report.lift_residual == 0.0
+        assert report.gap_bound == 2.0 - 1.0 - report.tolerance > 0
         assert report.ok
 
     def test_turn_tet_n6_exhaustive(self):
         m = encode_turn_tetrahedral("HHHHHH", hp_model())
         res = quadratize(m.objective)
         report = verify_quadratization(m.objective, res, budget=14)
-        assert report.exhaustive and report.ok
+        assert report.gap_source == "certificate" and report.ok
 
     def test_halved_alpha_reports_negative_gap(self):
         hubo = build_poly({(0, 1, 2): -8.0}, 3)
         res = quadratize(hubo, "fixed:0.5")
         report = verify_quadratization(hubo, res)
-        assert report.min_inconsistency_gap < 0
+        assert report.gap_source == "exhaustive" and report.gap_bound < 0
         assert not report.ok
 
     def test_lift_project_roundtrip(self, rng):
@@ -189,21 +199,39 @@ class TestVerify:
     def test_halved_alpha_fails_through_the_sampled_gap(self):
         hubo = build_poly({(0, 1, 2): -8.0}, 3)
         report = verify_quadratization(hubo, quadratize(hubo, "fixed:0.5"), budget=0)
-        assert not report.exhaustive and report.checked == reduction.VERIFY_SAMPLES
-        assert report.max_discrepancy <= report.tolerance and report.lift_residual == 0.0
-        assert report.min_inconsistency_gap < 0 and not report.ok
+        assert report.gap_source == "sampled" and report.checked == reduction.VERIFY_SAMPLES
+        assert report.lift_residual == 0.0
+        assert report.gap_bound < 0 and not report.ok
 
     def test_weak_alpha_on_the_cli_problem_fails_through_the_gap(self, cli_reduction):
         hubo, _ = cli_reduction
         report = verify_quadratization(hubo, quadratize(hubo, "fixed:1"))
-        assert report.max_discrepancy <= report.tolerance and report.lift_residual <= report.tolerance
-        assert report.min_inconsistency_gap <= 0.0 and not report.ok
+        assert report.gap_source == "sampled" and report.lift_residual <= report.tolerance
+        assert report.gap_bound <= 0.0 and not report.ok
 
     def test_cli_problem_verifies_with_an_exact_lift(self, cli_reduction):
         hubo, res = cli_reduction
         report = verify_quadratization(hubo, res)
-        assert not report.exhaustive and report.checked == 100_000
+        assert (report.gap_source, report.checked) == ("certificate", 0)
         assert report.ok and report.lift_residual == 0.0
+
+    def test_random_cubic_hubo_verifies_by_the_certificate(self):
+        """16 originals and 11 auxiliaries: the joint scan would run over
+        2^27 rows (33.8 s measured), and the certificate needs none."""
+        rng = np.random.default_rng(4)
+        fields, coeffs = rng.normal(size=16), rng.normal(size=16)
+        triples = list(combinations(range(16), 3))
+        acc = TermAccumulator()
+        for i, c in enumerate(fields):
+            acc.add((i,), c)
+        for t, c in zip(rng.choice(len(triples), size=16, replace=False), coeffs):
+            acc.add(triples[t], c)
+        hubo = acc.build(16)
+        res = quadratize(hubo, "worst_case")
+        assert len(res.aux_map) == 11
+        report = verify_quadratization(hubo, res)
+        assert (report.gap_source, report.checked) == ("certificate", 0)
+        assert report.ok
 
     @pytest.mark.parametrize("edit", [drop_smallest, flip_penalty_sign], ids=["dropped-term", "penalty-sign"])
     @pytest.mark.parametrize("case", ["exhaustive", "cli"])
@@ -214,18 +242,21 @@ class TestVerify:
             hubo = build_poly({(0, 1, 2): 1.0, (1, 2, 3): -2.0, (0, 3): 0.5}, 4)
             res = quadratize(hubo)
         report = verify_quadratization(hubo, edited(res, edit))
-        assert report.exhaustive == (case == "exhaustive")
+        # the certificate reads the HUBO and alpha; the lift proof reads the QUBO and fails
+        assert report.gap_source == "certificate" and report.gap_bound > 0
         assert report.lift_residual > report.tolerance
-        assert report.max_discrepancy > report.tolerance
         assert not report.ok
 
     @pytest.mark.parametrize("budget", [20, 0], ids=["exhaustive", "sampled"])
     def test_overflowing_energies_fail_as_nan(self, budget):
-        # 2e308 overflows on both sides: inf - inf is NaN, and the report must keep it
+        # M = 2e308 overflows to inf, and so does the tolerance: the certificate is
+        # -inf, not an error.  The scan's lift energy overflows at x = 1111, where
+        # flipping the auxiliary costs 1 - inf, so its gap is -inf
         hubo = build_poly({(0, 1, 2): 1e308, (0, 1, 3): 1e308}, 4)
         with np.errstate(all="ignore"):
             report = verify_quadratization(hubo, quadratize(hubo, "fixed:1"), budget=budget)
-        assert np.isnan(report.max_discrepancy) and not report.ok
+        assert report.gap_source == ("exhaustive" if budget else "sampled")
+        assert not report.gap_bound > 0.0 and not report.ok
 
     def test_lift_residual_is_the_size_of_the_fault(self):
         hubo = build_poly({(0, 1, 2): 1.0, (1, 2, 3): -2.0, (0, 3): 0.5}, 4, offset=1.5)
@@ -238,12 +269,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("chunk", [200_000, 25_000, 33_333, reduction.VERIFY_CHUNK],
                              ids=["below-one-chunk", "4-chunks", "3-chunks-plus-1", "module-chunk"])
-    def test_sampled_report_does_not_depend_on_the_chunk(self, cli_reduction, monkeypatch, chunk):
-        # each scan's 100,000 rows as one chunk, then as rows below one chunk,
+    def test_sampled_report_does_not_depend_on_the_chunk(self, weak_cli_reduction, monkeypatch, chunk):
+        # the scan's 100,000 rows as one chunk, then as rows below one chunk,
         # exactly k chunks and k chunks plus one row
-        hubo, res = cli_reduction
+        hubo, res = weak_cli_reduction
         monkeypatch.setattr(reduction, "VERIFY_CHUNK", reduction.VERIFY_SAMPLES)
         whole = verify_quadratization(hubo, res)
+        assert whole.gap_source == "sampled"
         monkeypatch.setattr(reduction, "VERIFY_CHUNK", chunk)
         assert verify_quadratization(hubo, res) == whole
 
@@ -251,18 +283,20 @@ class TestVerify:
                              ids=["below-one-chunk", "4-chunks", "1-chunk-plus-1", "many-chunks"])
     def test_exhaustive_report_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
         hubo = encode_turn_tetrahedral("HHHHHH", hp_model()).objective  # 12 originals: 4,096 codes
-        res = quadratize(hubo)
+        res = quadratize(hubo, "fixed:1")  # 7 auxiliaries: 2^19 joint rows
         monkeypatch.setattr(reduction, "VERIFY_CHUNK", 1 << 12)
         whole = verify_quadratization(hubo, res, budget=14)
+        assert whole.gap_source == "exhaustive"
         monkeypatch.setattr(reduction, "VERIFY_CHUNK", chunk)
         assert verify_quadratization(hubo, res, budget=14) == whole
 
-    def test_sampled_scans_stay_in_bounded_memory(self, cli_reduction):
-        # on this problem the whole-table check peaks at 54 MB under tracemalloc, the chunked one near 19 MB
-        hubo, res = cli_reduction
+    def test_sampled_scans_stay_in_bounded_memory(self, weak_cli_reduction):
+        # on this problem the whole-table check peaks at 54 MB under tracemalloc, the chunked
+        # check with its discrepancy scan near 19 MB, and the sampled gap scan alone near 15 MB
+        hubo, res = weak_cli_reduction
         tracemalloc.start()
         try:
-            verify_quadratization(hubo, res)
+            assert verify_quadratization(hubo, res).gap_source == "sampled"
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
