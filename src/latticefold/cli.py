@@ -188,9 +188,20 @@ def cmd_reduce(args) -> int:
     print(f"aux={len(result.aux_map)} alpha={result.alpha} "
           f"discrepancy={report.lift_residual:.3g} gap={report.gap_bound:.6g}")
     if not report.ok:
-        print("verification FAILED", file=sys.stderr)
+        why = _refusal(report, problem.num_vars, len(result.aux_map), args.verify_budget)
+        print(f"verification FAILED: {why}", file=sys.stderr)
         return EXIT_VERIFY
     return 0
+
+
+def _refusal(report, n: int, n_aux: int, budget: int) -> str:
+    """Why `reduce` refuses a reduction whose report is not ok."""
+    if not report.lift_residual <= report.tolerance:
+        return f"the lift residual {report.lift_residual:.6g} exceeds the tolerance {report.tolerance:.6g}"
+    if report.gap_source == "exhaustive":
+        return f"the exhaustive scan found an inconsistent setting at gap {report.gap_bound:.6g}"
+    where = f"n = {n} > --verify-budget {budget}" if n > budget else f"n + n_aux = {n + n_aux} > 30"
+    return f"the certificate {report.gap_bound:.6g} is not positive and {where}"
 
 
 def _config(cls, args):
@@ -372,11 +383,11 @@ def cmd_gen_dataset(args) -> int:
         raise InputError(f"--len must be at least 2, the shortest chain a model encodes, got {args.len}")
     manifest = Manifest("gen-dataset", args, [])
     key = stable_seed(args.seed, "dataset")
+    u = counter_uniforms(key, np.arange(args.count)[:, None], np.arange(args.len)[None, :])
+    letters = np.minimum(u * len(AMINO_ACIDS), len(AMINO_ACIDS) - 1).astype(int)
     records = []
-    for i in range(args.count):
-        u = counter_uniforms(key, np.full(args.len, i), np.arange(args.len))
-        letters = [AMINO_ACIDS[min(int(x * len(AMINO_ACIDS)), len(AMINO_ACIDS) - 1)] for x in u]
-        seq = "".join(letters)
+    for i, row in enumerate(letters.tolist()):
+        seq = "".join(AMINO_ACIDS[k] for k in row)
         records.append(
             {
                 "id": i,
@@ -492,8 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="worst_case",
                    help="worst_case | fixed:VALUE | scaled")
     p.add_argument("--verify-budget", type=int, default=20,
-                   help="most original variables for an exhaustive gap scan, which "
-                   "runs only where the gap certificate is not positive")
+                   help="most original variables for the exhaustive gap scan, which runs only "
+                   "where the gap certificate is not positive; beyond it such a reduction "
+                   "is refused (exit 3)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)
 

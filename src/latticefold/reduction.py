@@ -5,11 +5,11 @@ One auxiliary variable b_aux stands in for a product b_i*b_j; the penalty
     alpha * (b_i b_j - 2 b_aux (b_i + b_j) + 3 b_aux)
 
 is zero exactly when b_aux = b_i*b_j and at least alpha otherwise, so any
-alpha above the mass of the substituted terms, sum |c_T| over the terms of
-degree > 2, preserves the minimum and the set of original-variable
-minimizers (`verify_quadratization` proves it).  Pairs are chosen greedily
-by how many high-order terms they appear in (ties to the lexicographically
-smallest pair).
+alpha above the largest mass of substituted terms that one violated
+auxiliary can move (`aux_masses`) keeps the minimum and the set of
+original-variable minimizers (`verify_quadratization` proves it).  Pairs
+are chosen greedily by how many high-order terms they appear in (ties to
+the lexicographically smallest pair).
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from .core import (
 )
 
 WORST_CASE = "worst_case"
-# rows of the sampled gap scan, each with one auxiliary flipped
-VERIFY_SAMPLES = 100_000
-# rows per chunk of every verification scan: bounds their memory
+# rows per chunk of the exhaustive gap scan: bounds its memory
 VERIFY_CHUNK = 32_768
 
 
@@ -153,7 +151,7 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
 @dataclass(frozen=True)
 class VerificationReport:
     gap_bound: float  # least extra cost of an inconsistent auxiliary setting: proven or scanned
-    gap_source: str  # "certificate", "exhaustive" or "sampled"
+    gap_source: str  # "certificate" or "exhaustive"
     checked: int  # rows the gap scan ran over; 0 under the certificate
     lift_residual: float  # bound on |QUBO(x, lift(x)) - HUBO(x)| over every x
     tolerance: float  # bound on lift_residual of a sound reduction
@@ -184,72 +182,71 @@ def lift_residual(hubo: PolynomialObjective, result: QuadratizationResult) -> fl
     return math.fsum(abs(math.fsum(cs)) for cs in parts.values())
 
 
-def _flip_terms(result: QuadratizationResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The QUBO terms holding each auxiliary, in term order: (K, n_aux) tables
-    of the coefficient, the term's other variable (the auxiliary itself for
-    its field) and 1 for its field, padded with zero coefficients to the K
-    terms of the auxiliary held most."""
-    n = result.qubo.num_vars - len(result.aux_map)
-    held: list[list] = [[] for _ in result.aux_map]
-    for key, c in result.qubo.terms.items():
-        for v in key:
-            if v >= n:
-                held[v - n].append((c, key[0] + key[-1] - v, len(key) == 1))
-    k = max(map(len, held), default=0)
-    coeff = np.zeros((k, len(held)))
-    other = np.tile(np.arange(n, n + len(held)), (k, 1))
-    field = np.zeros((k, len(held)), dtype=np.uint8)
-    for a, terms in enumerate(held):
-        for p, (c, v, f) in enumerate(terms):
-            coeff[p, a], other[p, a], field[p, a] = c, v, f
-    return coeff, other, field
+def substituted_keys(hubo: PolynomialObjective, aux_map) -> list[tuple[int, ...]]:
+    """The key each HUBO term has in the QUBO, in term order: `aux_map`
+    replayed over `hubo.terms`.  Each auxiliary, in creation order, takes the
+    place of its pair in every term of degree > 2 holding both, as in
+    `quadratize`."""
+    keys = [set(key) for key in hubo.terms]
+    holding: dict[int, set[int]] = {}  # variable -> terms that held it at degree > 2
+    for t, key in enumerate(keys):
+        for v in key if len(key) > 2 else ():
+            holding.setdefault(v, set()).add(t)
+    for aux, (i, j) in aux_map:
+        for t in holding.get(i, set()) & holding.get(j, set()):
+            key = keys[t]
+            if len(key) > 2 and i in key and j in key:
+                key.difference_update((i, j))
+                key.add(aux)
+                holding.setdefault(aux, set()).add(t)
+    return [tuple(sorted(key)) for key in keys]
 
 
-def _flip_gap(terms, joint: np.ndarray, flip_at: np.ndarray) -> float:
-    """Least energy change when row r of `joint` (consistent lifts) flips
-    auxiliary number flip_at[r].
-
-    Flipping a changes the energy by (1 - 2a) * sum over the terms T holding a
-    of c_T * (the product of T's other variables), summed in term order; a
-    zero padding coefficient leaves a sum as it is.
-    """
-    coeff, other, field = terms
-    n_aux = coeff.shape[1]
-    cols = joint.T  # contiguous, one row per variable (see `QuadratizationResult.lift`)
-    r = np.arange(len(flip_at))
-    change = np.zeros(len(flip_at))
-    for p in range(len(coeff)):
-        x = cols[other[p][flip_at], r]
-        x |= field[p][flip_at]
-        change += coeff[p][flip_at] * x
-    flipped = cols[joint.shape[1] - n_aux + flip_at, r]
-    return float(np.where(flipped, -change, change).min())
+def aux_masses(hubo: PolynomialObjective, aux_map) -> dict[int, float]:
+    """m_b for each auxiliary b: sum |c_T| over the HUBO terms whose
+    substituted key holds an auxiliary built from b, b included, added in
+    term order, so each m_b is at most M, the float64 sum over every term of
+    degree > 2."""
+    built_from: dict[int, frozenset] = {}  # aux -> the auxiliaries it is built from, itself included
+    for aux, pair in aux_map:
+        built_from[aux] = frozenset((aux,)).union(*(built_from.get(v, ()) for v in pair))
+    masses = dict.fromkeys(built_from, 0.0)
+    for key, c in zip(substituted_keys(hubo, aux_map), hubo.terms.values()):
+        for b in frozenset().union(*(built_from.get(v, ()) for v in key)):
+            masses[b] += abs(float(c))
+    return masses
 
 
 def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResult,
                           budget: int = 20) -> VerificationReport:
-    """Prove that `result`, which `quadratize` made of `hubo`, keeps its
-    minimizers.
+    """Prove that `result` keeps the minimizers of `hubo`, or refuse it.
 
     `lift_residual` proves QUBO(x, lift(x)) = HUBO(x) for all 2^n x, within
     the tolerance: 1e-9 plus the rounding bounds of both objectives
     (`PolynomialObjective.rounding_bound`), which grow with alpha.  The gap
-    certificate proves QUBO(x, a) - QUBO(x, lift(x)) >= gap_bound = alpha - M
-    - tolerance for every inconsistent auxiliary setting a, with M = sum |c_T|
-    over the HUBO terms of degree > 2.
+    certificate proves QUBO(x, a) - QUBO(x, lift(x)) >= gap_bound = alpha -
+    max_b m_b - tolerance for every inconsistent auxiliary setting a, with
+    m_b from `aux_masses`.  It holds only where `quadratize(hubo,
+    result.alpha)` rebuilds `result` exactly, since it reads the penalty
+    form from `quadratize`; otherwise it is -inf.
 
     Proof: the QUBO is the HUBO with each substituted pair replaced by its
     auxiliary, plus alpha times each auxiliary's penalty, 0 when it equals
-    the product of its pair and at least 1 otherwise.  Let b be the first
-    auxiliary, in creation order, where a differs from the lift.  Its pair
-    holds originals and earlier auxiliaries, which equal the lift, so b's
-    penalty costs at least alpha; no penalty costs less than 0.  Only the
-    substituted terms, of degree > 2, hold an auxiliary, and each moves by at
-    most |c_T|.
+    the product of its pair and at least 1 otherwise; no penalty costs less
+    than 0.  Let D be the auxiliaries where a differs from the lift, and call
+    b in D lowest when neither variable of its pair is in D.  A lowest b's
+    pair is at the lift, so b's penalty costs at least alpha.  Each
+    auxiliary in D is built from a lowest one, since a pair variable in D
+    was made earlier.  Only the substituted terms, of degree > 2, hold an
+    auxiliary, a term moves only when its key meets D, by at most |c_T|, and
+    then it lies in m_b of a lowest b.  So with k >= 1 lowest auxiliaries
+    the cost is at least k alpha - sum of their m_b >= alpha - max_b m_b
+    when that is positive (Rosenberg 1975; Boros & Hammer, Discrete Appl.
+    Math. 123, 2002).
 
     The margin covers, to first order in u = eps / 2, the rounding of
-    - M, a float64 sum of at most len(hubo.terms) magnitudes: within the
-      HUBO's rounding bound, which leaves u * sum |c_T| over;
+    - m_b <= M, M a float64 sum of at most len(hubo.terms) magnitudes:
+      within the HUBO's rounding bound, which leaves u * sum |c_T| over;
     - the merges: no term keeps a variable of a pair it gave up, so only a
       substituted pair's alpha merges into a HUBO coefficient; that sum and
       3 * alpha are one rounding each, u * sum |c_T| + 4 u alpha n_aux in all;
@@ -264,22 +261,21 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
     Python floats make an overflow inf or NaN, not positive, where
     `math.fsum` would raise.
 
-    Where the bound is not positive, the gap is scanned and gap_bound is the
-    least cost found: over every joint assignment, against the lift of each
-    original code, when n <= budget and n + n_aux <= 30; otherwise over
-    VERIFY_SAMPLES random assignments, each with one random auxiliary
-    flipped, its cost summed from the terms holding it (`_flip_gap`), not
-    taken as the difference of two energies.  A scan runs in VERIFY_CHUNK-row
-    chunks, so none holds more rows of bits at once.
+    Where the certificate is not positive, gap_bound is the least cost over
+    every joint assignment, against the lift of each original code, scanned
+    in VERIFY_CHUNK-row chunks if n <= budget and n + n_aux <= 30; anywhere
+    else the report keeps the certificate, with 0 rows checked: not ok.
     """
     n = hubo.num_vars
     n_aux = len(result.aux_map)
     tolerance = 1e-9 + float(hubo.rounding_bound) + float(result.qubo.rounding_bound)
-    mass = sum(abs(float(c)) for key, c in hubo.terms.items() if len(key) > 2)
+    mass = max(aux_masses(hubo, result.aux_map).values(), default=0.0)
     gap, source, checked = result.alpha - mass - tolerance, "certificate", 0
     if not n_aux:
         gap = float("inf")
-    elif not gap > 0.0 and n <= budget and n + n_aux <= 30:
+    elif gap > 0.0 and quadratize(hubo, result.alpha) != result:
+        gap = float("-inf")
+    if not gap > 0.0 and n <= budget and n + n_aux <= 30:
         gap, source, checked = float("inf"), "exhaustive", 1 << (n + n_aux)
         mask = (1 << n) - 1
         refs = np.concatenate([  # the lift's energy of each original code
@@ -295,13 +291,4 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
             if bad.any():  # np.minimum keeps a NaN (an overflowing energy), which fails the report
                 e = result.qubo.evaluate_batch(joint[bad])
                 gap = float(np.minimum(gap, (e - refs[codes[bad] & mask]).min()))
-    elif not gap > 0.0:
-        gap, source, checked = float("inf"), "sampled", VERIFY_SAMPLES
-        rng = np.random.default_rng(1)
-        sample_bits = rng.integers(0, 2, size=(checked, n), dtype=np.uint8)
-        flip_at = rng.integers(0, n_aux, size=checked)  # each row flips one auxiliary
-        terms = _flip_terms(result)
-        for lo in range(0, checked, VERIFY_CHUNK):
-            joint = result.lift(sample_bits[lo:lo + VERIFY_CHUNK])
-            gap = float(np.minimum(gap, _flip_gap(terms, joint, flip_at[lo:lo + VERIFY_CHUNK])))
     return VerificationReport(gap, source, checked, lift_residual(hubo, result), tolerance)

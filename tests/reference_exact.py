@@ -25,12 +25,12 @@ the term cells, `kernel_matrix` the `[Q; c]` it split, and `dense_energies`
 the einsum evaluator it reported energies with.  `exact_split` makes a
 new array at each step where the package's split rounds and scales in
 place; the parts must be equal bit for bit.  `verify_quadratization` scans
-every case, holds all rows of both sampled scans at once and takes a flip's
-cost as the difference of two full energies; the package proves the gap
-where its certificate holds, and otherwise scans in chunks and sums a
-flip's cost from the terms holding the flipped auxiliary, so the verdicts
-must be equal, a certificate at most the scanned gap, and a scanned gap
-equal, within rounding when sampled.
+every case, sampling VERIFY_SAMPLES rows where n is above the budget and
+holding all rows at once; the package proves the gap where its
+per-auxiliary certificate holds, scans in chunks where it does not and n
+is within the budget, and refuses the reduction elsewhere, so each of its
+passes must be a pass here, a certificate at most the scanned gap, and a
+scanned gap equal.
 `parallel_tempering` exchanges whole configurations and energy pairs between
 the kernel's rows, so each row keeps its counter id and temperature; the
 package's PT exchanges the two rows' labels instead and must return the same
@@ -54,7 +54,7 @@ from latticefold.core import (
     TermAccumulator,
     code_bits,
 )
-from latticefold.reduction import VERIFY_SAMPLES, QuadratizationResult, resolve_alpha
+from latticefold.reduction import QuadratizationResult, resolve_alpha
 from latticefold.solvers import (
     PtResult,
     SampleSet,
@@ -439,6 +439,10 @@ def exact_split(a):
 
     hi = on_grid(a)
     return hi, on_grid(a - hi)
+
+
+# rows of each sampled scan
+VERIFY_SAMPLES = 100_000
 
 
 def verify_quadratization(hubo, result, budget=20):

@@ -120,16 +120,26 @@ class TestReduce:
         assert verification["gap_bound"] > 1e7 and 0.0 <= verification["lift_residual"] < 1e-5
 
     def test_exhaustive_check_writes_the_whole_report(self, workdir):
-        # alpha 40,000 is below M = 90,460, so the certificate fails and the exhaustive scan decides
+        # alpha 10,000 is below the largest per-auxiliary mass, so the certificate
+        # is not positive and the exhaustive scan decides
         assert run(["encode", "turn-tet", "--seq", "LKKLKK", "--interaction", "mj", "--out", "tt.json"]) == 0
-        assert run(["reduce", "tt.json", "--alpha", "fixed:40000", "--out", "ttq.json"]) == 0
+        assert run(["reduce", "tt.json", "--alpha", "fixed:10000", "--out", "ttq.json"]) == 0
         verification = json.loads((workdir / "ttq.json").read_text())["verification"]
         assert list(verification) == [f.name for f in dataclasses.fields(VerificationReport)]
         assert verification["gap_source"] == "exhaustive" and verification["checked"] == 1 << 19
         assert 0.0 <= verification["lift_residual"] <= verification["tolerance"]
-        assert verification["gap_bound"] > 0.0
+        assert verification["gap_bound"] == 948.0
 
-    def test_dropped_qubo_term_still_fails(self, workdir, monkeypatch):
+    def test_weak_alpha_below_the_whole_mass_certifies(self, workdir, capsys):
+        # alpha 40,000 is below M = 90,460 but above every per-auxiliary mass
+        assert run(["encode", "turn-tet", "--seq", "LKKLKK", "--interaction", "mj", "--out", "tt.json"]) == 0
+        assert run(["reduce", "tt.json", "--alpha", "fixed:40000", "--out", "ttq.json"]) == 0
+        assert capsys.readouterr().out.endswith(" gap=21916\n")
+        verification = json.loads((workdir / "ttq.json").read_text())["verification"]
+        assert verification["gap_source"] == "certificate" and verification["checked"] == 0
+        assert verification["gap_bound"] == pytest.approx(21916.0, abs=1e-6)
+
+    def test_dropped_qubo_term_still_fails(self, workdir, monkeypatch, capsys):
         import latticefold.cli as cli
 
         def drop_smallest(problem, policy):
@@ -143,13 +153,29 @@ class TestReduce:
         assert run(["encode", "turn-tet", "--seq", "LKKKKLKKKKL", "--interaction", "mj",
                     "--out", "tt.json"]) == 0
         assert run(["reduce", "tt.json", "--alpha", "worst_case", "--out", "ttq.json"]) == 3
+        assert capsys.readouterr().err.startswith("verification FAILED: the lift residual ")
 
-    def test_non_positive_gap_still_fails(self, workdir):
+    def test_non_positive_gap_still_fails(self, workdir, capsys):
         assert run(["encode", "turn-tet", "--seq", "LKKKKLKKKKL", "--interaction", "mj",
                     "--out", "tt.json"]) == 0
+        capsys.readouterr()
         assert run(["reduce", "tt.json", "--alpha", "fixed:1", "--out", "ttq.json"]) == 3
         verification = json.loads((workdir / "ttq.json").read_text())["verification"]
-        assert verification["gap_source"] == "sampled" and verification["gap_bound"] <= 0.0
+        assert verification["gap_source"] == "certificate" and verification["checked"] == 0
+        assert verification["gap_bound"] <= 0.0
+        out, err = capsys.readouterr()
+        assert out.startswith("aux=102 alpha=1.0 discrepancy=") and f"gap={verification['gap_bound']:.6g}\n" in out
+        assert err == (f"verification FAILED: the certificate {verification['gap_bound']:.6g} is not positive "
+                       "and n = 43 > --verify-budget 20\n")
+
+    def test_failure_names_its_reason(self, workdir, capsys):
+        (workdir / "h.json").write_text(json.dumps({
+            "num_vars": 3, "offset": 0.0, "space": "boolean",
+            "terms": [{"vars": [0, 1, 2], "coeff": -8.0}],
+        }))
+        assert run(["reduce", "h.json", "--alpha", "fixed:0.5", "--out", "q.json"]) == 3
+        assert capsys.readouterr().err == ("verification FAILED: the exhaustive scan found an "
+                                           "inconsistent setting at gap -7.5\n")
 
 
 class TestSolve:
@@ -831,6 +857,12 @@ class TestDatasetAndConfig:
         seq = a["sequences"][0]["sequence"]
         assert len(seq) == 8
         assert a["sequences"][0]["prefixes"]["4"] == seq[:4]
+
+    def test_gen_dataset_of_no_sequences(self, workdir, capsys):
+        assert run(["gen-dataset", "--count", "0", "--len", "8", "--seed", "9", "--out", "d.json"]) == 0
+        assert capsys.readouterr().out == "sequences=0 length=8\n"
+        doc = json.loads((workdir / "d.json").read_text())
+        assert (doc["count"], doc["length"], doc["sequences"]) == (0, 8, [])
 
     @pytest.mark.parametrize("count, length, message", [
         ("-1", "8", "--count must be non-negative, got -1"),

@@ -69,7 +69,7 @@ PINNED = {
     "file:samples.csv": "d5532fbf71a23875401ae126f4313a162668136609bd4d4981ce77b0fa9ff972",
     "file:sod.csv": "672a5cd9d5554bd5b19de929fbbd03fac335e1938efc32c53c9195696cf612a6",
     "file:tt.json": "c0ca64fa1de8800bcb8fb469e1248fbd4412827dc490fff7d03526634d77879a",
-    "file:ttq.json": "a85879a8f8bbda8b4231f74951bc13edee01dd20b70e7cc22cb0198a6d6c3505",
+    "file:ttq.json": "8c178876cc12c5d7bdde5b5b8802669cee882c2a2843b824a113b0f6f1942f76",
     "file:tts.csv": "a970e42013abb9a739130b36a933493af19acfc90c324577fb01af49e39f8670",
     "stdout:analyze sod:sod.csv": "678db10b4b94e5b92b48c605e348aed855eab6963230e3dec4e46472c9d6b654",
     "stdout:decode prob.json:folds.json": "fa2f4fbd0cd98408e9fcf213512e8bb8587d3a3f0f6b98c4be74a5c07ea8f89e",
@@ -77,7 +77,7 @@ PINNED = {
     "stdout:encode coord-tet:prob.json": "2dd55bb311d007d4f2e98bca7737d377e9c7ea9c3d862e931bb6e69fb76e6d5a",
     "stdout:encode turn-tet:tt.json": "761a02e5278584934f8d50f8cd45737ddda5cdcda558a55af595485843e7cfc7",
     "stdout:gen-dataset --count:dataset.json": "fc855c377fb15f7a77dbd96e66d486452d2b5f663a39766b0bedb0cef3e8719c",
-    "stdout:reduce tt.json:ttq.json": "828d954a40019223d92f0c2a4d98dfb9bc3ada1709ffc5c34448fe817a020f7f",
+    "stdout:reduce tt.json:ttq.json": "844642a09a3c2ebe3068bc592b1012ae5f0686f935e467c2ffa358b38e96eaec",
     "stdout:solve embedded.json:phys.csv": "75b0344658a0b435d212add0e36b0321ce8644db84e765aa2605a89a90567cd9",
     "stdout:solve prob.json:pt_run1.csv": "3a5221120a38add0ee21c44eee9b547ba42f56e3855b9c8b941fdff7a2c9a358",
     "stdout:solve prob.json:pt_run2.csv": "3a5221120a38add0ee21c44eee9b547ba42f56e3855b9c8b941fdff7a2c9a358",

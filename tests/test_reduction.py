@@ -11,9 +11,11 @@ from latticefold.core import InputError, PolynomialObjective, TermAccumulator, q
 from latticefold.encoders import encode, encode_turn_tetrahedral, get_model, hp_model
 from latticefold.reduction import (
     QuadratizationResult,
+    aux_masses,
     lift_residual,
     quadratize,
     scaled_alpha,
+    substituted_keys,
     verify_quadratization,
     worst_case_alpha,
 )
@@ -33,14 +35,6 @@ def cli_reduction():
     return hubo, quadratize(hubo, "worst_case")
 
 
-@pytest.fixture(scope="module")
-def weak_cli_reduction(cli_reduction):
-    """The same problem at alpha 1, where the certificate fails and the
-    sampled gap scan runs."""
-    hubo, _ = cli_reduction
-    return hubo, quadratize(hubo, "fixed:1")
-
-
 def edited(result, edit):
     """`result` with `edit` applied to a copy of its QUBO terms."""
     terms = dict(result.qubo.terms)
@@ -56,6 +50,14 @@ def drop_smallest(terms, result):
 def flip_penalty_sign(terms, result):
     """The first auxiliary's -2 alpha on (i, aux) becomes +2 alpha."""
     aux, (i, _) = result.aux_map[0]
+    terms[(i, aux)] += 4.0 * result.alpha
+
+
+def move_field_to_pair_term(terms, result):
+    """4 alpha moves from the first auxiliary's field to its (i, aux) term:
+    both expand to the monomial of the pair, so the lift is still exact."""
+    aux, (i, _) = result.aux_map[0]
+    terms[(aux,)] -= 4.0 * result.alpha
     terms[(i, aux)] += 4.0 * result.alpha
 
 
@@ -155,6 +157,16 @@ class TestQuadratize:
         assert {tuple(a[:hubo.num_vars].tolist()) for a in mins_q} == {tuple(a.tolist()) for a in mins_h}
         assert all(np.array_equal(res.lift(a[None, :hubo.num_vars])[0], a) for a in mins_q)
 
+    @settings(max_examples=100, deadline=None)
+    @given(hubo=small_hubos())
+    def test_replayed_keys_equal_quadratize_s(self, hubo):
+        # at the worst-case alpha no penalty cancels a HUBO coefficient, so the
+        # QUBO's first keys are the substituted HUBO keys, in term order
+        res = quadratize(hubo)
+        keys = substituted_keys(hubo, res.aux_map)
+        assert keys == list(res.qubo.terms)[:len(hubo.terms)]
+        assert all(len(key) <= 2 for key in keys)
+
     def test_nonpositive_alpha_rejected(self):
         hubo = build_poly({(0, 1, 2): 1.0}, 3)
         with pytest.raises(InputError):
@@ -187,6 +199,11 @@ class TestVerify:
         report = verify_quadratization(hubo, res)
         assert report.gap_source == "exhaustive" and report.gap_bound < 0
         assert not report.ok
+        # beyond the budget nothing is scanned: the reduction is refused
+        report = verify_quadratization(hubo, res, budget=0)
+        assert (report.gap_source, report.checked) == ("certificate", 0)
+        assert report.lift_residual == 0.0
+        assert report.gap_bound == 0.5 - 8.0 - report.tolerance and not report.ok
 
     def test_lift_project_roundtrip(self, rng):
         hubo = build_poly({(0, 1, 2): 1.0, (0, 2, 3): 2.0}, 4)
@@ -196,17 +213,13 @@ class TestVerify:
             assert np.array_equal(lifted[:hubo.num_vars], row)
             assert res.qubo.evaluate(lifted) == pytest.approx(hubo.evaluate(row), abs=1e-9)
 
-    def test_halved_alpha_fails_through_the_sampled_gap(self):
-        hubo = build_poly({(0, 1, 2): -8.0}, 3)
-        report = verify_quadratization(hubo, quadratize(hubo, "fixed:0.5"), budget=0)
-        assert report.gap_source == "sampled" and report.checked == reduction.VERIFY_SAMPLES
-        assert report.lift_residual == 0.0
-        assert report.gap_bound < 0 and not report.ok
-
     def test_weak_alpha_on_the_cli_problem_fails_through_the_gap(self, cli_reduction):
+        # 43 originals, above the budget: the certificate is not positive and
+        # no scan runs, so the reduction is refused
         hubo, _ = cli_reduction
         report = verify_quadratization(hubo, quadratize(hubo, "fixed:1"))
-        assert report.gap_source == "sampled" and report.lift_residual <= report.tolerance
+        assert (report.gap_source, report.checked) == ("certificate", 0)
+        assert report.lift_residual <= report.tolerance
         assert report.gap_bound <= 0.0 and not report.ok
 
     def test_cli_problem_verifies_with_an_exact_lift(self, cli_reduction):
@@ -233,6 +246,28 @@ class TestVerify:
         assert (report.gap_source, report.checked) == ("certificate", 0)
         assert report.ok
 
+    def test_per_auxiliary_masses_certify_below_the_whole_mass(self):
+        """30 disjoint cubic terms over 90 variables: each auxiliary moves
+        only its own term, so alpha = 2 max |c| certifies with gap max |c|,
+        where the whole mass M is 15.5 times max |c|."""
+        coeffs = [(k + 1) / 8 * (-1) ** k for k in range(30)]
+        hubo = build_poly({(3 * k, 3 * k + 1, 3 * k + 2): c for k, c in enumerate(coeffs)}, 90)
+        res = quadratize(hubo, "fixed:7.5")
+        assert len(res.aux_map) == 30
+        assert list(aux_masses(hubo, res.aux_map).values()) == [abs(c) for c in coeffs]
+        report = verify_quadratization(hubo, res)
+        assert (report.gap_source, report.checked) == ("certificate", 0)
+        assert report.gap_bound == 7.5 - 3.75 - report.tolerance and report.ok
+
+    def test_masses_follow_the_auxiliaries_built_from_each(self):
+        # aux 5 = x0 x1, then aux 6 = x2 x5: both quartic terms hold 6, which is
+        # built from 5, so they count for both; the cubic term holds 5 only
+        hubo = build_poly({(0, 1, 2, 3): 2.0, (0, 1, 2, 4): -1.0, (0, 1, 3): 0.5}, 5)
+        res = quadratize(hubo)
+        assert res.aux_map == [(5, (0, 1)), (6, (2, 5))]
+        assert substituted_keys(hubo, res.aux_map) == [(3, 6), (4, 6), (3, 5)]
+        assert aux_masses(hubo, res.aux_map) == {5: 3.5, 6: 3.0}
+
     @pytest.mark.parametrize("edit", [drop_smallest, flip_penalty_sign], ids=["dropped-term", "penalty-sign"])
     @pytest.mark.parametrize("case", ["exhaustive", "cli"])
     def test_broken_reduction_fails_the_proof_and_the_scans(self, cli_reduction, edit, case):
@@ -242,20 +277,34 @@ class TestVerify:
             hubo = build_poly({(0, 1, 2): 1.0, (1, 2, 3): -2.0, (0, 3): 0.5}, 4)
             res = quadratize(hubo)
         report = verify_quadratization(hubo, edited(res, edit))
-        # the certificate reads the HUBO and alpha; the lift proof reads the QUBO and fails
-        assert report.gap_source == "certificate" and report.gap_bound > 0
+        # the QUBO is not quadratize's, so the certificate does not hold; the
+        # lift proof reads the QUBO and fails
+        assert report.gap_source == ("certificate" if case == "cli" else "exhaustive")
         assert report.lift_residual > report.tolerance
         assert not report.ok
 
-    @pytest.mark.parametrize("budget", [20, 0], ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("budget", [20, 0])
+    def test_penalty_moved_under_an_exact_lift_is_refused(self, budget):
+        hubo = build_poly({(0, 1, 2): 1.0, (1, 2, 3): -2.0, (0, 3): 0.5}, 4)
+        res = edited(quadratize(hubo), move_field_to_pair_term)
+        assert lift_residual(hubo, res) == 0.0
+        report = verify_quadratization(hubo, res, budget=budget)
+        # the rebuild differs, so no certificate; the scan finds the setting that pays
+        if budget:
+            assert report.gap_source == "exhaustive" and report.gap_bound == -15.5
+        else:
+            assert (report.gap_source, report.checked, report.gap_bound) == ("certificate", 0, float("-inf"))
+        assert not report.ok
+
+    @pytest.mark.parametrize("budget", [20, 0], ids=["exhaustive", "refused"])
     def test_overflowing_energies_fail_as_nan(self, budget):
-        # M = 2e308 overflows to inf, and so does the tolerance: the certificate is
-        # -inf, not an error.  The scan's lift energy overflows at x = 1111, where
-        # flipping the auxiliary costs 1 - inf, so its gap is -inf
+        # m_b = 2e308 overflows to inf, and so does the tolerance: the certificate
+        # is -inf, not an error.  The scan's lift energy overflows at x = 1111,
+        # where flipping the auxiliary costs 1 - inf, so its gap is -inf
         hubo = build_poly({(0, 1, 2): 1e308, (0, 1, 3): 1e308}, 4)
         with np.errstate(all="ignore"):
             report = verify_quadratization(hubo, quadratize(hubo, "fixed:1"), budget=budget)
-        assert report.gap_source == ("exhaustive" if budget else "sampled")
+        assert report.gap_source == ("exhaustive" if budget else "certificate")
         assert not report.gap_bound > 0.0 and not report.ok
 
     def test_lift_residual_is_the_size_of_the_fault(self):
@@ -266,18 +315,6 @@ class TestVerify:
         shifted = QuadratizationResult(PolynomialObjective(res.qubo.num_vars, res.qubo.terms, 2.0),
                                        res.aux_map, res.alpha)
         assert lift_residual(hubo, shifted) == 0.5
-
-    @pytest.mark.parametrize("chunk", [200_000, 25_000, 33_333, reduction.VERIFY_CHUNK],
-                             ids=["below-one-chunk", "4-chunks", "3-chunks-plus-1", "module-chunk"])
-    def test_sampled_report_does_not_depend_on_the_chunk(self, weak_cli_reduction, monkeypatch, chunk):
-        # the scan's 100,000 rows as one chunk, then as rows below one chunk,
-        # exactly k chunks and k chunks plus one row
-        hubo, res = weak_cli_reduction
-        monkeypatch.setattr(reduction, "VERIFY_CHUNK", reduction.VERIFY_SAMPLES)
-        whole = verify_quadratization(hubo, res)
-        assert whole.gap_source == "sampled"
-        monkeypatch.setattr(reduction, "VERIFY_CHUNK", chunk)
-        assert verify_quadratization(hubo, res) == whole
 
     @pytest.mark.parametrize("chunk", [1 << 13, 1 << 10, (1 << 12) - 1, 5],
                              ids=["below-one-chunk", "4-chunks", "1-chunk-plus-1", "many-chunks"])
@@ -290,14 +327,16 @@ class TestVerify:
         monkeypatch.setattr(reduction, "VERIFY_CHUNK", chunk)
         assert verify_quadratization(hubo, res, budget=14) == whole
 
-    def test_sampled_scans_stay_in_bounded_memory(self, weak_cli_reduction):
-        # on this problem the whole-table check peaks at 54 MB under tracemalloc, the chunked
-        # check with its discrepancy scan near 19 MB, and the sampled gap scan alone near 15 MB
-        hubo, res = weak_cli_reduction
+    def test_exhaustive_scan_stays_in_bounded_memory(self):
+        # LKKLKK at alpha 10,000: 2^19 joint rows, which peak near 44 MB under
+        # tracemalloc as one chunk and near 3 MB in the module's chunks
+        hubo = encode("turn-tet", "LKKLKK", get_model("mj")).objective
+        res = quadratize(hubo, "fixed:10000")
         tracemalloc.start()
         try:
-            assert verify_quadratization(hubo, res).gap_source == "sampled"
+            report = verify_quadratization(hubo, res)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 25e6
+        assert (report.gap_source, report.checked, report.gap_bound) == ("exhaustive", 1 << 19, 948.0)
+        assert peak < 10e6
