@@ -199,8 +199,12 @@ class TestVerify:
         report = verify_quadratization(hubo, res)
         assert report.gap_source == "exhaustive" and report.gap_bound < 0
         assert not report.ok
-        # beyond the budget nothing is scanned: the reduction is refused
-        report = verify_quadratization(hubo, res, budget=0)
+
+    def test_halved_alpha_fails_through_the_sampled_gap(self):
+        # beyond the budget nothing is scanned, sampled or exhaustive: the
+        # negative certificate gap alone refuses the reduction
+        hubo = build_poly({(0, 1, 2): -8.0}, 3)
+        report = verify_quadratization(hubo, quadratize(hubo, "fixed:0.5"), budget=0)
         assert (report.gap_source, report.checked) == ("certificate", 0)
         assert report.lift_residual == 0.0
         assert report.gap_bound == 0.5 - 8.0 - report.tolerance and not report.ok
