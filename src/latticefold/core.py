@@ -13,14 +13,15 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 BOOLEAN = "boolean"
 ISING = "ising"
-# absolute tolerance under which the exact searches count two energies as a
-# tie: the same real sums arrive in different float association orders
+# absolute tolerance under which brute force and the SA/PT best pick count two
+# energies as a tie
 TIE_TOL = 1e-9
 
 
@@ -123,12 +124,35 @@ def poly_product(polys) -> dict[tuple[int, ...], float]:
     return result
 
 
-def rounding_gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), u = eps / 2: a float64 sum of k + 1 terms,
-    added in any order, is within gamma_k times the sum of their magnitudes
-    of the exact sum."""
-    ku = k * 0.5 * float(np.finfo(np.float64).eps)
-    return ku / (1.0 - ku)
+def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error-free split `a = hi + lo + r` of an array (after Ozaki, Ogita,
+    Oishi & Rump, Numer. Algorithms 59, 2012).
+
+    hi lies on one power-of-two grid g = 2^(e - 52), 2 * sum|a| < 2^e, and lo
+    on the grid chosen the same way for a - hi, never below 2^-1074, the least
+    subnormal, so tiny entries split exactly.  A sum of entries of one part,
+    each taken at most twice, is a multiple of its grid below 2^53 grid steps,
+    so it is exact in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+    2008), under any BLAS, row count or order.  |r| <= a.size * sum|a| *
+    2^-102.  Each part is rounded and scaled in place.
+    """
+    def on_grid(x, out=None):
+        _, e = np.frexp(2.0 * np.abs(x).sum())
+        grid = np.ldexp(1.0, max(int(e) - 52, -1074))
+        out = np.divide(x, grid, out=out)
+        np.rint(out, out=out)
+        out *= grid
+        return out
+
+    hi = on_grid(a)
+    lo = np.subtract(a, hi)  # exact: |a - hi| <= grid / 2
+    return hi, on_grid(lo, out=lo)
+
+
+def energy_sum(offset: float, parts) -> np.ndarray:
+    """offset + (E_hi + E_lo), `parts` the exact energies under the halves of
+    a split summed from 0.0: the one rule of every energy the program reports."""
+    return offset + sum(parts, 0.0)
 
 
 def code_bits(codes, num_vars: int) -> np.ndarray:
@@ -200,47 +224,62 @@ class PolynomialObjective:
             )
         return float(self.evaluate_batch(bits[None, :])[0])
 
-    def evaluate_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Vectorised energies for a (m, num_vars) 0/1 array.
+    @cached_property
+    def halves(self) -> list[np.ndarray]:
+        """The exact split of the coefficient vector in term order, made once:
+        [hi, lo], or [hi] where lo is all zero.  Every evaluator sums these
+        halves (`half_energies`, the SA/PT kernel, `energy_blocks`).  If the
+        split leaves no remainder, every energy is offset + fl(S), S the exact
+        value of the polynomial; if it leaves one, the evaluators still agree,
+        as each evaluates hi + lo."""
+        hi, lo = _exact_split(np.fromiter(self.terms.values(), np.float64, len(self.terms)))
+        return [hi, lo] if lo.any() else [hi]
 
-        Each row's energy is offset plus c_T * prod_T added in term order,
-        whatever the other rows are.  The input is transposed once so that
-        every variable is one contiguous row; Boolean and integer inputs keep
-        their dtype (products of 0/1 values are exact in any dtype), others
-        are read as float64.
-        """
+    def half_energies(self, bits: np.ndarray) -> list[np.ndarray]:
+        """Per row of a (m, num_vars) array, the exact energy under each of
+        `halves`, offset left out.  The input is transposed once, so each
+        variable is one contiguous row; Boolean and integer inputs keep their
+        dtype (their products are exact in any dtype), others become float64."""
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.num_vars:
             raise InputError(f"expected (m, {self.num_vars}) array, got {bits.shape}")
         if bits.dtype.kind not in "biu":
             bits = bits.astype(np.float64)
         cols = np.ascontiguousarray(bits.T)
-        energies = np.full(bits.shape[0], self.offset, dtype=np.float64)
-        scaled = np.empty_like(energies)
-        for key, coeff in self.terms.items():
+        parts = [np.zeros(bits.shape[0]) for _ in self.halves]
+        scaled = np.empty(bits.shape[0])
+        for key, *coeffs in zip(self.terms, *(half.tolist() for half in self.halves)):
             prod = cols[key[0]]
             if len(key) > 1:
                 prod = prod * cols[key[1]]
                 for i in key[2:]:
                     prod *= cols[i]
-            np.multiply(prod, coeff, out=scaled)
-            energies += scaled
-        return energies
+            for part, coeff in zip(parts, coeffs):
+                if coeff:  # a zero part adds 0.0, which leaves the sum as it is
+                    part += np.multiply(prod, coeff, out=scaled)
+        return parts
+
+    def evaluate_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Vectorised energies for a (m, num_vars) 0/1 array (spins for an
+        `IsingProblem`): `energy_sum` of `half_energies`, whatever the other
+        rows are, so the SA/PT kernel and brute force give a state the same
+        bits; offset + fl(S) where the split leaves no remainder."""
+        return energy_sum(self.offset, self.half_energies(bits))
 
     @property
     def rounding_bound(self) -> float:
-        """Bound on the float64 rounding error of `evaluate_batch` at any 0/1
-        assignment.
+        """Bound on the float64 rounding error of a sum of the len(terms) exact
+        products c_T * {0, 1} and offset, added in any order.
 
-        The energy adds len(terms) exact products c_T * {0, 1} to offset; no
-        partial sum exceeds S = |offset| + sum |c_T|, so the error is at most
-        gamma_k * S with k = len(terms) and gamma_k = k u / (1 - k u), u =
+        No partial sum exceeds S = |offset| + sum |c_T|, so the error is at
+        most gamma_k * S with k = len(terms) and gamma_k = k u / (1 - k u), u =
         eps / 2 (Higham, "Accuracy and Stability of Numerical Algorithms",
-        section 4.2).
+        section 4.2).  `evaluate_batch` rounds twice, so where the split
+        leaves no remainder this bounds its error too; the reduction check
+        reads it as the margin of a float64 energy.
         """
-        return rounding_gamma(len(self.terms)) * (
-            abs(self.offset) + sum(abs(c) for c in self.terms.values())
-        )
+        ku = len(self.terms) * 0.5 * float(np.finfo(np.float64).eps)
+        return ku / (1.0 - ku) * (abs(self.offset) + sum(abs(c) for c in self.terms.values()))
 
     @property
     def density(self) -> float:
@@ -346,6 +385,58 @@ def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
     j_max = float(mags.max())
     j_min = float(mags.min())
     return j_max, j_min, j_max / j_min
+
+
+# the blocked enumerator's monomial tables and energy blocks hold about this many float64 cells each
+BLOCK_CELLS = 1 << 16
+
+
+def _monomials(codes: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """0/1 table of each monomial (a variable bit mask) on each half-state code."""
+    return ((codes[:, None] & masks[None, :]) == masks[None, :]).astype(np.float64)
+
+
+def energy_blocks(obj: PolynomialObjective, nl: int):
+    """The exact energies of all 2^n Boolean states under each of `halves`,
+    offset left out, in blocks (after Bouillaguet et al., CHES 2010).
+
+    Variables 0..nl-1 are the low half and the rest the high half.  A term
+    splits into a low and a high monomial, so a half's coefficients form a
+    (high monomials x low monomials) matrix C, and its energies are E = M_h C
+    M_l^T, M_h and M_l the 0/1 monomial tables of the high and low codes.
+    Per block of low codes W = C M_l^T, then per block of high codes M_h W,
+    so no table exceeds about BLOCK_CELLS entries; each entry sums a half's
+    coefficients, each at most once, so it is exact under any BLAS.
+
+    Yields `(high_codes, low_codes, parts)`, low block by low block (one
+    `low_codes` array each): parts[k][h, l] is half k's energy at code
+    high_codes[h] << nl | low_codes[l], and `energy_sum(obj.offset, parts)`
+    are the energies.
+    """
+    low_of: dict[int, int] = {0: 0}  # monomial mask -> column of C
+    high_of: dict[int, int] = {0: 0}  # monomial mask -> row of C
+    cells = []
+    for key in obj.terms:
+        mask = sum(1 << i for i in key)
+        cells.append((high_of.setdefault(mask >> nl, len(high_of)),
+                      low_of.setdefault(mask & ((1 << nl) - 1), len(low_of))))
+    high_cells, low_cells = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    matrices = np.zeros((len(obj.halves), len(high_of), len(low_of)))
+    matrices[:, high_cells, low_cells] = obj.halves  # the keys are unique, so no cell sums two terms
+    low_masks = np.fromiter(low_of, dtype=np.int64)
+    high_masks = np.fromiter(high_of, dtype=np.int64)
+
+    lows, highs = 1 << nl, 1 << (obj.num_vars - nl)
+    width = min(lows, max(1, BLOCK_CELLS // max(len(high_of), len(low_of))))
+    rows = max(1, min(BLOCK_CELLS // width, BLOCK_CELLS // len(high_of)))
+    for l0 in range(0, lows, width):
+        low_codes = np.arange(l0, min(l0 + width, lows))
+        low_table = _monomials(low_codes, low_masks).T
+        ws = [C @ low_table for C in matrices]
+        for h0 in range(0, highs, rows):
+            high_codes = np.arange(h0, min(h0 + rows, highs))
+            high_table = _monomials(high_codes, high_masks)
+            yield high_codes, low_codes, [high_table @ w for w in ws]
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,11 @@ from .core import (
     PolynomialObjective,
     TermAccumulator,
     code_bits,
+    energy_blocks,
     finite_float,
 )
 
 WORST_CASE = "worst_case"
-# rows per chunk of the exhaustive gap scan: bounds its memory
-VERIFY_CHUNK = 32_768
 
 
 @dataclass(frozen=True)
@@ -255,16 +254,17 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
       more, so its error is at most the QUBO's rounding bound less
       2 alpha gamma_k, k = len(QUBO terms) > 3 n_aux, and that rest,
       (6 n_aux + 2) u alpha or more, pays for the alpha parts above.
-    The lift's energy is exact here; a scan rounds a float64 one too, by up
-    to one more QUBO rounding bound, which the margin does not hold (the
-    differential tests check every exhaustive gap against the bound).
     Python floats make an overflow inf or NaN, not positive, where
     `math.fsum` would raise.
 
     Where the certificate is not positive, gap_bound is the least cost over
-    every joint assignment, against the lift of each original code, scanned
-    in VERIFY_CHUNK-row chunks if n <= budget and n + n_aux <= 30; anywhere
-    else the report keeps the certificate, with 0 rows checked: not ok.
+    every joint assignment against the lift of its original code, scanned if
+    n <= budget and n + n_aux <= 30; anywhere else the report keeps the
+    certificate, with 0 rows checked: not ok.  The scan runs on
+    `core.energy_blocks` with the originals as the low half and the
+    auxiliaries as the high half, and takes each half's difference from the
+    lift's `half_energies`: both are exact, so only their sum rounds, and
+    where the split leaves no remainder each cost is fl of the real one.
     """
     n = hubo.num_vars
     n_aux = len(result.aux_map)
@@ -277,18 +277,16 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
         gap = float("-inf")
     if not gap > 0.0 and n <= budget and n + n_aux <= 30:
         gap, source, checked = float("inf"), "exhaustive", 1 << (n + n_aux)
-        mask = (1 << n) - 1
-        refs = np.concatenate([  # the lift's energy of each original code
-            result.qubo.evaluate_batch(result.lift(code_bits(np.arange(lo, min(lo + VERIFY_CHUNK, mask + 1)), n)))
-            for lo in range(0, mask + 1, VERIFY_CHUNK)])
-        for lo in range(0, checked, VERIFY_CHUNK):
-            codes = np.arange(lo, min(lo + VERIFY_CHUNK, checked))
-            joint = code_bits(codes, n + n_aux)
-            aux_ok = np.ones(len(codes), dtype=bool)
-            for aux, (i, j) in result.aux_map:
-                aux_ok &= joint[:, aux] == (joint[:, i] & joint[:, j])
-            bad = ~aux_ok
-            if bad.any():  # np.minimum keeps a NaN (an overflowing energy), which fails the report
-                e = result.qubo.evaluate_batch(joint[bad])
-                gap = float(np.minimum(gap, (e - refs[codes[bad] & mask]).min()))
+        qubo, at = result.qubo, None
+        for high_codes, low_codes, parts in energy_blocks(qubo, n):  # the originals are the low half
+            if low_codes is not at:  # a new low block: its lifts' energies and auxiliary codes
+                at = low_codes
+                lift = result.lift(code_bits(low_codes, n))
+                refs = qubo.half_energies(lift)
+                lift_codes = (lift[:, n:].astype(np.int64) << np.arange(n_aux)).sum(axis=1)
+            # E - E(lift): exact per half, one rounding; np.minimum keeps a NaN (an
+            # overflowing energy), which fails the report
+            costs = sum(part - ref for part, ref in zip(parts, refs))
+            costs[high_codes[:, None] == lift_codes] = np.inf
+            gap = float(np.minimum(gap, costs.min()))
     return VerificationReport(gap, source, checked, lift_residual(hubo, result), tolerance)

@@ -3,12 +3,13 @@ coloring parallelism, parallel tempering, and exhaustive brute force.
 
 SA and PT share one Metropolis kernel over a block of rows (restarts or
 replicas).  Every uniform is a pure function of (master seed, role,
-restart/replica, sweep, variable).  `[Q; c]` is split onto two power-of-two
-grids (`_exact_split`): a colour class's fields are two exact products, and
-each row carries its energy as an exact pair that never drifts; a reported
-energy is offset + E_hi + E_lo.  So no row depends on the rows sharing its
-block or on the BLAS: SA results are bit-identical however restarts are
-split into blocks or spread over `jobs` processes.
+restart/replica, sweep, variable).  The problem's coefficients are split
+onto two power-of-two grids (`PolynomialObjective.halves`) and scattered
+into `[Q; c]`: a colour class's fields are two exact products, and each row
+carries its energy as an exact pair that never drifts; a reported energy is
+offset + (E_hi + E_lo), as `evaluate_batch` gives it.  So no row depends on
+the rows sharing its block or on the BLAS: SA results are bit-identical
+however restarts are split into blocks or spread over `jobs` processes.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .core import (
     PolynomialObjective,
     assignment_strings,
     code_bits,
+    energy_blocks,
+    energy_sum,
     finite_float,
     is_int,
     ising_to_qubo,
     read_lines,
-    rounding_gamma,
     write_csv,
 )
 
@@ -309,35 +311,6 @@ def color_graph(obj: PolynomialObjective) -> ColorClasses:
     return ColorClasses(classes=classes)
 
 
-def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Error-free split `a = hi + lo + r` of a matrix (after Ozaki, Ogita,
-    Oishi & Rump, Numer. Algorithms 59, 2012).
-
-    hi lies on one power-of-two grid g = 2^(e - 52), 2 * sum|a| < 2^e, and lo
-    on the grid chosen the same way for a - hi.  No grid is below 2^-1074, the
-    least subnormal, of which every float64 is a multiple: the parts of tiny
-    entries are exact, not divided by a grid that underflowed to 0.  A sum of
-    entries of one part, each taken at most twice, is a multiple of its grid
-    below 2^53 grid steps, so it is exact in any order (Rump, Ogita & Oishi,
-    SIAM J. Sci. Comput. 31, 2008): `bits @ hi`, `bits @ lo` and energies
-    summed from them have the same bits under any BLAS, row count or order.
-    |r| <= a.size * sum|a| * 2^-102.
-    Each part is rounded and scaled in place, so no step makes a full-size
-    temporary beyond |x|.
-    """
-    def on_grid(x, out=None):
-        _, e = np.frexp(2.0 * np.abs(x).sum())
-        grid = np.ldexp(1.0, max(int(e) - 52, -1074))
-        out = np.divide(x, grid, out=out)
-        np.rint(out, out=out)
-        out *= grid
-        return out
-
-    hi = on_grid(a)
-    lo = np.subtract(a, hi)  # exact: |a - hi| <= grid / 2
-    return hi, on_grid(lo, out=lo)
-
-
 def _aligned_empty(shape, fill=None) -> np.ndarray:
     """A C-ordered float64 array whose data starts on a 64-byte boundary, so
     the kernel's speed does not depend on where earlier allocations left the
@@ -352,8 +325,9 @@ def _aligned_empty(shape, fill=None) -> np.ndarray:
 
 
 class _Compiled:
-    """A quadratic problem in Boolean space in the kernel's layout: the exact
-    split of its `[Q; c]`, one fused block of rows per colour class."""
+    """A quadratic problem in Boolean space in the kernel's layout: its
+    `[Q; c]` under each half of its coefficients' split, one fused block of
+    rows per colour class."""
 
     def __init__(self, problem):
         if not isinstance(problem, PolynomialObjective):
@@ -372,16 +346,14 @@ class _Compiled:
         # slice, then a row of ones for c; per class, its columns of the split [Q; c]
         self.order = np.concatenate([np.zeros(0, dtype=np.int64), *self.colors])
         self.inverse = np.argsort(self.order)
-        # [Q; c] in kernel order: a coupling in its two cells, a field (i,) in the c
-        # row; the keys are unique, so no cell sums two terms
+        # each half's [Q; c] in kernel order: a coupling in its two cells, a field (i,)
+        # in the c row; the keys are unique, so no cell sums two terms
         cells = np.array([(key[0], key[-1]) for key in qubo.terms], dtype=np.int64).reshape(-1, 2)
         i, j = self.inverse[cells].T
-        coeffs = np.fromiter(qubo.terms.values(), np.float64, len(i))
-        qc = np.zeros((n + 1, n))
-        qc[np.where(i == j, n, i), j] = coeffs
-        qc[j[i != j], i[i != j]] = coeffs[i != j]
-        hi, lo = _exact_split(qc)
-        del qc
+        hi, lo = parts = np.zeros((2, n + 1, n))
+        for part, half in zip(parts, qubo.halves):
+            part[np.where(i == j, n, i), j] = half
+            part[j[i != j], i[i != j]] = half[i != j]
         ends = np.cumsum([len(cls) for cls in self.colors]).tolist()
         self.slices = [slice(a, b) for a, b in zip([0, *ends], ends)]
         # a class's columns of both parts, transposed and stacked: the C-ordered
@@ -463,7 +435,7 @@ def _metropolis(comp: _Compiled, keys, rows: np.ndarray, sweeps: int, temps: np.
     Yields `(sweep, state, pair)` for the random initial state (as sweep 0),
     then after each sweep; `state[:, comp.inverse]` are the bits, and a row
     of `pair` is the state's exact energy under the hi and the lo part of the
-    split, so its energy is offset + E_hi + E_lo.  Row r's labels, its counter
+    split, so its energy is offset + (E_hi + E_lo).  Row r's labels, its counter
     id and temperature, start as `rows[r]` and `temps[r]` (copied); sending
     `(a, b)`, two arrays of rows, makes rows a[i] and b[i] trade labels.  A class is
     proposed at once at its entry temperature; temperatures advance by
@@ -542,7 +514,7 @@ def _sa_rows(comp: _Compiled, cfg: SaConfig, rows: np.ndarray):
         best[improved] = pair[improved]
         best_state[improved] = state[improved, :n]
         best_sweep[improved] = sweep
-    return best_state[:, comp.inverse].astype(np.uint8), comp.offset + best.sum(axis=1), best_sweep
+    return best_state[:, comp.inverse].astype(np.uint8), energy_sum(comp.offset, best.T), best_sweep
 
 
 # a block's kernel state and uniform table hold about this many float64 cells each (8 MB)
@@ -656,7 +628,7 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
         exchange = where[lows[do]], where[highs[do]]
         where[lows[do]], where[highs[do]] = exchange[1], exchange[0]
         slots = pair[where]  # the energy pairs in slot order
-        energies = comp.offset + slots.sum(axis=1)
+        energies = energy_sum(comp.offset, slots.T)
         trajectory[sweep] = energies
         gaps = (slots - slots[0]).sum(axis=1)  # the sweep's lowest slot: first within TIE_TOL of its min
         slot = int(np.argmax(gaps <= gaps.min() + TIE_TOL))
@@ -670,7 +642,7 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
     ss = SampleSet(
         space=comp.space,
         bits=np.vstack([measure_states[:, comp.inverse], best_state[None, comp.inverse]]).astype(np.uint8),
-        energies=np.append(measure_energies, comp.offset + best.sum()),
+        energies=np.append(measure_energies, energy_sum(comp.offset, best)),
         replicas=np.concatenate([np.zeros(cfg.measure_sweeps, dtype=np.int64), [-1]]),
         sweeps=np.concatenate([np.arange(measure_from, cfg.sweeps), [cfg.sweeps]]),
         run_seconds=wall,
@@ -687,46 +659,13 @@ def parallel_tempering(problem, cfg: PtConfig) -> PtResult:
 # brute force
 # ---------------------------------------------------------------------------
 
-BRUTE_BLOCK_CELLS = 1 << 20
-
-
-def _monomials(codes: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """0/1 table of each monomial (a variable bit mask) on each half-state code."""
-    return ((codes[:, None] & masks[None, :]) == masks[None, :]).astype(np.float64)
-
-
 def brute_force(obj, free_var_limit: int = 30):
     """Exhaustive minimum and the complete set of degenerate minimizers.
 
-    Returns the least `evaluate_batch` energy over all 2^n assignments and
-    every assignment within `TIE_TOL` of it, as uint8 rows in ascending code
-    order (bit i of a code is variable i).
-
-    Enumeration is blocked (after Bouillaguet et al., CHES 2010): variables
-    0..nl-1, nl = ceil(n/2), are the low half and the rest the high half.
-    A term T splits into a low monomial T_l and a high monomial T_h, so its
-    coefficient is one entry C[h, l] of a (high monomials x low monomials)
-    matrix, and for every degree
-
-        E = offset + M_h C M_l^T
-
-    where M_h and M_l are the 0/1 monomial tables over the 2^(n-nl) high and
-    2^nl low half-states; E[h, l] is the state with code h * 2^nl + l.  E is
-    formed in blocks of low and high codes, W = C M_l^T once per low block
-    and one BLAS product M_h W per high block, so no table exceeds
-    BRUTE_BLOCK_CELLS entries.
-
-    Blocked energies round differently from `evaluate_batch`.  Both add exact
-    products c_T * {0, 1}, so each is within gamma_k * S of the real energy,
-    S = |offset| + sum |c_T|: k = len(terms) for `evaluate_batch`, and k = H +
-    L + 1 for the blocked form (a length-L dot product, a length-H one, the
-    offset) with H x L the shape of C.  delta = gamma_K * S, K = len(terms) +
-    H + L + 2 (one more for the threshold's own addition), bounds their
-    difference.  So a state within TIE_TOL of the least exact energy is
-    within TIE_TOL + 2 delta of the least blocked energy, and of the running
-    minimum, which only falls.  Those candidates are rescored with
-    `evaluate_batch`, whose energy of a row does not depend on the other rows;
-    the result is the one scoring all 2^n states with it would give.
+    Returns the least energy over all 2^n assignments and every assignment
+    within `TIE_TOL` of it, as uint8 rows in ascending code order (bit i of a
+    code is variable i).  The energies are `core.energy_blocks`'s, variables
+    0..ceil(n/2)-1 the low half, rounded as `evaluate_batch` rounds them.
     """
     boolean = ising_to_qubo(obj) if obj.space == ISING else obj
     n = boolean.num_vars
@@ -736,47 +675,17 @@ def brute_force(obj, free_var_limit: int = 30):
         )
 
     nl = (n + 1) // 2
-    low_of: dict[int, int] = {0: 0}  # monomial mask -> column of C
-    high_of: dict[int, int] = {0: 0}  # monomial mask -> row of C
-    entries = []
-    for key, coeff in boolean.terms.items():
-        mask = sum(1 << i for i in key)
-        low = low_of.setdefault(mask & ((1 << nl) - 1), len(low_of))
-        high = high_of.setdefault(mask >> nl, len(high_of))
-        entries.append((high, low, coeff))
-    C = np.zeros((len(high_of), len(low_of)))
-    for high, low, coeff in entries:
-        C[high, low] = coeff
-    low_masks = np.fromiter(low_of, dtype=np.int64)
-    high_masks = np.fromiter(high_of, dtype=np.int64)
-
-    s_bound = abs(boolean.offset) + sum(abs(c) for c in boolean.terms.values())
-    delta = rounding_gamma(len(boolean.terms) + C.shape[0] + C.shape[1] + 2) * s_bound
-    window = TIE_TOL + 2.0 * delta
-
-    lows, highs = 1 << nl, 1 << (n - nl)
-    width = min(lows, max(1, BRUTE_BLOCK_CELLS // max(C.shape)))
-    rows = max(1, min(BRUTE_BLOCK_CELLS // width, BRUTE_BLOCK_CELLS // C.shape[0]))
     running = np.inf
     found_codes, found_energies = [], []
-    for l0 in range(0, lows, width):
-        low_codes = np.arange(l0, min(l0 + width, lows))
-        W = C @ _monomials(low_codes, low_masks).T
-        for h0 in range(0, highs, rows):
-            high_codes = np.arange(h0, min(h0 + rows, highs))
-            energies = _monomials(high_codes, high_masks) @ W
-            energies += boolean.offset
-            running = min(running, float(energies.min()))
-            h, l = np.nonzero(energies <= running + window)
-            found_codes.append((high_codes[h] << nl) | low_codes[l])
-            found_energies.append(energies[h, l])
+    for high_codes, low_codes, parts in energy_blocks(boolean, nl):
+        energies = energy_sum(boolean.offset, parts)
+        running = min(running, float(energies.min()))
+        h, l = np.nonzero(energies <= running + TIE_TOL)
+        found_codes.append((high_codes[h] << nl) | low_codes[l])
+        found_energies.append(energies[h, l])
     codes = np.concatenate(found_codes)
-    codes = np.sort(codes[np.concatenate(found_energies) <= running + window])
-
-    exact = boolean.evaluate_batch(code_bits(codes, n))
-    best = float(exact.min())
-    minimizers = np.ascontiguousarray(code_bits(codes[exact <= best + TIE_TOL], n))
-    return best, list(minimizers)
+    codes = np.sort(codes[np.concatenate(found_energies) <= running + TIE_TOL])
+    return running, list(np.ascontiguousarray(code_bits(codes, n)))
 
 
 def brute_force_samples(obj, free_var_limit: int = 30) -> SampleSet:

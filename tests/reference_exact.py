@@ -4,9 +4,13 @@ unembedding, of the incremental-field Metropolis kernel, of the allocating
 exact split, of the whole-table reduction check and of the
 configuration-exchange parallel tempering, for differential tests.
 
+`exact_energies` is offset + the correctly rounded sum of each row's terms
+(`math.fsum`), which `evaluate_batch` must equal wherever the split of the
+coefficients leaves no remainder.
 `quadratize` recounts every pair of every high-degree term after each
-substitution, `brute_force` scores every state with a float64 term loop
-(`evaluate_batch`), `ising_to_qubo` adds every contribution through
+substitution, `brute_force` scores every state with `exact_energies` (a
+float64 term loop, `evaluate_batch`, only picks the candidates),
+`ising_to_qubo` adds every contribution through
 `TermAccumulator.add`, `problem_from_dict` checks every document term
 before it sums them through `TermAccumulator.add`, `ising_problem_from_dict`,
 `qubo_to_ising` and `apply_embedding` sum into a field table and a coupling
@@ -21,16 +25,18 @@ failing on a drift above its tolerance; the package's kernel computes each
 class's fields from the bits, carries an exact energy pair
 (`pair_energies`), and must visit the same states.  `dense_form` builds the
 dense Q and c that `_Compiled` held before it built its split straight from
-the term cells, `kernel_matrix` the `[Q; c]` it split, and `dense_energies`
+the term cells, `kernel_matrix` the `[Q; c]` it split (of one half's
+coefficients, the half that `_Compiled` scatters now), and `dense_energies`
 the einsum evaluator it reported energies with.  `exact_split` makes a
 new array at each step where the package's split rounds and scales in
 place; the parts must be equal bit for bit.  `verify_quadratization` scans
 every case, sampling VERIFY_SAMPLES rows where n is above the budget and
-holding all rows at once; the package proves the gap where its
-per-auxiliary certificate holds, scans in chunks where it does not and n
-is within the budget, and refuses the reduction elsewhere, so each of its
-passes must be a pass here, a certificate at most the scanned gap, and a
-scanned gap equal.
+holding all rows at once, and takes each scanned cost as the correctly
+rounded difference of the two states' terms; the package proves the gap
+where its per-auxiliary certificate holds, scans in blocks where it does
+not and n is within the budget, and refuses the reduction elsewhere, so
+each of its passes must be a pass here, a certificate at most the scanned
+gap, and a scanned gap equal.
 `parallel_tempering` exchanges whole configurations and energy pairs between
 the kernel's rows, so each row keeps its counter id and temperature; the
 package's PT exchanges the two rows' labels instead and must return the same
@@ -38,6 +44,7 @@ records, trajectory and fingerprint byte for byte.
 """
 
 import hashlib
+import math
 from collections import Counter
 from itertools import combinations
 
@@ -79,6 +86,45 @@ def evaluate_batch(obj, bits):
             prod *= bits[:, i]
         energies += coeff * prod
     return energies
+
+
+def term_table(obj, bits):
+    """Row r, column t: the exact product c_T * prod_T of term t at row r."""
+    bits = np.asarray(bits, dtype=np.float64)
+    table = np.ones((len(bits), len(obj.terms)))
+    for t, key in enumerate(obj.terms):
+        for i in key:
+            table[:, t] *= bits[:, i]
+    return table * np.fromiter(obj.terms.values(), np.float64, len(obj.terms))
+
+
+def exact_energies(obj, bits):
+    """offset + the correctly rounded sum (`math.fsum`) of each row's terms:
+    offset + fl(S), S the exact value of the polynomial."""
+    return np.array([obj.offset + math.fsum(row) for row in term_table(obj, bits).tolist()],
+                    dtype=np.float64)
+
+
+def exact_differences(obj, bits, base):
+    """fl(S(bits) - S(base)) per row, correctly rounded by `math.fsum`."""
+    return np.array([math.fsum(a + [-x for x in b])
+                     for a, b in zip(term_table(obj, bits).tolist(), term_table(obj, base).tolist())],
+                    dtype=np.float64)
+
+
+def split_leaves_no_remainder(obj):
+    """Whether hi + lo of `exact_split` of the coefficient vector is every
+    coefficient exactly."""
+    coeffs = np.fromiter(obj.terms.values(), np.float64, len(obj.terms))
+    hi, lo = exact_split(coeffs)
+    return all(math.fsum((c, -h, -l)) == 0.0 for c, h, l in zip(coeffs, hi, lo))
+
+
+def near_minimum(approx, obj, tie_tol):
+    """Indices of the rows whose term-loop energies `approx` can lie within
+    `tie_tol` of the least exact one: each is within obj.rounding_bound of
+    the real energy, and so is each correctly rounded one."""
+    return np.flatnonzero(approx <= approx.min() + tie_tol + 4.0 * obj.rounding_bound)
 
 
 def quadratize(hubo, alpha_policy="worst_case"):
@@ -300,31 +346,23 @@ def unembed(physical_bits, emb, node_order, seed=0, sample_index=0):
 
 
 def brute_force(obj, tie_tol=1e-9, chunk=1 << 18):
+    """Every state scored with `exact_energies`; the term loop only picks
+    the candidates, a superset of the rows within `tie_tol` of the least
+    exact energy (`near_minimum`)."""
     boolean = ising_to_qubo(obj) if isinstance(obj, IsingProblem) else obj
     n = boolean.num_vars
-    if n == 0:
-        return boolean.offset, [np.zeros(0, dtype=np.uint8)]
-    best = np.inf
     keep_codes = []
-    keep_energies = []
     shifts = np.arange(n, dtype=np.uint64)
+    best = np.inf
     for lo in range(0, 1 << n, chunk):
         hi = min(lo + chunk, 1 << n)
         codes = np.arange(lo, hi, dtype=np.uint64)
         bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
-        energies = evaluate_batch(boolean, bits)
-        chunk_min = float(energies.min())
-        if chunk_min < best - tie_tol:
-            best = chunk_min
-            near = np.flatnonzero(energies <= best + tie_tol)
-            keep_codes = [int(codes[i]) for i in near]
-            keep_energies = [float(energies[i]) for i in near]
-        else:
-            best = min(best, chunk_min)
-            near = np.flatnonzero(energies <= best + tie_tol)
-            keep_codes.extend(int(codes[i]) for i in near)
-            keep_energies.extend(float(energies[i]) for i in near)
-    final = [c for c, e in zip(keep_codes, keep_energies) if e <= best + tie_tol]
+        near = near_minimum(evaluate_batch(boolean, bits), boolean, tie_tol)
+        energies = exact_energies(boolean, bits[near])
+        best = min(best, float(energies.min()))
+        keep_codes.extend(zip(codes[near].tolist(), energies.tolist()))
+    final = [c for c, e in keep_codes if e <= best + tie_tol]
     assignments = [
         ((np.uint64(c) >> shifts) & np.uint64(1)).astype(np.uint8) for c in sorted(final)
     ]
@@ -347,14 +385,15 @@ def splitmix_uniforms(key, *counters):
     return (x >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
-def dense_form(problem):
+def dense_form(problem, coeffs=None):
     """(Q, c) of a quadratic problem in Boolean space: Q dense and symmetric
-    with a zero diagonal, c its fields, filled from one cell per term."""
+    with a zero diagonal, c its fields, filled from one cell per term with its
+    coefficient, or with `coeffs[t]` for term t."""
     qubo = core.ising_to_qubo(problem) if problem.space == ISING else problem
     n = qubo.num_vars
     cells = np.array([(key[0], key[-1]) for key in qubo.terms], dtype=np.int64).reshape(-1, 2)
     upper = np.zeros((n, n))
-    upper[cells[:, 0], cells[:, 1]] = np.fromiter(qubo.terms.values(), np.float64, len(cells))
+    upper[cells[:, 0], cells[:, 1]] = np.fromiter(qubo.terms.values(), np.float64, len(cells)) if coeffs is None else coeffs
     c = upper.diagonal().copy()
     np.fill_diagonal(upper, 0.0)
     return upper + upper.T, c
@@ -430,7 +469,7 @@ def pair_energies(comp, state):
 
 
 def exact_split(a):
-    """`solvers._exact_split` as it was before its rounding went in place:
+    """`core._exact_split` as it was before its rounding went in place:
     each step on the grid makes a new array."""
     def on_grid(x):
         _, e = np.frexp(2.0 * np.abs(x).sum())
@@ -465,6 +504,7 @@ def verify_quadratization(hubo, result, budget=20):
         if exhaustive and n + n_aux <= 30:
             total = 1 << (n + n_aux)
             mask = (1 << n) - 1
+            lift_e = evaluate_batch(result.qubo, result.lift(bits))
             for lo in range(0, total, 1 << 20):
                 codes = np.arange(lo, min(lo + (1 << 20), total))
                 joint = code_bits(codes, n + n_aux)
@@ -473,8 +513,12 @@ def verify_quadratization(hubo, result, budget=20):
                     aux_ok &= joint[:, aux] == (joint[:, i] & joint[:, j])
                 bad = ~aux_ok
                 if bad.any():
-                    e = result.qubo.evaluate_batch(joint[bad])
-                    gap = min(gap, float((e - qubo_e[codes[bad] & mask]).min()))
+                    # the term loop picks the candidates; each difference is within
+                    # 3 rounding bounds of the real one
+                    approx = evaluate_batch(result.qubo, joint[bad]) - lift_e[codes[bad] & mask]
+                    near = joint[bad][approx <= approx.min() + 8.0 * result.qubo.rounding_bound]
+                    exact = exact_differences(result.qubo, near, result.lift(near[:, :n]))
+                    gap = min(gap, float(exact.min()))
             checked = total
         else:
             rng = np.random.default_rng(1)

@@ -1,9 +1,9 @@
-"""The blocked brute force, the incremental quadratizer, the contiguous
+"""The blocked brute force, the incremental quadratizer, the split
 `evaluate_batch`, the direct `ising_to_qubo`, the one-dict `qubo_to_ising`
 and `apply_embedding`, the one-pass `problem_from_dict` and the one-draw
-`unembed` against their term-by-term reference versions:
-every output must be identical, down to the dict order of the QUBO terms and
-the repr of the minimum energy.  The Metropolis kernel against the
+`unembed` against their term-by-term reference versions, the energies
+against the correctly rounded ones: every output must be identical, down to
+the dict order of the QUBO terms and the repr of the minimum energy.  The Metropolis kernel against the
 incremental-field kernel it replaced: the same state after every sweep, and
 an energy pair equal to the one recomputed from the state.  The in-place
 exact split against the allocating one, and the split built from the term
@@ -27,11 +27,12 @@ from hypothesis import strategies as st
 import reference_exact as ref
 from conftest import all_assignments, build_poly, random_qubo
 from test_reduction import small_hubos
-from latticefold import solvers
+from latticefold import core, solvers
 from latticefold.core import (
     InputError,
     IsingProblem,
     TermAccumulator,
+    _exact_split,
     ising_to_qubo,
     problem_from_dict,
     qubo_to_ising,
@@ -44,7 +45,6 @@ from latticefold.solvers import (
     PtConfig,
     _atiqullah_t0,
     _Compiled,
-    _exact_split,
     _metropolis,
     _products,
     brute_force,
@@ -367,16 +367,19 @@ def test_random_hubos_identical(hubo):
     if result.qubo.num_vars <= 16:
         assert_same_brute_force(result.qubo)
     bits = all_assignments(hubo.num_vars)
-    assert hubo.evaluate_batch(bits).tobytes() == ref.evaluate_batch(hubo, bits).tobytes()
+    assert ref.split_leaves_no_remainder(hubo)
+    assert hubo.evaluate_batch(bits).tobytes() == ref.exact_energies(hubo, bits).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(6, 12), ones=st.integers(2, 5), log_scale=st.floats(4.0, 8.0),
        shift=st.floats(-1.0, 1.0), offset=st.floats(-1e8, 1e8))
 def test_symmetric_ties_at_large_scale(n, ones, log_scale, shift, offset):
-    """Every state with the same number of ones has the same real energy, but
-    the float sums differ in the last bits at scale 1e4..1e8, more than
-    tie_tol: the blocked candidates must still hold every tied minimizer."""
+    """Every state with the same number of ones has the same real energy;
+    term-order float sums of it differ in the last bits at scale 1e4..1e8,
+    more than tie_tol, but the blocked energies round the exact sums, so
+    every tied state is a minimizer, as under the correctly rounded
+    reference."""
     coupling = 1.5 * 10.0 ** log_scale
     field = -coupling * (ones - 0.5) + shift
     terms = {(i,): field for i in range(n)}
@@ -409,15 +412,13 @@ def test_brute_force_independent_of_blocking(rng, monkeypatch):
     """A budget of 64 cells splits E into many low and high blocks; the
     running minimum then falls block by block, and the output must not
     change."""
-    import latticefold.solvers as solvers
-
     acc = TermAccumulator()
     for _ in range(60):
         key = rng.choice(15, size=int(rng.integers(1, 5)), replace=False)
         acc.add(key, float(np.round(rng.normal() * 1e8, 2)))
     hubo = acc.build(15)
     expected = assert_same_brute_force(hubo)
-    monkeypatch.setattr(solvers, "BRUTE_BLOCK_CELLS", 1 << 6)
+    monkeypatch.setattr(core, "BLOCK_CELLS", 1 << 6)
     energy, minimizers = solvers.brute_force(hubo)
     assert repr(energy) == repr(expected[0])
     assert [a.tolist() for a in minimizers] == [a.tolist() for a in expected[1]]
@@ -593,15 +594,17 @@ def assert_same_split(a):
 
 @pytest.mark.parametrize("problem", ["coord-tet-LKDFSAW", "cli-embedded"])
 def test_exact_split_identical_on_solver_inputs(problem):
-    """The blocks split from `[Q; c]` filled straight from the term cells in
-    kernel order equal, column for column, the split of the dense `[Q; c]`
+    """The split of the coefficient vector equals the allocating split, and
+    the kernel's blocks, scattered from it straight from the term cells in
+    kernel order, equal, column for column, the dense `[Q; c]` of each half
     permuted into kernel order, on both bench problems."""
     obj = solver_problem(problem)
     comp = _Compiled(obj)
     assert comp.n == (594 if problem == "cli-embedded" else 189)
-    dense = ref.kernel_matrix(comp, *ref.dense_form(obj))
-    assert_same_split(dense)
-    ref_hi, ref_lo = ref.exact_split(dense)
+    qubo = ising_to_qubo(obj) if isinstance(obj, IsingProblem) else obj
+    coeffs = np.fromiter(qubo.terms.values(), np.float64, len(qubo.terms))
+    assert_same_split(coeffs)
+    ref_hi, ref_lo = (ref.kernel_matrix(comp, *ref.dense_form(obj, half)) for half in ref.exact_split(coeffs))
     for cls, hi, lo in comp.blocks:
         assert hi.tobytes() == ref_hi[:, cls].tobytes() and lo.tobytes() == ref_lo[:, cls].tobytes()
 

@@ -61,7 +61,7 @@ PINNED = {
     "file:dataset.json": "8e688054773cf610ff366a0bb6bb97a50399254cc4ccae5542c99aa8195cc6fc",
     "file:embedded.json": "13e231bb08a2d1c26d4fca8ea75a702da958c712be3ab1dbdc311e91170b471a",
     "file:folds.json": "4c6c6f09978c015274d7934fa90c76e531868d92a493fd6bee735e4f4ab1312e",
-    "file:logical.csv": "b18bd0d07e2020969ac4b025cf233514f65ab66db279f06a980661c2516853d6",
+    "file:logical.csv": "6b4ca0fa4be5882d65be9a0b78b889f0fefa53396c844c4ed855a08dc43d71a8",
     "file:phys.csv": "02bcd24bb5e7d85def1a98211167524efa646c5995057dd42b9d275655c316b8",
     "file:prob.json": "addc324c164d449a29c747667d035ab8a4af381a6c85110aafd0f55a85919db0",
     "file:pt_run1.csv": "483c84e5dddc65b4d96993f3a27d4b9dc126ca8027c2c50919eb7e91fa0e2400",

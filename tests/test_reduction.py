@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefold import reduction
+from latticefold import core
 from latticefold.core import InputError, PolynomialObjective, TermAccumulator, qubo_to_ising
 from latticefold.encoders import encode, encode_turn_tetrahedral, get_model, hp_model
 from latticefold.reduction import (
@@ -303,8 +303,8 @@ class TestVerify:
     @pytest.mark.parametrize("budget", [20, 0], ids=["exhaustive", "refused"])
     def test_overflowing_energies_fail_as_nan(self, budget):
         # m_b = 2e308 overflows to inf, and so does the tolerance: the certificate
-        # is -inf, not an error.  The scan's lift energy overflows at x = 1111,
-        # where flipping the auxiliary costs 1 - inf, so its gap is -inf
+        # is -inf, not an error.  The coefficients' sum overflows too, so the split
+        # puts inf in hi and -inf in lo, and the scan's costs, and its gap, are NaN
         hubo = build_poly({(0, 1, 2): 1e308, (0, 1, 3): 1e308}, 4)
         with np.errstate(all="ignore"):
             report = verify_quadratization(hubo, quadratize(hubo, "fixed:1"), budget=budget)
@@ -320,20 +320,24 @@ class TestVerify:
                                        res.aux_map, res.alpha)
         assert lift_residual(hubo, shifted) == 0.5
 
-    @pytest.mark.parametrize("chunk", [1 << 13, 1 << 10, (1 << 12) - 1, 5],
+    @pytest.mark.parametrize("cells", [1 << 20, 1024 * 46, 4095 * 46, 5],
                              ids=["below-one-chunk", "4-chunks", "1-chunk-plus-1", "many-chunks"])
-    def test_exhaustive_report_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
+    def test_exhaustive_report_does_not_depend_on_the_chunk(self, monkeypatch, cells):
+        # the scan's chunks are the enumerator's low blocks of original codes, as
+        # many as its block budget of `cells` allows against the 46 monomials of
+        # the originals: all 4,096 codes in one block, 4 blocks of 1,024, one of
+        # 4,095 and one of 1, and, at 5 cells, 2^19 blocks of one state each
         hubo = encode_turn_tetrahedral("HHHHHH", hp_model()).objective  # 12 originals: 4,096 codes
         res = quadratize(hubo, "fixed:1")  # 7 auxiliaries: 2^19 joint rows
-        monkeypatch.setattr(reduction, "VERIFY_CHUNK", 1 << 12)
+        monkeypatch.setattr(core, "BLOCK_CELLS", 1 << 12)
         whole = verify_quadratization(hubo, res, budget=14)
         assert whole.gap_source == "exhaustive"
-        monkeypatch.setattr(reduction, "VERIFY_CHUNK", chunk)
+        monkeypatch.setattr(core, "BLOCK_CELLS", cells)
         assert verify_quadratization(hubo, res, budget=14) == whole
 
     def test_exhaustive_scan_stays_in_bounded_memory(self):
-        # LKKLKK at alpha 10,000: 2^19 joint rows, which peak near 44 MB under
-        # tracemalloc as one chunk and near 3 MB in the module's chunks
+        # LKKLKK at alpha 10,000: 2^19 joint rows, which peak near 3.5 MB under
+        # tracemalloc in the enumerator's blocks of about 2^16 cells
         hubo = encode("turn-tet", "LKKLKK", get_model("mj")).objective
         res = quadratize(hubo, "fixed:10000")
         tracemalloc.start()

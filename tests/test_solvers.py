@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticefold import core, solvers
-from latticefold.core import InputError, IsingProblem, TermAccumulator, qubo_to_ising
+from latticefold.core import InputError, IsingProblem, TermAccumulator, _exact_split, qubo_to_ising
 from latticefold.encoders import encode, hp_model, mj_model, optimal_fold_energy
 from latticefold.reduction import quadratize
 from latticefold.solvers import (
@@ -22,7 +22,6 @@ from latticefold.solvers import (
     _atiqullah_t0,
     _Compiled,
     _counter_state,
-    _exact_split,
     _metropolis,
     _sa_blocks,
     _sa_rows,
@@ -448,8 +447,8 @@ class TestSimulatedAnnealing:
 
     @pytest.mark.parametrize("problem", ["boolean", "ising"])
     def test_energies_are_the_exact_pair(self, problem):
-        # each reported energy is offset + E_hi + E_lo of its state, and lies
-        # within the rounding of evaluate_batch and of that sum
+        # each reported energy is offset + E_hi + E_lo of its state, and is
+        # evaluate_batch's energy of the state in Boolean space, bit for bit
         obj = encode("coord-tet", "LKDFSAW", mj_model()).objective
         if problem == "ising":
             obj = qubo_to_ising(obj)
@@ -457,20 +456,47 @@ class TestSimulatedAnnealing:
         qubo = obj if problem == "boolean" else core.ising_to_qubo(obj)
         sa = simulated_annealing(obj, SaConfig(0.999, 40, 24, seed=9))
         pt = parallel_tempering(obj, PtConfig(num_temps=12, t_max=1e3, sweeps=40, measure_sweeps=15, seed=9))
-        bound = core.rounding_gamma(len(qubo.terms) + 3) * (
-            abs(qubo.offset) + sum(abs(c) for c in qubo.terms.values()))
         for ss in (sa, pt.sample_set):
             state = np.ones((len(ss.bits), comp.n + 1))
             state[:, :comp.n] = ss.bits[:, comp.order]
             pair = ref.pair_energies(comp, state)
             assert ss.energies.tobytes() == (comp.offset + pair.sum(axis=1)).tobytes()
-            assert np.all(np.abs(ss.energies - qubo.evaluate_batch(ss.bits)) <= bound)
+            assert ss.energies.tobytes() == qubo.evaluate_batch(ss.bits).tobytes()
 
     def test_sample_energies_match_evaluate(self, rng):
         obj = random_qubo(rng, 15)
         ss = simulated_annealing(obj, SaConfig(0.99, 30, 8, seed=2))
         for bits, energy in zip(ss.bits, ss.energies):
-            assert obj.evaluate(bits) == pytest.approx(energy, abs=1e-9)
+            assert np.float64(obj.evaluate(bits)).tobytes() == energy.tobytes()
+
+
+@st.composite
+def wide_qubos(draw):
+    """QUBOs on 1..10 variables with full-mantissa coefficients of magnitude
+    2^-80..2^80, many of them within 2^-3..2^3: sums of those round in term
+    order, and a split of coefficients 2^60 apart leaves a remainder."""
+    n = draw(st.integers(1, 10))
+    acc = TermAccumulator()
+    acc.offset = draw(st.floats(-1e6, 1e6))
+    for vars_, log2_mag, negative in draw(st.lists(st.tuples(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True),
+            st.one_of(st.floats(-3.0, 3.0), st.floats(-80.0, 80.0)), st.booleans()), max_size=30)):
+        acc.add(vars_, (-1.0 if negative else 1.0) * 2.0 ** log2_mag)
+    return acc.build(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qubo=wide_qubos(), seed=st.integers(0, 2**16))
+def test_every_reported_energy_is_evaluate_batch_of_its_state(qubo, seed):
+    """SA's restarts, PT's records and best row and brute force's minimum are
+    `evaluate_batch` energies of their states, bit for bit, whether or not the
+    split leaves a remainder: every evaluator sums the same two halves."""
+    sa = simulated_annealing(qubo, SaConfig(0.99, 20, 8, seed=seed))
+    pt = parallel_tempering(qubo, PtConfig(num_temps=4, t_max=10.0, sweeps=20, measure_sweeps=5, seed=seed))
+    for ss in (sa, pt.sample_set):
+        assert ss.energies.tobytes() == qubo.evaluate_batch(ss.bits).tobytes()
+    energy, minimizers = brute_force(qubo)
+    assert qubo.evaluate_batch(np.array(minimizers)).tobytes() == np.full(len(minimizers), energy).tobytes()
 
 
 class TestLargeScaleProblems:
