@@ -128,17 +128,20 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Error-free split `a = hi + lo + r` of an array (after Ozaki, Ogita,
     Oishi & Rump, Numer. Algorithms 59, 2012).
 
-    hi lies on one power-of-two grid g = 2^(e - 52), 2 * sum|a| < 2^e, and lo
-    on the grid chosen the same way for a - hi, never below 2^-1074, the least
-    subnormal, so tiny entries split exactly.  A sum of entries of one part,
-    each taken at most twice, is a multiple of its grid below 2^53 grid steps,
-    so it is exact in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
-    2008), under any BLAS, row count or order.  |r| <= a.size * sum|a| *
-    2^-102.  Each part is rounded and scaled in place.
+    hi lies on one power-of-two grid g = 2^(e - 51), sum|a| < 2^e, and lo on
+    the grid chosen the same way for a - hi, never below 2^-1074, the least
+    subnormal, so tiny entries split exactly, and a sum|a| past the largest
+    float64 is taken at 2^-64 scale.  A sum of entries of one part, each taken
+    at most twice, is a multiple of its grid below 2^53 grid steps, so it is
+    exact in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008),
+    under any BLAS, row count or order.  |r| <= a.size * sum|a| * 2^-102.
+    Each part is rounded and scaled in place.
     """
     def on_grid(x, out=None):
-        _, e = np.frexp(2.0 * np.abs(x).sum())
-        grid = np.ldexp(1.0, max(int(e) - 52, -1074))
+        with np.errstate(over="ignore"):
+            shift = 0 if np.isfinite(np.abs(x).sum()) else 64
+        _, e = np.frexp(np.ldexp(np.abs(x), -shift).sum())
+        grid = np.ldexp(1.0, max(int(e) + shift - 51, -1074))
         out = np.divide(x, grid, out=out)
         np.rint(out, out=out)
         out *= grid
@@ -150,9 +153,10 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def energy_sum(offset: float, parts) -> np.ndarray:
-    """offset + (E_hi + E_lo), `parts` the exact energies under the halves of
-    a split summed from 0.0: the one rule of every energy the program reports."""
-    return offset + sum(parts, 0.0)
+    """offset + (E_hi + E_lo), `parts` the exact energies [E_hi, E_lo] or [E_hi]
+    under a split's halves: the one rule of every energy the program reports.
+    The offset is added as offset + 0.0, so no energy is -0.0."""
+    return parts[0] + (parts[1] if len(parts) > 1 else 0.0) + (offset + 0.0)
 
 
 def code_bits(codes, num_vars: int) -> np.ndarray:
@@ -391,11 +395,6 @@ def coefficient_stats(q: PolynomialObjective) -> tuple[float, float, float]:
 BLOCK_CELLS = 1 << 16
 
 
-def _monomials(codes: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """0/1 table of each monomial (a variable bit mask) on each half-state code."""
-    return ((codes[:, None] & masks[None, :]) == masks[None, :]).astype(np.float64)
-
-
 def energy_blocks(obj: PolynomialObjective, nl: int):
     """The exact energies of all 2^n Boolean states under each of `halves`,
     offset left out, in blocks (after Bouillaguet et al., CHES 2010).
@@ -405,38 +404,39 @@ def energy_blocks(obj: PolynomialObjective, nl: int):
     (high monomials x low monomials) matrix C, and its energies are E = M_h C
     M_l^T, M_h and M_l the 0/1 monomial tables of the high and low codes.
     Per block of low codes W = C M_l^T, then per block of high codes M_h W,
-    so no table exceeds about BLOCK_CELLS entries; each entry sums a half's
-    coefficients, each at most once, so it is exact under any BLAS.
+    each one matmul over the halves stacked, so no table exceeds about
+    BLOCK_CELLS entries; each entry sums a half's coefficients, each at most
+    once, so it is exact under any BLAS.
 
-    Yields `(high_codes, low_codes, parts)`, low block by low block (one
-    `low_codes` array each): parts[k][h, l] is half k's energy at code
-    high_codes[h] << nl | low_codes[l], and `energy_sum(obj.offset, parts)`
-    are the energies.
+    Yields one `(low_codes, high_blocks)` pair per block of low codes;
+    `high_blocks` yields `(high_codes, parts)`, parts[k][h, l] half k's
+    energy at code high_codes[h] << nl | low_codes[l]: the energies are
+    `energy_sum(obj.offset, parts)`.
     """
     low_of: dict[int, int] = {0: 0}  # monomial mask -> column of C
     high_of: dict[int, int] = {0: 0}  # monomial mask -> row of C
-    cells = []
-    for key in obj.terms:
-        mask = sum(1 << i for i in key)
-        cells.append((high_of.setdefault(mask >> nl, len(high_of)),
-                      low_of.setdefault(mask & ((1 << nl) - 1), len(low_of))))
-    high_cells, low_cells = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    term_masks = [sum(1 << i for i in key) for key in obj.terms]
+    high_cells = [high_of.setdefault(mask >> nl, len(high_of)) for mask in term_masks]
+    low_cells = [low_of.setdefault(mask & ((1 << nl) - 1), len(low_of)) for mask in term_masks]
     matrices = np.zeros((len(obj.halves), len(high_of), len(low_of)))
     matrices[:, high_cells, low_cells] = obj.halves  # the keys are unique, so no cell sums two terms
-    low_masks = np.fromiter(low_of, dtype=np.int64)
-    high_masks = np.fromiter(high_of, dtype=np.int64)
+    low_masks, high_masks = (np.fromiter(of, dtype=np.int64) for of in (low_of, high_of))
+
+    def monomials(codes, masks):  # 0/1: which monomials (variable bit masks) each code holds
+        return ((codes[:, None] & masks) == masks).astype(np.float64)
 
     lows, highs = 1 << nl, 1 << (obj.num_vars - nl)
     width = min(lows, max(1, BLOCK_CELLS // max(len(high_of), len(low_of))))
-    rows = max(1, min(BLOCK_CELLS // width, BLOCK_CELLS // len(high_of)))
-    for l0 in range(0, lows, width):
-        low_codes = np.arange(l0, min(l0 + width, lows))
-        low_table = _monomials(low_codes, low_masks).T
-        ws = [C @ low_table for C in matrices]
+    rows = max(1, min(BLOCK_CELLS // (width * len(matrices)), BLOCK_CELLS // len(high_of)))
+
+    def high_blocks(w):
         for h0 in range(0, highs, rows):
             high_codes = np.arange(h0, min(h0 + rows, highs))
-            high_table = _monomials(high_codes, high_masks)
-            yield high_codes, low_codes, [high_table @ w for w in ws]
+            yield high_codes, monomials(high_codes, high_masks) @ w
+
+    for l0 in range(0, lows, width):
+        low_codes = np.arange(l0, min(l0 + width, lows))
+        yield low_codes, high_blocks(matrices @ monomials(low_codes, low_masks).T)
 
 
 # ---------------------------------------------------------------------------

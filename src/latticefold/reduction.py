@@ -277,16 +277,14 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
         gap = float("-inf")
     if not gap > 0.0 and n <= budget and n + n_aux <= 30:
         gap, source, checked = float("inf"), "exhaustive", 1 << (n + n_aux)
-        qubo, at = result.qubo, None
-        for high_codes, low_codes, parts in energy_blocks(qubo, n):  # the originals are the low half
-            if low_codes is not at:  # a new low block: its lifts' energies and auxiliary codes
-                at = low_codes
-                lift = result.lift(code_bits(low_codes, n))
-                refs = qubo.half_energies(lift)
-                lift_codes = (lift[:, n:].astype(np.int64) << np.arange(n_aux)).sum(axis=1)
-            # E - E(lift): exact per half, one rounding; np.minimum keeps a NaN (an
-            # overflowing energy), which fails the report
-            costs = sum(part - ref for part, ref in zip(parts, refs))
-            costs[high_codes[:, None] == lift_codes] = np.inf
-            gap = float(np.minimum(gap, costs.min()))
+        for low_codes, high_blocks in energy_blocks(result.qubo, n):  # the originals are the low half
+            lift = result.lift(code_bits(low_codes, n))
+            refs = result.qubo.half_energies(lift)
+            lift_codes = (lift[:, n:].astype(np.int64) << np.arange(n_aux)).sum(axis=1)
+            for high_codes, parts in high_blocks:
+                # E - E(lift): exact per half, one rounding; np.minimum keeps a NaN
+                # (an overflowing energy), which fails the report
+                costs = sum(part - ref for part, ref in zip(parts, refs))
+                costs[high_codes[:, None] == lift_codes] = np.inf
+                gap = float(np.minimum(gap, costs.min()))
     return VerificationReport(gap, source, checked, lift_residual(hubo, result), tolerance)

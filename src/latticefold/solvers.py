@@ -665,7 +665,8 @@ def brute_force(obj, free_var_limit: int = 30):
     Returns the least energy over all 2^n assignments and every assignment
     within `TIE_TOL` of it, as uint8 rows in ascending code order (bit i of a
     code is variable i).  The energies are `core.energy_blocks`'s, variables
-    0..ceil(n/2)-1 the low half, rounded as `evaluate_batch` rounds them.
+    0..ceil(n/2)-1 the low half, rounded as `evaluate_batch` rounds them; a
+    state whose energy is NaN (its terms overflow float64) is no minimizer.
     """
     boolean = ising_to_qubo(obj) if obj.space == ISING else obj
     n = boolean.num_vars
@@ -675,14 +676,16 @@ def brute_force(obj, free_var_limit: int = 30):
         )
 
     nl = (n + 1) // 2
-    running = np.inf
-    found_codes, found_energies = [], []
-    for high_codes, low_codes, parts in energy_blocks(boolean, nl):
-        energies = energy_sum(boolean.offset, parts)
-        running = min(running, float(energies.min()))
-        h, l = np.nonzero(energies <= running + TIE_TOL)
-        found_codes.append((high_codes[h] << nl) | low_codes[l])
-        found_energies.append(energies[h, l])
+    running, found_codes, found_energies = np.inf, [], []
+    for low_codes, high_blocks in energy_blocks(boolean, nl):
+        for high_codes, parts in high_blocks:
+            energies = energy_sum(boolean.offset, parts)
+            least = float(np.fmin.reduce(energies, axis=None))  # the least non-NaN energy
+            running = min(running, least)
+            if least <= running + TIE_TOL:  # else no state of the block is within reach
+                h, l = np.nonzero(energies <= running + TIE_TOL)
+                found_codes.append((high_codes[h] << nl) | low_codes[l])
+                found_energies.append(energies[h, l])
     codes = np.concatenate(found_codes)
     codes = np.sort(codes[np.concatenate(found_energies) <= running + TIE_TOL])
     return running, list(np.ascontiguousarray(code_bits(codes, n)))

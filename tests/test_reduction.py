@@ -303,8 +303,9 @@ class TestVerify:
     @pytest.mark.parametrize("budget", [20, 0], ids=["exhaustive", "refused"])
     def test_overflowing_energies_fail_as_nan(self, budget):
         # m_b = 2e308 overflows to inf, and so does the tolerance: the certificate
-        # is -inf, not an error.  The coefficients' sum overflows too, so the split
-        # puts inf in hi and -inf in lo, and the scan's costs, and its gap, are NaN
+        # is -inf, not an error.  The split stays finite, but the lift's energy
+        # at x = 1111 is 2e308, inf in float64, so the scan's costs there are
+        # inf - inf, and its gap is NaN
         hubo = build_poly({(0, 1, 2): 1e308, (0, 1, 3): 1e308}, 4)
         with np.errstate(all="ignore"):
             report = verify_quadratization(hubo, quadratize(hubo, "fixed:1"), budget=budget)
@@ -336,7 +337,7 @@ class TestVerify:
         assert verify_quadratization(hubo, res, budget=14) == whole
 
     def test_exhaustive_scan_stays_in_bounded_memory(self):
-        # LKKLKK at alpha 10,000: 2^19 joint rows, which peak near 3.5 MB under
+        # LKKLKK at alpha 10,000: 2^19 joint rows, which peak near 2.4 MB under
         # tracemalloc in the enumerator's blocks of about 2^16 cells
         hubo = encode("turn-tet", "LKKLKK", get_model("mj")).objective
         res = quadratize(hubo, "fixed:10000")

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticefold import core, solvers
-from latticefold.core import InputError, IsingProblem, TermAccumulator, _exact_split, qubo_to_ising
+from latticefold.core import TIE_TOL, InputError, IsingProblem, TermAccumulator, _exact_split, qubo_to_ising
 from latticefold.encoders import encode, hp_model, mj_model, optimal_fold_energy
 from latticefold.reduction import quadratize
 from latticefold.solvers import (
@@ -37,7 +37,7 @@ from latticefold.solvers import (
 )
 
 import reference_exact as ref
-from conftest import build_poly, classes_independent, random_qubo
+from conftest import all_assignments, build_poly, classes_independent, random_qubo
 
 
 class TestCounterRng:
@@ -270,6 +270,16 @@ class TestBruteForce:
         assert energy == -1.0
         assert len(minimizers) == 2  # the two antiparallel states
 
+    def test_coefficient_sum_past_the_largest_float(self):
+        # sum |c| = 2e308 overflows, but no state's energy does: the split takes
+        # its grid at 2^-64 scale, so its halves and every energy stay finite
+        obj = build_poly({(0, 1, 2): -1e308, (0, 1, 3): 1e308}, 4)
+        energy, minimizers = brute_force(obj)
+        assert energy == -1e308
+        assert [m.tolist() for m in minimizers] == [[1, 1, 1, 0]]
+        bits = all_assignments(4)
+        assert obj.evaluate_batch(bits).tobytes() == ref.exact_energies(obj, bits).tobytes()
+
     def test_samples_hold_every_minimizer(self):
         ising = IsingProblem(2, {(0, 1): 1.0}, 0.0)
         samples = brute_force_samples(ising, free_var_limit=2)
@@ -487,16 +497,21 @@ def wide_qubos(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(qubo=wide_qubos(), seed=st.integers(0, 2**16))
+@example(qubo=build_poly({(0,): -(2.0 ** -80)}, 1), seed=0)
 def test_every_reported_energy_is_evaluate_batch_of_its_state(qubo, seed):
     """SA's restarts, PT's records and best row and brute force's minimum are
     `evaluate_batch` energies of their states, bit for bit, whether or not the
-    split leaves a remainder: every evaluator sums the same two halves."""
+    split leaves a remainder: every evaluator sums the same two halves.  The
+    other minimizers are the states within TIE_TOL of the minimum, so a near
+    tie (a lone coefficient of 2^-80, say) has its own energy."""
     sa = simulated_annealing(qubo, SaConfig(0.99, 20, 8, seed=seed))
     pt = parallel_tempering(qubo, PtConfig(num_temps=4, t_max=10.0, sweeps=20, measure_sweeps=5, seed=seed))
     for ss in (sa, pt.sample_set):
         assert ss.energies.tobytes() == qubo.evaluate_batch(ss.bits).tobytes()
     energy, minimizers = brute_force(qubo)
-    assert qubo.evaluate_batch(np.array(minimizers)).tobytes() == np.full(len(minimizers), energy).tobytes()
+    energies = qubo.evaluate_batch(np.array(minimizers))
+    assert np.float64(energy).tobytes() == energies.min().tobytes()
+    assert np.all(energies <= energy + TIE_TOL)
 
 
 class TestLargeScaleProblems:
