@@ -128,14 +128,14 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Error-free split `a = hi + lo + r` of an array (after Ozaki, Ogita,
     Oishi & Rump, Numer. Algorithms 59, 2012).
 
-    hi lies on one power-of-two grid g = 2^(e - 51), sum|a| < 2^e, and lo on
-    the grid chosen the same way for a - hi, never below 2^-1074, the least
-    subnormal, so tiny entries split exactly, and a sum|a| past the largest
-    float64 is taken at 2^-64 scale.  A sum of entries of one part, each taken
-    at most twice, is a multiple of its grid below 2^53 grid steps, so it is
-    exact in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008),
-    under any BLAS, row count or order.  |r| <= a.size * sum|a| * 2^-102.
-    Each part is rounded and scaled in place.
+    hi lies on one power-of-two grid g = 2^(e - 51), sum|a| < 2^e (taken at
+    2^-64 scale past the largest float64), rounded to nearest but never up to
+    2^1024, and lo on the grid chosen the same way for a - hi, never below
+    2^-1074, the least subnormal, so tiny entries split exactly.  A sum of
+    entries of one part, each taken at most twice, is a multiple of its grid
+    below 2^53 grid steps, so it is exact in any order (Rump, Ogita & Oishi,
+    SIAM J. Sci. Comput. 31, 2008), under any BLAS, row count or order.
+    |r| <= a.size * sum|a| * 2^-102.  Each part is rounded and scaled in place.
     """
     def on_grid(x, out=None):
         with np.errstate(over="ignore"):
@@ -143,12 +143,13 @@ def _exact_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, e = np.frexp(np.ldexp(np.abs(x), -shift).sum())
         grid = np.ldexp(1.0, max(int(e) + shift - 51, -1074))
         out = np.divide(x, grid, out=out)
-        np.rint(out, out=out)
+        top = np.ldexp(1.0, min(1075 - int(e) - shift, 52)) - 1.0  # binds only where rint reaches 2^1024
+        np.clip(np.rint(out, out=out), -top, top, out=out)
         out *= grid
         return out
 
     hi = on_grid(a)
-    lo = np.subtract(a, hi)  # exact: |a - hi| <= grid / 2
+    lo = np.subtract(a, hi)  # exact: |a - hi| < grid
     return hi, on_grid(lo, out=lo)
 
 

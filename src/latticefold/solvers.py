@@ -671,9 +671,7 @@ def brute_force(obj, free_var_limit: int = 30):
     boolean = ising_to_qubo(obj) if obj.space == ISING else obj
     n = boolean.num_vars
     if n > free_var_limit:
-        raise ResourceRefusal(
-            f"{n} free variables exceed the brute-force limit of {free_var_limit}"
-        )
+        raise ResourceRefusal(f"{n} free variables exceed the brute-force limit of {free_var_limit}")
 
     nl = (n + 1) // 2
     running, found_codes, found_energies = np.inf, [], []

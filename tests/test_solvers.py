@@ -270,15 +270,31 @@ class TestBruteForce:
         assert energy == -1.0
         assert len(minimizers) == 2  # the two antiparallel states
 
-    def test_coefficient_sum_past_the_largest_float(self):
-        # sum |c| = 2e308 overflows, but no state's energy does: the split takes
-        # its grid at 2^-64 scale, so its halves and every energy stay finite
-        obj = build_poly({(0, 1, 2): -1e308, (0, 1, 3): 1e308}, 4)
+    @pytest.mark.parametrize("terms, n, least, argmin", [
+        ({(0, 1, 2): -1e308, (0, 1, 3): 1e308}, 4, -1e308, [1, 1, 1, 0]),
+        ({(0,): -1.7976931348623157e308}, 1, -1.7976931348623157e308, [1]),
+    ], ids=["sum-overflows", "largest-float"])
+    def test_coefficient_sum_past_the_largest_float(self, terms, n, least, argmin):
+        # no state's energy overflows, so neither may a half: the split takes a
+        # sum |c| past 2^1024 (2e308) at 2^-64 scale, and the largest float64,
+        # 2^1024 - 2^971, rounds to nearest on its grid of 2^973 but not up to
+        # 2^1024; inf in a half would make every energy NaN (inf * 0)
+        obj = build_poly(terms, n)
         energy, minimizers = brute_force(obj)
-        assert energy == -1e308
-        assert [m.tolist() for m in minimizers] == [[1, 1, 1, 0]]
-        bits = all_assignments(4)
+        assert energy == least
+        assert [m.tolist() for m in minimizers] == [argmin]
+        bits = all_assignments(n)
         assert obj.evaluate_batch(bits).tobytes() == ref.exact_energies(obj, bits).tobytes()
+
+    def test_nan_energy_is_no_minimizer(self):
+        # at x = 111 the low block sums 1e308 + 1e308 to inf and the high one
+        # to -inf, so its blocked energy is NaN: that state is passed over, and
+        # the least energy is that of the states whose sums stay finite
+        obj = build_poly({(0,): 1e308, (1,): 1e308, (0, 2): -1e308, (1, 2): -1e308}, 3)
+        with np.errstate(all="ignore"):
+            energy, minimizers = brute_force(obj)
+        assert energy == 0.0
+        assert [m.tolist() for m in minimizers] == [[0, 0, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]]
 
     def test_samples_hold_every_minimizer(self):
         ising = IsingProblem(2, {(0, 1): 1.0}, 0.0)
