@@ -122,6 +122,8 @@ def _write_json(path, doc: dict, manifest: Manifest) -> None:
 
 def _read_fasta(path) -> str:
     lines = [ln.strip() for ln in read_lines(path) if ln.strip()]
+    if any(ln.startswith(">") for ln in lines[1:]):
+        raise InputError(f"{path} holds more than one FASTA record")
     body = [ln for ln in lines if not ln.startswith(">")]
     if not body:
         raise InputError(f"no sequence record in {path}")

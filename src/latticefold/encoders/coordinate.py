@@ -23,7 +23,7 @@ import warnings
 from ..core import InputError, TermAccumulator
 from ..lattice import CARTESIAN, LatticeSpec, min_grid, neighbor_sites, site_classes
 from .interactions import InteractionModel
-from .model import MODEL_LATTICE, EncodedModel, check_chain, merge_penalties
+from .model import MODEL_LATTICE, EncodedModel, check_chain, interaction_pair_range, merge_penalties
 
 DEFAULT_COORD_PENALTIES = {"lambda_1": 18.6, "lambda_2": 14.4, "lambda_3": 18.6}
 
@@ -116,16 +116,13 @@ def encode_coordinate(
 
     # Contact energy: non-bonded pairs on adjacent sites (odd separation only;
     # same-class sites are never adjacent)
-    for i in range(n):
-        for j in range(i + 3, n):
-            if (j - i) % 2 == 0:
-                continue
-            eps = interaction.energy(sequence[i], sequence[j])
-            if eps == 0.0:
-                continue
-            even_bead, odd_bead = (i, j) if i % 2 == 0 else (j, i)
-            for r0, r1 in adjacent_pairs:
-                acc.add((var(even_bead, r0), var(odd_bead, r1)), eps)
+    for i, j in interaction_pair_range(model, n):
+        eps = interaction.energy(sequence[i], sequence[j])
+        if eps == 0.0:
+            continue
+        even_bead, odd_bead = (i, j) if i % 2 == 0 else (j, i)
+        for r0, r1 in adjacent_pairs:
+            acc.add((var(even_bead, r0), var(odd_bead, r1)), eps)
 
     objective = acc.build(num_vars)
     layout = {

@@ -285,9 +285,9 @@ def _decode_turns(model: EncodedModel, bits: np.ndarray) -> Fold:
 
 
 def interaction_pair_range(model_tag: str, n: int) -> list[tuple[int, int]]:
-    """Contact-capable bead pairs: odd separation, >= 3 (Cartesian) or >= 5
-    (tetrahedral); beads 0-based."""
-    gap = 3 if model_tag == TURN_CARTESIAN else 5
+    """Contact-capable bead pairs: odd separation, >= 5 on the turn-tet model
+    and >= 3 on every other; beads 0-based."""
+    gap = 5 if model_tag == TURN_TETRAHEDRAL else 3
     return [
         (i, j)
         for i in range(n)

@@ -77,8 +77,9 @@ def scaled_alpha(lambda_global: float) -> float:
     return 1.1 * lambda_global
 
 
-def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> QuadratizationResult:
-    """Reduce to degree <= 2; degree <= 2 input is returned as it is.
+def substitute(hubo: PolynomialObjective) -> tuple[list[tuple[int, ...]], list]:
+    """The key each HUBO term takes in the QUBO, in term order, and the
+    `aux_map` of the auxiliaries that stand in for the substituted pairs.
 
     Each round substitutes the pair held by the most terms of degree > 2
     (ties to the smallest pair), found by a pair -> terms index and a heap on
@@ -87,15 +88,8 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
     degree stays above 2; each new pair is pushed once, with its final count.
     Other counts only fall, so a stale popped entry is pushed again at its
     current count.  aux is a fresh variable, so no substituted term coincides
-    with another and no pair is chosen twice: the QUBO terms keep the input
-    terms' coefficients and order.
+    with another and no pair is chosen twice: the keys are distinct.
     """
-    if hubo.space != BOOLEAN:
-        raise InputError("quadratize expects a Boolean-space problem")
-    alpha = resolve_alpha(hubo, alpha_policy)
-    if hubo.degree <= 2:
-        return QuadratizationResult(qubo=hubo, aux_map=[], alpha=alpha)
-
     keys = [set(k) for k in hubo.terms]
     holders: dict[tuple[int, int], set[int]] = {}  # pair -> terms of degree > 2 holding it
     for t, key in enumerate(hubo.terms):
@@ -134,9 +128,14 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
         for x, ts in joined.items():
             holders[(x, aux)] = ts
             heapq.heappush(heap, (-len(ts), (x, aux)))
+    return [tuple(sorted(key)) for key in keys], aux_map
 
+
+def _assemble(hubo: PolynomialObjective, keys, aux_map, alpha: float) -> QuadratizationResult:
+    """The QUBO of a substitution: the HUBO terms under `keys`, with their
+    coefficients and order, plus alpha times each auxiliary's penalty."""
     acc = TermAccumulator()
-    acc.terms = {tuple(sorted(key)): c for key, c in zip(keys, hubo.terms.values())}
+    acc.terms = dict(zip(keys, hubo.terms.values()))
     acc.offset = hubo.offset
     for aux, (i, j) in aux_map:
         acc.add((i, j), alpha)
@@ -145,6 +144,16 @@ def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> Quadratiza
         acc.add((aux,), 3.0 * alpha)
     qubo = acc.build(hubo.num_vars + len(aux_map))
     return QuadratizationResult(qubo=qubo, aux_map=aux_map, alpha=alpha)
+
+
+def quadratize(hubo: PolynomialObjective, alpha_policy=WORST_CASE) -> QuadratizationResult:
+    """Reduce to degree <= 2 by `substitute`; degree <= 2 input is returned as it is."""
+    if hubo.space != BOOLEAN:
+        raise InputError("quadratize expects a Boolean-space problem")
+    alpha = resolve_alpha(hubo, alpha_policy)
+    if hubo.degree <= 2:
+        return QuadratizationResult(qubo=hubo, aux_map=[], alpha=alpha)
+    return _assemble(hubo, *substitute(hubo), alpha)
 
 
 @dataclass(frozen=True)
@@ -181,36 +190,16 @@ def lift_residual(hubo: PolynomialObjective, result: QuadratizationResult) -> fl
     return math.fsum(abs(math.fsum(cs)) for cs in parts.values())
 
 
-def substituted_keys(hubo: PolynomialObjective, aux_map) -> list[tuple[int, ...]]:
-    """The key each HUBO term has in the QUBO, in term order: `aux_map`
-    replayed over `hubo.terms`.  Each auxiliary, in creation order, takes the
-    place of its pair in every term of degree > 2 holding both, as in
-    `quadratize`."""
-    keys = [set(key) for key in hubo.terms]
-    holding: dict[int, set[int]] = {}  # variable -> terms that held it at degree > 2
-    for t, key in enumerate(keys):
-        for v in key if len(key) > 2 else ():
-            holding.setdefault(v, set()).add(t)
-    for aux, (i, j) in aux_map:
-        for t in holding.get(i, set()) & holding.get(j, set()):
-            key = keys[t]
-            if len(key) > 2 and i in key and j in key:
-                key.difference_update((i, j))
-                key.add(aux)
-                holding.setdefault(aux, set()).add(t)
-    return [tuple(sorted(key)) for key in keys]
-
-
-def aux_masses(hubo: PolynomialObjective, aux_map) -> dict[int, float]:
-    """m_b for each auxiliary b: sum |c_T| over the HUBO terms whose
-    substituted key holds an auxiliary built from b, b included, added in
-    term order, so each m_b is at most M, the float64 sum over every term of
-    degree > 2."""
+def aux_masses(hubo: PolynomialObjective, keys, aux_map) -> dict[int, float]:
+    """m_b for each auxiliary b of `aux_map`: sum |c_T| over the HUBO terms
+    whose substituted key (`keys`, in term order) holds an auxiliary built
+    from b, b included, added in term order, so each m_b is at most M, the
+    float64 sum over every term of degree > 2."""
     built_from: dict[int, frozenset] = {}  # aux -> the auxiliaries it is built from, itself included
     for aux, pair in aux_map:
         built_from[aux] = frozenset((aux,)).union(*(built_from.get(v, ()) for v in pair))
     masses = dict.fromkeys(built_from, 0.0)
-    for key, c in zip(substituted_keys(hubo, aux_map), hubo.terms.values()):
+    for key, c in zip(keys, hubo.terms.values()):
         for b in frozenset().union(*(built_from.get(v, ()) for v in key)):
             masses[b] += abs(float(c))
     return masses
@@ -225,9 +214,9 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
     (`PolynomialObjective.rounding_bound`), which grow with alpha.  The gap
     certificate proves QUBO(x, a) - QUBO(x, lift(x)) >= gap_bound = alpha -
     max_b m_b - tolerance for every inconsistent auxiliary setting a, with
-    m_b from `aux_masses`.  It holds only where `quadratize(hubo,
-    result.alpha)` rebuilds `result` exactly, since it reads the penalty
-    form from `quadratize`; otherwise it is -inf.
+    m_b from `aux_masses` over the keys of `substitute(hubo)`.  It holds
+    only where `result` equals the penalty assembly of that one substitution
+    at result.alpha, the form the proof reads; otherwise it is -inf.
 
     Proof: the QUBO is the HUBO with each substituted pair replaced by its
     auxiliary, plus alpha times each auxiliary's penalty, 0 when it equals
@@ -269,11 +258,12 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
     n = hubo.num_vars
     n_aux = len(result.aux_map)
     tolerance = 1e-9 + float(hubo.rounding_bound) + float(result.qubo.rounding_bound)
-    mass = max(aux_masses(hubo, result.aux_map).values(), default=0.0)
+    keys, aux_map = substitute(hubo)
+    mass = max(aux_masses(hubo, keys, aux_map).values(), default=0.0)
     gap, source, checked = result.alpha - mass - tolerance, "certificate", 0
     if not n_aux:
         gap = float("inf")
-    elif gap > 0.0 and quadratize(hubo, result.alpha) != result:
+    elif gap > 0.0 and _assemble(hubo, keys, aux_map, result.alpha) != result:
         gap = float("-inf")
     if not gap > 0.0 and n <= budget and n + n_aux <= 30:
         gap, source, checked = float("inf"), "exhaustive", 1 << (n + n_aux)

@@ -1,8 +1,8 @@
 """Reference copies of the term-by-term exact solvers, of the two-stage
 problem loader, of the field and coupling table builders, of the per-chain
 unembedding, of the incremental-field Metropolis kernel, of the allocating
-exact split, of the whole-table reduction check and of the
-configuration-exchange parallel tempering, for differential tests.
+exact split, of the whole-table reduction check, of the `aux_map` replay and
+of the configuration-exchange parallel tempering, for differential tests.
 
 `exact_energies` is offset + the correctly rounded sum of each row's terms
 (`math.fsum`), which `evaluate_batch` must equal wherever the split of the
@@ -37,6 +37,9 @@ where its per-auxiliary certificate holds, scans in blocks where it does
 not and n is within the budget, and refuses the reduction elsewhere, so
 each of its passes must be a pass here, a certificate at most the scanned
 gap, and a scanned gap equal.
+`substituted_keys` finds each term's substituted key by replaying an
+`aux_map` over the HUBO's terms, where `reduction.substitute` returns the
+keys it built; the two must be equal.
 `parallel_tempering` exchanges whole configurations and energy pairs between
 the kernel's rows, so each row keeps its counter id and temperature; the
 package's PT exchanges the two rows' labels instead and must return the same
@@ -175,6 +178,25 @@ def quadratize(hubo, alpha_policy="worst_case"):
         acc.add((aux,), 3.0 * alpha)
     qubo = acc.build(next_var)
     return QuadratizationResult(qubo=qubo, aux_map=aux_map, alpha=alpha)
+
+
+def substituted_keys(hubo, aux_map):
+    """The key each HUBO term has in the QUBO, in term order: `aux_map`
+    replayed over `hubo.terms`.  Each auxiliary, in creation order, takes the
+    place of its pair in every term of degree > 2 holding both."""
+    keys = [set(key) for key in hubo.terms]
+    holding = {}  # variable -> terms that held it at degree > 2
+    for t, key in enumerate(keys):
+        for v in key if len(key) > 2 else ():
+            holding.setdefault(v, set()).add(t)
+    for aux, (i, j) in aux_map:
+        for t in holding.get(i, set()) & holding.get(j, set()):
+            key = keys[t]
+            if len(key) > 2 and i in key and j in key:
+                key.difference_update((i, j))
+                key.add(aux)
+                holding.setdefault(aux, set()).add(t)
+    return [tuple(sorted(key)) for key in keys]
 
 
 def ising_to_qubo(p):

@@ -440,6 +440,7 @@ class TestMalformedInput:
         (["encode", "coord-tet", "--L", "2", "--out", "p.json"], "provide exactly one of --seq or --fasta"),
         (["encode", "coord-tet", "--seq", "HHHH", "--fasta", "none.fa", "--L", "2", "--out", "p.json"],
          "provide exactly one of --seq or --fasta"),
+        (["encode", "turn-cart", "--fasta", "two.fa", "--out", "t.json"], "two.fa holds more than one FASTA record"),
         (["solve", "q.json", "--solver", "sa", "--out", "s.csv"], "--seed is mandatory for sa and pt"),
         (["solve", "q.json", "--solver", "pt", "--out", "s.csv"], "--seed is mandatory for sa and pt"),
     ], ids=["alpha-not-a-number", "alpha-nan", "alpha-inf",
@@ -449,7 +450,7 @@ class TestMalformedInput:
             "chain-node-twice", "ising-repeated-spin", "ising-three-spins", "reduce-ising",
             "sod-threshold-nan", "jobs-zero", "jobs-negative", "dataset-len-0", "dataset-len-1",
             "num-vars-fractional", "num-vars-boolean", "encode-no-sequence", "encode-seq-and-fasta",
-            "sa-no-seed", "pt-no-seed"])
+            "fasta-two-records", "sa-no-seed", "pt-no-seed"])
     def test_bad_argument_exits_2(self, workdir, capsys, argv, message):
         problem = {
             "num_vars": 3, "offset": 0.0, "space": "boolean",
@@ -469,6 +470,7 @@ class TestMalformedInput:
         (workdir / "a.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n"
                                        "011,-1.0,0,3\n110,-2.0,0,4\n")
         (workdir / "conf.txt").write_text("restart = 6\n")
+        (workdir / "two.fa").write_text(">a\nHHP\n>b\nPPH\n")
         assert input_error(argv, capsys) == message
 
     @pytest.mark.parametrize("options, message", [

@@ -15,12 +15,13 @@ from latticefold.reduction import (
     lift_residual,
     quadratize,
     scaled_alpha,
-    substituted_keys,
+    substitute,
     verify_quadratization,
     worst_case_alpha,
 )
 from latticefold.solvers import brute_force
 
+import reference_exact as ref
 from conftest import all_assignments, build_poly
 
 # sums of these are exact in float64, so energies compare with ==
@@ -160,10 +161,13 @@ class TestQuadratize:
     @settings(max_examples=100, deadline=None)
     @given(hubo=small_hubos())
     def test_replayed_keys_equal_quadratize_s(self, hubo):
-        # at the worst-case alpha no penalty cancels a HUBO coefficient, so the
-        # QUBO's first keys are the substituted HUBO keys, in term order
+        # substitute's keys are the old replay of its aux_map, and at the
+        # worst-case alpha no penalty cancels a HUBO coefficient, so they are
+        # the QUBO's first keys, in term order
+        keys, aux_map = substitute(hubo)
         res = quadratize(hubo)
-        keys = substituted_keys(hubo, res.aux_map)
+        assert aux_map == res.aux_map
+        assert keys == ref.substituted_keys(hubo, aux_map)
         assert keys == list(res.qubo.terms)[:len(hubo.terms)]
         assert all(len(key) <= 2 for key in keys)
 
@@ -258,7 +262,7 @@ class TestVerify:
         hubo = build_poly({(3 * k, 3 * k + 1, 3 * k + 2): c for k, c in enumerate(coeffs)}, 90)
         res = quadratize(hubo, "fixed:7.5")
         assert len(res.aux_map) == 30
-        assert list(aux_masses(hubo, res.aux_map).values()) == [abs(c) for c in coeffs]
+        assert list(aux_masses(hubo, *substitute(hubo)).values()) == [abs(c) for c in coeffs]
         report = verify_quadratization(hubo, res)
         assert (report.gap_source, report.checked) == ("certificate", 0)
         assert report.gap_bound == 7.5 - 3.75 - report.tolerance and report.ok
@@ -269,8 +273,9 @@ class TestVerify:
         hubo = build_poly({(0, 1, 2, 3): 2.0, (0, 1, 2, 4): -1.0, (0, 1, 3): 0.5}, 5)
         res = quadratize(hubo)
         assert res.aux_map == [(5, (0, 1)), (6, (2, 5))]
-        assert substituted_keys(hubo, res.aux_map) == [(3, 6), (4, 6), (3, 5)]
-        assert aux_masses(hubo, res.aux_map) == {5: 3.5, 6: 3.0}
+        keys, aux_map = substitute(hubo)
+        assert (keys, aux_map) == ([(3, 6), (4, 6), (3, 5)], res.aux_map)
+        assert aux_masses(hubo, keys, aux_map) == {5: 3.5, 6: 3.0}
 
     @pytest.mark.parametrize("edit", [drop_smallest, flip_penalty_sign], ids=["dropped-term", "penalty-sign"])
     @pytest.mark.parametrize("case", ["exhaustive", "cli"])
