@@ -95,8 +95,6 @@ def classify_barriers(hist: SodHistogram, threshold: float = 0.5) -> str:
             rep = b + int(np.argmax(c[b : run_end + 1]))
             peaks.append(rep)
         b = run_end + 1
-    if not peaks:
-        peaks = [int(np.argmax(c))]
     return THIN if all(abs(centers[p]) > threshold for p in peaks) else THICK
 
 

@@ -3,8 +3,9 @@ embedding application, over JSON/CSV files with reproducible seeds.
 
 Exit codes: 0 success, 2 input error, 3 verification failure, 4 resource
 refusal.  Every output file is accompanied by a .manifest.json recording the
-command, resolved configuration, seed, input hashes, and timings; sample
-CSVs stay byte-identical across reruns and thread counts.
+command, resolved configuration, seed, the sha256 of every file the command
+read (a --config file included), and timings; sample CSVs stay
+byte-identical across reruns and thread counts.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ from .encoders import (
     geometric_energy,
     get_model,
 )
-from .reduction import quadratize, scaled_alpha, verify_quadratization
+from .reduction import SCAN_CAP, VERIFY_BUDGET, quadratize, scaled_alpha, verify_quadratization
 from .solvers import (
+    SAMPLE_COLUMNS,
     PtConfig,
     ResourceRefusal,
     SaConfig,
@@ -92,17 +94,25 @@ def _hash_file(path) -> str:
     return h.hexdigest()
 
 
+# the arguments that name a file a command reads
+INPUT_ARGS = ("config", "fasta", "problem", "samples", "run1", "run2", "summary", "embedding", "hardware",
+              "embedded")
+
+
 class Manifest:
-    def __init__(self, command: str, args: argparse.Namespace, inputs: list):
+    """The command (`analyze-<what>` for an analysis) and the hash of every
+    input file set in `args`, in parser order."""
+
+    def __init__(self, args: argparse.Namespace):
         self.doc = {
             "tool": "latticefold",
             "version": __version__,
-            "command": command,
+            "command": args.command if args.command != "analyze" else f"analyze-{args.what}",
             "config": {
                 k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
             },
             "seed": getattr(args, "seed", None),
-            "inputs": {str(p): _hash_file(p) for p in inputs},
+            "inputs": {str(v): _hash_file(v) for k, v in vars(args).items() if k in INPUT_ARGS and v},
             "started_utc": datetime.now(timezone.utc).isoformat(),
         }
         self._t0 = time.perf_counter()
@@ -148,8 +158,7 @@ def cmd_encode(args) -> int:
     if (args.seq is None) == (args.fasta is None):
         raise InputError("provide exactly one of --seq or --fasta")
     sequence = args.seq.upper() if args.seq else _read_fasta(args.fasta)
-    inputs = [args.fasta] if args.fasta else []
-    manifest = Manifest("encode", args, inputs)
+    manifest = Manifest(args)
     model = encode(
         args.model,
         sequence,
@@ -167,7 +176,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    manifest = Manifest("reduce", args, [args.problem])
+    manifest = Manifest(args)
     problem, doc = load_problem(args.problem)
     policy = args.alpha
     if policy == "scaled":
@@ -202,7 +211,7 @@ def _refusal(report, n: int, n_aux: int, budget: int) -> str:
         return f"the lift residual {report.lift_residual:.6g} exceeds the tolerance {report.tolerance:.6g}"
     if report.gap_source == "exhaustive":
         return f"the exhaustive scan found an inconsistent setting at gap {report.gap_bound:.6g}"
-    where = f"n = {n} > --verify-budget {budget}" if n > budget else f"n + n_aux = {n + n_aux} > 30"
+    where = f"n = {n} > --verify-budget {budget}" if n > budget else f"n + n_aux = {n + n_aux} > {SCAN_CAP}"
     return f"the certificate {report.gap_bound:.6g} is not positive and {where}"
 
 
@@ -216,7 +225,7 @@ def cmd_solve(args) -> int:
         raise InputError("--seed is mandatory for sa and pt")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    manifest = Manifest("solve", args, [args.problem])
+    manifest = Manifest(args)
     problem, doc = load_problem(args.problem)
 
     if args.solver == "sa":
@@ -235,7 +244,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    manifest = Manifest("decode", args, [args.problem, args.samples])
+    manifest = Manifest(args)
     # a reduced problem's auxiliary variables follow the original ones, which
     # are all the layout reads
     model = EncodedModel.from_doc(load_doc(args.problem))
@@ -272,7 +281,7 @@ def _trajectory(path) -> np.ndarray:
 
 
 def _analyze_sod(args) -> int:
-    manifest = Manifest("analyze-sod", args, [args.run1, args.run2])
+    manifest = Manifest(args)
     t1 = _trajectory(args.run1)
     t2 = _trajectory(args.run2)
     q = spin_overlap_values(t1, t2)
@@ -287,12 +296,8 @@ def _analyze_sod(args) -> int:
 def _analyze_tts(args) -> int:
     if set(args.model) & set(",\r\n"):
         raise InputError(f"--model {args.model!r} holds a comma or a line break")
-    inputs = [args.samples]
-    summary = {}
-    if args.summary:
-        inputs.append(args.summary)
-        summary = load_doc(args.summary)
-    manifest = Manifest("analyze-tts", args, inputs)
+    summary = load_doc(args.summary) if args.summary else {}
+    manifest = Manifest(args)
     ss = sample_set_from_csv(args.samples)
     tau = args.tau if args.tau is not None else summary.get("tau_seconds")
     if tau is None:
@@ -312,7 +317,7 @@ def _analyze_tts(args) -> int:
 
 
 def _analyze_scaling(args) -> int:
-    manifest = Manifest("analyze-scaling", args, [])
+    manifest = Manifest(args)
     tags = [t.strip() for t in args.models.split(",")]
     for t in tags:
         if t not in MODEL_TAGS:
@@ -330,7 +335,7 @@ def _analyze_scaling(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    manifest = Manifest("embed", args, [args.problem, args.embedding, args.hardware])
+    manifest = Manifest(args)
     problem, doc = load_problem(args.problem)
     emb = EmbeddingMap.load(args.embedding)
     hw = HardwareGraph.load(args.hardware)
@@ -357,7 +362,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_unembed(args) -> int:
-    manifest = Manifest("unembed", args, [args.samples, args.embedded, args.problem])
+    manifest = Manifest(args)
     emb, node_order = load_embedded(args.embedded)
     problem, _ = load_problem(args.problem)
     stray = sorted(set(emb.chains) ^ set(range(problem.num_vars)))
@@ -371,8 +376,7 @@ def cmd_unembed(args) -> int:
     ))
     rows = np.array(logical, dtype=np.int64)
     energies = problem.evaluate_batch(2 * rows - 1 if problem.space == ISING else rows).tolist()
-    header = ("assignment", "energy", "replica", "sweep", "chain_break_fraction")
-    write_csv(args.out, manifest.write(args.out), header,
+    write_csv(args.out, manifest.write(args.out), (*SAMPLE_COLUMNS, "chain_break_fraction"),
               zip(assignment_strings(rows), energies, samples.replicas.tolist(), samples.sweeps.tolist(), breaks))
     print(f"samples={len(breaks)} mean_chain_break_fraction={float(np.mean(breaks)):.4f}")
     return 0
@@ -383,7 +387,7 @@ def cmd_gen_dataset(args) -> int:
         raise InputError(f"--count must be non-negative, got {args.count}")
     if args.len < 2:
         raise InputError(f"--len must be at least 2, the shortest chain a model encodes, got {args.len}")
-    manifest = Manifest("gen-dataset", args, [])
+    manifest = Manifest(args)
     key = stable_seed(args.seed, "dataset")
     u = counter_uniforms(key, np.arange(args.count)[:, None], np.arange(args.len)[None, :])
     letters = np.minimum(u * len(AMINO_ACIDS), len(AMINO_ACIDS) - 1).astype(int)
@@ -429,25 +433,14 @@ def _load_config_defaults(argv):
     return defaults
 
 
-def _subparsers(parser):
-    """Every subcommand parser under `parser`, the analyses' too."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                yield sp
-                yield from _subparsers(sp)
-
-
-def _apply_config_defaults(parser, defaults: dict) -> None:
+def _apply_config_defaults(subparsers: list, defaults: dict) -> None:
     """Make the config values the subcommands' defaults.  They stay strings:
     argparse parses a string default with its option's type, and exits 2 on
     a bad one.  A flag takes true or false; the repeatable --penalty cannot
     come from a config file, and a key must name an option other than --help
     that some subcommand does not require: argparse ignores the default of a
     positional or required argument."""
-    subparsers = list(_subparsers(parser))
-    options = [a for sp in subparsers for a in sp._actions
-               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    options = [a for sp in subparsers for a in sp._actions if a.option_strings and a.dest != "help"]
     unknown = sorted(defaults.keys() - {a.dest for a in options})
     if unknown:
         raise InputError(f"config key {', '.join(unknown)} names no option of any subcommand")
@@ -480,7 +473,8 @@ def _chain_strength(text: str):
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, list]:
+    """The parser, and every subcommand parser under it, the analyses' too."""
     parser = argparse.ArgumentParser(
         prog="latticefold",
         description="Lattice protein folding as QUBO/HUBO optimization.",
@@ -504,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--alpha", default="worst_case",
                    help="worst_case | fixed:VALUE | scaled")
-    p.add_argument("--verify-budget", type=int, default=20,
+    p.add_argument("--verify-budget", type=int, default=VERIFY_BUDGET,
                    help="most original variables for the exhaustive gap scan, which runs only "
                    "where the gap certificate is not positive; beyond it such a reduction "
                    "is refused (exit 3)")
@@ -588,14 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_dataset)
 
-    return parser
+    return parser, [*sub.choices.values(), *analyses.choices.values()]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
-        _apply_config_defaults(parser, _load_config_defaults(argv))
+        _apply_config_defaults(subparsers, _load_config_defaults(argv))
         args = parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:

@@ -200,16 +200,16 @@ def apply_embedding(
         for a in range(len(chain)):
             for b in range(a + 1, len(chain)):
                 if hw.has_edge(chain[a], chain[b]):
-                    add((idx[chain[a]], idx[chain[b]]), -abs(chain_strength))
+                    add((idx[chain[a]], idx[chain[b]]), -chain_strength)
                     chain_edges += 1
 
-    offset = ising.offset + abs(chain_strength) * chain_edges
+    offset = ising.offset + chain_strength * chain_edges
     if not np.isfinite(offset):
         raise InputError(f"chain strength {chain_strength!r} makes the embedded offset {offset}")
     return EmbeddedProblem(
         ising=IsingProblem(len(node_order), {k: c for k, c in terms.items() if c != 0.0}, offset),
         node_order=node_order,
-        chain_strength=abs(chain_strength),
+        chain_strength=chain_strength,
         chain_edge_count=chain_edges,
     )
 

@@ -32,6 +32,8 @@ from .core import (
 )
 
 WORST_CASE = "worst_case"
+SCAN_CAP = 30  # most joint variables, n + n_aux, the exhaustive gap scan runs over
+VERIFY_BUDGET = 20  # the default budget: most original variables the scan runs over
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ def aux_masses(hubo: PolynomialObjective, keys, aux_map) -> dict[int, float]:
 
 
 def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResult,
-                          budget: int = 20) -> VerificationReport:
+                          budget: int = VERIFY_BUDGET) -> VerificationReport:
     """Prove that `result` keeps the minimizers of `hubo`, or refuse it.
 
     `lift_residual` proves QUBO(x, lift(x)) = HUBO(x) for all 2^n x, within
@@ -248,7 +250,7 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
 
     Where the certificate is not positive, gap_bound is the least cost over
     every joint assignment against the lift of its original code, scanned if
-    n <= budget and n + n_aux <= 30; anywhere else the report keeps the
+    n <= budget and n + n_aux <= SCAN_CAP; anywhere else the report keeps the
     certificate, with 0 rows checked: not ok.  The scan runs on
     `core.energy_blocks` with the originals as the low half and the
     auxiliaries as the high half, and takes each half's difference from the
@@ -265,7 +267,7 @@ def verify_quadratization(hubo: PolynomialObjective, result: QuadratizationResul
         gap = float("inf")
     elif gap > 0.0 and _assemble(hubo, keys, aux_map, result.alpha) != result:
         gap = float("-inf")
-    if not gap > 0.0 and n <= budget and n + n_aux <= 30:
+    if not gap > 0.0 and n <= budget and n + n_aux <= SCAN_CAP:
         gap, source, checked = float("inf"), "exhaustive", 1 << (n + n_aux)
         for low_codes, high_blocks in energy_blocks(result.qubo, n):  # the originals are the low half
             lift = result.lift(code_bits(low_codes, n))

@@ -186,6 +186,9 @@ def temperature_ladder(cfg: PtConfig) -> np.ndarray:
     return cfg.t_min * r ** np.arange(cfg.num_temps)
 
 
+SAMPLE_COLUMNS = ("assignment", "energy", "replica", "sweep")  # a samples CSV's header
+
+
 @dataclass
 class SampleSet:
     """Solver output: one record per restart (SA) or measured sweep (PT)."""
@@ -208,7 +211,7 @@ class SampleSet:
         return float(self.energies.min()) if len(self.energies) else float("inf")
 
     def to_csv(self, path, manifest_name: str = "-") -> None:
-        write_csv(path, manifest_name, ("assignment", "energy", "replica", "sweep"), zip(
+        write_csv(path, manifest_name, SAMPLE_COLUMNS, zip(
             assignment_strings(self.bits), self.energies.astype(np.float64).tolist(),
             self.replicas.astype(np.int64).tolist(), self.sweeps.astype(np.int64).tolist()))
 
@@ -236,14 +239,14 @@ def sample_set_from_csv(path) -> SampleSet:
     bits, energies, replicas, sweeps = [], [], [], []
     for lineno, line in enumerate(read_lines(path), 1):
         line = line.strip()
-        if not line or line.startswith("#") or line.startswith("assignment"):
+        if not line or line.startswith("#") or line.startswith(SAMPLE_COLUMNS[0]):
             continue
         where = f"{path} line {lineno}"
         fields = line.split(",")
         if len(fields) == 5 and _is_fraction(fields[4]):  # `unembed` output; not kept
             fields.pop()
         if len(fields) != 4:
-            raise InputError(f"{where}: expected 4 fields assignment,energy,replica,sweep, "
+            raise InputError(f"{where}: expected 4 fields {','.join(SAMPLE_COLUMNS)}, "
                              f"or 5 with a chain_break_fraction in [0, 1], got {line!r}")
         bs, e, rep, sw = fields
         if bs.strip("01"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -364,13 +365,15 @@ class TestMalformedInput:
         ("turn-tet", lambda doc: doc["interaction"]["pair_energies"].update(HH=float("nan")),
          "interaction pair_energies HH nan is not finite"),
         ("coord-tet", lambda doc: doc["interaction"].update(alphabet=5), "interaction alphabet 5 must be a string"),
+        ("turn-tet", lambda doc: doc["interaction"]["pair_energies"].update(HHP=-1.0),
+         "pair key 'HHP' must be two residue codes"),
     ], ids=["no-sequence", "bogus-interaction", "unknown-model", "no-turns", "turn-var-out-of-range",
             "turn-bit-not-a-variable", "turn-block-width", "no-bead-blocks", "grid-side-not-int",
             "bead-block-no-start", "bead-block-out-of-range", "bead-block-bad-class",
             "bead-block-class-true", "bead-block-start-false", "turn-bit-float-one", "turn-bit-float-zero",
             "turn-bit-true", "turn-bit-false",
             "pair-energies-not-an-object", "pair-energy-not-a-number", "pair-energy-nan",
-            "alphabet-not-a-string"])
+            "alphabet-not-a-string", "pair-key-of-three-codes"])
     def test_malformed_model_document_decode_exits_2(self, workdir, capsys, model, edit, message):
         assert run(["encode", model, "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
         doc = json.loads((workdir / "p.json").read_text())
@@ -443,6 +446,32 @@ class TestMalformedInput:
         (["encode", "turn-cart", "--fasta", "two.fa", "--out", "t.json"], "two.fa holds more than one FASTA record"),
         (["solve", "q.json", "--solver", "sa", "--out", "s.csv"], "--seed is mandatory for sa and pt"),
         (["solve", "q.json", "--solver", "pt", "--out", "s.csv"], "--seed is mandatory for sa and pt"),
+        (["embed", "q.json", "--embedding", "emb3.json", "--hardware", "hw.txt", "--chain-strength", "0",
+          "--out", "e.json"], "chain strength must be positive"),
+        (["embed", "q.json", "--embedding", "emb3.json", "--hardware", "hw.txt", "--chain-strength", "-1",
+          "--out", "e.json"], "chain strength must be positive"),
+        (["encode", "turn-cart", "--fasta", "head.fa", "--out", "t.json"], "no sequence record in head.fa"),
+        (["encode", "turn-tet", "--seq", "HHHHHH", "--penalty", "lambda_1", "--out", "t.json"],
+         "penalty overrides look like name=value, got 'lambda_1'"),
+        (["analyze", "sod", "hot.csv", "hot.csv", "--out", "sod.csv"],
+         "hot.csv has no lowest-temperature trajectory rows"),
+        (["analyze", "tts", "--samples", "a.csv", "--reference-energy", "-1", "--out", "t.csv"],
+         "provide --tau or a solve summary with tau_seconds"),
+        (["analyze", "scaling", "--models", "coord-tet,bogus", "--out", "sc.csv"], "unknown model 'bogus'"),
+        (["embed", "h.json", "--embedding", "emb3.json", "--hardware", "hw.txt", "--out", "e.json"],
+         "embed expects a quadratic problem; reduce first"),
+        (["--config", "noeq.txt", "gen-dataset", "--seed", "1", "--out", "d.json"],
+         "config lines look like key = value, got 'restarts'"),
+        (["encode", "coord-tet", "--seq", "H", "--out", "p.json"], "sequence must have at least 2 residues"),
+        (["encode", "turn-tet", "--seq", "HHHHHH", "--penalty", "lambda_1=-1", "--out", "t.json"],
+         "penalty multipliers must be strictly positive"),
+        (["reduce", "h.json", "--alpha", "bogus", "--out", "q.json"], "unknown alpha policy 'bogus'"),
+        (["embed", "empty.json", "--embedding", "emb3.json", "--hardware", "hw.txt", "--out", "e.json"],
+         "cannot derive a chain strength from an empty problem"),
+        (["unembed", "a.csv", "--embedded", "q.json", "--problem", "q.json", "--out", "l.csv"],
+         "q.json is not an embed output"),
+        (["analyze", "tts", "--samples", "header.csv", "--reference-energy", "-1", "--tau", "1", "--out", "t.csv"],
+         "no samples in header.csv"),
     ], ids=["alpha-not-a-number", "alpha-nan", "alpha-inf",
             "penalty-not-a-number", "penalty-nan", "config-unknown-key", "lambda-global-not-a-number",
             "penalties-not-an-object", "sod-zero-bins", "tau-nan", "tau-inf", "penalty-unknown-name",
@@ -450,7 +479,10 @@ class TestMalformedInput:
             "chain-node-twice", "ising-repeated-spin", "ising-three-spins", "reduce-ising",
             "sod-threshold-nan", "jobs-zero", "jobs-negative", "dataset-len-0", "dataset-len-1",
             "num-vars-fractional", "num-vars-boolean", "encode-no-sequence", "encode-seq-and-fasta",
-            "fasta-two-records", "sa-no-seed", "pt-no-seed"])
+            "fasta-two-records", "sa-no-seed", "pt-no-seed", "chain-strength-zero", "chain-strength-negative",
+            "fasta-header-only", "penalty-without-value", "sod-no-replica-0", "tts-no-tau", "scaling-unknown-model",
+            "embed-hubo", "config-line-without-value", "encode-one-residue", "penalty-negative",
+            "alpha-unknown-policy", "auto-strength-of-no-terms", "unembed-plain-problem", "samples-header-only"])
     def test_bad_argument_exits_2(self, workdir, capsys, argv, message):
         problem = {
             "num_vars": 3, "offset": 0.0, "space": "boolean",
@@ -471,6 +503,12 @@ class TestMalformedInput:
                                        "011,-1.0,0,3\n110,-2.0,0,4\n")
         (workdir / "conf.txt").write_text("restart = 6\n")
         (workdir / "two.fa").write_text(">a\nHHP\n>b\nPPH\n")
+        (workdir / "emb3.json").write_text('{"0": [0], "1": [1], "2": [2]}')
+        (workdir / "empty.json").write_text(json.dumps({**problem, "terms": []}))
+        (workdir / "head.fa").write_text(">a\n")
+        (workdir / "noeq.txt").write_text("restarts\n")
+        (workdir / "hot.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n011,-1.0,1,3\n")
+        (workdir / "header.csv").write_text("# manifest=-\nassignment,energy,replica,sweep\n")
         assert input_error(argv, capsys) == message
 
     @pytest.mark.parametrize("options, message", [
@@ -497,13 +535,15 @@ class TestMalformedInput:
         (["decode", "p.json", "nan.csv", "--out", "f.json"], "nan.csv line 3: energy 'nan' is not finite"),
         (["analyze", "tts", "--samples", "inf.csv", "--reference-energy", "1", "--tau", "1", "--out", "t.csv"],
          "inf.csv line 3: energy 'inf' is not finite"),
+        (["decode", "p.json", "short.csv", "--out", "f.json"],
+         "assignment length (2,) does not match 32 free variables"),
     ], ids=["problem-directory", "samples-not-utf8", "config-not-utf8", "fasta-not-utf8", "hardware-not-utf8",
-            "samples-energy-nan", "samples-energy-inf"])
+            "samples-energy-nan", "samples-energy-inf", "samples-shorter-than-the-problem"])
     def test_unreadable_input_exits_2(self, workdir, capsys, argv, message):
         assert run(["encode", "coord-tet", "--seq", "HHHH", "--L", "2", "--out", "p.json"]) == 0
         (workdir / "bin.csv").write_bytes(b"# manifest=-\nassignment,energy,replica,sweep\n\xff\xfe01,1.0,0,3\n")
-        for energy in ("nan", "inf"):
-            (workdir / f"{energy}.csv").write_text(f"# manifest=-\nassignment,energy,replica,sweep\n01,{energy},0,3\n")
+        for name, energy in (("nan", "nan"), ("inf", "inf"), ("short", "1.0")):
+            (workdir / f"{name}.csv").write_text(f"# manifest=-\nassignment,energy,replica,sweep\n01,{energy},0,3\n")
         (workdir / "emb.json").write_text('{"0": [0]}')  # embed reads it before the hardware file
         assert input_error(argv, capsys).startswith(message)
         assert not (workdir / argv[-1]).exists()
@@ -712,8 +752,10 @@ class TestEmbedCli:
         ('{"0": [0.9, 1.2], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
         ('{"0": [0, true], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
         ('{"0": [0, "1"], "1": [2], "2": [3]}', "emb.json: malformed chain '0'"),
+        ('{"0": [0, 1], "1": [2]}', "invalid embedding: logical 2 has no chain"),
+        ('{"0": [0, 1], "1": [9], "2": [3]}', "invalid embedding: chain of 1 uses unknown nodes [9]"),
     ], ids=["chain-x", "node-not-int", "logical-not-int", "not-json", "node-infinite", "empty-chain",
-            "node-fraction", "node-bool", "node-numeral-string"])
+            "node-fraction", "node-bool", "node-numeral-string", "missing-chain", "unknown-node"])
     def test_malformed_embedding_exits_2(self, workdir, capsys, text, message):
         self._fixture(workdir)
         (workdir / "emb.json").write_text(text)
@@ -736,9 +778,10 @@ class TestEmbedCli:
         ("hw.json", HW_JSON % "34", "hardware edge 34 is not two integers"),
         ("hw.json", '{"edges": [[0, 1], [1, 2], [0, 2], [2, 3], [3, 4]], "nodes": [true]}',
          "hardware nodes must be integers"),
+        ("hw.txt", "0 1\n1 2\n0 2\n2 2\n", "self-loop on node 2"),
     ], ids=["edge-not-int", "edge-three-nodes", "edges-not-list", "edge-one-node", "not-json",
             "edge-infinite", "node-list", "node-not-int", "edge-string", "edge-fraction",
-            "edge-numeral-strings", "edge-bool", "edge-number", "node-bool"])
+            "edge-numeral-strings", "edge-bool", "edge-number", "node-bool", "self-loop"])
     def test_malformed_hardware_exits_2(self, workdir, capsys, name, text, message):
         self._fixture(workdir)
         (workdir / name).write_text(text)
@@ -845,6 +888,51 @@ class TestEmbedCli:
         (workdir / "e.json").write_text(json.dumps(doc))
         assert input_error(["unembed", "phys.csv", "--embedded", "e.json", "--problem", "p.json",
                             "--out", "log.csv"], capsys).startswith(message)
+
+
+# a short chain like the pinned one: each command, its manifest name and the files it reads
+MANIFEST_CHAIN = [
+    (["encode", "turn-tet", "--fasta", "seq.fa", "--out", "tt.json"], "encode", ["seq.fa"]),
+    (["reduce", "tt.json", "--out", "ttq.json"], "reduce", ["tt.json"]),
+    (["solve", "ttq.json", "--solver", "sa", "--seed", "5", "--restarts", "4", "--sweeps", "10", "--out", "s.csv"],
+     "solve", ["ttq.json"]),
+    (["decode", "ttq.json", "s.csv", "--out", "folds.json"], "decode", ["ttq.json", "s.csv"]),
+    (["analyze", "tts", "--samples", "s.csv", "--summary", "s.summary.json", "--reference-energy", "-1",
+      "--out", "tts.csv"], "analyze-tts", ["s.csv", "s.summary.json"]),
+    (["analyze", "tts", "--samples", "s.csv", "--tau", "1", "--reference-energy", "-1", "--out", "tau.csv"],
+     "analyze-tts", ["s.csv"]),
+    *((["solve", "ttq.json", "--solver", "pt", "--seed", seed, "--num-temps", "4", "--sweeps", "10",
+        "--measure-sweeps", "5", "--out", name], "solve", ["ttq.json"]) for seed, name in (("6", "pt1.csv"),
+                                                                                          ("7", "pt2.csv"))),
+    (["analyze", "sod", "pt1.csv", "pt2.csv", "--bins", "5", "--out", "sod.csv"], "analyze-sod",
+     ["pt1.csv", "pt2.csv"]),
+    (["analyze", "scaling", "--models", "coord-tet", "--n-min", "4", "--n-max", "4", "--out", "sc.csv"],
+     "analyze-scaling", []),
+    (["embed", "p.json", "--embedding", "emb.json", "--hardware", "hw.txt", "--out", "e.json"], "embed",
+     ["p.json", "emb.json", "hw.txt"]),
+    (["solve", "e.json", "--solver", "brute", "--out", "phys.csv"], "solve", ["e.json"]),
+    (["unembed", "phys.csv", "--embedded", "e.json", "--problem", "p.json", "--out", "log.csv"], "unembed",
+     ["phys.csv", "e.json", "p.json"]),
+    (["gen-dataset", "--count", "2", "--len", "5", "--seed", "1", "--out", "d.json"], "gen-dataset", []),
+]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+    def test_manifest_names_the_command_and_hashes_every_input(self, workdir, config):
+        """Each manifest holds the command's name and the sha256 of exactly
+        the files it read, in the order given; a --config file is one of them."""
+        TestEmbedCli()._fixture(workdir)
+        (workdir / "seq.fa").write_text(">rec\nHHHHHH\n")
+        (workdir / "conf.txt").write_text("interaction = hp\n")
+        prefix = ["--config", "conf.txt"] if config else []
+        for argv, command, inputs in MANIFEST_CHAIN:
+            inputs = ["conf.txt", *inputs] if config else inputs
+            hashes = [hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in inputs]
+            assert run([*prefix, *argv]) == 0, argv
+            manifest = json.loads((workdir / f"{argv[-1]}.manifest.json").read_text())
+            assert manifest["command"] == command
+            assert list(manifest["inputs"].items()) == list(zip(inputs, hashes)), argv
 
 
 class TestDatasetAndConfig:

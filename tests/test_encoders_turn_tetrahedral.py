@@ -53,6 +53,8 @@ class TestLayout:
         assert strict["lambda_global"] == pytest.approx(21 * 11**3)
         assert tuned["lambda_global"] == pytest.approx(21 * 11**2)
         assert strict["lambda_2"] == 10.0
+        with pytest.raises(InputError, match="^unknown penalty variant 'x'$"):
+            default_turn_tet_penalties(6, "x")
 
     def test_underpowered_lambda1_rejected(self):
         with pytest.raises(InputError):
@@ -66,12 +68,14 @@ class TestLayout:
 
 class TestGroundTruth:
     def test_enumerator_matches_brute_force_n6(self):
-        hp = hp_model()
-        m = encode_turn_tetrahedral("HHHHHH", hp)
-        e1, m1 = brute_force(m.objective)
-        e2, m2 = turn_ground_states(m)
-        assert e1 == pytest.approx(e2, abs=1e-9)
-        assert {tuple(a.tolist()) for a in m1} == {tuple(a.tolist()) for a in m2}
+        # PPPPPP's gates are worth exactly 0 at the minimum, so the oracle takes each both ways
+        for seq in ("HHHHHH", "PPPPPP"):
+            m = encode_turn_tetrahedral(seq, hp_model())
+            e1, m1 = brute_force(m.objective)
+            e2, m2 = turn_ground_states(m)
+            assert e1 == pytest.approx(e2, abs=1e-9)
+            assert {tuple(a.tolist()) for a in m1} == {tuple(a.tolist()) for a in m2}
+        assert (e2, len(m2)) == (0.0, 19)
 
     def test_matches_saw_oracle(self):
         mj = mj_model()

@@ -45,6 +45,8 @@ class TestSites:
     def test_l_too_small(self):
         with pytest.raises(InputError):
             LatticeSpec(CARTESIAN, 1)
+        with pytest.raises(InputError, match="^unknown lattice kind 'hex'$"):
+            LatticeSpec("hex", 3)
 
 
 class TestNeighbors:
@@ -106,3 +108,5 @@ class TestMinGrid:
     def test_short_chain_rejected(self):
         with pytest.raises(InputError):
             min_grid(CARTESIAN, 1)
+        with pytest.raises(InputError, match="^unknown lattice kind 'hex'$"):
+            min_grid("hex", 4)

@@ -357,6 +357,8 @@ class TestSimulatedAnnealing:
             SaConfig(cooling_rate=1.0, sweeps=10, restarts=1, seed=0)
         with pytest.raises(InputError):
             SaConfig(cooling_rate=0.5, sweeps=0, restarts=1, seed=0)
+        with pytest.raises(InputError, match="^fixed start temperature must be positive$"):
+            SaConfig(cooling_rate=0.5, sweeps=10, restarts=1, seed=0, t0=0)
 
     @pytest.mark.parametrize("seed", [None, "7", 1.5, True, np.int64(7)],
                              ids=["none", "text", "float", "bool", "numpy"])
@@ -627,6 +629,8 @@ class TestParallelTempering:
             PtConfig(num_temps=4, t_min=2.0, t_max=1.0, sweeps=10, measure_sweeps=5)
         with pytest.raises(InputError):
             PtConfig(num_temps=4, t_min=1.0, t_max=2.0, sweeps=10, measure_sweeps=50)
+        with pytest.raises(InputError, match="^need at least one temperature$"):
+            PtConfig(num_temps=0)
         for num_temps, t_min, t_max in ((1, 0.0, 1e4), (1, -5.0, 1e4), (1, math.nan, 1e4),
                                         (4, math.nan, 2.0), (4, 1.0, math.inf), (4, 1.0, math.nan)):
             with pytest.raises(InputError):
